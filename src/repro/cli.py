@@ -278,12 +278,14 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return 0
     entries = len(cache)
     size_mb = cache.size_bytes() / (1024 * 1024)
+    legacy, legacy_bytes = cache.legacy()
     print(format_mapping(
         "Persistent sweep cache",
         {
             "directory": str(cache.root),
             "entries": str(entries),
             "size": f"{size_mb:.1f} MB",
+            "legacy v1 entries": f"{legacy} ({legacy_bytes / 2**20:.1f} MB, unread)",
         },
     ))
     return 0
@@ -993,7 +995,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the conservation-invariant monitor")
     cache_p = add("cache", cmd_cache, "inspect the persistent result cache")
     cache_p.add_argument("--clear", action="store_true",
-                         help="delete every cached result")
+                         help="delete every cached result, legacy v1 "
+                         "entries included")
     bench_p = sub.add_parser(
         "bench",
         help="measure engine performance and gate against a baseline "

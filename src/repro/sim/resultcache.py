@@ -19,14 +19,33 @@ everything that determines its value:
 
 Keys are the SHA-256 of the canonical JSON (sorted keys, no whitespace) of
 those inputs, which makes them independent of dict insertion order, process
-hash randomization, and restarts.  Entries round-trip through the lossless
-``repro.sim_result/v2-full`` schema of :mod:`repro.sim.serialize` and are
-gzip-compressed; writes are atomic (temp file + ``os.replace``), so
-concurrent sweep workers sharing one cache directory cannot corrupt it.
-The v2-full schema is forward-compatible with optional result fields
-(``violations`` from the invariant monitor): entries written before a
-field existed still load, defaulting it — stale *semantics* are instead
-caught by the :data:`~repro.sim.engine.ENGINE_VERSION` tag in the key.
+hash randomization, and restarts.
+
+Each entry is one ``{key}.entry`` file in the columnar
+``repro.sweep_cache/v2`` layout, all integers little-endian:
+
+* the 8-byte magic: ``RPRSWC2`` and a newline;
+* a ``uint32`` byte length, then a JSON header: ``schema``, ``key``,
+  ``sim_wall_s``, ``result`` (the lossless ``repro.sim_result/v2-full``
+  dict of :mod:`repro.sim.serialize` without its array fields) and
+  ``columns``, a table of ``[name, dtype, length, byte count]`` rows;
+* each array column in table order (the five off-chip log columns, then
+  one per component's ``touched_blocks``), zlib level 1;
+* a ``uint32`` CRC-32 of every byte before it.
+
+Loading checks the CRC, schema and key, inflates each column and reads it
+back with ``np.frombuffer``: the result's arrays are zero-copy, read-only
+views of the inflated bytes, and no column ever passes through Python
+objects.  Writes are atomic (temp file + ``os.replace``), so concurrent
+sweep workers sharing one cache directory cannot corrupt it.  The v2-full
+schema is forward-compatible with optional result fields (``violations``
+from the invariant monitor), while stale *semantics* are caught by the
+:data:`~repro.sim.engine.ENGINE_VERSION` tag in the key.
+
+Entries of the gzip-JSON ``repro.sweep_cache/v1`` format
+(``{key}.json.gz``) are never read: the schema is part of every key, so
+they can only miss.  :meth:`ResultCache.legacy` counts them and
+:meth:`ResultCache.clear` removes them.
 
 The default location is ``~/.cache/repro-sweeps``, overridable with the
 ``REPRO_CACHE_DIR`` environment variable or an explicit ``cache_dir``.
@@ -36,10 +55,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import gzip
 import hashlib
 import json
 import os
+import struct
 import tempfile
 import threading
 import time
@@ -49,17 +68,31 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.config.system import SystemConfig
 from repro.sim.engine import ENGINE_VERSION, SimOptions
 from repro.sim.results import SimResult
-from repro.sim.serialize import result_from_dict, result_to_full_dict
+from repro.sim.serialize import (
+    join_columns,
+    result_columns,
+    result_from_dict,
+    result_header,
+)
 from repro.workloads.spec import BenchmarkSpec
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Schema tag of the on-disk entry envelope.
-CACHE_SCHEMA = "repro.sweep_cache/v1"
+#: Schema tag of the on-disk entry format.
+CACHE_SCHEMA = "repro.sweep_cache/v2"
+
+#: File suffix of current entries, and of the never-read v1 entries.
+ENTRY_SUFFIX = ".entry"
+LEGACY_SUFFIX = ".json.gz"
+
+_MAGIC = b"RPRSWC2\n"
+_U32 = struct.Struct("<I")
 
 
 def default_cache_dir() -> Path:
@@ -145,26 +178,73 @@ class CacheEntry:
     sim_wall_s: float
 
 
-def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
-    """Parse raw on-disk entry bytes (the gzip-JSON envelope) for ``key``.
+def pack_entry(meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> bytes:
+    """Lay out one entry: magic, JSON header, zlib columns, CRC-32 trailer.
 
-    This is how cache entries travel between machines: a remote worker
-    ships the exact bytes it stored, and the coordinator validates them
-    here before :meth:`ResultCache.absorb` installs them verbatim.
-    Anything torn, foreign, or mis-keyed returns ``None``.
+    ``meta`` holds the header fields; the column table is added here.
     """
-    try:
-        payload = json.loads(gzip.decompress(data).decode("utf-8"))
-    except (OSError, EOFError, zlib.error, UnicodeDecodeError, ValueError):
+    table, blobs = [], []
+    for name, column in columns.items():
+        data = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
+        # Level 1 shrinks the columns ~5x; level 6 saves another ~8% at ~5x
+        # the time (lonestar/mst at 1/32), and stores must stay cheap.
+        blobs.append(zlib.compress(data, 1))
+        table.append([name, data.dtype.str, data.size, len(blobs[-1])])
+    header = json.dumps({**meta, "columns": table}, separators=(",", ":")).encode()
+    parts = [_MAGIC, _U32.pack(len(header)), header, *blobs]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, _U32.pack(crc)])
+
+
+def encode_entry(key: str, result: SimResult, sim_wall_s: float = 0.0) -> bytes:
+    """The entry bytes :meth:`ResultCache.store` writes for ``result``."""
+    meta = {
+        "schema": CACHE_SCHEMA,
+        "key": key,
+        "sim_wall_s": sim_wall_s,
+        "result": result_header(result),
+    }
+    return pack_entry(meta, result_columns(result))
+
+
+def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
+    """Parse raw entry bytes for ``key``: the one decoder of the cache.
+
+    :meth:`ResultCache.load` runs it on file contents, and a remote worker's
+    shipped bytes pass through it before :meth:`ResultCache.absorb`
+    installs them verbatim.  Anything torn, bit-flipped, foreign or
+    mis-keyed returns ``None``.
+    """
+    view = memoryview(data)
+    body = view[: len(view) - _U32.size]
+    if (
+        len(view) < len(_MAGIC) + 2 * _U32.size
+        or body[: len(_MAGIC)] != _MAGIC
+        or zlib.crc32(body) != _U32.unpack_from(view, len(body))[0]
+    ):
         return None
     try:
-        if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key:
+        start = len(_MAGIC) + _U32.size
+        offset = start + _U32.unpack_from(body, len(_MAGIC))[0]
+        meta = json.loads(bytes(body[start:offset]))
+        if meta["schema"] != CACHE_SCHEMA or meta["key"] != key:
+            return None
+        columns = {}
+        for name, dtype, length, nbytes in meta["columns"]:
+            raw = zlib.decompress(body[offset : offset + nbytes])
+            columns[name] = np.frombuffer(raw, dtype=dtype)
+            if columns[name].size != length:
+                return None
+            offset += nbytes
+        if offset != len(body):
             return None
         return CacheEntry(
-            result=result_from_dict(payload["result"]),
-            sim_wall_s=float(payload.get("sim_wall_s", 0.0)),
+            result=result_from_dict(join_columns(meta["result"], columns)),
+            sim_wall_s=float(meta["sim_wall_s"]),
         )
-    except (ValueError, KeyError, TypeError, AttributeError):
+    except (ValueError, KeyError, TypeError, AttributeError, zlib.error, struct.error):
         return None
 
 
@@ -187,7 +267,13 @@ _FLIGHTS: Dict[Tuple[str, str], _Flight] = {}
 
 
 class ResultCache:
-    """Filesystem-backed result store; one gzip-JSON file per key.
+    """Filesystem-backed result store; one columnar v2 file per key.
+
+    The layout is described in the module docstring: a JSON header, the
+    array columns as zlib'd little-endian bytes and a CRC-32 trailer.  One
+    encoder (:func:`encode_entry`) and one decoder
+    (:func:`decode_entry_bytes`) serve :meth:`store`, :meth:`load` and
+    :meth:`absorb`; v1 ``.json.gz`` files are never read (:meth:`legacy`).
 
     Concurrency: entries are written atomically (temp file +
     ``os.replace``) so readers can never observe torn data, and multiple
@@ -205,7 +291,7 @@ class ResultCache:
 
     def path_for(self, key: str) -> Path:
         # Two-level fan-out keeps directories small for big sweeps.
-        return self.root / key[:2] / f"{key}.json.gz"
+        return self.root / key[:2] / f"{key}{ENTRY_SUFFIX}"
 
     @contextmanager
     def lock(self, key: str) -> Iterator[None]:
@@ -252,40 +338,23 @@ class ResultCache:
     def load(self, key: str) -> Optional[CacheEntry]:
         """Return the stored entry, or None on miss or unreadable file.
 
-        Confirmed-corrupt files (bad gzip stream, truncated data, invalid
-        JSON, foreign schema) are treated as misses and removed, so a
-        damaged cache degrades to re-simulation, never to an error.
-        Transient I/O failures (``EACCES``, disk hiccups) are misses too,
-        but the entry is *kept* — deleting a healthy file because of a
-        momentary read error would throw away a finished simulation.
+        Files :func:`decode_entry_bytes` rejects (bad magic or CRC, torn
+        data, foreign schema, key mismatch) are treated as misses and
+        removed, so a damaged cache degrades to re-simulation, never to an
+        error.  Transient I/O failures (``EACCES``, disk hiccups) are
+        misses too, but the entry is *kept* — deleting a healthy file
+        because of a momentary read error would throw away a finished
+        simulation.
         """
         path = self.path_for(key)
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
+            data = path.read_bytes()
+        except OSError:  # missing, or a transient failure: keep the file
             return None
-        except (
-            gzip.BadGzipFile,
-            EOFError,
-            zlib.error,
-            UnicodeDecodeError,
-            ValueError,  # includes json.JSONDecodeError
-        ):
+        entry = decode_entry_bytes(key, data)
+        if entry is None:
             self._discard(path)
-            return None
-        except OSError:
-            return None
-        try:
-            if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key:
-                raise ValueError("stale or foreign cache entry")
-            return CacheEntry(
-                result=result_from_dict(payload["result"]),
-                sim_wall_s=float(payload.get("sim_wall_s", 0.0)),
-            )
-        except (ValueError, KeyError, TypeError, AttributeError):
-            self._discard(path)
-            return None
+        return entry
 
     @staticmethod
     def _discard(path: Path) -> None:
@@ -297,37 +366,7 @@ class ResultCache:
 
     def store(self, key: str, result: SimResult, sim_wall_s: float = 0.0) -> Path:
         """Atomically persist one result under ``key``; returns its path."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "engine": ENGINE_VERSION,
-            "sim_wall_s": sim_wall_s,
-            "result": result_to_full_dict(result),
-        }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as raw:
-                # Level 1: the log arrays compress ~4x either way, and cache
-                # writes must not dominate small-scale sweeps.  Encode with
-                # dumps + one write: json.dump always takes the interpreted
-                # iterencode path (one tiny text-wrapper write per token —
-                # profiled at >3x the cost of the simulation itself on a
-                # cold 46x2 sweep), while dumps uses the C encoder.  The
-                # emitted bytes are identical.
-                with gzip.open(raw, "wt", encoding="utf-8", compresslevel=1) as handle:
-                    handle.write(json.dumps(payload, separators=(",", ":")))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return self._install(key, encode_entry(key, result, sim_wall_s))
 
     def absorb(self, key: str, data: bytes) -> Optional[CacheEntry]:
         """Adopt entry bytes another cache produced (warm-cache sync).
@@ -339,8 +378,12 @@ class ResultCache:
         when the bytes are damaged or keyed differently.
         """
         entry = decode_entry_bytes(key, data)
-        if entry is None:
-            return None
+        if entry is not None:
+            self._install(key, data)
+        return entry
+
+    def _install(self, key: str, data: bytes) -> Path:
+        """Atomically write ``data`` as the entry for ``key``."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -356,11 +399,11 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        return entry
+        return path
 
     # -- maintenance ---------------------------------------------------------
 
-    def entries(self) -> Iterator[Path]:
+    def _walk(self, suffix: str) -> Iterator[Path]:
         # A concurrent sweep (or ``clear``) may remove entries and fan-out
         # directories while this iterator walks them; vanished paths are
         # simply skipped rather than crashing the listing.
@@ -372,30 +415,39 @@ class ResultCache:
             return
         for subdir in subdirs:
             try:
-                names = sorted(subdir.glob("*.json.gz"))
+                names = sorted(subdir.glob(f"*{suffix}"))
             except OSError:
                 continue
             yield from names
+
+    def entries(self) -> Iterator[Path]:
+        return self._walk(ENTRY_SUFFIX)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
 
     def size_bytes(self) -> int:
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass  # unlinked between listing and stat
-        return total
+        return sum(_size(path) for path in self.entries())
+
+    def legacy(self) -> Tuple[int, int]:
+        """``(count, bytes)`` of v1 ``.json.gz`` entries, which are never read."""
+        sizes = [_size(path) for path in self._walk(LEGACY_SUFFIX)]
+        return len(sizes), sum(sizes)
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry, v1 ones included; returns how many were removed."""
         removed = 0
-        for path in list(self.entries()):
+        for path in [*self.entries(), *self._walk(LEGACY_SUFFIX)]:
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
         return removed
+
+
+def _size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0  # unlinked between listing and stat

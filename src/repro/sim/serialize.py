@@ -10,8 +10,12 @@ Two schemas are emitted:
   (:func:`result_to_dict`), derived metrics included, not reconstructible.
 * ``repro.sim_result/v2-full`` — the lossless form
   (:func:`result_to_full_dict` / :func:`result_from_dict`) that round-trips
-  a :class:`SimResult` bit-for-bit; the persistent sweep cache
-  (:mod:`repro.sim.resultcache`) is built on it.
+  a :class:`SimResult` bit-for-bit.  It splits into a small JSON-able
+  header (:func:`result_header`) and the numpy array columns
+  (:func:`result_columns`); :func:`join_columns` puts them back together.
+  The persistent sweep cache (:mod:`repro.sim.resultcache`) stores the
+  columns as raw bytes and rebuilds results from the joined dict, so one
+  reconstruction serves the dict oracle, the cache and the executor wire.
 """
 
 from __future__ import annotations
@@ -33,6 +37,19 @@ from repro.pipeline.stage import StageKind
 
 SCHEMA_V1 = "repro.sim_result/v1"
 SCHEMA_FULL = "repro.sim_result/v2-full"
+
+#: Off-chip log columns: :class:`SimResult` attribute -> key under the
+#: ``log`` object of the serialized forms.
+LOG_COLUMNS = {
+    "log_blocks": "blocks",
+    "log_is_write": "is_write",
+    "log_stage": "stage",
+    "log_component": "component",
+    "logical_of_ordinal": "logical_of_ordinal",
+}
+
+#: Column-name prefix of the per-component ``touched_blocks`` arrays.
+TOUCHED_PREFIX = "touched_blocks/"
 
 
 def result_to_dict(result: SimResult, include_log: bool = False) -> Dict[str, Any]:
@@ -85,11 +102,7 @@ def result_to_dict(result: SimResult, include_log: bool = False) -> Dict[str, An
     }
     if include_log:
         payload["log"] = {
-            "blocks": result.log_blocks.tolist(),
-            "is_write": result.log_is_write.tolist(),
-            "stage": result.log_stage.tolist(),
-            "component": result.log_component.tolist(),
-            "logical_of_ordinal": result.logical_of_ordinal.tolist(),
+            key: getattr(result, name).tolist() for name, key in LOG_COLUMNS.items()
         }
     return payload
 
@@ -120,16 +133,14 @@ def _interval_pairs(intervals) -> list:
     return [[iv.start, iv.end] for iv in intervals]
 
 
-def result_to_full_dict(result: SimResult) -> Dict[str, Any]:
-    """Lossless ``repro.sim_result/v2-full`` form of a result.
+def result_header(result: SimResult) -> Dict[str, Any]:
+    """The ``v2-full`` dict of a result without its array fields.
 
-    Supersets the v1 summary with everything :func:`result_from_dict` needs
-    to rebuild the :class:`SimResult` exactly: busy/launch intervals, the raw
-    off-chip log, per-component touched-block sets, FLOP attribution, and
-    per-stage ordinals.  JSON floats round-trip exactly (``repr`` encoding),
-    so serialize-then-load yields bit-identical results.
+    Everything but the off-chip ``log`` and ``touched_blocks``, which
+    :func:`result_columns` returns as arrays: the v1 summary plus
+    busy/launch intervals, FLOP attribution and per-stage ordinals.
     """
-    payload = result_to_dict(result, include_log=True)
+    payload = result_to_dict(result)
     payload["schema"] = SCHEMA_FULL
     for entry, record in zip(payload["stages"], result.stages):
         entry["ordinal"] = record.ordinal
@@ -139,10 +150,6 @@ def result_to_full_dict(result: SimResult) -> Dict[str, Any]:
         for component, intervals in result.busy.items()
     }
     payload["launch_intervals"] = _interval_pairs(result.launch_intervals)
-    payload["touched_blocks"] = {
-        component.value: blocks.tolist()
-        for component, blocks in result.touched_blocks.items()
-    }
     payload["flops_by_component"] = {
         component.value: flops
         for component, flops in result.flops_by_component.items()
@@ -165,8 +172,56 @@ def result_to_full_dict(result: SimResult) -> Dict[str, Any]:
     return payload
 
 
+def result_columns(result: SimResult) -> Dict[str, np.ndarray]:
+    """The array fields of a result by column name, in a stable order.
+
+    The five off-chip log columns (named as the :class:`SimResult`
+    attributes of :data:`LOG_COLUMNS`), then one ``touched_blocks/<component>``
+    column per component.  The arrays are the result's own, not copies.
+    """
+    columns = {name: getattr(result, name) for name in LOG_COLUMNS}
+    for component, blocks in result.touched_blocks.items():
+        columns[TOUCHED_PREFIX + component.value] = blocks
+    return columns
+
+
+def join_columns(header: Dict[str, Any], columns: Dict[str, Any]) -> Dict[str, Any]:
+    """Rejoin :func:`result_header` and :func:`result_columns` output.
+
+    The columns may be arrays or lists; :func:`result_from_dict` accepts
+    either, and arrays of the result's dtypes pass through without a copy.
+    Raises ``KeyError`` when a log column is missing.
+    """
+    payload = dict(header)
+    payload["log"] = {key: columns[name] for name, key in LOG_COLUMNS.items()}
+    payload["touched_blocks"] = {
+        name[len(TOUCHED_PREFIX):]: column
+        for name, column in columns.items()
+        if name.startswith(TOUCHED_PREFIX)
+    }
+    return payload
+
+
+def result_to_full_dict(result: SimResult) -> Dict[str, Any]:
+    """Lossless ``repro.sim_result/v2-full`` form of a result.
+
+    :func:`result_header` joined with :func:`result_columns` as JSON number
+    lists: everything :func:`result_from_dict` needs to rebuild the
+    :class:`SimResult` exactly.  JSON floats round-trip exactly (``repr``
+    encoding), so serialize-then-load yields bit-identical results.
+    """
+    return join_columns(
+        result_header(result),
+        {name: column.tolist() for name, column in result_columns(result).items()},
+    )
+
+
 def result_from_dict(payload: Dict[str, Any]) -> SimResult:
-    """Rebuild a :class:`SimResult` from its ``v2-full`` dictionary."""
+    """Rebuild a :class:`SimResult` from its ``v2-full`` dictionary.
+
+    Array fields may be JSON lists or numpy arrays (:func:`join_columns`);
+    arrays already of the result's dtypes are kept as they are.
+    """
     schema = payload.get("schema")
     if schema != SCHEMA_FULL:
         raise ValueError(

@@ -25,14 +25,13 @@ Fault modes:
   degraded execution — dying would take the whole sweep down, so it
   degrades to a ``raise``.
 
-The module also plants damaged persistent-cache entries (corrupt bytes,
-truncated gzip, foreign schema) to exercise the
+The module also plants damaged persistent-cache entries (a flipped byte,
+a torn write, a well-formed entry of a foreign schema) to exercise the
 :class:`~repro.sim.resultcache.ResultCache` recovery paths.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import multiprocessing
 import os
@@ -40,7 +39,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # the cache helpers take a live ResultCache
     from repro.sim.resultcache import ResultCache
@@ -235,37 +234,46 @@ def maybe_inject(benchmark: str, version: str) -> None:
 # -- persistent-cache damage ----------------------------------------------
 
 
-def plant_corrupt_entry(cache: "ResultCache", key: str) -> Path:
-    """Overwrite (or create) the entry for ``key`` with non-gzip garbage."""
-    path = cache.path_for(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"this is not a gzip stream at all")
-    return path
+def _damage_entry(
+    cache: "ResultCache", key: str, damage: Callable[[bytes], bytes]
+) -> Path:
+    """Rewrite the entry for ``key`` as ``damage(bytes)``.
 
+    A missing entry is first replaced by a well-formed stand-in whose
+    header carries no result.
+    """
+    from repro.sim.resultcache import CACHE_SCHEMA, pack_entry
 
-def plant_truncated_entry(cache: "ResultCache", key: str) -> Path:
-    """Truncate the stored entry for ``key`` mid-stream (torn write)."""
     path = cache.path_for(key)
     if path.is_file():
         data = path.read_bytes()
-        path.write_bytes(data[: max(4, len(data) // 2)])
     else:
         path.parent.mkdir(parents=True, exist_ok=True)
-        from repro.sim.resultcache import CACHE_SCHEMA
-
-        payload = gzip.compress(
-            json.dumps({"schema": CACHE_SCHEMA, "key": key}).encode("utf-8")
-        )
-        path.write_bytes(payload[: len(payload) // 2])
+        data = pack_entry({"schema": CACHE_SCHEMA, "key": key, "result": {}}, {})
+    path.write_bytes(damage(data))
     return path
 
 
+def plant_corrupt_entry(cache: "ResultCache", key: str) -> Path:
+    """Flip one byte in the middle of the entry for ``key`` (bit rot)."""
+
+    def flip(data: bytes) -> bytes:
+        middle = len(data) // 2
+        return data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1 :]
+
+    return _damage_entry(cache, key, flip)
+
+
+def plant_truncated_entry(cache: "ResultCache", key: str) -> Path:
+    """Truncate the entry for ``key`` mid-stream (torn write)."""
+    return _damage_entry(cache, key, lambda data: data[: len(data) // 2])
+
+
 def plant_foreign_schema_entry(cache: "ResultCache", key: str) -> Path:
-    """Write a well-formed gzip-JSON entry with somebody else's schema."""
+    """Write a well-formed entry, valid CRC included, of somebody else's schema."""
+    from repro.sim.resultcache import pack_entry
+
     path = cache.path_for(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with gzip.open(path, "wt", encoding="utf-8") as handle:
-        json.dump(
-            {"schema": "somebody.else/v9", "key": key, "result": {}}, handle
-        )
+    path.write_bytes(pack_entry({"schema": "somebody.else/v9", "key": key}, {}))
     return path

@@ -95,7 +95,7 @@ def test_fast_engine_is_bit_exact(name, version):
     fast_dict = result_to_full_dict(fast)
     assert fast_dict == ref_dict
     # Byte-identical serialization is the cache-sharing contract: the
-    # stored gzip payload must not depend on which engine produced it.
+    # stored cache entry must not depend on which engine produced it.
     ref_bytes = json.dumps(ref_dict, sort_keys=True).encode()
     fast_bytes = json.dumps(fast_dict, sort_keys=True).encode()
     assert fast_bytes == ref_bytes

@@ -54,9 +54,13 @@ def golden_specs():
 
 
 @pytest.fixture(scope="module")
-def golden_runner(golden_specs):
-    """One shared sweep of the golden subset at the figure scale."""
-    runner = SweepRunner(options=SimOptions(scale=DEFAULT_BENCH_SCALE))
+def golden_runner(golden_specs, tmp_path_factory):
+    """One shared sweep of the golden subset at the figure scale, stored
+    in a result cache of its own."""
+    runner = SweepRunner(
+        options=SimOptions(scale=DEFAULT_BENCH_SCALE),
+        cache_dir=tmp_path_factory.mktemp("golden-cache"),
+    )
     runner.sweep(golden_specs)
     return runner
 
@@ -200,3 +204,28 @@ def test_figures_render_from_shared_sweep(golden_runner, golden_specs):
     assert metrics is not None
     assert metrics.launched == 0 and metrics.cache_hits == 0
     assert metrics.memo_hits == 2 * len(golden_specs)
+
+
+def test_goldens_hold_for_results_loaded_from_the_cache(golden_runner, golden_specs):
+    """A second runner over the golden sweep's cache renders every figure
+    from decoded entries, whose columns are read-only arrays, and matches
+    the same goldens."""
+    loaded = SweepRunner(
+        options=golden_runner.options, cache_dir=golden_runner.cache.root
+    )
+    checks = (
+        test_fig4_golden,
+        test_fig5_golden,
+        test_fig6_golden,
+        test_fig7_golden,
+        test_fig8_golden,
+        test_fig9_golden,
+    )
+    for index, check in enumerate(checks):
+        check(loaded, golden_specs, False)
+        metrics = loaded.last_metrics
+        assert metrics.launched == 0
+        if index == 0:
+            assert metrics.cache_hits == 2 * len(golden_specs)
+    pair = loaded.sweep(golden_specs)[golden_specs[0].full_name]
+    assert not pair.copy.log_blocks.flags.writeable

@@ -9,9 +9,9 @@ vanishing underneath them.
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -153,7 +153,7 @@ class TestCacheDamage:
         def deny(*args, **kwargs):
             raise PermissionError(13, "injected EACCES", str(path))
 
-        monkeypatch.setattr(gzip, "open", deny)
+        monkeypatch.setattr(pathlib.Path, "read_bytes", deny)
         assert cache.load(key) is None  # miss, not crash
         monkeypatch.undo()
         assert path.exists()  # healthy file survived the hiccup

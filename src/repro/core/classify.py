@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.sim.fastcache import stable_argsort_ids
 from repro.sim.results import SimResult
 
 
@@ -73,6 +74,55 @@ class Classification:
         return self.total - self.counts[AccessClass.REQUIRED]
 
 
+#: Class code of a close pair, indexed by its kind
+#: ``2 * (earlier access is a write) + stage distance``.
+_PAIR_CODE = np.array(
+    [
+        _CODE[AccessClass.RR_CONTENTION],
+        _CODE[AccessClass.RR_SPILL],
+        _CODE[AccessClass.WR_CONTENTION],
+        _CODE[AccessClass.WR_SPILL],
+    ],
+    dtype=np.int8,
+)
+#: Accesses a close pair of each kind labels: a W-R pair labels the
+#: writeback as well as the read.
+_PAIR_LABELS = np.array([1, 1, 2, 2], dtype=np.int64)
+
+
+def _close_pairs(
+    blocks: np.ndarray,
+    is_write: np.ndarray,
+    logical_stage: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every read at stage distance 0 or 1 after the previous access to its block.
+
+    One stable radix argsort groups the log by block and keeps program
+    order inside each group, so an access's previous access to the same
+    block is its neighbour in that order.  Returns ``(order, pairs, kind)``:
+    pair ``i`` joins accesses ``order[pairs[i]]`` and ``order[pairs[i] + 1]``
+    and has kind ``kind[i]`` (see :data:`_PAIR_CODE`).
+    """
+    # np.take gathers faster than fancy indexing.  Each log-length
+    # temporary is dropped once used: the largest logs set a warm render's
+    # peak memory.
+    order = stable_argsort_ids(blocks)
+    grouped = np.take(blocks, order)
+    close = grouped[1:] == grouped[:-1]
+    del grouped
+    writes = np.take(is_write, order)
+    close &= ~writes[1:]
+    # int64 keeps narrow or unsigned stage dtypes from wrapping.
+    stage = np.take(logical_stage, order).astype(np.int64)
+    dist = stage[1:] - stage[:-1]
+    del stage
+    close &= dist.view(np.uint64) <= 1  # distance 0 or 1
+    pairs = np.flatnonzero(close)
+    kind = np.take(dist, pairs)
+    kind[np.take(writes, pairs)] += 2
+    return order, pairs, kind
+
+
 def classify_log(
     blocks: np.ndarray,
     is_write: np.ndarray,
@@ -81,69 +131,30 @@ def classify_log(
     """Label every off-chip access; returns an int8 array of class codes.
 
     ``logical_stage`` gives, per access, the pipeline-stage index at which
-    it occurred; accesses are in program order.
+    it occurred; accesses are in program order and block ids are
+    non-negative.
     """
-    n = len(blocks)
-    labels = np.full(n, _CODE[AccessClass.REQUIRED], dtype=np.int8)
-    if not n:
-        return labels
-
-    # Stable sort by block keeps program order within each block's group.
-    order = np.lexsort((np.arange(n), blocks))
-    b = blocks[order]
-    w = is_write[order]
-    stage = logical_stage[order].astype(np.int64)
-
-    same_prev = np.zeros(n, dtype=bool)
-    same_prev[1:] = b[1:] == b[:-1]
-    same_next = np.zeros(n, dtype=bool)
-    same_next[:-1] = b[:-1] == b[1:]
-
-    prev_w = np.zeros(n, dtype=bool)
-    prev_w[1:] = w[:-1]
-    prev_stage = np.zeros(n, dtype=np.int64)
-    prev_stage[1:] = stage[:-1]
-    next_w = np.zeros(n, dtype=bool)
-    next_w[:-1] = w[1:]
-    next_stage = np.zeros(n, dtype=np.int64)
-    next_stage[:-1] = stage[1:]
-
-    sorted_labels = np.full(n, _CODE[AccessClass.REQUIRED], dtype=np.int8)
-
-    # Reads: classified against the previous access to the block.
-    reads = ~w & same_prev
-    dist = stage - prev_stage
-    mask = reads & (dist == 0) & prev_w
-    sorted_labels[mask] = _CODE[AccessClass.WR_CONTENTION]
-    mask = reads & (dist == 0) & ~prev_w
-    sorted_labels[mask] = _CODE[AccessClass.RR_CONTENTION]
-    mask = reads & (dist == 1) & prev_w
-    sorted_labels[mask] = _CODE[AccessClass.WR_SPILL]
-    mask = reads & (dist == 1) & ~prev_w
-    sorted_labels[mask] = _CODE[AccessClass.RR_SPILL]
-    # dist > 1 and first-touches stay REQUIRED.
-
-    # Writebacks: classified against the next access when it is a read;
-    # final writes (or writes overwritten later) are REQUIRED.
-    writes = w & same_next & ~next_w
-    ndist = next_stage - stage
-    mask = writes & (ndist == 0)
-    sorted_labels[mask] = _CODE[AccessClass.WR_CONTENTION]
-    mask = writes & (ndist == 1)
-    sorted_labels[mask] = _CODE[AccessClass.WR_SPILL]
-    # ndist > 1 stays REQUIRED (long-range).
-
-    labels[order] = sorted_labels
+    labels = np.full(len(blocks), _CODE[AccessClass.REQUIRED], dtype=np.int8)
+    order, pairs, kind = _close_pairs(blocks, is_write, logical_stage)
+    codes = _PAIR_CODE[kind]
+    labels[order[pairs + 1]] = codes
+    # A W-R pair labels its writeback too.
+    writebacks = kind >= 2
+    labels[order[pairs[writebacks]]] = codes[writebacks]
     return labels
 
 
 def classify_result(result: SimResult) -> Classification:
-    """Fig. 9 classification for one simulation run."""
-    logical = result.logical_of_ordinal[result.log_stage]
-    labels = classify_log(result.log_blocks, result.log_is_write, logical)
+    """Fig. 9 classification for one simulation run.
+
+    Counts close pairs instead of labelling accesses: every access is
+    labelled by at most one pair, so REQUIRED is the remainder.
+    """
+    logical = np.take(result.logical_of_ordinal, result.log_stage)
+    *_, kind = _close_pairs(result.log_blocks, result.log_is_write, logical)
+    labelled = (np.bincount(kind, minlength=len(_PAIR_CODE)) * _PAIR_LABELS).tolist()
     counts = {cls: 0 for cls in AccessClass}
-    if len(labels):
-        codes, tallies = np.unique(labels, return_counts=True)
-        for code, tally in zip(codes, tallies):
-            counts[_CLASS_OF_CODE[int(code)]] = int(tally)
+    for code, tally in zip(_PAIR_CODE.tolist(), labelled):
+        counts[_CLASS_OF_CODE[code]] = tally
+    counts[AccessClass.REQUIRED] = len(result.log_blocks) - sum(labelled)
     return Classification(counts=counts)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
-import numpy as np
-
 from repro.sim.hierarchy import Component
 from repro.sim.results import SimResult
 
@@ -68,28 +66,10 @@ class FootprintBreakdown:
 
 def footprint_breakdown(result: SimResult) -> FootprintBreakdown:
     """Partition the touched footprint of one run by component combination."""
-    touched = {
-        comp: result.touched_blocks.get(comp, np.empty(0, dtype=np.int64))
-        for comp in Component
+    blocks = result.footprint_blocks_by_subset()
+    bytes_by_subset: Dict[ComponentSet, int] = {
+        subset: blocks[subset] * result.line_bytes
+        for subset in SUBSET_ORDER
+        if subset in blocks
     }
-    union = (
-        np.unique(np.concatenate([arr for arr in touched.values()]))
-        if any(len(arr) for arr in touched.values())
-        else np.empty(0, dtype=np.int64)
-    )
-    membership = {
-        comp: np.isin(union, arr, assume_unique=True)
-        for comp, arr in touched.items()
-    }
-    bytes_by_subset: Dict[ComponentSet, int] = {}
-    for subset in SUBSET_ORDER:
-        mask = np.ones(len(union), dtype=bool)
-        for comp in Component:
-            if comp in subset:
-                mask &= membership[comp]
-            else:
-                mask &= ~membership[comp]
-        count = int(mask.sum())
-        if count:
-            bytes_by_subset[subset] = count * result.line_bytes
     return FootprintBreakdown(bytes_by_subset=bytes_by_subset, line_bytes=result.line_bytes)

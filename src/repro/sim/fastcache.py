@@ -86,13 +86,14 @@ _CHUNK_ELEMS = 1 << 21
 _BULK_LOOKUP_MIN = 64
 
 
-def _stable_argsort_ids(values: np.ndarray) -> np.ndarray:
+def stable_argsort_ids(values: np.ndarray) -> np.ndarray:
     """Stable argsort of non-negative ids, via 16-bit radix when possible.
 
     numpy's stable sort is a radix sort for <= 16-bit integers but falls
     back to mergesort (~10x slower) for wider types.  Ids below 2**32 sort
     stably as two 16-bit passes, low half first; wider values use the
-    generic path.
+    generic path.  Besides this engine, it groups off-chip logs by block
+    (Fig. 9 classification) and touched blocks by component (Fig. 4).
     """
     n = len(values)
     if n < 2:
@@ -232,7 +233,7 @@ class FastSetAssocCache:
             else:
                 set_ids = blocks % num_sets
             real_counts = np.bincount(set_ids, minlength=num_sets)
-            order = _stable_argsort_ids(set_ids)
+            order = stable_argsort_ids(set_ids)
         else:
             real_counts = np.asarray([n], dtype=np.int64)
             order = None
@@ -288,7 +289,7 @@ class FastSetAssocCache:
         # A block id determines its set, so one stable sort by block id
         # groups occurrences per (set, block) in time order (virtual rows
         # precede real ones by construction).
-        bo = _stable_argsort_ids(sm_block)
+        bo = stable_argsort_ids(sm_block)
         bo_blocks = sm_block[bo]
         same = bo_blocks[1:] == bo_blocks[:-1]
         prevpos = np.full(m, -1, dtype=np.int32)
@@ -350,7 +351,7 @@ class FastSetAssocCache:
         # matched to the evicting misses in time order.  Sets are contiguous
         # in the set-major layout, so ordering runs by (set, end position)
         # is simply ordering them by end row.
-        run_sort = _stable_argsort_ids(run_end_row)
+        run_sort = stable_argsort_ids(run_end_row)
         runs_per_set = np.bincount(run_set, minlength=num_sets)
         run_off = np.zeros(num_sets + 1, dtype=np.int64)
         np.cumsum(runs_per_set, out=run_off[1:])

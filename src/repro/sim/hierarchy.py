@@ -40,8 +40,8 @@ class Component(enum.Enum):
     COPY = "copy"
 
 
-_COMPONENT_CODE = {Component.CPU: 0, Component.GPU: 1, Component.COPY: 2}
-COMPONENT_BY_CODE = {code: comp for comp, code in _COMPONENT_CODE.items()}
+COMPONENT_CODE = {Component.CPU: 0, Component.GPU: 1, Component.COPY: 2}
+COMPONENT_BY_CODE = {code: comp for comp, code in COMPONENT_CODE.items()}
 
 
 class OffChipLog:
@@ -67,7 +67,7 @@ class OffChipLog:
         self._is_write.append(np.asarray(is_write, dtype=bool))
         self._stage.append(np.full(count, stage_ordinal, dtype=np.int32))
         self._component.append(
-            np.full(count, _COMPONENT_CODE[component], dtype=np.int8)
+            np.full(count, COMPONENT_CODE[component], dtype=np.int8)
         )
 
     def __len__(self) -> int:
@@ -124,7 +124,7 @@ class OffChipLog:
         totals = {comp: 0 for comp in Component}
         for part in zip(self._component, self._blocks):
             codes, blocks = part
-            for comp, code in _COMPONENT_CODE.items():
+            for comp, code in COMPONENT_CODE.items():
                 totals[comp] += int((codes == code).sum())
         return totals
 

@@ -8,7 +8,8 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.pipeline.stage import StageKind
-from repro.sim.hierarchy import Component
+from repro.sim.fastcache import stable_argsort_ids
+from repro.sim.hierarchy import COMPONENT_CODE, Component
 from repro.sim.timing import StageTiming
 
 
@@ -202,14 +203,10 @@ class SimResult:
         return int(len(self.log_blocks))
 
     def offchip_by_component(self) -> Dict[Component, int]:
-        from repro.sim.hierarchy import COMPONENT_BY_CODE
-
-        out = {comp: 0 for comp in Component}
-        if len(self.log_component):
-            codes, counts = np.unique(self.log_component, return_counts=True)
-            for code, count in zip(codes, counts):
-                out[COMPONENT_BY_CODE[int(code)]] = int(count)
-        return out
+        return {
+            comp: int(np.count_nonzero(self.log_component == COMPONENT_CODE[comp]))
+            for comp in Component
+        }
 
     def offchip_bytes(self) -> int:
         return self.offchip_accesses() * self.line_bytes
@@ -220,11 +217,35 @@ class SimResult:
             for comp, blocks in self.touched_blocks.items()
         }
 
+    def footprint_blocks_by_subset(self) -> Dict[FrozenSet[Component], int]:
+        """Distinct touched blocks per exact set of components touching them.
+
+        One stable radix argsort of all components' touched blocks groups
+        each block's entries; OR-ing one bit per component gives each
+        block's set, and one bincount tallies the sets.
+        """
+        parts = {
+            comp: blocks for comp, blocks in self.touched_blocks.items() if len(blocks)
+        }
+        if not parts:
+            return {}
+        touched = np.concatenate(list(parts.values()))
+        bits = np.repeat(
+            np.array([1 << COMPONENT_CODE[comp] for comp in parts], dtype=np.uint8),
+            [len(blocks) for blocks in parts.values()],
+        )
+        order = stable_argsort_ids(touched)
+        starts = np.flatnonzero(np.diff(touched[order], prepend=-1))
+        masks = np.bitwise_or.reduceat(bits[order], starts)
+        tallies = np.bincount(masks, minlength=1 << len(COMPONENT_CODE)).tolist()
+        return {
+            frozenset(c for c, code in COMPONENT_CODE.items() if mask >> code & 1): n
+            for mask, n in enumerate(tallies)
+            if n
+        }
+
     def total_footprint_bytes(self) -> int:
-        if not self.touched_blocks:
-            return 0
-        union = np.unique(np.concatenate(list(self.touched_blocks.values())))
-        return int(len(union)) * self.line_bytes
+        return sum(self.footprint_blocks_by_subset().values()) * self.line_bytes
 
     # -- convenience -----------------------------------------------------------
 

@@ -30,11 +30,13 @@ writes a Chrome ``trace_event`` file (open in https://ui.perfetto.dev);
 ``--format jsonl`` writes the compact JSONL stream instead.  Exits 1 if
 any conservation invariant was violated, 2 on usage errors.
 
-Every simulating command takes ``--jobs N`` (0 = all cores, 1 = serial) to
-fan the sweep out over a process pool, and ``--cache-dir``/``--no-cache``
-to control the persistent result cache (default ``~/.cache/repro-sweeps``,
-or ``$REPRO_CACHE_DIR``).  A repeated invocation with a warm cache
-simulates nothing and reproduces identical output.
+Every simulating command takes ``--jobs N`` (0 = every CPU this process
+may run on, 1 = serial in-parent) to fan the sweep out over an executor
+backend (``--backend local`` process pool or ``subprocess`` worker
+children), and ``--cache-dir``/``--no-cache`` to control the persistent
+result cache (default ``~/.cache/repro-sweeps``, or ``$REPRO_CACHE_DIR``).
+A repeated invocation with a warm cache simulates nothing and reproduces
+identical output.
 
 ``repro serve`` turns the sweep runner into a long-running service
 (docs/SERVING.md): an asyncio HTTP/JSON API accepting simulation, sweep,
@@ -132,18 +134,7 @@ def _fault_policy(args: argparse.Namespace) -> FaultPolicy:
     )
 
 
-def _hosts(args: argparse.Namespace) -> tuple:
-    raw = getattr(args, "hosts", None)
-    if not raw:
-        return ()
-    return tuple(h.strip() for h in raw.split(",") if h.strip())
-
-
 def _runner(args: argparse.Namespace) -> SweepRunner:
-    backend = getattr(args, "backend", "local")
-    hosts = _hosts(args)
-    if backend == "ssh" and not hosts:
-        raise SystemExit("repro: --backend ssh requires --hosts H1,H2,...")
     return SweepRunner(
         options=_options(args),
         parallel=getattr(args, "jobs", 1),
@@ -151,8 +142,7 @@ def _runner(args: argparse.Namespace) -> SweepRunner:
         verbose=True,
         preflight=getattr(args, "preflight", False),
         fault_policy=_fault_policy(args),
-        backend=backend,
-        hosts=hosts,
+        backend=getattr(args, "backend", "local"),
     )
 
 
@@ -372,10 +362,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeApp, ServeConfig
 
-    backend = getattr(args, "backend", "local")
-    hosts = _hosts(args)
-    if backend == "ssh" and not hosts:
-        raise SystemExit("repro: --backend ssh requires --hosts H1,H2,...")
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -387,8 +373,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         task_timeout_s=args.task_timeout,
         lint=not args.no_lint,
-        backend=backend,
-        hosts=hosts,
+        backend=args.backend,
     )
     app = ServeApp(config)
 
@@ -875,7 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=0,
-            help="parallel sweep workers (0 = all cores, 1 = serial)",
+            help="parallel sweep workers (0 = every CPU this process may "
+            "run on, 1 = serial)",
         )
         p.add_argument(
             "--cache-dir",
@@ -922,15 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="local",
             help="executor backend for parallel sweeps: 'local' shares a "
             "process pool, 'subprocess' isolates each task in its own "
-            "worker child, 'ssh' fans tasks out over --hosts "
-            "(docs/SWEEPS.md); results are bit-identical across backends",
-        )
-        p.add_argument(
-            "--hosts",
-            default=None,
-            metavar="H1,H2,...",
-            help="comma-separated remote hosts for --backend ssh "
-            "(each needs python3 with the repro package importable)",
+            "worker child (docs/SWEEPS.md); results are bit-identical "
+            "across backends",
         )
         p.set_defaults(handler=handler)
         return p
@@ -1041,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--jobs", type=int, default=0,
         help="process-pool width each job's sweep fans out over "
-        "(0 = all cores, 1 = serial in-parent)")
+        "(0 = every CPU this process may run on, 1 = serial in-parent)")
     serve_p.add_argument(
         "--concurrency", type=int, default=2,
         help="jobs executing at once, each with its own sweep pool "
@@ -1069,10 +1048,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--backend", choices=EXECUTOR_BACKENDS, default="local",
         help="executor backend job sweeps fan out through "
-        "(docs/SWEEPS.md); 'ssh' requires --hosts")
-    serve_p.add_argument(
-        "--hosts", default=None, metavar="H1,H2,...",
-        help="comma-separated remote hosts for --backend ssh")
+        "(docs/SWEEPS.md)")
     serve_p.set_defaults(handler=cmd_serve)
     loadtest_p = sub.add_parser(
         "loadtest",

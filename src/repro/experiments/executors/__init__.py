@@ -1,19 +1,17 @@
 """Pluggable executor backends for the sweep supervisor.
 
 See :mod:`repro.experiments.executors.base` for the protocol and
-docs/SWEEPS.md for the user-facing story (``--backend`` / ``--hosts``).
+docs/SWEEPS.md for the user-facing story (``--backend``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 from repro.experiments.executors.base import (
-    AUTO_CACHE_DIR,
     LOCAL_HOST,
     ExecutorBackend,
     ExecutorError,
-    HostUnavailable,
     RemoteTaskError,
     TaskCrash,
     WireProtocolError,
@@ -21,18 +19,13 @@ from repro.experiments.executors.base import (
     WorkerTask,
 )
 from repro.experiments.executors.local import LocalPoolBackend
-from repro.experiments.executors.ssh import SshBackend
 from repro.experiments.executors.subproc import SubprocessBackend
 
 #: ``--backend`` choices, in documentation order.
-BACKENDS = ("local", "subprocess", "ssh")
+BACKENDS = ("local", "subprocess")
 
 
-def create_backend(
-    backend: Union[None, str, ExecutorBackend],
-    *,
-    hosts: Sequence[str] = (),
-) -> ExecutorBackend:
+def create_backend(backend: Union[None, str, ExecutorBackend]) -> ExecutorBackend:
     """Resolve a ``--backend`` selection (or pass a live instance through)."""
     if isinstance(backend, ExecutorBackend):
         return backend
@@ -40,23 +33,16 @@ def create_backend(
         return LocalPoolBackend()
     if backend == "subprocess":
         return SubprocessBackend()
-    if backend == "ssh":
-        if not hosts:
-            raise ValueError("the ssh backend requires --hosts HOST1,HOST2,...")
-        return SshBackend(hosts)
     raise ValueError(f"unknown executor backend {backend!r}; choose from {BACKENDS}")
 
 
 __all__ = [
-    "AUTO_CACHE_DIR",
     "BACKENDS",
     "ExecutorBackend",
     "ExecutorError",
-    "HostUnavailable",
     "LOCAL_HOST",
     "LocalPoolBackend",
     "RemoteTaskError",
-    "SshBackend",
     "SubprocessBackend",
     "TaskCrash",
     "WireProtocolError",

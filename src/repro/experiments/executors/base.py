@@ -12,12 +12,9 @@ recycle / degrade ladder:
 * :class:`TaskCrash` — the worker process died.  The task is requeued and
   charged an attempt (``worker_fate`` *crashed*), but because the crash
   was isolated to one child, no pool recycle happens.
-* :class:`HostUnavailable` — the task never ran (the host could not be
-  reached); it is requeued *uncharged* while the backend quarantines the
-  host, so a dead machine does not burn a task's retries.
-* :class:`RemoteTaskError` — the task ran remotely and raised; carries
-  the remote exception's type/message so the failure report looks the
-  same as a local one (``worker_fate`` *alive*).
+* :class:`RemoteTaskError` — the task ran in a worker child and raised;
+  carries the child's exception type/message so the failure report looks
+  the same as a pool worker's (``worker_fate`` *alive*).
 * :class:`WireProtocolError` — the worker's reply could not be decoded;
   surfaces as a structured retryable failure, never a coordinator crash.
 
@@ -30,7 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.config.system import SystemConfig
 from repro.sim.engine import SimOptions
@@ -39,12 +36,6 @@ from repro.sim.results import SimResult
 #: ``WorkerOutcome.host`` of tasks run by the in-process pool backend.
 LOCAL_HOST = "local"
 
-#: ``WorkerTask.cache_dir`` sentinel: the worker should use its *own*
-#: default cache directory (``$REPRO_CACHE_DIR`` / ``~/.cache`` on the
-#: worker's machine) rather than a path the coordinator chose.  Used by
-#: the ssh backend, where coordinator paths are meaningless remotely.
-AUTO_CACHE_DIR = "auto"
-
 
 @dataclass(frozen=True)
 class WorkerTask:
@@ -52,11 +43,10 @@ class WorkerTask:
 
     ``spec_blob`` is ``None`` for registry benchmarks (the worker
     re-resolves ``benchmark`` by name) or a pickled spec otherwise.
-    ``cache_dir`` names the result cache the *worker* should consult and
-    fill (``None`` = no worker-side cache, :data:`AUTO_CACHE_DIR` = the
-    worker's default location); with ``sync_cache`` the worker ships its
-    stored cache-entry bytes back so the coordinator's cache can absorb
-    them (warm-cache synchronization).
+    ``cache_dir`` names the result cache a worker child should consult
+    and fill (``None`` = no worker-side cache); with ``sync_cache`` it
+    ships its stored cache-entry bytes back so the coordinator's cache can
+    absorb them (warm-cache synchronization).
     """
 
     benchmark: str
@@ -73,12 +63,13 @@ class WorkerTask:
 class WorkerOutcome:
     """One finished task, as every backend reports it.
 
-    Exactly one of ``result`` / ``entry_bytes`` may be ``None``: local
-    backends return the live :class:`SimResult`; remote workers with a
-    cache return the content-addressed cache-entry bytes instead (the
-    coordinator absorbs them — one decode, zero re-encodes), and remote
-    workers without a cache return the decoded result.  ``cache_hit``
-    marks outcomes the *worker's* cache answered without simulating.
+    Exactly one of ``result`` / ``entry_bytes`` may be ``None``: the pool
+    and in-parent backends return the live :class:`SimResult`; worker
+    children with a cache return the content-addressed cache-entry bytes
+    instead (the coordinator absorbs them — one decode, zero re-encodes),
+    and worker children without a cache return the decoded result.
+    ``cache_hit`` marks outcomes the *worker's* cache answered without
+    simulating.
     """
 
     benchmark: str
@@ -104,20 +95,12 @@ class TaskCrash(ExecutorError):
     """The worker process running one task died (isolated to that task)."""
 
 
-class HostUnavailable(ExecutorError):
-    """The task never started: its host could not be reached.
-
-    The backend quarantines the host; the supervisor requeues the task
-    uncharged — an unreachable machine must not consume task retries.
-    """
-
-
 class WireProtocolError(ExecutorError):
     """A worker's reply (or a task payload) could not be decoded."""
 
 
 class RemoteTaskError(ExecutorError):
-    """The task ran on a worker and raised; the remote post-mortem."""
+    """The task ran in a worker child and raised; the child's post-mortem."""
 
     def __init__(self, error_type: str, message: str, host: Optional[str] = None):
         super().__init__(message, host=host)
@@ -136,7 +119,7 @@ class ExecutorBackend(ABC):
     ``FaultPolicy.max_pool_rebuilds``.
     """
 
-    #: Short identifier (``local`` / ``subprocess`` / ``ssh``).
+    #: Short identifier (``local`` / ``subprocess``).
     name = "abstract"
 
     @abstractmethod
@@ -169,36 +152,3 @@ class ExecutorBackend(ABC):
     @abstractmethod
     def shutdown(self) -> None:
         """Release everything; safe to call twice."""
-
-    def healthy(self) -> bool:
-        """Cheap liveness probe: can this backend accept a submit now?"""
-        return True
-
-
-def make_worker_task(
-    *,
-    benchmark: str,
-    version: str,
-    spec_blob: Optional[bytes],
-    system: SystemConfig,
-    options: SimOptions,
-    cache_key: str,
-    cache_dir: Optional[str],
-    sync_cache: bool = True,
-) -> WorkerTask:
-    """Keyword-only constructor, so supervisor call sites stay readable."""
-    return WorkerTask(
-        benchmark=benchmark,
-        version=version,
-        spec_blob=spec_blob,
-        system=system,
-        options=options,
-        cache_key=cache_key,
-        cache_dir=cache_dir,
-        sync_cache=sync_cache,
-    )
-
-
-def memo_delta(outcome: WorkerOutcome) -> Tuple[int, int]:
-    """The outcome's stage-memo (hits, misses) pair, supervisor-shaped."""
-    return (outcome.memo_hits, outcome.memo_misses)

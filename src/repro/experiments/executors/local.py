@@ -9,7 +9,7 @@ worker body, same hard-terminate teardown of hung workers, same
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.experiments.executors.base import (
     LOCAL_HOST,
@@ -17,26 +17,6 @@ from repro.experiments.executors.base import (
     WorkerOutcome,
     WorkerTask,
 )
-
-
-def _local_worker(
-    payload: Tuple[str, Optional[bytes], str, object, object],
-) -> WorkerOutcome:
-    """Top-level (picklable) pool task: run `_worker`, box the outcome."""
-    # Imported lazily so unpickling this function in a fresh worker does
-    # not import the supervisor module before the executors package.
-    from repro.experiments.parallel import _worker
-
-    full_name, version, result, wall_s, memo_delta = _worker(payload)
-    return WorkerOutcome(
-        benchmark=full_name,
-        version=version,
-        wall_s=wall_s,
-        memo_hits=memo_delta[0],
-        memo_misses=memo_delta[1],
-        host=LOCAL_HOST,
-        result=result,
-    )
 
 
 class LocalPoolBackend(ExecutorBackend):
@@ -53,16 +33,12 @@ class LocalPoolBackend(ExecutorBackend):
         self._pool = ProcessPoolExecutor(max_workers=self._workers)
 
     def submit(self, task: WorkerTask) -> "Future[WorkerOutcome]":
+        # Imported here: the supervisor module imports this package.
+        from repro.experiments.parallel import run_worker_task
+
         if self._pool is None:
             raise RuntimeError("backend not started")
-        payload = (
-            task.benchmark,
-            task.spec_blob,
-            task.version,
-            task.system,
-            task.options,
-        )
-        return self._pool.submit(_local_worker, payload)
+        return self._pool.submit(run_worker_task, task, LOCAL_HOST)
 
     def host_of(self, future: "Future[WorkerOutcome]") -> Optional[str]:
         return LOCAL_HOST
@@ -84,6 +60,3 @@ class LocalPoolBackend(ExecutorBackend):
 
     def shutdown(self) -> None:
         self._terminate()
-
-    def healthy(self) -> bool:
-        return self._pool is not None and not getattr(self._pool, "_broken", False)

@@ -6,10 +6,6 @@ single JSON reply from its stdout.  Children are fully isolated: a crash
 (or a supervisor task-timeout kill) takes down exactly one task, so —
 unlike the shared process pool — no backend recycle is needed and other
 in-flight tasks keep running.
-
-This is the distributed execution model, testable on one host with no SSH;
-:class:`~repro.experiments.executors.ssh.SshBackend` subclasses it and
-merely changes the launch command.
 """
 
 from __future__ import annotations
@@ -22,11 +18,10 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.executors.base import (
     ExecutorBackend,
-    HostUnavailable,
     RemoteTaskError,
     TaskCrash,
     WireProtocolError,
@@ -49,10 +44,9 @@ class _ChildHandle:
     launcher thread: which Popen backs a future, and whether the
     supervisor asked for its death before/after launch."""
 
-    __slots__ = ("host", "proc", "killed")
+    __slots__ = ("proc", "killed")
 
-    def __init__(self, host: Optional[str]) -> None:
-        self.host = host
+    def __init__(self) -> None:
         self.proc: Optional[subprocess.Popen] = None
         self.killed = False
 
@@ -61,10 +55,6 @@ class SubprocessBackend(ExecutorBackend):
     """``--backend subprocess``: one local worker child per task."""
 
     name = "subprocess"
-
-    #: Exit code treated as "the host is unreachable" (ssh's convention;
-    #: meaningless for plain local children, so off here, on in SshBackend).
-    _host_down_rc: Optional[int] = None
 
     def __init__(
         self,
@@ -77,30 +67,13 @@ class SubprocessBackend(ExecutorBackend):
         #: Overrides the cache directory workers use (default: whatever
         #: the coordinator put in the task — its own cache root).
         self._worker_cache_dir = worker_cache_dir
+        #: Children all run here, so every task — a *crashed* one too (no
+        #: reply to report a host in) — is attributed to this machine.
+        self._host = socket.gethostname() or "localhost"
         self._threads: Optional[ThreadPoolExecutor] = None
         self._workers = 1
         self._guard = threading.Lock()
         self._handles: Dict["Future[WorkerOutcome]", _ChildHandle] = {}
-
-    # -- launch plumbing (the ssh backend overrides these) -----------------
-
-    def _host_for_task(self) -> Optional[str]:
-        """Host label the next task is routed to.
-
-        Local children all run here, so the label is this machine's name
-        — which gives even a *crashed* child (no reply to report a host
-        in) per-host failure attribution.
-        """
-        return socket.gethostname() or "localhost"
-
-    def _command(self, handle: _ChildHandle) -> List[str]:
-        return list(self._worker_cmd)
-
-    def _shape_task(self, task: WorkerTask, handle: _ChildHandle) -> WorkerTask:
-        """Last-minute task adjustments (the ssh backend rewrites paths)."""
-        if self._worker_cache_dir is not None:
-            return replace(task, cache_dir=self._worker_cache_dir)
-        return task
 
     def _child_env(self) -> Dict[str, str]:
         # A source checkout run with PYTHONPATH=src must spawn workers that
@@ -125,7 +98,9 @@ class SubprocessBackend(ExecutorBackend):
     def submit(self, task: WorkerTask) -> "Future[WorkerOutcome]":
         if self._threads is None:
             raise RuntimeError("backend not started")
-        handle = _ChildHandle(self._host_for_task())
+        if self._worker_cache_dir is not None:
+            task = replace(task, cache_dir=self._worker_cache_dir)
+        handle = _ChildHandle()
         future = self._threads.submit(self._run_child, task, handle)
         with self._guard:
             # The supervisor keeps in-flight <= workers, so pruning done
@@ -149,9 +124,7 @@ class SubprocessBackend(ExecutorBackend):
         return True  # surgical: only this task's child dies
 
     def host_of(self, future: "Future[WorkerOutcome]") -> Optional[str]:
-        with self._guard:
-            handle = self._handles.get(future)
-        return handle.host if handle is not None else None
+        return self._host
 
     def recycle(self) -> None:
         self.shutdown()
@@ -174,19 +147,16 @@ class SubprocessBackend(ExecutorBackend):
             self._threads.shutdown(wait=True, cancel_futures=True)
             self._threads = None
 
-    def healthy(self) -> bool:
-        return True  # children are provisioned per task; nothing to probe
-
     # -- the launcher thread body -------------------------------------------
 
     def _run_child(self, task: WorkerTask, handle: _ChildHandle) -> WorkerOutcome:
-        host = handle.host
+        host = self._host
         if handle.killed:
             raise TaskCrash("killed before launch", host=host)
-        payload = encode_task(self._shape_task(task, handle))
+        payload = encode_task(task)
         try:
             proc = subprocess.Popen(
-                self._command(handle),
+                self._worker_cmd,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
@@ -206,27 +176,15 @@ class SubprocessBackend(ExecutorBackend):
         if handle.killed:
             raise TaskCrash("worker killed by supervisor", host=host)
         rc = proc.returncode
-        if self._host_down_rc is not None and rc == self._host_down_rc:
-            raise HostUnavailable(
-                f"host unreachable (rc {rc}): {_stderr_tail(err)}", host=host
-            )
         if rc != 0:
             raise TaskCrash(
                 f"worker exited {rc}: {_stderr_tail(err)}", host=host
             )
         try:
             outcome = decode_result(out)
-        except WireProtocolError as exc:
-            if exc.host is None:
-                exc.host = host
+        except (RemoteTaskError, WireProtocolError) as exc:
+            exc.host = host
             raise
-        except RemoteTaskError as exc:
-            if host is not None:
-                exc.host = host
-            raise
-        if host is not None:
-            # Attribute to the host the *coordinator* routed to (the label
-            # retries and quarantine decisions are keyed by), not whatever
-            # name the worker resolved for itself.
-            outcome = replace(outcome, host=host)
-        return outcome
+        # Attribute to this backend's host label, not whatever name the
+        # worker resolved for itself.
+        return replace(outcome, host=host)

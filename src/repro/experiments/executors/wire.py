@@ -2,7 +2,7 @@
 
 One task request flows to a worker's stdin, one result reply flows back on
 its stdout — a single JSON document each way, so the protocol works over
-any byte pipe (a local child process, ``ssh host python -m ...``).
+any byte pipe.
 
 Encoding reuses :func:`repro.sim.resultcache.canonical` (dataclasses →
 field dicts, enums → values), which already covers every config object;

@@ -4,31 +4,31 @@ The sweep is embarrassingly parallel: each (benchmark, version) simulation
 is independent, so this module fans tasks out through a pluggable
 :class:`~repro.experiments.executors.ExecutorBackend` — the default
 ``local`` backend is a ``concurrent.futures.ProcessPoolExecutor``;
-``subprocess`` runs each task in its own worker child, and ``ssh`` fans
-the same workers out over remote hosts (``--backend`` / ``--hosts``) —
+``subprocess`` runs each task in its own worker child (``--backend``) —
 and funnels finished results through the persistent
 :class:`~repro.sim.resultcache.ResultCache`.  The coordinator resolves
-cache hits before dispatch and stores (or absorbs, for remote workers
-that ship their cache-entry bytes back) fresh results as workers
-complete.
+cache hits before dispatch and stores (or absorbs, for workers that ship
+their cache-entry bytes back) fresh results as workers complete.
 
 Most benchmark specs hold closure-based pipeline builders that cannot be
 pickled, so tasks cross the process boundary as ``suite/name`` strings and
 are re-resolved from the registry inside the worker.  Unregistered specs
-(e.g. user-defined benchmarks) are pickled directly when possible and fall
-back to in-parent serial execution otherwise — the sweep always completes.
+(e.g. user-defined benchmarks) are pickled directly when possible and run
+in the parent process otherwise — the sweep always completes.
 
-Tasks also *fail* independently.  A supervisor (see :func:`run_tasks`)
-catches per-future exceptions instead of letting one bad task abort the
-fleet, retries failures with capped exponential backoff, enforces an
-optional per-task wall-clock timeout (hung workers are killed and the pool
-recycled), and recovers from ``BrokenProcessPool`` by rebuilding the pool —
-degrading to in-parent serial execution after repeated breaks.  Whatever
-cannot be completed is reported as a structured :class:`TaskFailure` on the
-returned :class:`SweepMetrics`; everything that did finish is returned and
-cached.  The policy knobs live on :class:`FaultPolicy` and surface on every
-CLI sweep command as ``--max-retries`` / ``--task-timeout`` /
-``--fail-fast`` (see docs/SWEEPS.md).
+Tasks also *fail* independently.  One supervisor loop (see
+:func:`run_tasks`) catches per-future exceptions instead of letting one
+bad task abort the fleet, retries failures with capped exponential
+backoff, enforces an optional per-task wall-clock timeout (hung workers
+are killed and the pool recycled), and recovers from ``BrokenProcessPool``
+by rebuilding the pool.  After repeated breaks it hands the leftover tasks
+to the same loop over an in-parent backend of width 1 — which is also how
+``jobs=1`` runs.  Whatever cannot be completed is reported as a structured
+:class:`TaskFailure` on the returned :class:`SweepMetrics`; everything
+that did finish is returned and cached.  The policy knobs live on
+:class:`FaultPolicy` and surface on every CLI sweep command as
+``--max-retries`` / ``--task-timeout`` / ``--fail-fast`` (see
+docs/SWEEPS.md).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from typing import (
 from repro.config.system import SystemConfig
 from repro.experiments.executors import (
     ExecutorBackend,
-    HostUnavailable,
     RemoteTaskError,
     TaskCrash,
     WireProtocolError,
@@ -97,10 +96,13 @@ FATE_CANCELLED = "cancelled"  # never ran: abandoned by --fail-fast
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a jobs request: None -> 1 (serial), <=0 -> all cores."""
+    """Normalize a jobs request: None -> 1 (serial), <=0 -> every CPU this
+    process may run on (its affinity mask, where the platform has one)."""
     if jobs is None:
         return 1
     if jobs <= 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     return jobs
 
@@ -216,12 +218,12 @@ class SweepMetrics:
     #: Stage-level memoization traffic (repro.sim.memo) of the fresh
     #: simulations this sweep launched: per-stage memory steps replayed
     #: instead of recomputed, and steps computed and recorded.  Pool
-    #: workers count their own (per-process) memos; the serial path counts
+    #: workers count their own (per-process) memos; in-parent runs count
     #: the parent's shared memo.
     stage_memo_hits: int = 0
     stage_memo_misses: int = 0
-    #: Tasks a *remote worker's* cache answered without simulating
-    #: (subprocess/ssh backends); coordinator-cache hits stay in
+    #: Tasks a *worker child's* cache answered without simulating
+    #: (subprocess backend); coordinator-cache hits stay in
     #: ``cache_hits``.
     remote_cache_hits: int = 0
     #: Fresh results per executor host ("local" for the process pool).
@@ -306,8 +308,7 @@ def _simulate_version(
 ) -> Tuple[SimResult, float]:
     start = time.perf_counter()
     # Deterministic fault-injection hook (no-op unless $REPRO_FAULTS is
-    # set): the only seam the robustness tests need, in both the pooled
-    # worker and the in-parent serial path.
+    # set): the only seam the robustness tests need, wherever a task runs.
     maybe_inject(spec.full_name, version)
     pipeline = spec.pipeline()
     if version == LIMITED:
@@ -316,32 +317,70 @@ def _simulate_version(
     return result, time.perf_counter() - start
 
 
-def _simulate_with_memo(
-    spec: BenchmarkSpec,
-    version: str,
-    system: SystemConfig,
-    options: SimOptions,
-) -> Tuple[SimResult, float, Tuple[int, int]]:
-    """:func:`_simulate_version` plus the run's stage-memo (hits, misses)."""
+def run_worker_task(
+    task: WorkerTask,
+    host: Optional[str] = None,
+    spec: Optional[BenchmarkSpec] = None,
+) -> WorkerOutcome:
+    """Simulate one task: the body every executor backend runs.
+
+    The spec is ``spec`` when given (in-parent runs pass the task's own,
+    possibly unpicklable, spec), else the pickled ``task.spec_blob``, else
+    the registry entry named ``task.benchmark``.  The outcome carries the
+    run's stage-memo (hits, misses) delta of *this* process's memo.
+    """
+    if spec is None:
+        if task.spec_blob is None:
+            spec = registry.get(task.benchmark)
+        else:
+            spec = pickle.loads(task.spec_blob)
     before = stage_memo_snapshot()
-    result, wall_s = _simulate_version(spec, version, system, options)
+    result, wall_s = _simulate_version(spec, task.version, task.system, task.options)
     after = stage_memo_snapshot()
-    return result, wall_s, (after[0] - before[0], after[1] - before[1])
-
-
-def _worker(
-    payload: Tuple[str, Optional[bytes], str, SystemConfig, SimOptions],
-) -> Tuple[str, str, SimResult, float, Tuple[int, int]]:
-    """Top-level (picklable) task body executed in a pool worker."""
-    full_name, spec_blob, version, system, options = payload
-    if spec_blob is None:
-        spec = registry.get(full_name)
-    else:
-        spec = pickle.loads(spec_blob)
-    result, wall_s, memo_delta = _simulate_with_memo(
-        spec, version, system, options
+    return WorkerOutcome(
+        benchmark=task.benchmark,
+        version=task.version,
+        wall_s=wall_s,
+        memo_hits=after[0] - before[0],
+        memo_misses=after[1] - before[1],
+        host=host,
+        result=result,
     )
-    return full_name, version, result, wall_s, memo_delta
+
+
+class _InParentBackend(ExecutorBackend):
+    """Width-1 backend that runs each task in this process.
+
+    ``submit`` simulates before it returns, so every future it hands out
+    is already resolved: task timeouts cannot interrupt it, and a failure
+    surfaces as the future's exception (``worker_fate="in-parent"``).  It
+    runs each task's own spec (looked up by cache key), so specs that
+    cannot be pickled work too.
+    """
+
+    name = "in-parent"
+
+    def __init__(self, specs: Dict[str, BenchmarkSpec]) -> None:
+        self._specs = specs
+
+    def start(self, workers: int) -> None:
+        pass
+
+    def submit(self, task: WorkerTask) -> "Future[WorkerOutcome]":
+        future: "Future[WorkerOutcome]" = Future()
+        try:
+            future.set_result(
+                run_worker_task(task, spec=self._specs[task.cache_key])
+            )
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def recycle(self) -> None:
+        pass
+
+    def shutdown(self) -> None:
+        pass
 
 
 def _dispatchable(task: SweepTask) -> Optional[bytes]:
@@ -357,9 +396,29 @@ def _dispatchable(task: SweepTask) -> Optional[bytes]:
     return pickle.dumps(task.spec)
 
 
+def _attempt_failure(
+    exc: Exception, in_parent: bool
+) -> Tuple[str, str, str, Optional[str]]:
+    """``(error_type, message, worker_fate, host)`` of one failed attempt.
+
+    In-parent, every exception is the task's own: no worker can crash,
+    garble a reply or break a pool there, whatever the exception type.
+    """
+    if in_parent:
+        return type(exc).__name__, str(exc) or repr(exc), FATE_IN_PARENT, None
+    if isinstance(exc, (BrokenExecutor, TaskCrash)):
+        host = exc.host if isinstance(exc, TaskCrash) else None
+        return "WorkerCrash", str(exc) or "worker process died", FATE_CRASHED, host
+    if isinstance(exc, RemoteTaskError):
+        return exc.error_type, exc.message, FATE_ALIVE, exc.host
+    if isinstance(exc, WireProtocolError):
+        return "WireProtocolError", str(exc), FATE_ALIVE, exc.host
+    return type(exc).__name__, str(exc) or repr(exc), FATE_ALIVE, None
+
+
 @dataclass
 class _TaskState:
-    """Supervisor bookkeeping for one dispatched task."""
+    """Supervisor bookkeeping for one task that missed the cache."""
 
     task: SweepTask
     key: str
@@ -380,21 +439,21 @@ def run_tasks(
     metrics_registry: Optional[MetricsRegistry] = None,
     policy: Optional[FaultPolicy] = None,
     backend: Union[None, str, ExecutorBackend] = None,
-    hosts: Sequence[str] = (),
 ) -> Tuple[Dict[Tuple[str, str], SimResult], SweepMetrics]:
     """Execute a batch of sweep tasks, parallel, cache-aware, fault-tolerant.
 
     Returns results keyed by ``(full_name, version)`` plus the metrics of
-    this invocation.  With ``jobs`` resolving to 1 the whole batch runs
-    serially in-process (bit-identical to the parallel path — simulations
-    are deterministic and workers run the same code).  With a
+    this invocation.  With ``jobs`` resolving to 1 (or a single task to
+    run) the batch runs in the parent process, through the same supervisor
+    loop and bit-identical to the pooled path — simulations are
+    deterministic and every backend runs :func:`run_worker_task`.  With a
     ``metrics_registry`` every result of the batch — fresh simulation and
     persistent-cache hit alike — is summarized into it, so sweeps can
     surface per-benchmark trace summaries without re-running anything.
 
     ``backend`` selects the execution substrate when the batch pools
     (``local`` process pool by default; ``subprocess`` for per-task
-    worker children; ``ssh`` to fan out over ``hosts`` — or pass a live
+    worker children — or pass a live
     :class:`~repro.experiments.executors.ExecutorBackend`).  Fault
     semantics are backend-independent; ``jobs`` always bounds total
     in-flight tasks.
@@ -416,7 +475,7 @@ def run_tasks(
         if metrics_registry is not None:
             metrics_registry.record(task.full_name, task.version, result)
 
-    pending: List[Tuple[SweepTask, str]] = []
+    pending: List[_TaskState] = []
     for task in tasks:
         system = _system_for(task.version, discrete, heterogeneous)
         key = cache_key(task.spec, task.version, system, options)
@@ -427,38 +486,12 @@ def run_tasks(
             metrics.cache_hits += 1
             metrics.serial_estimate_s += entry.sim_wall_s
         else:
-            pending.append((task, key))
-
-    def finish(
-        task: SweepTask,
-        key: str,
-        result: SimResult,
-        wall_s: float,
-        memo_delta: Tuple[int, int] = (0, 0),
-        *,
-        host: Optional[str] = None,
-        store: bool = True,
-        remote_hit: bool = False,
-    ) -> None:
-        results[(task.full_name, task.version)] = result
-        record(task, result)
-        metrics.launched += 1
-        if remote_hit:
-            metrics.remote_cache_hits += 1
-        if host is not None:
-            metrics.host_launched[host] = metrics.host_launched.get(host, 0) + 1
-        metrics.serial_estimate_s += wall_s
-        metrics.stage_memo_hits += memo_delta[0]
-        metrics.stage_memo_misses += memo_delta[1]
-        if metrics_registry is not None:
-            metrics_registry.record_stage_memo(memo_delta[0], memo_delta[1])
-        if cache is not None and store:
-            cache.store(key, result, sim_wall_s=wall_s)
+            pending.append(_TaskState(task, key))
 
     def complete(state: _TaskState, outcome: WorkerOutcome) -> bool:
         """Record one successful :class:`WorkerOutcome`.
 
-        Remote outcomes may carry raw cache-entry bytes instead of a
+        Worker children may ship raw cache-entry bytes instead of a
         result; the coordinator's cache absorbs them (warm-cache sync).
         Returns False when the payload was undecodable — the caller
         requeues the task as a wire-protocol failure.
@@ -476,16 +509,22 @@ def run_tasks(
             if entry is None:
                 return False
             result = entry.result
-        finish(
-            state.task,
-            state.key,
-            result,
-            outcome.wall_s,
-            (outcome.memo_hits, outcome.memo_misses),
-            host=outcome.host,
-            store=not stored,
-            remote_hit=outcome.cache_hit,
-        )
+        task = state.task
+        results[(task.full_name, task.version)] = result
+        record(task, result)
+        metrics.launched += 1
+        if outcome.cache_hit:
+            metrics.remote_cache_hits += 1
+        if outcome.host is not None:
+            per_host = metrics.host_launched
+            per_host[outcome.host] = per_host.get(outcome.host, 0) + 1
+        metrics.serial_estimate_s += outcome.wall_s
+        metrics.stage_memo_hits += outcome.memo_hits
+        metrics.stage_memo_misses += outcome.memo_misses
+        if metrics_registry is not None:
+            metrics_registry.record_stage_memo(outcome.memo_hits, outcome.memo_misses)
+        if cache is not None and not stored:
+            cache.store(state.key, result, sim_wall_s=outcome.wall_s)
         return True
 
     def final_failure(
@@ -511,47 +550,21 @@ def run_tasks(
         if policy.fail_fast and fate != FATE_CANCELLED:
             stop = True
 
-    local: List[Tuple[SweepTask, str]] = []
-    remote: List[Tuple[SweepTask, str, Optional[bytes]]] = []
-    pool_backend: Optional[ExecutorBackend] = None
-    if jobs > 1 and len(pending) > 1:
-        pool_backend = create_backend(backend, hosts=hosts)
-        for task, key in pending:
-            try:
-                remote.append((task, key, _dispatchable(task)))
-            except (pickle.PicklingError, AttributeError, TypeError):
-                # Only genuine can't-pickle errors force in-parent serial
-                # execution; anything else (a registry bug, a broken
-                # __reduce__) must surface instead of silently degrading.
-                local.append((task, key))
-    else:
-        local = pending
-
-    # Workers on this machine share the coordinator's cache directory;
-    # the ssh backend rewrites the path for remote filesystems.
+    # Workers on this machine share the coordinator's cache directory.
     worker_cache_dir = str(cache.root) if cache is not None else None
 
-    def worker_task(state: _TaskState, system: SystemConfig) -> WorkerTask:
-        return WorkerTask(
-            benchmark=state.task.full_name,
-            version=state.task.version,
-            spec_blob=state.spec_blob,
-            system=system,
-            options=options,
-            cache_key=state.key,
-            cache_dir=worker_cache_dir,
-        )
-
-    def run_pooled(
+    def supervise(
         states: List[_TaskState], backend: ExecutorBackend
     ) -> List[_TaskState]:
-        """Supervise pooled execution through an executor backend; returns
-        the tasks still unfinished when the backend had to be abandoned
-        (degrade-to-serial)."""
-        nonlocal stop
-        workers = min(jobs, len(states))
-        ready: List[_TaskState] = list(states)
-        waiting: List[_TaskState] = []
+        """Drive ``states`` through ``backend`` until each one finishes or
+        fails; returns the tasks still unfinished when the backend had to
+        be abandoned (degrade-to-serial)."""
+        in_parent = isinstance(backend, _InParentBackend)
+        workers = min(1 if in_parent else jobs, len(states))
+        # Every task starts out waiting for its ready_at: fresh ones are
+        # due at once, leftovers of a degraded pool keep their backoff.
+        ready: List[_TaskState] = []
+        waiting: List[_TaskState] = list(states)
         inflight: Dict[Future, _TaskState] = {}
         try:
             backend.start(workers)
@@ -561,6 +574,9 @@ def run_tasks(
         # budget: a workload that crashes or hangs every attempt must
         # degrade to serial, not recycle executors forever.
         recycles = 0
+        # The latest backoff deadline slept through: once the sleep returns
+        # that task is due, even if the clock disagrees (no re-sleeping).
+        slept_until = 0.0
 
         def requeue(
             state: _TaskState,
@@ -569,6 +585,7 @@ def run_tasks(
             fate: str,
             host: Optional[str] = None,
         ) -> None:
+            """Charge a failed attempt: retry after backoff, or give up."""
             if state.attempts > policy.max_retries:
                 final_failure(state, error_type, message, fate, host=host)
                 return
@@ -577,8 +594,7 @@ def run_tasks(
             waiting.append(state)
 
         def requeue_free(state: _TaskState) -> None:
-            """Requeue an innocent victim of a backend recycle (or of an
-            unreachable host), uncharged."""
+            """Requeue an innocent victim of a backend recycle, uncharged."""
             state.attempts -= 1
             state.ready_at = 0.0
             waiting.append(state)
@@ -587,52 +603,20 @@ def run_tasks(
             """Resolve one completed future; True when the backend broke."""
             try:
                 outcome = future.result()
-            except BrokenExecutor as exc:
-                requeue(
-                    state,
-                    "WorkerCrash",
-                    str(exc) or "worker process died",
-                    FATE_CRASHED,
-                )
-                return True
             except CancelledError:
                 requeue_free(state)
-            except HostUnavailable:
-                # The backend quarantined the host; the task never ran
-                # there, so it resubmits uncharged (to a surviving host).
-                requeue_free(state)
-            except TaskCrash as exc:
-                requeue(
-                    state,
-                    "WorkerCrash",
-                    str(exc) or "worker process died",
-                    FATE_CRASHED,
-                    host=exc.host,
-                )
-            except RemoteTaskError as exc:
-                requeue(
-                    state, exc.error_type, exc.message, FATE_ALIVE, host=exc.host
-                )
-            except WireProtocolError as exc:
-                requeue(
-                    state, "WireProtocolError", str(exc), FATE_ALIVE, host=exc.host
-                )
+                return False
             except Exception as exc:
+                requeue(state, *_attempt_failure(exc, in_parent))
+                return isinstance(exc, BrokenExecutor) and not in_parent
+            if not complete(state, outcome):
                 requeue(
                     state,
-                    type(exc).__name__,
-                    str(exc) or repr(exc),
+                    "WireProtocolError",
+                    "undecodable cache-entry bytes from worker",
                     FATE_ALIVE,
+                    host=outcome.host,
                 )
-            else:
-                if not complete(state, outcome):
-                    requeue(
-                        state,
-                        "WireProtocolError",
-                        "undecodable cache-entry bytes from worker",
-                        FATE_ALIVE,
-                        host=outcome.host,
-                    )
             return False
 
         def salvage_and_recycle(charge_unfinished: bool) -> bool:
@@ -663,7 +647,6 @@ def run_tasks(
 
         try:
             while ready or waiting or inflight:
-                now = time.monotonic()
                 if stop:
                     for state in ready + waiting:
                         final_failure(
@@ -676,13 +659,9 @@ def run_tasks(
                     if not inflight:
                         break
                 else:
-                    still_waiting: List[_TaskState] = []
-                    for state in waiting:
-                        if state.ready_at <= now:
-                            ready.append(state)
-                        else:
-                            still_waiting.append(state)
-                    waiting = still_waiting
+                    now = max(time.monotonic(), slept_until)
+                    ready += [s for s in waiting if s.ready_at <= now]
+                    waiting = [s for s in waiting if s.ready_at > now]
 
                 # Keep in-flight == running: submitting at most ``workers``
                 # tasks makes started_at the true start time (exact timeout
@@ -697,7 +676,17 @@ def run_tasks(
                     state.attempts += 1
                     state.started_at = time.monotonic()
                     try:
-                        future = backend.submit(worker_task(state, system))
+                        future = backend.submit(
+                            WorkerTask(
+                                benchmark=state.task.full_name,
+                                version=state.task.version,
+                                spec_blob=state.spec_blob,
+                                system=system,
+                                options=options,
+                                cache_key=state.key,
+                                cache_dir=worker_cache_dir,
+                            )
+                        )
                     except (BrokenExecutor, RuntimeError):
                         state.attempts -= 1  # this attempt never ran
                         ready.insert(0, state)
@@ -733,10 +722,11 @@ def run_tasks(
                         if drain_finished(future, state):
                             broken = True
                 elif not inflight and waiting and not stop and not broken:
-                    delay = max(
-                        0.0, min(s.ready_at for s in waiting) - time.monotonic()
-                    )
-                    if delay:
+                    # Nothing runs until the earliest backoff expires — a
+                    # task that degraded out of the pool mid-retry included.
+                    slept_until = min(s.ready_at for s in waiting)
+                    delay = slept_until - time.monotonic()
+                    if delay > 0:
                         _sleep(delay)
                     continue
 
@@ -751,6 +741,9 @@ def run_tasks(
                         return ready + waiting
                     continue
 
+                # In-parent futures are resolved on submit, so only pool
+                # workers can still be in flight here: the timeout applies
+                # to them alone.
                 if policy.task_timeout_s is not None and inflight:
                     now = time.monotonic()
                     expired = [
@@ -787,53 +780,24 @@ def run_tasks(
         finally:
             backend.shutdown()
 
-    def run_serial(states: List[_TaskState]) -> None:
-        for state in states:
-            if stop:
-                final_failure(
-                    state,
-                    "Cancelled",
-                    "sweep stopped early (fail-fast)",
-                    FATE_CANCELLED,
-                )
-                continue
-            system = _system_for(state.task.version, discrete, heterogeneous)
-            # A task that degraded out of the pool mid-retry still owes
-            # its backoff (ready_at); honor it instead of hot-looping the
-            # retry the pool had deliberately delayed.
-            pending_backoff = state.ready_at - time.monotonic()
-            if pending_backoff > 0:
-                _sleep(pending_backoff)
-            while True:
-                state.attempts += 1
-                try:
-                    result, wall_s, memo_delta = _simulate_with_memo(
-                        state.task.spec, state.task.version, system, options
-                    )
-                except Exception as exc:
-                    if state.attempts > policy.max_retries:
-                        final_failure(
-                            state,
-                            type(exc).__name__,
-                            str(exc) or repr(exc),
-                            FATE_IN_PARENT,
-                        )
-                        break
-                    metrics.retries += 1
-                    delay = policy.backoff_s(state.attempts)
-                    if delay:
-                        _sleep(delay)
-                else:
-                    finish(state.task, state.key, result, wall_s, memo_delta)
-                    break
-
-    serial_states = [_TaskState(task, key) for task, key in local]
-    if remote and pool_backend is not None:
-        remote_states = [
-            _TaskState(task, key, blob) for task, key, blob in remote
-        ]
-        serial_states = run_pooled(remote_states, pool_backend) + serial_states
-    run_serial(serial_states)
+    serial = pending
+    if jobs > 1 and len(pending) > 1:
+        pool = create_backend(backend)
+        pooled: List[_TaskState] = []
+        serial = []
+        for state in pending:
+            try:
+                state.spec_blob = _dispatchable(state.task)
+                pooled.append(state)
+            except (pickle.PicklingError, AttributeError, TypeError):
+                # Only genuine can't-pickle errors force in-parent
+                # execution; anything else (a registry bug, a broken
+                # __reduce__) must surface instead of silently degrading.
+                serial.append(state)
+        if pooled:
+            serial = supervise(pooled, pool) + serial
+    # Leftovers keep their attempts and ready_at: a pending backoff holds.
+    supervise(serial, _InParentBackend({s.key: s.task.spec for s in serial}))
 
     metrics.wall_s = time.perf_counter() - start
     return results, metrics
@@ -856,7 +820,6 @@ async def run_tasks_async(
     metrics_registry: Optional[MetricsRegistry] = None,
     policy: Optional[FaultPolicy] = None,
     backend: Union[None, str, ExecutorBackend] = None,
-    hosts: Sequence[str] = (),
     executor: Optional[Executor] = None,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
@@ -902,7 +865,6 @@ async def run_tasks_async(
                 metrics_registry=metrics_registry,
                 policy=policy,
                 backend=backend,
-                hosts=hosts,
             ),
         )
         results.update(part)

@@ -1,4 +1,4 @@
-"""One-task worker child of the subprocess/ssh executor backends.
+"""One-task worker child of the subprocess executor backend.
 
 ``python -m repro.experiments.remote_worker`` reads a single
 ``repro.executor.task/v1`` JSON document from stdin, runs (or answers from
@@ -11,24 +11,22 @@ Exit status contract (see ``SubprocessBackend._run_child``):
 * 0 — a reply was written, ``ok`` true or false; simulation errors travel
   *inside* the payload so the coordinator can report a typed failure.
 * non-zero — the worker died (crash, injected kill, unreadable stdin);
-  the coordinator charges a ``WorkerCrash``.  255 is reserved: over ssh
-  it means "host unreachable", so the worker never exits with it.
+  the coordinator charges a ``WorkerCrash``.
 
 With a cache directory in the task, the worker stores its fresh result
-locally *and* ships the stored entry bytes back (``sync_cache``), which
-is how a distributed sweep leaves every machine — coordinator included —
-warm for the next run.
+there *and* ships the stored entry bytes back (``sync_cache``), which is
+how a sweep leaves the worker cache and the coordinator's both warm for
+the next run.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import sys
+from dataclasses import replace
 
 from repro.experiments.executors.base import (
-    AUTO_CACHE_DIR,
     WireProtocolError,
     WorkerOutcome,
     WorkerTask,
@@ -47,20 +45,11 @@ EXIT_BAD_TASK = 65  # EX_DATAERR
 
 def run_task(task: WorkerTask, host: str) -> bytes:
     """Execute one decoded task; returns the encoded reply document."""
-    from repro.experiments.parallel import _simulate_with_memo
+    from repro.experiments.parallel import run_worker_task
     from repro.sim.resultcache import ResultCache
-    from repro.workloads import registry
 
     try:
-        if task.spec_blob is not None:
-            spec = pickle.loads(task.spec_blob)
-        else:
-            spec = registry.get(task.benchmark)
-        cache = None
-        if task.cache_dir:
-            cache = ResultCache(
-                None if task.cache_dir == AUTO_CACHE_DIR else task.cache_dir
-            )
+        cache = ResultCache(task.cache_dir) if task.cache_dir else None
         if cache is not None:
             entry = cache.load(task.cache_key)
             if entry is not None:
@@ -81,26 +70,16 @@ def run_task(task: WorkerTask, host: str) -> bytes:
                         result=None if sync_bytes is not None else entry.result,
                     )
                 )
-        result, wall_s, memo_delta = _simulate_with_memo(
-            spec, task.version, task.system, task.options
-        )
-        entry_bytes = None
+        outcome = run_worker_task(task, host)
         if cache is not None:
-            path = cache.store(task.cache_key, result, sim_wall_s=wall_s)
-            if task.sync_cache:
-                entry_bytes = path.read_bytes()
-        return encode_outcome(
-            WorkerOutcome(
-                benchmark=task.benchmark,
-                version=task.version,
-                wall_s=wall_s,
-                memo_hits=memo_delta[0],
-                memo_misses=memo_delta[1],
-                host=host,
-                result=None if entry_bytes is not None else result,
-                entry_bytes=entry_bytes,
+            path = cache.store(
+                task.cache_key, outcome.result, sim_wall_s=outcome.wall_s
             )
-        )
+            if task.sync_cache:
+                outcome = replace(
+                    outcome, result=None, entry_bytes=path.read_bytes()
+                )
+        return encode_outcome(outcome)
     except Exception as exc:  # a typed failure reply, never a dead worker
         return encode_error(
             task.benchmark,

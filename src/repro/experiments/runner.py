@@ -26,7 +26,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -94,8 +93,9 @@ class SweepRunner:
         options: simulation options shared by every run of the sweep.
         discrete / heterogeneous: the two machines; Table I defaults.
         parallel: process-pool width for sweep fan-out.  ``None`` or 1 runs
-            serially in-process; 0 means all cores (``os.cpu_count()``);
-            N > 1 uses N workers.  Results are bit-identical either way.
+            serially in-process; 0 means every CPU this process may run
+            on (its affinity mask); N > 1 uses N workers.  Results are
+            bit-identical either way.
         cache_dir: directory of the persistent result cache; ``None``
             disables persistence (in-memory memoization only).  Pass
             :func:`repro.sim.resultcache.default_cache_dir` for the shared
@@ -114,10 +114,9 @@ class SweepRunner:
             in the ``metrics_registry``, while every completed result is
             kept, cached, and memoized.
         backend: executor backend fanning out the sweep — ``"local"``
-            (default process pool), ``"subprocess"``, ``"ssh"``, or a
-            ready :class:`~repro.experiments.executors.ExecutorBackend`
+            (default process pool), ``"subprocess"``, or a ready
+            :class:`~repro.experiments.executors.ExecutorBackend`
             instance.  Results are bit-identical across backends.
-        hosts: remote host names for the ``"ssh"`` backend.
     """
 
     def __init__(
@@ -131,7 +130,6 @@ class SweepRunner:
         preflight: bool = False,
         fault_policy: Optional[FaultPolicy] = None,
         backend: Union[None, str, "ExecutorBackend"] = None,
-        hosts: Sequence[str] = (),
     ):
         self.options = options or SimOptions(scale=DEFAULT_BENCH_SCALE)
         self.discrete = discrete or discrete_gpu_system()
@@ -142,7 +140,6 @@ class SweepRunner:
         self.preflight = preflight
         self.fault_policy = fault_policy
         self.backend = backend
-        self.hosts = tuple(hosts)
         #: Memo keyed by the *content hash* of each run — includes every
         #: SimOptions field (scale, seed, ...), the system, and the engine
         #: tag, so changing ``self.options`` can never serve stale results.
@@ -194,7 +191,6 @@ class SweepRunner:
             metrics_registry=self.metrics_registry,
             policy=self.fault_policy,
             backend=self.backend,
-            hosts=self.hosts,
         )
         # Failed tasks produce no result; memoize exactly the successes so
         # a later request re-attempts the failures instead of KeyError-ing.

@@ -110,11 +110,10 @@ class ServeConfig:
     max_body_bytes: int = 1 << 20
     #: SSE keep-alive interval while a job produces no events.
     sse_keepalive_s: float = 15.0
-    #: Executor backend job sweeps fan out through ("local", "subprocess",
-    #: or "ssh" — see docs/SWEEPS.md); results are identical across them.
+    #: Executor backend job sweeps fan out through ("local" or
+    #: "subprocess" — see docs/SWEEPS.md); results are identical across
+    #: them.
     backend: str = "local"
-    #: Remote hosts for the "ssh" backend.
-    hosts: Tuple[str, ...] = ()
 
 
 class ServeApp:
@@ -285,7 +284,6 @@ class ServeApp:
             chunk_size=self._chunk_size(len(tasks)),
             progress=progress,
             backend=self.config.backend,
-            hosts=self.config.hosts,
         )
         self.stats["computed_runs"] += metrics.launched
         self.stats["warm_runs"] += metrics.cache_hits

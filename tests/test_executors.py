@@ -3,8 +3,7 @@
 The contract under test (docs/SWEEPS.md): every backend produces results
 *identical* to the in-process pool, remote failures surface as the same
 structured :class:`TaskFailure` records local ones do (now with per-host
-attribution), a dead ssh host is quarantined instead of burning task
-retries, and the warm-cache synchronization leaves the coordinator's
+attribution), and the warm-cache synchronization leaves the coordinator's
 result cache filled by remote work.
 """
 
@@ -18,11 +17,9 @@ import pytest
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
 from repro.experiments import parallel as parallel_mod
 from repro.experiments.executors import (
-    AUTO_CACHE_DIR,
     BACKENDS,
     LocalPoolBackend,
     RemoteTaskError,
-    SshBackend,
     SubprocessBackend,
     WireProtocolError,
     WorkerOutcome,
@@ -63,7 +60,7 @@ def _tasks(names=NAMES):
     return [SweepTask(get(name), v) for name in names for v in (COPY, LIMITED)]
 
 
-def _run(tasks, *, jobs=2, policy=None, cache=None, backend=None, hosts=()):
+def _run(tasks, *, jobs=2, policy=None, cache=None, backend=None):
     return run_tasks(
         tasks,
         discrete=discrete_gpu_system(),
@@ -73,7 +70,6 @@ def _run(tasks, *, jobs=2, policy=None, cache=None, backend=None, hosts=()):
         cache=cache,
         policy=policy,
         backend=backend,
-        hosts=hosts,
     )
 
 
@@ -114,7 +110,7 @@ class TestWireFormat:
 
     def test_task_round_trip(self):
         task = _worker_task(
-            spec_blob=b"\x80\x04pickled", cache_dir=AUTO_CACHE_DIR
+            spec_blob=b"\x80\x04pickled", cache_dir="/srv/repro-cache"
         )
         decoded = decode_task(encode_task(task))
         assert decoded == task
@@ -190,7 +186,7 @@ class TestWireFormat:
 
 class TestBackendFactory:
     def test_registered_names(self):
-        assert BACKENDS == ("local", "subprocess", "ssh")
+        assert BACKENDS == ("local", "subprocess")
 
     def test_default_and_local(self):
         assert isinstance(create_backend(None), LocalPoolBackend)
@@ -198,12 +194,6 @@ class TestBackendFactory:
 
     def test_subprocess(self):
         assert isinstance(create_backend("subprocess"), SubprocessBackend)
-
-    def test_ssh_requires_hosts(self):
-        with pytest.raises(ValueError):
-            create_backend("ssh")
-        backend = create_backend("ssh", hosts=("a", "b"))
-        assert isinstance(backend, SshBackend)
 
     def test_instance_passes_through(self):
         backend = SubprocessBackend()
@@ -308,61 +298,6 @@ class TestSubprocessBackend:
         for failure in metrics.failures:
             assert failure.error_type == "WireProtocolError"
             assert failure.worker_fate == FATE_ALIVE
-
-
-FAKE_SSH = """\
-import os, sys
-args = sys.argv[1:]
-while args and args[0] == "-o":
-    args = args[2:]
-host, cmd = args[0], args[1:]
-if host.startswith("dead"):
-    sys.stderr.write("ssh: connect to host %s: Connection refused\\n" % host)
-    sys.exit(255)
-os.execv(sys.executable, [sys.executable] + cmd[1:])
-"""
-
-
-def _fake_ssh_backend(tmp_path, hosts, **kwargs):
-    shim = tmp_path / "fake_ssh.py"
-    shim.write_text(FAKE_SSH)
-    return SshBackend(hosts, ssh_cmd=[sys.executable, str(shim)], **kwargs)
-
-
-class TestSshBackend:
-    def test_round_robin_over_live_hosts(self, tmp_path):
-        backend = _fake_ssh_backend(tmp_path, ["alpha", "beta"])
-        results, metrics = _run(_tasks(), jobs=2, backend=backend)
-        assert len(results) == 4 and not metrics.failures
-        assert set(metrics.host_launched) == {"alpha", "beta"}
-
-    def test_dead_host_quarantined_without_burning_retries(self, tmp_path):
-        backend = _fake_ssh_backend(
-            tmp_path, ["alpha", "dead1", "beta"], host_failure_limit=1
-        )
-        results, metrics = _run(
-            _tasks(), jobs=3, backend=backend, policy=_fast(max_retries=1)
-        )
-        assert len(results) == 4
-        assert not metrics.failures
-        # The unreachable host consumed zero task retries: its tasks were
-        # requeued uncharged and re-routed to the surviving hosts.
-        assert backend.quarantined_hosts() == {"dead1"}
-        assert set(metrics.host_launched) <= {"alpha", "beta"}
-
-    def test_all_hosts_dead_degrades_to_in_parent_serial(self, tmp_path):
-        backend = _fake_ssh_backend(
-            tmp_path, ["dead1", "dead2"], host_failure_limit=1
-        )
-        results, metrics = _run(
-            _tasks(),
-            jobs=2,
-            backend=backend,
-            policy=_fast(max_retries=2, max_pool_rebuilds=0),
-        )
-        # Nothing reachable: the sweep still completes, in-parent.
-        assert len(results) == 4
-        assert not metrics.failures
 
 
 class TestRecycleBudget:

@@ -222,11 +222,12 @@ class Engine:
     # Each stage's *memory step* — the page-fault touch, the stream's trip
     # through the cache hierarchy, and the off-chip log appends it produces
     # — is a pure function of (access stream, cache configs, incoming
-    # cache state, page-table state).  The helpers below key it by exactly
-    # those inputs and replay the recorded outcome on a repeat; timing,
-    # scheduling, and trace events are cheap arithmetic over the replayed
-    # counters and always run live, which keeps memoized runs bit-exact
-    # with memo-off runs.  See repro.sim.memo.
+    # cache state, page size, page-table state).  The helpers below key it
+    # by exactly those inputs and replay the recorded outcome on a repeat;
+    # timing (fault service seconds included), scheduling, and trace
+    # events are cheap arithmetic over the replayed counters and always run
+    # live, which keeps memoized runs bit-exact with memo-off runs.  See
+    # repro.sim.memo.
 
     def _memo_caches(self, component: Optional[Component]) -> tuple:
         """The caches one memory step can read or mutate, in fixed order."""
@@ -252,11 +253,7 @@ class Engine:
         # bump invalidates live stage memos exactly like the result cache.
         fault_key = None
         if with_faults and self.faults is not None:
-            fault_key = (
-                self.faults.config,
-                self.faults.serialization_heavy,
-                self.faults.layout.blocks_per_page,
-            ) + self.faults.state_key()
+            fault_key = self.faults.state_key()
         return (
             ENGINE_VERSION,
             tag,
@@ -312,7 +309,7 @@ class Engine:
             cache.restore_state(state)
             apply_stats_delta(cache, delta)
         if entry.fault is not None and self.faults is not None:
-            self.faults.replay(entry.fault[3])
+            self.faults.replay(entry.fault[2])
         if entry.mem is None:
             return None
         return DomainResult(*entry.mem)
@@ -324,7 +321,11 @@ class Engine:
         component: Component,
         ordinal: int,
     ) -> Tuple[DomainResult, Optional[tuple]]:
-        """One compute stage's memory step; returns (mem, fault tuple)."""
+        """One compute stage's memory step.
+
+        Returns (mem, fault tuple): the tuple is (fault count, zeroed
+        blocks, newly mapped pages), or None without a fault model.
+        """
         fault_tuple: Optional[tuple] = None
         if self.faults is not None and len(stream):
             fault = self.faults.touch(stream.blocks, stage.kind)
@@ -344,12 +345,7 @@ class Engine:
                 new_pages = (zeroed[::bpp] // bpp).astype(np.int64)
             else:
                 new_pages = np.empty(0, dtype=np.int64)
-            fault_tuple = (
-                fault.faults,
-                fault.service_time_s,
-                zeroed,
-                new_pages,
-            )
+            fault_tuple = (fault.faults, zeroed, new_pages)
         mem = self.caches.process_compute(stream, ordinal, component)
         return mem, fault_tuple
 
@@ -392,7 +388,8 @@ class Engine:
                 )
         if fault_tuple is None:
             return mem, 0.0, 0, 0
-        return mem, fault_tuple[1], fault_tuple[0], len(fault_tuple[2])
+        faults, zeroed, _ = fault_tuple
+        return mem, self.faults.service_time(faults), faults, len(zeroed)
 
     def _copy_memory_step(
         self,
@@ -433,7 +430,11 @@ class Engine:
         busy: Dict[Component, List[Interval]] = {c: [] for c in Component}
         launch_intervals: List[Interval] = []
         records: List[StageRecord] = []
-        touched: Dict[Component, List[np.ndarray]] = {c: [] for c in Component}
+        # Per component, each distinct per-stage footprint array once:
+        # repeated stages share one memoized trace, hence one array.
+        touched: Dict[Component, Dict[int, np.ndarray]] = {
+            c: {} for c in Component
+        }
         flops_by_component: Dict[Component, float] = {c: 0.0 for c in Component}
         logical_index: Dict[str, int] = {}
         logical_of_ordinal: List[int] = []
@@ -523,7 +524,7 @@ class Engine:
             stage_arr = stage_arr[:0]
             comp_arr = comp_arr[:0]
         touched_final = {
-            comp: (np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64))
+            comp: _sorted_union(list(parts.values()))
             for comp, parts in touched.items()
         }
         # Drain writebacks belong to the final logical stage for distance math.
@@ -571,12 +572,12 @@ class Engine:
         active: frozenset,
         ordinal: int,
         busy: Dict[Component, List[Interval]],
-        touched: Dict[Component, List[np.ndarray]],
+        touched: Dict[Component, Dict[int, np.ndarray]],
     ) -> StageRecord:
         trace = self.tracegen.stage_trace(stage)
         stream = trace.stream
         if len(stream):
-            touched[component].append(trace.unique_ids)
+            touched[component][id(trace.unique_ids)] = trace.unique_ids
 
         if stage.kind is StageKind.COPY:
             src_blocks = stream.blocks[~stream.is_write]
@@ -888,6 +889,24 @@ class Engine:
                 )
             written_per_cache.append(arr)
         return written_per_cache
+
+
+def _sorted_union(parts: List[np.ndarray]) -> np.ndarray:
+    """Sorted union of sorted unique id arrays, as a fresh array.
+
+    One comparison sort plus an adjacent-difference mask; numpy's
+    ``np.unique`` hashes instead and is an order of magnitude slower here.
+    """
+    if not parts:
+        return np.empty(0, np.int64)
+    merged = np.concatenate(parts)
+    if len(parts) == 1:
+        return merged
+    merged.sort()
+    keep = np.empty(len(merged), dtype=bool)
+    keep[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def simulate(

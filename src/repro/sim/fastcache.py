@@ -35,16 +35,26 @@ call is processed in four vectorized passes:
    followed by its dirty victim's writeback, rebuilt in original stream
    order with one cumulative-sum scatter.
 
+The cache's state *is* the canonical memo snapshot of
+:meth:`FastSetAssocCache.state_arrays`: read-only ``(lengths int32,
+blocks int64, dirty bool)`` arrays that every change replaces and none
+mutates.  Pass 1 reads its virtual prefix straight from them, pass 3
+commits the survivors with one gather, and :mod:`repro.sim.memo` stores
+and restores snapshots without a copy or a conversion.
+
 Streams shorter than :data:`SERIAL_CUTOFF` skip the fixed numpy overhead
-and use a tuned ``OrderedDict`` loop with the same semantics.  The
-differential suite (``tests/test_engine_equivalence.py``) and the
-Hypothesis property tests (``tests/test_cache_vectorized.py``) hold both
-paths to bit-exact equality with the reference implementation.
+and use a tuned ``OrderedDict`` loop with the same semantics over just the
+sets they map to; the scan-budget fallback is the only path that may
+unpack every set.  The differential suite
+(``tests/test_engine_equivalence.py``) and the Hypothesis property tests
+(``tests/test_cache_vectorized.py``) hold both paths to bit-exact equality
+with the reference implementation.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -81,10 +91,6 @@ _RESIDUE_BUDGET_FACTOR = 32
 #: Element bound of one window-scan chunk (keeps gather matrices small).
 _CHUNK_ELEMS = 1 << 21
 
-#: Above this many lookup blocks, ``invalidate``/``flush`` narrow the
-#: candidate set with one vectorized membership test first.
-_BULK_LOOKUP_MIN = 64
-
 
 def stable_argsort_ids(values: np.ndarray) -> np.ndarray:
     """Stable argsort of non-negative ids, via 16-bit radix when possible.
@@ -112,9 +118,12 @@ def stable_argsort_ids(values: np.ndarray) -> np.ndarray:
 class FastSetAssocCache:
     """Bit-exact vectorized twin of :class:`~repro.sim.cache.SetAssocCache`.
 
-    State is one insertion-ordered ``OrderedDict`` per set mapping block id
-    to its dirty flag; iteration order is LRU -> MRU, exactly the per-set
-    list order of the reference implementation.
+    State is the canonical :meth:`state_arrays` snapshot itself: per-set
+    line counts (int32), block ids in set-index order each LRU -> MRU
+    (int64) and their dirty flags (bool).  The three arrays are read-only
+    and every change replaces them instead of writing into them, so a
+    snapshot handed out earlier (to :mod:`repro.sim.memo`) stays valid
+    without a copy, and adopting one back is free.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
@@ -122,32 +131,75 @@ class FastSetAssocCache:
         self.name = name
         self.num_sets = config.num_sets
         self.assoc = config.associativity
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
         self.stats = CacheStats()
+        self._empty()
+
+    def _empty(self) -> None:
+        self._adopt(
+            np.zeros(self.num_sets, dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=bool),
+        )
+
+    def _adopt(
+        self, lengths: np.ndarray, blocks: np.ndarray, dirty: np.ndarray
+    ) -> None:
+        for arr in (lengths, blocks, dirty):
+            arr.flags.writeable = False
+        self._lengths = lengths
+        self._blocks = blocks
+        self._dirty = dirty
+        self._starts: Optional[np.ndarray] = None
+
+    def _set_starts(self) -> np.ndarray:
+        """Row offset of each set's stack (num_sets + 1 entries)."""
+        if self._starts is None:
+            starts = np.zeros(self.num_sets + 1, dtype=np.int64)
+            np.cumsum(self._lengths, out=starts[1:])
+            self._starts = starts
+        return self._starts
+
+    def _set_ids(self, blocks: np.ndarray) -> np.ndarray:
+        num_sets = self.num_sets
+        if num_sets & (num_sets - 1) == 0:
+            return blocks & (num_sets - 1)
+        return blocks % num_sets
+
+    def _row_of(self, block: int) -> int:
+        """Row of a resident block in the state arrays, or -1."""
+        s = block % self.num_sets
+        starts = self._set_starts()
+        lo = int(starts[s])
+        rows = np.flatnonzero(self._blocks[lo : int(starts[s + 1])] == block)
+        return lo + int(rows[0]) if len(rows) else -1
+
+    def _keep_rows(self, keep: np.ndarray) -> None:
+        """Drop every row where ``keep`` is False; survivors keep their order."""
+        blocks = self._blocks[keep]
+        lengths = np.bincount(self._set_ids(blocks), minlength=self.num_sets)
+        self._adopt(lengths.astype(np.int32), blocks, self._dirty[keep])
 
     # -- queries ---------------------------------------------------------------
 
     def __contains__(self, block: int) -> bool:
-        return block in self._sets[block % self.num_sets]
+        return self._row_of(block) >= 0
 
     @property
     def resident_blocks(self) -> Set[int]:
         """Snapshot of resident block ids (unlike the reference, a copy)."""
-        return {block for lru in self._sets for block in lru}
+        return set(self._blocks.tolist())
 
     def resident_array(self) -> np.ndarray:
-        """Resident block ids as an int64 array (for vectorized probes)."""
-        blocks = [block for lru in self._sets for block in lru]
-        return np.asarray(blocks, dtype=np.int64)
+        """Resident block ids as a read-only int64 array (no copy)."""
+        return self._blocks
 
     @property
     def occupancy(self) -> int:
-        return sum(len(lru) for lru in self._sets)
+        return len(self._blocks)
 
     def is_dirty(self, block: int) -> bool:
-        return self._sets[block % self.num_sets].get(block, False)
+        row = self._row_of(block)
+        return row >= 0 and bool(self._dirty[row])
 
     # -- the hot path ----------------------------------------------------------
 
@@ -179,10 +231,27 @@ class FastSetAssocCache:
     def _process_serial(
         self, blocks: np.ndarray, is_write: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int, int]:
-        """Reference-semantics loop (short streams and the safety net)."""
-        sets = self._sets
+        """Reference-semantics loop (short streams and the safety net).
+
+        Only the sets the stream maps to are unpacked into ``OrderedDict``s
+        (LRU -> MRU insertion order); the other sets' rows pass through
+        untouched when the result is packed back.
+        """
         num_sets = self.num_sets
         assoc = self.assoc
+        mine = np.bincount(self._set_ids(blocks), minlength=num_sets) > 0
+        touched = np.flatnonzero(mine)
+        rows = mine[self._set_ids(self._blocks)]
+        old_blocks = self._blocks[rows].tolist()
+        old_dirty = self._dirty[rows].tolist()
+        sets = {}
+        pos = 0
+        for s, count in zip(touched.tolist(), self._lengths[touched].tolist()):
+            sets[s] = OrderedDict(
+                zip(old_blocks[pos : pos + count], old_dirty[pos : pos + count])
+            )
+            pos += count
+
         out_b: List[int] = []
         out_w: List[bool] = []
         append_b = out_b.append
@@ -206,6 +275,29 @@ class FastSetAssocCache:
                         append_b(victim)
                         append_w(True)
                         writebacks += 1
+
+        # Untouched sets' rows, then the touched sets' new stacks; a stable
+        # sort by set index restores set-major order (a set's rows all come
+        # from one side, so each stack keeps its LRU -> MRU order).
+        stacks = list(sets.values())
+        new_blocks = np.concatenate(
+            [self._blocks[~rows], np.fromiter(chain.from_iterable(stacks), np.int64)]
+        )
+        new_dirty = np.concatenate(
+            [
+                self._dirty[~rows],
+                np.fromiter(
+                    chain.from_iterable(lru.values() for lru in stacks), bool
+                ),
+            ]
+        )
+        set_ids = self._set_ids(new_blocks)
+        order = stable_argsort_ids(set_ids)
+        self._adopt(
+            np.bincount(set_ids, minlength=num_sets).astype(np.int32),
+            new_blocks[order],
+            new_dirty[order],
+        )
         return (
             np.asarray(out_b, dtype=np.int64),
             np.asarray(out_w, dtype=bool),
@@ -226,12 +318,9 @@ class FastSetAssocCache:
         assoc = self.assoc
 
         # ---- set-major layout with each set's stack as a virtual prefix ----
-        k = np.fromiter((len(lru) for lru in self._sets), np.int64, num_sets)
+        k = self._lengths
         if num_sets > 1:
-            if num_sets & (num_sets - 1) == 0:
-                set_ids = blocks & (num_sets - 1)
-            else:
-                set_ids = blocks % num_sets
+            set_ids = self._set_ids(blocks)
             real_counts = np.bincount(set_ids, minlength=num_sets)
             order = stable_argsort_ids(set_ids)
         else:
@@ -246,20 +335,16 @@ class FastSetAssocCache:
         sm_block = np.empty(m, dtype=np.int64)
         sm_write = np.empty(m, dtype=bool)
         sm_real = np.full(m, -1, dtype=np.int32)
-        total_k = int(k.sum())
+        total_k = len(self._blocks)
         if total_k:
-            # Flatten every set's stack in one pass; row `starts[s] + j` is
-            # the j-th (LRU-most) virtual line of set s.
+            # Row `starts[s] + j` is the j-th (LRU-most) line of set s: the
+            # state arrays are already set-major, so every line shifts by
+            # its set's offset difference.
             vdest = np.arange(total_k, dtype=np.int64) + np.repeat(
-                starts[:-1] - np.concatenate([np.zeros(1, np.int64), k.cumsum()[:-1]]),
-                k,
+                starts[:-1] - self._set_starts()[:-1], k
             )
-            sm_block[vdest] = np.fromiter(
-                (b for lru in self._sets for b in lru), np.int64, total_k
-            )
-            sm_write[vdest] = np.fromiter(
-                (d for lru in self._sets for d in lru.values()), bool, total_k
-            )
+            sm_block[vdest] = self._blocks
+            sm_write[vdest] = self._dirty
         if order is None:
             base = int(k[0])
             sm_block[base:] = blocks
@@ -394,128 +479,116 @@ class FastSetAssocCache:
             out_w = np.zeros(len(out_b), dtype=bool)
 
         # ---- commit final state: surviving runs, end position ascending ----
-        new_sets: List["OrderedDict[int, bool]"] = []
-        for s in range(num_sets):
-            lo = int(run_off[s] + evicts_per_set[s])
-            hi = int(run_off[s + 1])
-            sel = run_sort[lo:hi]
-            new_sets.append(
-                OrderedDict(zip(run_block[sel].tolist(), run_dirty[sel].tolist()))
-            )
-        self._sets = new_sets
+        # In run_sort order each set's evicted runs lead its group, so one
+        # rank test over all runs selects every set's survivors at once.
+        sorted_run_set = run_set[run_sort]
+        survivors = run_sort[
+            np.arange(nruns, dtype=np.int64) - run_off[sorted_run_set]
+            >= evicts_per_set[sorted_run_set]
+        ]
+        self._adopt(
+            (runs_per_set - evicts_per_set).astype(np.int32),
+            run_block[survivors],
+            run_dirty[survivors],
+        )
 
         hits_count = n - int(miss_orig.sum())
         return out_b, out_w, hits_count, dirty_evictions
 
     # -- maintenance ----------------------------------------------------------
 
+    def _rows_in(self, lookup: np.ndarray) -> np.ndarray:
+        """Mask over resident rows whose block is in the sorted ``lookup``.
+
+        Binary search of the (few) resident lines in the lookup array,
+        several times cheaper than ``np.isin`` against a long lookup.
+        """
+        if not len(lookup) or not len(self._blocks):
+            return np.zeros(len(self._blocks), dtype=bool)
+        idx = np.searchsorted(lookup, self._blocks)
+        np.minimum(idx, len(lookup) - 1, out=idx)
+        return lookup[idx] == self._blocks
+
     def extract(self, block: int) -> bool:
         """Silently remove a line (ownership migrated to a peer cache)."""
-        lru = self._sets[block % self.num_sets]
-        if block in lru:
-            del lru[block]
-            return True
-        return False
+        return bool(self.extract_all([block]))
 
-    def _narrow(self, blocks: Iterable[int]) -> Iterable[int]:
-        """Restrict a bulk lookup to blocks actually resident, in order."""
-        arr = np.asarray(
-            blocks if isinstance(blocks, np.ndarray) else list(blocks),
-            dtype=np.int64,
-        )
-        if len(arr) < _BULK_LOOKUP_MIN:
-            return arr.tolist()
-        resident = self.resident_array()
-        if not len(resident):
-            return ()
-        return arr[np.isin(arr, resident)].tolist()
+    def extract_all(self, blocks: Iterable[int]) -> int:
+        """Silently remove every listed line at once; returns how many were
+        resident (the bulk form of :meth:`extract`)."""
+        gone = self._rows_in(_sorted_ids(blocks)[0])
+        count = int(np.count_nonzero(gone))
+        if count:
+            self._keep_rows(~gone)
+        return count
 
     def invalidate(self, blocks: Iterable[int]) -> int:
         """Drop any of the given lines without writeback (DMA overwrite)."""
-        dropped = 0
-        sets = self._sets
-        num_sets = self.num_sets
-        for block in self._narrow(blocks):
-            lru = sets[block % num_sets]
-            if block in lru:
-                del lru[block]
-                dropped += 1
+        dropped = self.extract_all(blocks)
         self.stats.invalidations += dropped
         return dropped
 
     def flush(self, blocks: Iterable[int]) -> List[int]:
-        """Write back and drop any dirty copies of the given lines."""
-        written: List[int] = []
-        sets = self._sets
-        num_sets = self.num_sets
-        for block in self._narrow(blocks):
-            lru = sets[block % num_sets]
-            if block in lru:
-                if lru.pop(block):
-                    written.append(block)
+        """Write back and drop any dirty copies of the given lines.
+
+        The written blocks come in lookup order, each once, as the
+        reference's per-block loop reports them.
+        """
+        lookup, arr = _sorted_ids(blocks)
+        gone = self._rows_in(lookup)
+        if not gone.any():
+            return []
+        dirty_gone = np.sort(self._blocks[gone & self._dirty])
+        if lookup is not arr and len(dirty_gone):
+            hits = arr[np.isin(arr, dirty_gone)]
+            _, first = np.unique(hits, return_index=True)
+            dirty_gone = hits[np.sort(first)]
+        written = dirty_gone.tolist()
+        self._keep_rows(~gone)
         self.stats.writebacks += len(written)
         return written
 
     def drain(self) -> List[int]:
         """Write back every dirty line and empty the cache (end of ROI)."""
-        written = sorted(
-            block
-            for lru in self._sets
-            for block, dirty in lru.items()
-            if dirty
-        )
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        written = np.sort(self._blocks[self._dirty]).tolist()
+        self._empty()
         self.stats.writebacks += len(written)
         return written
 
     # -- state snapshot (stage memoization) ------------------------------------
 
     def state_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical state snapshot for :mod:`repro.sim.memo`.
+        """Canonical state snapshot for :mod:`repro.sim.memo` (no copy).
 
         Identical encoding to the reference implementation's
         ``state_arrays`` (per-set line counts, block ids in set-index order
-        each LRU -> MRU, matching dirty flags): the set-major
-        ``OrderedDict`` layout makes this a straight flatten, and equal
-        logical states produce byte-identical snapshots across impls, so
-        memoized stage entries are shared between them.
+        each LRU -> MRU, matching dirty flags), so equal logical states
+        produce byte-identical snapshots across impls and memoized stage
+        entries are shared between them.  The arrays are the cache's own
+        read-only state; later changes replace them, never write them.
         """
-        lengths = np.fromiter(
-            (len(lru) for lru in self._sets), np.int32, count=self.num_sets
-        )
-        total = int(lengths.sum())
-        blocks = np.fromiter(
-            (block for lru in self._sets for block in lru),
-            np.int64,
-            count=total,
-        )
-        dirty = np.fromiter(
-            (flag for lru in self._sets for flag in lru.values()),
-            bool,
-            count=total,
-        )
-        return lengths, blocks, dirty
+        return self._lengths, self._blocks, self._dirty
 
     def restore_state(
         self, state: Tuple[np.ndarray, np.ndarray, np.ndarray]
     ) -> None:
         """Adopt a :meth:`state_arrays` snapshot (stats are untouched)."""
-        lengths, blocks, dirty = state
-        block_list = blocks.tolist()
-        dirty_list = dirty.tolist()
-        sets: List["OrderedDict[int, bool]"] = []
-        pos = 0
-        for count in lengths.tolist():
-            sets.append(
-                OrderedDict(
-                    zip(
-                        block_list[pos : pos + count],
-                        dirty_list[pos : pos + count],
-                    )
-                )
-            )
-            pos += count
-        self._sets = sets
+        self._adopt(*state)
+
+
+def _sorted_ids(blocks: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(sorted lookup, lookup as given) of a block-id collection.
+
+    Both are the same object when the ids already come sorted, as the
+    hierarchy's sorted unique lookups do.
+    """
+    arr = np.asarray(
+        blocks if isinstance(blocks, np.ndarray) else list(blocks),
+        dtype=np.int64,
+    )
+    if len(arr) > 1 and not (arr[1:] >= arr[:-1]).all():
+        return np.sort(arr), arr
+    return arr, arr
 
 
 def _window_classify(

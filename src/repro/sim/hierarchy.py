@@ -221,28 +221,22 @@ class Domain:
         Only reads probe the peer, and extraction removes the line, so only
         the *first* read of each resident block is an on-chip transfer —
         later reads of the same block (and all writebacks) go to memory.
+        Removing a set of lines leaves the others' LRU order alone, so the
+        peer drops every migrated line in one bulk extraction per level.
         """
+        blocks, is_write = below_l2.blocks, below_l2.is_write
         resident = peer.l2.resident_array()
         if not len(resident):
-            return below_l2.blocks, below_l2.is_write, 0
-        candidates = np.nonzero(
-            ~below_l2.is_write & np.isin(below_l2.blocks, resident)
-        )[0]
-        keep = np.ones(len(below_l2), dtype=bool)
-        transfers = 0
-        taken: set = set()
-        for i in candidates.tolist():
-            block = int(below_l2.blocks[i])
-            if block in taken:
-                continue
-            taken.add(block)
-            peer.l2.extract(block)
-            peer.l1.extract(block)
-            keep[i] = False
-            transfers += 1
-        if not transfers:
-            return below_l2.blocks, below_l2.is_write, 0
-        return below_l2.blocks[keep], below_l2.is_write[keep], transfers
+            return blocks, is_write, 0
+        candidates = np.flatnonzero(~is_write & np.isin(blocks, resident))
+        if not len(candidates):
+            return blocks, is_write, 0
+        taken, first = np.unique(blocks[candidates], return_index=True)
+        peer.l2.extract_all(taken)
+        peer.l1.extract_all(taken)
+        keep = np.ones(len(blocks), dtype=bool)
+        keep[candidates[first]] = False
+        return blocks[keep], is_write[keep], len(taken)
 
     def invalidate(self, blocks: np.ndarray) -> None:
         """Drop lines in both levels without writeback (DMA overwrite)."""

@@ -3,16 +3,20 @@
 Every stage execution's *memory step* — the page-fault touch, the stream's
 trip through the cache hierarchy, and the off-chip log appends it produces
 — is a pure function of (stage access stream, cache configurations,
-incoming cache state, page-table state).  The engine therefore keys each
-memory step by a content hash of exactly those inputs and, when the key
-repeats, *replays* the recorded sub-result instead of recomputing it:
-the log deltas are re-appended (retagged with the current stage ordinal),
-the cache post-states are restored, the statistics deltas re-applied, and
-the page-fault effects re-mapped.  Timing, scheduling, bandwidth shares,
-and trace events are cheap arithmetic over the replayed counters and are
-always recomputed live, which is what keeps memoized runs bit-exact with
-memo-off runs (enforced by tests/test_stage_memo.py and the differential
-matrix of tests/test_engine_equivalence.py).
+incoming cache state, page size, page-table state).  The engine therefore
+keys each memory step by a content hash of exactly those inputs and, when
+the key repeats, *replays* the recorded sub-result instead of recomputing
+it: the log deltas are re-appended (retagged with the current stage
+ordinal), the cache post-states are restored, the statistics deltas
+re-applied, and the page-fault effects re-mapped.  The fault part of the
+key is behaviour only — page size in blocks plus the page-table token —
+so configurations that differ only in fault *timing* (service latency,
+hidden parallelism, serialization penalty) share entries.  Timing (fault
+service seconds included), scheduling, bandwidth shares, and trace events
+are cheap arithmetic over the replayed counters and are always recomputed
+live, which is what keeps memoized runs bit-exact with memo-off runs
+(enforced by tests/test_stage_memo.py and the differential matrix of
+tests/test_engine_equivalence.py).
 
 Keys repeat massively in practice: iterated pipelines (stencil sweeps,
 kmeans-style offload loops) reach a cache-state fixed point after a couple
@@ -23,7 +27,9 @@ shared across engine instances — state digests make sharing safe — and,
 like the persistent :mod:`repro.sim.resultcache`, entries are shared
 between the ``reference`` and ``fast`` cache implementations because the
 two are bit-identical (cache state snapshots are stored in a canonical
-impl-independent form).
+impl-independent form).  That form is the fast cache's own read-only
+state, so recording and replaying a snapshot costs no copy; arrays in an
+entry are never mutated.
 
 Both the entry count and the (approximate) retained bytes are bounded;
 exceeding either bound clears the memo wholesale, mirroring the trace
@@ -64,6 +70,7 @@ LogPart = Tuple[np.ndarray, np.ndarray, int]
 
 #: One cache's canonical state snapshot, impl-independent:
 #: (per-set line counts, block ids in LRU->MRU set order, dirty flags).
+#: For the fast cache these are its live read-only state arrays.
 CacheState = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -94,17 +101,20 @@ class StageEntry:
 
     ``mem`` carries the :class:`~repro.sim.hierarchy.DomainResult` fields
     (requests, offchip reads/writes, on-chip transfers, offchip block ids);
-    ``fault`` the page-fault outcome (count, CPU service seconds, zeroed
-    blocks, newly mapped pages) or ``None`` when no fault model was
-    consulted; ``cache_states`` the post-step snapshots aligned with the
-    involved-cache list the key was built from; ``stats_deltas`` the
-    per-cache counter increments in the same order.  ``aux`` holds
-    step-specific extras (the per-cache drain writeback arrays).
+    ``fault`` the page-fault outcome (fault count, zeroed blocks, newly
+    mapped pages) or ``None`` when no fault model was consulted — fault
+    service seconds are not stored, the engine recomputes them live with
+    :meth:`~repro.sim.pagefault.PageFaultModel.service_time`;
+    ``cache_states`` the post-step snapshots aligned with the
+    involved-cache list the key was built from (shared with the cache that
+    produced them, never mutated); ``stats_deltas`` the per-cache counter
+    increments in the same order.  ``aux`` holds step-specific extras (the
+    per-cache drain writeback arrays).
     """
 
     log_parts: Tuple[LogPart, ...]
     mem: Optional[Tuple[int, int, int, int, Optional[np.ndarray]]]
-    fault: Optional[Tuple[int, float, np.ndarray, np.ndarray]]
+    fault: Optional[Tuple[int, np.ndarray, np.ndarray]]
     cache_states: Tuple[CacheState, ...]
     stats_deltas: Tuple[Tuple[int, ...], ...]
     aux: Tuple[np.ndarray, ...] = ()
@@ -118,7 +128,7 @@ def _entry_nbytes(entry: StageEntry) -> int:
     if entry.mem is not None and entry.mem[4] is not None:
         total += entry.mem[4].nbytes
     if entry.fault is not None:
-        total += entry.fault[2].nbytes + entry.fault[3].nbytes
+        total += entry.fault[1].nbytes + entry.fault[2].nbytes
     for state in entry.cache_states:
         total += sum(arr.nbytes for arr in state)
     for arr in entry.aux:

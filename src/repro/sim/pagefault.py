@@ -102,8 +102,23 @@ class PageFaultModel:
         self._token = _pages_token(self.mapped)
 
     def state_key(self) -> tuple:
-        """Hashable digest of the page-table state (for stage memo keys)."""
-        return (len(self.mapped), self._token)
+        """Everything a touch's outcome depends on besides the stream.
+
+        Page size in blocks plus a digest of the page-table state: the key
+        of the fault part of a stage memo entry.  Fault *timing*
+        (:meth:`service_time`) is left out; it is recomputed live.
+        """
+        return (self.layout.blocks_per_page, len(self.mapped), self._token)
+
+    def service_time(self, faults: int) -> float:
+        """CPU seconds spent servicing ``faults`` GPU page faults."""
+        if not faults:
+            return 0.0
+        if self.serialization_heavy:
+            factor = self.config.serialization_penalty
+        else:
+            factor = 1.0 / self.config.hidden_parallelism
+        return faults * self.config.service_latency_s * factor
 
     def replay(self, new_pages: np.ndarray) -> None:
         """Re-apply a memoized touch's newly mapped pages."""
@@ -138,10 +153,5 @@ class PageFaultModel:
         )
         if kind is not StageKind.GPU_KERNEL:
             return FaultResult(0, 0.0, zeroed)
-
-        if self.serialization_heavy:
-            factor = self.config.serialization_penalty
-        else:
-            factor = 1.0 / self.config.hidden_parallelism
-        service = len(new_pages) * self.config.service_latency_s * factor
-        return FaultResult(int(len(new_pages)), service, zeroed)
+        faults = int(len(new_pages))
+        return FaultResult(faults, self.service_time(faults), zeroed)

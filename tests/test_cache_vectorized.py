@@ -1,11 +1,13 @@
 """Hypothesis property tests: FastSetAssocCache == SetAssocCache.
 
 Random block ranges, strides, and overlapping segments — plus interleaved
-maintenance operations — must leave the vectorized cache bit-identical to
-the reference on every observable: the downstream stream (contents and
-order), the statistics counters, and the full per-set LRU state including
-dirty bits.  Failures shrink to minimal streams because everything is
-generated from plain Hypothesis strategies.
+maintenance operations and coherent peer probes — must leave the
+vectorized cache bit-identical to the reference on every observable: the
+downstream stream (contents and order), the statistics counters, and the
+full per-set LRU state including dirty bits, compared through both
+implementations' public ``state_arrays`` snapshots.  Failures shrink to
+minimal streams because everything is generated from plain Hypothesis
+strategies.
 
 The offline path is forced by patching ``SERIAL_CUTOFF`` to zero (and the
 scan-budget/serial paths by patching their knobs), so short generated
@@ -17,6 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +27,7 @@ import repro.sim.fastcache as fastcache
 from repro.config.components import CacheConfig
 from repro.sim.cache import SetAssocCache
 from repro.sim.fastcache import FastSetAssocCache
+from repro.sim.hierarchy import CacheSystem, Component
 from repro.trace.stream import AccessStream
 
 geometries = st.sampled_from(
@@ -53,26 +57,29 @@ def build_stream(segs) -> AccessStream:
     return AccessStream(np.concatenate(blocks), np.concatenate(writes))
 
 
-def make_pair(geometry):
+def cache_config(geometry) -> CacheConfig:
     num_sets, assoc = geometry
-    config = CacheConfig(
+    return CacheConfig(
         capacity_bytes=num_sets * assoc * 128, associativity=assoc, line_bytes=128
     )
+
+
+def make_pair(geometry):
+    config = cache_config(geometry)
     return SetAssocCache(config), FastSetAssocCache(config)
 
 
-def reference_state(cache: SetAssocCache):
-    return [[(b, b in cache._dirty) for b in lru] for lru in cache._sets]
-
-
-def fast_state(cache: FastSetAssocCache):
-    return [list(lru.items()) for lru in cache._sets]
+def assert_same_state(ref: SetAssocCache, fast: FastSetAssocCache):
+    """Both public snapshots agree byte for byte, dtypes included."""
+    for ref_arr, fast_arr in zip(ref.state_arrays(), fast.state_arrays()):
+        assert ref_arr.dtype == fast_arr.dtype
+        assert ref_arr.tobytes() == fast_arr.tobytes()
 
 
 def assert_equivalent(ref: SetAssocCache, fast: FastSetAssocCache, down_ref, down_fast):
     assert np.array_equal(down_ref.blocks, down_fast.blocks)
     assert np.array_equal(down_ref.is_write, down_fast.is_write)
-    assert reference_state(ref) == fast_state(fast)
+    assert_same_state(ref, fast)
     assert vars(ref.stats) == vars(fast.stats)
 
 
@@ -143,12 +150,18 @@ def test_budget_blowout_serial_fallback_matches(segs, geometry):
         )
 
 
-@given(segs=st.lists(segments, min_size=2, max_size=6), geometry=geometries)
+@given(
+    segs=st.lists(segments, min_size=2, max_size=6),
+    geometry=geometries,
+    cutoff=st.sampled_from([0, None]),
+)
 @settings(max_examples=60, deadline=None)
-def test_multi_call_state_carries_over(segs, geometry):
-    """Residency carried between calls stays identical call after call."""
+def test_multi_call_state_carries_over(segs, geometry, cutoff):
+    """Residency carried between calls stays identical call after call,
+    through the offline passes and through the short-stream loop, which
+    unpacks only the sets a stream maps to."""
     ref, fast = make_pair(geometry)
-    with forced(cutoff=0):
+    with forced(cutoff=cutoff):
         for seg in segs:
             stream = build_stream([seg])
             assert_equivalent(
@@ -189,7 +202,7 @@ def test_maintenance_ops_interleaved(segs, geometry, ops):
                 else:
                     for block in arg[:5]:
                         assert ref.extract(block) == fast.extract(block)
-                assert reference_state(ref) == fast_state(fast)
+                assert_same_state(ref, fast)
 
 
 @given(segs=streams, geometry=geometries)
@@ -214,3 +227,81 @@ def test_wide_block_ids_use_int64_path():
         assert_equivalent(
             ref, fast, ref.access_stream(stream), fast.access_stream(stream)
         )
+
+
+@given(
+    stages=st.lists(
+        st.tuples(st.sampled_from([Component.CPU, Component.GPU]), streams),
+        min_size=1,
+        max_size=5,
+    ),
+    l1=st.sampled_from([(1, 2), (2, 2), (4, 1)]),
+    l2=st.sampled_from([(2, 4), (4, 4), (8, 2)]),
+    cutoff=st.sampled_from([0, None]),
+)
+@settings(max_examples=60, deadline=None)
+def test_coherent_peer_probes_match(stages, l1, l2, cutoff):
+    """Coherent probes migrate the same lines out of the peer.
+
+    The fast hierarchy extracts every migrated line from the peer's L1
+    and L2 in one bulk operation; the reference extracts them one read at
+    a time.  Results, off-chip logs and all four caches must agree.
+    """
+    ref, fast = (
+        CacheSystem(
+            cache_config(l1),
+            cache_config(l2),
+            cache_config(l1),
+            cache_config(l2),
+            coherent=True,
+            impl=impl,
+        )
+        for impl in ("reference", "fast")
+    )
+    with forced(cutoff=cutoff):
+        for ordinal, (component, segs) in enumerate(stages):
+            stream = build_stream(segs)
+            got_ref = ref.process_compute(stream, ordinal, component)
+            got_fast = fast.process_compute(stream, ordinal, component)
+            assert got_ref.requests == got_fast.requests
+            assert got_ref.offchip_reads == got_fast.offchip_reads
+            assert got_ref.offchip_writes == got_fast.offchip_writes
+            assert got_ref.onchip_transfers == got_fast.onchip_transfers
+            for domain_ref, domain_fast in ((ref.cpu, fast.cpu), (ref.gpu, fast.gpu)):
+                for level in ("l1", "l2"):
+                    cache_ref = getattr(domain_ref, level)
+                    cache_fast = getattr(domain_fast, level)
+                    assert_same_state(cache_ref, cache_fast)
+                    assert vars(cache_ref.stats) == vars(cache_fast.stats)
+    for arr_ref, arr_fast in zip(ref.log.arrays(), fast.log.arrays()):
+        assert np.array_equal(arr_ref, arr_fast)
+
+
+@pytest.mark.parametrize("cutoff", [0, None])
+def test_snapshots_are_read_only(cutoff):
+    """The snapshot is the cache's own state: writing into it must fail,
+    and later changes replace the arrays instead of writing into them."""
+    ref, fast = make_pair((4, 2))
+    stream = build_stream([(0, 1, 40, True), (3, 2, 20, False)])
+    with forced(cutoff=cutoff):
+        fast.access_stream(stream)
+    snapshot = fast.state_arrays()
+    saved = [arr.copy() for arr in snapshot]
+    for arr in snapshot:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = arr
+    with forced(cutoff=cutoff):
+        fast.access_stream(build_stream([(100, 1, 30, True)]))
+    fast.flush([0, 1, 2, 3])
+    fast.invalidate(range(100, 110))
+    fast.extract(129)
+    fast.drain()
+    for before, arr in zip(saved, snapshot):
+        assert before.tobytes() == arr.tobytes()
+
+    # A restored snapshot from the reference is adopted read-only too.
+    ref.access_stream(stream)
+    fast.restore_state(ref.state_arrays())
+    assert_same_state(ref, fast)
+    assert not any(arr.flags.writeable for arr in fast.state_arrays())

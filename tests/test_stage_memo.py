@@ -4,18 +4,20 @@ The memo's whole license to exist is that replaying a recorded stage
 memory step is indistinguishable — down to the serialized v2-full bytes —
 from recomputing it.  The property test here drives that from arbitrary
 interleavings of runs (and therefore arbitrary hit/miss patterns against
-the shared process-wide memo); the env-gated differential
-(``REPRO_MEMO_DIFFERENTIAL=1``, the CI ``memo-differential`` job) pins an
-8-benchmark memo-on/off matrix.  The rest covers the key's
-:data:`~repro.sim.engine.ENGINE_VERSION` invalidation (shared with the
-persistent :mod:`repro.sim.resultcache`), cross-implementation entry
-sharing, the option plumbing, and the bounded-memory wholesale clear.
+the shared process-wide memo) and page-fault configurations; the
+env-gated differential (``REPRO_MEMO_DIFFERENTIAL=1``, the CI
+``memo-differential`` job) pins an 8-benchmark memo-on/off matrix.  The
+rest covers the key's :data:`~repro.sim.engine.ENGINE_VERSION`
+invalidation (shared with the persistent :mod:`repro.sim.resultcache`),
+sharing entries across fault timings and cache implementations, snapshot
+immutability, the option plumbing, and the bounded-memory wholesale clear.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.system import discrete_gpu_system, heterogeneous_processor
+from repro.config.system import (
+    PageFaultConfig,
+    discrete_gpu_system,
+    heterogeneous_processor,
+)
 from repro.experiments.parallel import COPY, LIMITED, _simulate_version, _system_for
 from repro.sim import engine as engine_mod
 from repro.sim.engine import SimOptions
@@ -37,6 +43,7 @@ from repro.sim.memo import (
 )
 from repro.sim.resultcache import cache_key
 from repro.sim.serialize import result_to_full_dict
+from repro.units import MICROSECONDS
 from repro.workloads.registry import get
 
 from tests.conftest import TINY_SCALE
@@ -63,6 +70,20 @@ DIFFERENTIAL_BENCHMARKS = (
 
 RUN_MEMO_DIFFERENTIAL = bool(os.environ.get("REPRO_MEMO_DIFFERENTIAL"))
 
+_DEFAULT_FAULTS = PageFaultConfig()
+
+#: Page-fault configurations of the heterogeneous system: the default,
+#: other timings (which share stage-memo entries with it), fault handling
+#: off, and a different page size.
+FAULT_CONFIGS = (
+    _DEFAULT_FAULTS,
+    PageFaultConfig(service_latency_s=1 * MICROSECONDS),
+    PageFaultConfig(service_latency_s=20 * MICROSECONDS),
+    PageFaultConfig(hidden_parallelism=2.0, serialization_penalty=7.0),
+    PageFaultConfig(enabled=False),
+    PageFaultConfig(page_bytes=8192),
+)
+
 
 def _options(stage_memo: str, impl: str = "fast") -> SimOptions:
     return SimOptions(
@@ -70,8 +91,19 @@ def _options(stage_memo: str, impl: str = "fast") -> SimOptions:
     )
 
 
-def _run(name: str, version: str, stage_memo: str, impl: str = "fast"):
-    system = _system_for(version, _DISCRETE, _HETEROGENEOUS)
+def _run(
+    name: str,
+    version: str,
+    stage_memo: str,
+    impl: str = "fast",
+    faults: PageFaultConfig = _DEFAULT_FAULTS,
+):
+    heterogeneous = (
+        _HETEROGENEOUS
+        if faults == _DEFAULT_FAULTS
+        else heterogeneous_processor(page_faults=faults)
+    )
+    system = _system_for(version, _DISCRETE, heterogeneous)
     result, _wall = _simulate_version(
         get(name), version, system, _options(stage_memo, impl)
     )
@@ -83,9 +115,11 @@ def _payload_bytes(result) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _memo_off_bytes(name: str, version: str) -> bytes:
-    """The ground truth: this (name, version) simulated without the memo."""
-    return _payload_bytes(_run(name, version, "off"))
+def _memo_off_bytes(
+    name: str, version: str, faults: PageFaultConfig = _DEFAULT_FAULTS
+) -> bytes:
+    """The ground truth: this run simulated without the memo."""
+    return _payload_bytes(_run(name, version, "off", faults=faults))
 
 
 # -- bit-exactness ----------------------------------------------------------
@@ -94,7 +128,11 @@ def _memo_off_bytes(name: str, version: str) -> bytes:
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(POOL), st.sampled_from((COPY, LIMITED))),
+        st.tuples(
+            st.sampled_from(POOL),
+            st.sampled_from((COPY, LIMITED)),
+            st.sampled_from(FAULT_CONFIGS),
+        ),
         min_size=1,
         max_size=6,
     )
@@ -105,11 +143,35 @@ def test_any_interleaving_matches_memo_off(sequence):
     The shared memo is deliberately *not* cleared between examples: each
     run executes against whatever entries previous examples left behind,
     so the hit/miss pattern varies arbitrarily — which is exactly the
-    claim under test, that memo state can never leak into results.
+    claim under test, that memo state can never leak into results.  Runs
+    differing only in fault timing replay each other's entries, so their
+    fault service time must still come out of their own configuration.
     """
-    for name, version in sequence:
-        got = _payload_bytes(_run(name, version, "on"))
-        assert got == _memo_off_bytes(name, version), (name, version)
+    for name, version, faults in sequence:
+        got = _payload_bytes(_run(name, version, "on", faults=faults))
+        assert got == _memo_off_bytes(name, version, faults), (
+            name,
+            version,
+            faults,
+        )
+
+
+def test_fault_timing_shares_entries():
+    """A second fault latency replays every stage of the first run's
+    entries (the key holds fault behaviour, not timing), and still yields
+    its own memo-off bytes."""
+    quick = PageFaultConfig(service_latency_s=2 * MICROSECONDS)
+    slow = PageFaultConfig(service_latency_s=10 * MICROSECONDS)
+    clear_shared_stage_memo()
+    memo = shared_stage_memo()
+    first = _run("rodinia/srad", LIMITED, "on", faults=quick)
+    before = memo.stats.snapshot()
+    second = _run("rodinia/srad", LIMITED, "on", faults=slow)
+    after = memo.stats.snapshot()
+    assert after[1] == before[1], "no stage may miss"
+    assert after[0] > before[0]
+    assert second.roi_s > first.roi_s, "fault time must follow the config"
+    assert _payload_bytes(second) == _memo_off_bytes("rodinia/srad", LIMITED, slow)
 
 
 @pytest.mark.skipif(
@@ -214,6 +276,53 @@ def test_reference_run_replays_fast_recorded_entries():
     assert final[0] > mid[0], "reference must hit fast-recorded entries"
     assert final[1] == mid[1]
     assert _payload_bytes(result) == _memo_off_bytes("rodinia/srad", COPY)
+
+
+def test_replayed_snapshots_stay_intact(monkeypatch):
+    """Replaying an entry hands its cache-state arrays to the live caches
+    without a copy; the stages the engine then simulates live must leave
+    every stored snapshot byte-identical."""
+    stored = []
+    hits = []
+    real_store, real_lookup = StageMemo.store, StageMemo.lookup
+
+    def store(self, key, entry):
+        stored.append(entry)
+        real_store(self, key, entry)
+
+    def lookup(self, key):
+        entry = real_lookup(self, key)
+        hits.append(entry is not None)
+        return entry
+
+    monkeypatch.setattr(StageMemo, "store", store)
+    monkeypatch.setattr(StageMemo, "lookup", lookup)
+    clear_shared_stage_memo()
+    spec = get("lonestar/bfs")
+    seed_8 = replace(_options("on"), seed=8)
+    _simulate_version(spec, COPY, _DISCRETE, _options("on"))
+    recorded = [
+        [arr.tobytes() for state in entry.cache_states for arr in state]
+        for entry in stored
+    ]
+    assert all(
+        not arr.flags.writeable
+        for entry in stored
+        for state in entry.cache_states
+        for arr in state
+    )
+    hits.clear()
+    # Another seed replays the RNG-free stages and simulates the rest live.
+    result, _wall = _simulate_version(spec, COPY, _DISCRETE, seed_8)
+    assert any(hit and not then for hit, then in zip(hits, hits[1:]))
+    for entry, before in zip(stored, recorded):
+        assert [
+            arr.tobytes() for state in entry.cache_states for arr in state
+        ] == before
+    memo_off, _wall = _simulate_version(
+        spec, COPY, _DISCRETE, replace(seed_8, stage_memo="off")
+    )
+    assert _payload_bytes(result) == _payload_bytes(memo_off)
 
 
 # -- counters and bounds ----------------------------------------------------

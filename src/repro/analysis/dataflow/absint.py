@@ -38,11 +38,12 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.happens import HappensBefore
 from repro.analysis.dataflow.lattice import (
+    EMPTY_SET,
     WIDEN_LIMIT,
     IntervalSet,
 )
 from repro.pipeline.graph import Pipeline
-from repro.pipeline.stage import BufferAccess, Stage, StageKind
+from repro.pipeline.stage import BufferAccess, Region, Stage, StageKind
 
 #: Sentinel writer name used when widening collapses too many distinct
 #: writers of one buffer into a single may-reach fact.  Provenance queries
@@ -143,6 +144,14 @@ class DataflowAnalysis:
         #: defs_in[stage][buffer] -> {writer: region} may-reach at entry.
         self._defs_in: Dict[str, Dict[str, Dict[str, IntervalSet]]] = {}
         self._run_reaching()
+        #: buffer -> {stage: union of its writes / reads}, in
+        #: ``pipeline.stages`` order, so a liveness query scans only the
+        #: queried buffer's writers and readers.
+        self._writes = _access_index(pipeline, write=True)
+        self._reads = _access_index(pipeline, write=False)
+        self._observers: Dict[
+            Tuple[str, str, Region], List[Tuple[str, IntervalSet]]
+        ] = {}
 
     # -- the forward fixpoint -------------------------------------------------
 
@@ -182,10 +191,7 @@ class DataflowAnalysis:
             present = grouped.get(key)
             grouped[key] = region if present is None else present.union(region)
         if len(grouped) > WIDEN_LIMIT:
-            union = IntervalSet()
-            for region in grouped.values():
-                union = union.union(region)
-            return {MANY_WRITERS: union.hull()}
+            return {MANY_WRITERS: IntervalSet.union_all(grouped.values()).hull()}
         return {key: region.widen() for key, region in grouped.items()}
 
     def _run_reaching(self) -> None:
@@ -235,19 +241,11 @@ class DataflowAnalysis:
 
     def read_set(self, stage: Stage, buffer: str) -> IntervalSet:
         """Union of regions ``stage`` reads from ``buffer``."""
-        out = IntervalSet()
-        for access in stage.reads:
-            if access.buffer == buffer:
-                out = out.union(_access_set(access))
-        return out
+        return self._reads.get(buffer, {}).get(stage.name, EMPTY_SET)
 
     def write_set(self, stage: Stage, buffer: str) -> IntervalSet:
         """Union of regions ``stage`` writes to ``buffer``."""
-        out = IntervalSet()
-        for access in stage.writes:
-            if access.buffer == buffer:
-                out = out.union(_access_set(access))
-        return out
+        return self._writes.get(buffer, {}).get(stage.name, EMPTY_SET)
 
     def communicated_bytes(
         self, producer: Stage, consumer: Stage, buffer: str
@@ -278,27 +276,29 @@ class DataflowAnalysis:
         Each entry is ``(observer, part)``: the sub-region of ``access``
         that reaches ``observer`` un-overwritten.  An empty list means the
         write is dead — nothing the pipeline's outside can see depends on
-        those bytes.
+        those bytes.  Memoized per (writer, buffer, region), so the defect
+        rules share one computation.
         """
+        key = (writer, access.buffer, access.region)
+        observers = self._observers.get(key)
+        if observers is None:
+            observers = self._observers[key] = self._observe(writer, access)
+        return list(observers)
+
+    def _observe(
+        self, writer: str, access: BufferAccess
+    ) -> List[Tuple[str, IntervalSet]]:
         buffer = access.buffer
         written = _access_set(access)
         observers: List[Tuple[str, IntervalSet]] = []
-        for reader in self.pipeline.stages:
-            if reader.name == writer:
+        for reader, read_set in self._reads.get(buffer, {}).items():
+            if reader == writer:
                 continue
-            read_parts = [
-                _access_set(a) for a in reader.reads if a.buffer == buffer
-            ]
-            if not read_parts:
-                continue
-            read_set = IntervalSet()
-            for part in read_parts:
-                read_set = read_set.union(part)
-            if writer in self.hb.ancestors(reader.name):
+            if writer in self.hb.ancestors(reader):
                 visible = written.subtract(
-                    self._kills_between(writer, reader.name, buffer)
+                    self._kills_between(writer, reader, buffer)
                 )
-            elif self.hb.concurrent(writer, reader.name):
+            elif self.hb.concurrent(writer, reader):
                 # A racy read may still observe the bytes; the hazard
                 # rules flag the race, liveness stays conservative.
                 visible = written
@@ -306,7 +306,7 @@ class DataflowAnalysis:
                 continue  # reader precedes writer
             part = visible.intersect(read_set)
             if not part.is_empty:
-                observers.append((reader.name, part))
+                observers.append((reader, part))
         if buffer in self._outputs:
             final = written.subtract(self._kills_between(writer, None, buffer))
             if not final.is_empty:
@@ -318,26 +318,23 @@ class DataflowAnalysis:
     ) -> IntervalSet:
         """Union of regions definitely overwritten after ``writer`` and
         (when given) before ``reader``."""
-        killed = IntervalSet()
-        for stage in self.pipeline.stages:
-            if stage.name in (writer, reader):
-                continue
-            if writer not in self.hb.ancestors(stage.name):
-                continue
-            if reader is not None and stage.name not in self.hb.ancestors(reader):
-                continue
-            for access in stage.writes:
-                if access.buffer == buffer:
-                    killed = killed.union(_access_set(access))
+        before_reader = self.hb.ancestors(reader) if reader is not None else None
+        killed = IntervalSet.union_all(
+            written
+            for stage, written in self._writes.get(buffer, {}).items()
+            if stage != writer
+            and stage != reader
+            and writer in self.hb.ancestors(stage)
+            and (before_reader is None or stage in before_reader)
+        )
         return killed.widen()
 
     def dead_region(self, writer: str, access: BufferAccess) -> IntervalSet:
         """The sub-region of a write no observer can see."""
-        written = _access_set(access)
-        live = IntervalSet()
-        for _observer, part in self.observers_of_write(writer, access):
-            live = live.union(part)
-        return written.subtract(live)
+        live = IntervalSet.union_all(
+            part for _observer, part in self.observers_of_write(writer, access)
+        )
+        return _access_set(access).subtract(live)
 
     # -- copy provenance ------------------------------------------------------
 
@@ -355,10 +352,7 @@ class DataflowAnalysis:
         while True:
             if current.kind is not StageKind.COPY or current.src is None:
                 break
-            read_region = IntervalSet()
-            for access in current.reads:
-                if access.buffer == current.src:
-                    read_region = read_region.union(_access_set(access))
+            read_region = self.read_set(current, current.src)
             producer = self.sole_writer(current.name, current.src, read_region)
             if producer is None or producer in seen:
                 break
@@ -457,6 +451,23 @@ class DataflowAnalysis:
 
     def footprints(self) -> Dict[str, StageFootprint]:
         return {s.name: self.footprint(s) for s in self.pipeline.stages}
+
+
+def _access_index(
+    pipeline: Pipeline, write: bool
+) -> Dict[str, Dict[str, IntervalSet]]:
+    """buffer -> {stage: union of its writes (or reads)}, in stage order."""
+    parts: Dict[str, Dict[str, List[IntervalSet]]] = {}
+    for stage in pipeline.stages:
+        for access in stage.writes if write else stage.reads:
+            by_stage = parts.setdefault(access.buffer, {})
+            by_stage.setdefault(stage.name, []).append(_access_set(access))
+    return {
+        buffer: {
+            stage: IntervalSet.union_all(sets) for stage, sets in by_stage.items()
+        }
+        for buffer, by_stage in parts.items()
+    }
 
 
 def _closure_without_edge(

@@ -51,6 +51,17 @@ class IntervalSet:
         return IntervalSet(tuple(merged))
 
     @staticmethod
+    def union_all(parts: Iterable["IntervalSet"]) -> "IntervalSet":
+        """Join of many sets in one canonicalizing pass.
+
+        Equal to folding :meth:`union` over ``parts`` (merging is
+        insensitive to pre-merged groups), without the per-step re-sorts.
+        """
+        return IntervalSet.from_pairs(
+            pair for part in parts for pair in part.intervals
+        )
+
+    @staticmethod
     def from_region(region: Region) -> "IntervalSet":
         return IntervalSet(((region.start, region.end),))
 

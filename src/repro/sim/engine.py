@@ -55,8 +55,8 @@ from repro.sim.pagefault import PageFaultModel, premapped_pages
 from repro.sim.pcie import CopyEngine
 from repro.sim.results import Interval, SimResult, StageRecord
 from repro.sim.timing import StageTiming, compute_stage_timing
-from repro.trace.generator import TraceGenerator
-from repro.trace.stream import AccessStream
+from repro.trace.generator import StageTrace, TraceGenerator
+from repro.trace.stream import AccessStream, sorted_unique
 
 _COMPONENT_OF_KIND = {
     StageKind.CPU: Component.CPU,
@@ -349,10 +349,16 @@ class Engine:
         mem = self.caches.process_compute(stream, ordinal, component)
         return mem, fault_tuple
 
+    def _stream_key(self, stage: Stage, trace: StageTrace) -> tuple:
+        """The stage's trace key, built here only without a trace memo."""
+        if trace.key is not None:
+            return trace.key
+        return self.tracegen.stage_key(stage)
+
     def _compute_memory_step(
         self,
         stage: Stage,
-        stream: AccessStream,
+        trace: StageTrace,
         component: Component,
         ordinal: int,
     ) -> Tuple[DomainResult, float, int, int]:
@@ -361,6 +367,7 @@ class Engine:
         Returns (mem, fault service seconds, fault count, zeroed blocks).
         """
         memo = self.stage_memo
+        stream = trace.stream
         if memo is None or not len(stream):
             mem, fault_tuple = self._compute_memory_live(
                 stage, stream, component, ordinal
@@ -369,7 +376,7 @@ class Engine:
             involved = self._memo_caches(component)
             key = self._memo_key(
                 ("compute", component.value),
-                self.tracegen._stage_key(stage),
+                self._stream_key(stage, trace),
                 involved,
                 with_faults=True,
             )
@@ -394,6 +401,7 @@ class Engine:
     def _copy_memory_step(
         self,
         stage: Stage,
+        trace: StageTrace,
         src_blocks: np.ndarray,
         dst_blocks: np.ndarray,
         ordinal: int,
@@ -405,7 +413,7 @@ class Engine:
         involved = self._memo_caches(None)
         key = self._memo_key(
             ("copy",),
-            self.tracegen._stage_key(stage),
+            self._stream_key(stage, trace),
             involved,
             with_faults=False,
         )
@@ -524,7 +532,9 @@ class Engine:
             stage_arr = stage_arr[:0]
             comp_arr = comp_arr[:0]
         touched_final = {
-            comp: _sorted_union(list(parts.values()))
+            comp: sorted_unique(np.concatenate(list(parts.values())))
+            if parts
+            else np.empty(0, np.int64)
             for comp, parts in touched.items()
         }
         # Drain writebacks belong to the final logical stage for distance math.
@@ -582,7 +592,9 @@ class Engine:
         if stage.kind is StageKind.COPY:
             src_blocks = stream.blocks[~stream.is_write]
             dst_blocks = stream.blocks[stream.is_write]
-            mem = self._copy_memory_step(stage, src_blocks, dst_blocks, ordinal)
+            mem = self._copy_memory_step(
+                stage, trace, src_blocks, dst_blocks, ordinal
+            )
             share = self.memory.effective_bandwidth(component, active)
             pool_fraction = share.bytes_per_second / max(
                 self.memory.pool_of(component).achievable_bandwidth, 1e-30
@@ -685,7 +697,7 @@ class Engine:
             )
 
         mem, fault_service, fault_count, zeroed_count = self._compute_memory_step(
-            stage, stream, component, ordinal
+            stage, trace, component, ordinal
         )
         share = self.memory.effective_bandwidth(component, active)
         share = self._refine_bandwidth(share, component, mem, ordinal, start)
@@ -889,24 +901,6 @@ class Engine:
                 )
             written_per_cache.append(arr)
         return written_per_cache
-
-
-def _sorted_union(parts: List[np.ndarray]) -> np.ndarray:
-    """Sorted union of sorted unique id arrays, as a fresh array.
-
-    One comparison sort plus an adjacent-difference mask; numpy's
-    ``np.unique`` hashes instead and is an order of magnitude slower here.
-    """
-    if not parts:
-        return np.empty(0, np.int64)
-    merged = np.concatenate(parts)
-    if len(parts) == 1:
-        return merged
-    merged.sort()
-    keep = np.empty(len(merged), dtype=bool)
-    keep[0] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
 
 
 def simulate(

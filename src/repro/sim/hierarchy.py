@@ -22,7 +22,7 @@ import numpy as np
 from repro.config.components import CacheConfig
 from repro.sim.cache import SetAssocCache
 from repro.sim.fastcache import FastSetAssocCache
-from repro.trace.stream import AccessStream
+from repro.trace.stream import AccessStream, sorted_unique
 
 #: Selectable cache-simulation implementations.  ``reference`` is the
 #: plain-Python model of :mod:`repro.sim.cache`; ``fast`` is the
@@ -255,13 +255,13 @@ class Domain:
         """Sorted unique lookup blocks, in whichever form the impl prefers.
 
         Copy streams are usually already sorted runs of block ids, so the
-        hash-based ``np.unique`` is skipped when a cheap monotonicity check
-        passes.  The fast impl narrows lookups vectorized and prefers the
-        ndarray; the reference loop is faster over a plain list.
+        sort is skipped when a cheap monotonicity check passes.  The fast
+        impl narrows lookups vectorized and prefers the ndarray; the
+        reference loop is faster over a plain list.
         """
         arr = np.asarray(blocks, dtype=np.int64)
         if len(arr) > 1 and not np.all(arr[1:] > arr[:-1]):
-            arr = np.unique(arr)
+            arr = sorted_unique(arr)
         if self.impl == "fast":
             return arr
         return arr.tolist()

@@ -2,7 +2,7 @@
 
 from repro.trace.alignment import MISALIGN_EXTRA_PASSES, apply_misalignment
 from repro.trace.generator import BufferLayout, StageTrace, TraceGenerator
-from repro.trace.stream import AccessStream, concatenate, interleave
+from repro.trace.stream import AccessStream, concatenate, interleave, sorted_unique
 
 __all__ = [
     "AccessStream",
@@ -13,4 +13,5 @@ __all__ = [
     "apply_misalignment",
     "concatenate",
     "interleave",
+    "sorted_unique",
 ]

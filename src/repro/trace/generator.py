@@ -19,7 +19,7 @@ from repro.pipeline.graph import Pipeline
 from repro.pipeline.patterns import AccessPattern
 from repro.pipeline.stage import BufferAccess, Stage, StageKind
 from repro.trace.alignment import apply_misalignment
-from repro.trace.stream import AccessStream, interleave
+from repro.trace.stream import AccessStream, interleave, sorted_unique
 
 #: Fraction of graph-pattern accesses that hit the "hot" high-degree blocks.
 GRAPH_HOT_ACCESS_FRACTION = 0.3
@@ -86,7 +86,7 @@ class BufferLayout:
 
     def pages_of(self, blocks: np.ndarray) -> np.ndarray:
         """Unique page ids covering the given block ids."""
-        return np.unique(blocks // self.blocks_per_page)
+        return sorted_unique(blocks // self.blocks_per_page)
 
 
 def _stable_seed(*parts: object) -> int:
@@ -172,9 +172,11 @@ class StageTrace:
     unique_blocks: int
     bytes_touched: int
     #: Sorted unique block ids of the stream (consumers needing the footprint
-    #: reuse this instead of recomputing ``np.unique``).  Shared, do not
-    #: mutate.
+    #: reuse this instead of recomputing it).  Shared, do not mutate.
     unique_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    #: :meth:`TraceGenerator.stage_key` of the stage when the generator has
+    #: a memo (which keys on it), else None.
+    key: Optional[Tuple] = None
 
 
 class TraceGenerator:
@@ -272,7 +274,7 @@ class TraceGenerator:
             self._memo_put(key, part)
         return part
 
-    def _stage_key(self, stage: Stage) -> Tuple:
+    def stage_key(self, stage: Stage) -> Tuple:
         """A whole stage's trace is determined by its parts' keys in order."""
         return ("stage",) + tuple(
             self._part_key(stage, access, index + offset, is_write)
@@ -289,7 +291,7 @@ class TraceGenerator:
             # Iterated pipelines replay identical stages many times; the
             # interleave and the unique-block count both memoize at stage
             # granularity on top of the per-part memo.
-            stage_key = self._stage_key(stage)
+            stage_key = self.stage_key(stage)
             cached = self.memo.get(stage_key)
             if cached is not None:
                 return cached
@@ -301,14 +303,13 @@ class TraceGenerator:
         for index, access in enumerate(stage.writes):
             parts.append(self._part(stage, access, 1000 + index, is_write=True))
         stream = interleave(parts)
-        unique_ids = (
-            np.unique(stream.blocks) if len(stream) else np.empty(0, np.int64)
-        )
+        unique_ids = sorted_unique(stream.blocks)
         trace = StageTrace(
             stream=stream,
             unique_blocks=len(unique_ids),
             bytes_touched=len(unique_ids) * self.layout.line_bytes,
             unique_ids=unique_ids,
+            key=stage_key,
         )
         if stage_key is not None:
             self._memo_put(stage_key, trace)

@@ -167,6 +167,15 @@ class TestDeterminism:
         t2 = TraceGenerator(pipeline, seed=2).stage_trace(stage)
         assert not np.array_equal(t1.stream.blocks, t2.stream.blocks)
 
+    def test_trace_carries_its_stage_key_under_a_memo(self):
+        stage = gpu_stage(BufferAccess("a", AccessPattern.RANDOM, passes=2.0))
+        pipeline = pipeline_with(stage, {"a": 64 * KB})
+        memoized = TraceGenerator(pipeline, seed=3, memo={})
+        trace = memoized.stage_trace(stage)
+        assert trace.key == memoized.stage_key(stage)
+        assert memoized.stage_trace(stage) is trace
+        assert TraceGenerator(pipeline, seed=3).stage_trace(stage).key is None
+
 
 class TestMisalignment:
     def test_apply_misalignment_inflates_stream(self):

@@ -2,8 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.trace.stream import AccessStream, concatenate, interleave
+from repro.trace.stream import AccessStream, concatenate, interleave, sorted_unique
+
+_int64 = st.integers(-(2**63), 2**63 - 1)
+#: Empty, single, arbitrary, already-sorted and duplicate-heavy id lists.
+_id_lists = st.one_of(
+    st.just([]),
+    st.lists(_int64, min_size=1, max_size=1),
+    st.lists(_int64, max_size=64),
+    st.lists(st.integers(-1000, 1000), max_size=64).map(sorted),
+    st.lists(st.integers(0, 3), min_size=2, max_size=200),
+)
 
 
 class TestAccessStream:
@@ -20,6 +32,16 @@ class TestAccessStream:
     def test_unique_blocks(self):
         stream = AccessStream.of([5, 1, 5, 2])
         assert list(stream.unique_blocks()) == [1, 2, 5]
+
+    @given(ids=_id_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_unique_blocks_match_np_unique(self, ids):
+        arr = np.asarray(ids, dtype=np.int64)
+        expected = np.unique(arr)
+        for got in (sorted_unique(arr), AccessStream.of(ids).unique_blocks()):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert not np.shares_memory(got, arr)
 
     def test_empty(self):
         stream = AccessStream.empty()

@@ -10,13 +10,7 @@ class TestCacheSizeAblation:
     def rows(self, bench_options):
         return ablations.cache_size_sweep(options=bench_options)
 
-    def test_bench(self, benchmark, bench_options, rows, save_result):
-        benchmark.pedantic(
-            ablations.cache_size_sweep,
-            kwargs={"options": bench_options},
-            rounds=1,
-            iterations=1,
-        )
+    def test_bench(self, rows, save_result):
         save_result(
             "ablation_cache_size",
             "\n".join(
@@ -38,13 +32,7 @@ class TestPageFaultAblation:
     def rows(self, bench_options):
         return ablations.pagefault_sweep(options=bench_options)
 
-    def test_bench(self, benchmark, bench_options, rows, save_result):
-        benchmark.pedantic(
-            ablations.pagefault_sweep,
-            kwargs={"options": bench_options},
-            rounds=1,
-            iterations=1,
-        )
+    def test_bench(self, rows, save_result):
         save_result(
             "ablation_pagefault",
             "\n".join(
@@ -66,13 +54,8 @@ class TestPageFaultAblation:
 
 
 class TestAlignmentAblation:
-    def test_bench(self, benchmark, bench_options, save_result):
-        row = benchmark.pedantic(
-            ablations.alignment_ablation,
-            kwargs={"options": bench_options},
-            rounds=1,
-            iterations=1,
-        )
+    def test_bench(self, bench_options, save_result):
+        row = ablations.alignment_ablation(options=bench_options)
         assert row.inflation > 0.03
         save_result(
             "ablation_alignment",
@@ -87,13 +70,7 @@ class TestDynamicParallelismAblation:
     def rows(self, bench_options):
         return ablations.dynamic_parallelism_sweep(options=bench_options)
 
-    def test_bench(self, benchmark, bench_options, rows, save_result):
-        benchmark.pedantic(
-            ablations.dynamic_parallelism_sweep,
-            kwargs={"options": bench_options},
-            rounds=1,
-            iterations=1,
-        )
+    def test_bench(self, rows, save_result):
         save_result(
             "ablation_dynamic_parallelism",
             "\n".join(
@@ -119,13 +96,7 @@ class TestPcieAblation:
     def rows(self, bench_options):
         return ablations.pcie_sweep(options=bench_options)
 
-    def test_bench(self, benchmark, bench_options, rows, save_result):
-        benchmark.pedantic(
-            ablations.pcie_sweep,
-            kwargs={"options": bench_options},
-            rounds=1,
-            iterations=1,
-        )
+    def test_bench(self, rows, save_result):
         save_result(
             "ablation_pcie",
             "\n".join(

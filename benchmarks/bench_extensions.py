@@ -27,11 +27,8 @@ class TestKernelFusionBench:
         fused = simulate(fused_pipeline, system, bench_options)
         return limited, fused_pipeline, baseline, fused
 
-    def test_bench(self, benchmark, bench_options, fused_pair, save_result):
+    def test_bench(self, fused_pair, save_result):
         limited, fused_pipeline, baseline, fused = fused_pair
-        benchmark.pedantic(
-            fuse_kernels, args=(limited,), rounds=1, iterations=1
-        )
         save_result(
             "extension_fusion",
             f"srad limited-copy: {len(limited.stages)} stages -> "
@@ -64,21 +61,15 @@ class TestKernelFusionBench:
 
 
 class TestCpuMigrationBench:
-    def test_bench(self, benchmark, bench_options, save_result):
+    def test_bench(self, bench_options, save_result):
         # Barnes-Hut has kernels of widely varying size (tree build vs force
         # calculation) — exactly the Section VI migration candidate shape.
         limited = remove_copies(get("lonestar/bh").pipeline())
         system = heterogeneous_processor()
         baseline = simulate(limited, system, bench_options)
         threshold = max(s.flops for s in limited.stages) * 0.2
-
-        def transform_and_run():
-            migrated = migrate_kernels_to_cpu(limited, max_flops=threshold)
-            return simulate(migrated, system, bench_options)
-
-        migrated_result = benchmark.pedantic(
-            transform_and_run, rounds=1, iterations=1
-        )
+        migrated = migrate_kernels_to_cpu(limited, max_flops=threshold)
+        migrated_result = simulate(migrated, system, bench_options)
         cpu_flops = migrated_result.flops_by_component[Component.CPU]
         save_result(
             "extension_cpu_migration",
@@ -90,7 +81,7 @@ class TestCpuMigrationBench:
 
 
 class TestOccupancyBench:
-    def test_bench(self, benchmark, bench_options, save_result):
+    def test_bench(self, bench_options, save_result):
         from repro.pipeline.builder import PipelineBuilder
         from repro.units import MB
 
@@ -111,10 +102,6 @@ class TestOccupancyBench:
         for regs in (16, 24, 40, 64, 120):
             result = simulate(build(regs), system, bench_options)
             rows.append((regs, result.roi_s))
-        benchmark.pedantic(
-            simulate, args=(build(24), system, bench_options), rounds=1,
-            iterations=1,
-        )
         save_result(
             "extension_occupancy",
             "\n".join(
@@ -127,17 +114,14 @@ class TestOccupancyBench:
 
 
 class TestRowModelBench:
-    def test_bench(self, benchmark, bench_options, save_result):
+    def test_bench(self, bench_options, save_result):
         pipeline = get("pannotia/pr").pipeline()
         system = discrete_gpu_system()
         flat = simulate(pipeline, system, bench_options)
         row_options = SimOptions(
             scale=bench_options.scale, dram_row_model=True
         )
-        row = benchmark.pedantic(
-            simulate, args=(pipeline, system, row_options), rounds=1,
-            iterations=1,
-        )
+        row = simulate(pipeline, system, row_options)
         save_result(
             "extension_dram_row",
             f"pannotia/pr: flat-efficiency runtime {flat.roi_s:.6f}s, "
@@ -148,10 +132,8 @@ class TestRowModelBench:
 
 
 class TestAdvisorBench:
-    def test_bench(self, benchmark, runner, save_result):
-        report = benchmark.pedantic(
-            advise, args=(get("rodinia/srad"), runner), rounds=1, iterations=1
-        )
+    def test_bench(self, runner, save_result):
+        report = advise(get("rodinia/srad"), runner)
         assert report.top is not None
         assert report.top.optimization is Optimization.FAULT_HANDLING
         save_result("extension_advisor_srad", report.render())

@@ -16,8 +16,7 @@ def rows(bench_options):
     return fig3.run(bench_options)
 
 
-def test_fig3_kmeans_case_study(benchmark, rows, bench_options, save_result):
-    benchmark.pedantic(fig3.run, args=(bench_options,), rounds=1, iterations=1)
+def test_fig3_kmeans_case_study(rows, bench_options, save_result):
     assert [r.organization for r in rows] == list(ORGANIZATIONS)
     save_result("fig3_kmeans_case_study", fig3.render(bench_options))
 

@@ -11,8 +11,7 @@ def rows(runner):
     return fig4.run(runner)
 
 
-def test_fig4_footprint(benchmark, runner, rows, save_result):
-    benchmark.pedantic(fig4.run, args=(runner,), rounds=1, iterations=1)
+def test_fig4_footprint(runner, rows, save_result):
     assert len(rows) == 46
     save_result("fig4_footprint", fig4.render(runner))
 

@@ -11,8 +11,7 @@ def rows(runner):
     return fig5.run(runner)
 
 
-def test_fig5_memory_accesses(benchmark, runner, rows, save_result):
-    benchmark.pedantic(fig5.run, args=(runner,), rounds=1, iterations=1)
+def test_fig5_memory_accesses(runner, rows, save_result):
     assert len(rows) == 46
     save_result("fig5_memory_accesses", fig5.render(runner))
 

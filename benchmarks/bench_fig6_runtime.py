@@ -10,8 +10,7 @@ def rows(runner):
     return fig6.run(runner)
 
 
-def test_fig6_runtime(benchmark, runner, rows, save_result):
-    benchmark.pedantic(fig6.run, args=(runner,), rounds=1, iterations=1)
+def test_fig6_runtime(runner, rows, save_result):
     assert len(rows) == 46
     save_result("fig6_runtime", fig6.render(runner))
 

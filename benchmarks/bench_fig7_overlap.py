@@ -11,8 +11,7 @@ def rows(runner):
     return fig7.run(runner)
 
 
-def test_fig7_overlap(benchmark, runner, rows, save_result):
-    benchmark.pedantic(fig7.run, args=(runner,), rounds=1, iterations=1)
+def test_fig7_overlap(runner, rows, save_result):
     assert len(rows) == 46
     save_result("fig7_overlap", fig7.render(runner))
 

@@ -11,8 +11,7 @@ def rows(runner):
     return fig8.run(runner)
 
 
-def test_fig8_migrate(benchmark, runner, rows, save_result):
-    benchmark.pedantic(fig8.run, args=(runner,), rounds=1, iterations=1)
+def test_fig8_migrate(runner, rows, save_result):
     assert len(rows) == 46
     save_result("fig8_migrate", fig8.render(runner))
 

@@ -11,8 +11,7 @@ def rows(runner):
     return fig9.run(runner)
 
 
-def test_fig9_access_classes(benchmark, runner, rows, save_result):
-    benchmark.pedantic(fig9.run, args=(runner,), rounds=1, iterations=1)
+def test_fig9_access_classes(runner, rows, save_result):
     assert len(rows) == 46
     save_result("fig9_access_classes", fig9.render(runner))
 

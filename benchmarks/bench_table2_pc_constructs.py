@@ -3,8 +3,8 @@
 from repro.experiments import table2
 
 
-def test_table2_pc_constructs(benchmark, save_result):
-    rows = benchmark(table2.run)
+def test_table2_pc_constructs(save_result):
+    rows = table2.run()
     assert table2.matches_paper(rows)
     totals = rows[-1]
     assert totals.num == 58

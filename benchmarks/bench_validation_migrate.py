@@ -10,10 +10,7 @@ def rows(runner):
     return validation.validate_migration(runner)
 
 
-def test_validation_migrate(benchmark, runner, rows, save_result):
-    benchmark.pedantic(
-        validation.validate_migration, args=(runner,), rounds=1, iterations=1
-    )
+def test_validation_migrate(rows, save_result):
     assert {r.benchmark for r in rows} == {"rodinia/kmeans", "rodinia/strmclstr"}
     save_result(
         "validation_migrate",

@@ -10,10 +10,7 @@ def rows(runner):
     return validation.validate_overlap(runner)
 
 
-def test_validation_overlap(benchmark, runner, rows, save_result):
-    benchmark.pedantic(
-        validation.validate_overlap, args=(runner,), rounds=1, iterations=1
-    )
+def test_validation_overlap(runner, rows, save_result):
     assert len(rows) == 6  # three benchmarks x two versions
     save_result("validation_overlap", validation.render(runner))
 

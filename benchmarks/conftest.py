@@ -1,8 +1,8 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
 A single session-scoped :class:`SweepRunner` is shared by every bench so
-the 46x2 simulation sweep runs once; each bench then times its figure's
-analysis pass and writes the regenerated rows to ``results/``.
+the 46x2 simulation sweep runs once; each bench then checks its figure's
+claims and writes the regenerated rows to ``results/``.
 
 The runner fans simulations out over every core and persists results to
 the shared sweep cache (``$REPRO_CACHE_DIR`` or ``~/.cache/repro-sweeps``),

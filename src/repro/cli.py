@@ -12,7 +12,6 @@ Commands::
     repro cache [--clear]             # inspect the persistent result cache
     repro bench [--compare BASE]      # engine perf report + regression gate
     repro serve [--port P --jobs N]   # async HTTP/JSON sweep service
-    repro loadtest [--requests N]     # hammer a server, check dedup/latency
     repro lint [BENCHMARK...] [--fix] # static pipeline verification
     repro advise [BENCHMARK] [--static]  # rank optimization opportunities
     repro trace BENCHMARK             # run with the tracing layer attached
@@ -43,8 +42,6 @@ identical output.
 and advisor jobs — validated with the lint preflight, deduplicated by
 content hash against in-flight work, dispatched through the fault
 supervisor, and answered from the shared result cache when warm.
-``repro loadtest`` hammers such a server with concurrent duplicate-and-
-distinct jobs and (with ``--check``) asserts dedup and latency bounds.
 
 Sweeps are fault-tolerant (docs/SWEEPS.md): a failing simulation is
 retried (``--max-retries``, capped exponential backoff), a hung worker is
@@ -96,6 +93,7 @@ from repro.workloads.registry import (
     simulatable_specs,
     suite_specs,
 )
+from repro.workloads.spec import BenchmarkSpec
 
 #: Exit status of a sweep that completed with task failures: the results
 #: that did finish were printed/cached, but the run is not clean.
@@ -144,6 +142,16 @@ def _runner(args: argparse.Namespace) -> SweepRunner:
         fault_policy=_fault_policy(args),
         backend=getattr(args, "backend", "local"),
     )
+
+
+def _lookup(command: str, name: str) -> Optional[BenchmarkSpec]:
+    """The benchmark registered as ``name``, or None after printing
+    ``repro <command>: no benchmark named ...`` (callers then exit 2)."""
+    try:
+        return get(name)
+    except KeyError as exc:
+        print(f"repro {command}: {exc.args[0]}", file=sys.stderr)
+        return None
 
 
 def _report_failures(runner: SweepRunner) -> int:
@@ -242,7 +250,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         # The sweep metrics line goes to stderr (verbose runner) so stdout
         # stays byte-identical between cold and warm-cache invocations.
         return _report_failures(runner)
-    spec = get(args.benchmark)
+    spec = _lookup("run", args.benchmark)
+    if spec is None:
+        return 2
     try:
         runner.pair(spec)
     except SweepError:
@@ -390,69 +400,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(app.run_until_shutdown(on_ready=announce))
     except KeyboardInterrupt:
         print("repro serve: interrupted, shutting down", file=sys.stderr)
-    return 0
-
-
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    import asyncio
-    import json as _json
-    from urllib.parse import urlparse
-
-    from repro.serve import LoadTestConfig, ServeClient, check_report, run_loadtest
-    from repro.serve.loadtest import loadtest_in_process, render_report
-
-    if not 0.0 <= args.duplicate_ratio <= 1.0:
-        print(
-            f"repro loadtest: --duplicate-ratio must be in [0, 1], "
-            f"got {args.duplicate_ratio}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.requests < 1:
-        print(
-            f"repro loadtest: --requests must be >= 1, got {args.requests}",
-            file=sys.stderr,
-        )
-        return 2
-    config = LoadTestConfig(
-        requests=args.requests,
-        duplicate_ratio=args.duplicate_ratio,
-        concurrency=args.concurrency,
-        benchmarks=tuple(args.benchmark) if args.benchmark else ("rodinia/kmeans",),
-        scale=args.scale,
-        warm_requests=args.warm_requests,
-        seed=args.seed,
-        job_timeout_s=args.job_timeout,
-    )
-    if args.url:
-        target = urlparse(args.url if "//" in args.url else f"//{args.url}")
-        if not target.hostname or not target.port:
-            print(
-                f"repro loadtest: cannot parse host:port from {args.url!r}",
-                file=sys.stderr,
-            )
-            return 2
-        client = ServeClient(
-            target.hostname, target.port, timeout_s=config.job_timeout_s
-        )
-        report = asyncio.run(run_loadtest(client, config))
-    else:
-        report = loadtest_in_process(config)
-    if args.json:
-        print(_json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_report(report))
-    if args.check:
-        problems = check_report(report, warm_p50_bound_s=args.warm_p50_bound)
-        if problems:
-            print(
-                f"repro loadtest: {len(problems)} check(s) failed:",
-                file=sys.stderr,
-            )
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        print("loadtest: dedup and latency checks passed")
     return 0
 
 
@@ -683,22 +630,21 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_advise(args: argparse.Namespace) -> int:
+    spec = None
+    if args.benchmark is not None:
+        spec = _lookup("advise", args.benchmark)
+        if spec is None:
+            return 2
     if args.static:
         from repro.analysis.dataflow import render_static_table, static_advice
 
-        try:
-            if args.benchmark:
-                print(static_advice(get(args.benchmark)).render())
-            else:
-                specs = sorted(
-                    simulatable_specs(), key=lambda s: s.full_name
-                )
-                print(render_static_table([static_advice(s) for s in specs]))
-        except KeyError as exc:
-            print(f"repro advise: {exc.args[0]}", file=sys.stderr)
-            return 2
+        if spec is not None:
+            print(static_advice(spec).render())
+        else:
+            specs = sorted(simulatable_specs(), key=lambda s: s.full_name)
+            print(render_static_table([static_advice(s) for s in specs]))
         return 0
-    if args.benchmark is None:
+    if spec is None:
         print(
             "repro advise: a benchmark name is required unless --static "
             "is given (the static advisor can sweep the whole registry; "
@@ -708,15 +654,16 @@ def cmd_advise(args: argparse.Namespace) -> int:
         return 2
     runner = _runner(args)
     return _render_with_failures(
-        runner,
-        lambda: advisor.advise_benchmark(args.benchmark, runner).render(),
+        runner, lambda: advisor.advise(spec, runner).render()
     )
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.sim.timeline import render_stage_table, render_timeline
 
-    spec = get(args.benchmark)
+    spec = _lookup("timeline", args.benchmark)
+    if spec is None:
+        return 2
     runner = _runner(args)
     version = "limited-copy" if args.limited else "copy"
     try:
@@ -757,7 +704,9 @@ def cmd_run_spec(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from repro.sim.serialize import result_to_json
 
-    spec = get(args.benchmark)
+    spec = _lookup("export", args.benchmark)
+    if spec is None:
+        return 2
     runner = _runner(args)
     version = "limited-copy" if args.limited else "copy"
     try:
@@ -1050,48 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="executor backend job sweeps fan out through "
         "(docs/SWEEPS.md)")
     serve_p.set_defaults(handler=cmd_serve)
-    loadtest_p = sub.add_parser(
-        "loadtest",
-        help="hammer a serve instance with duplicate-and-distinct jobs "
-        "and report dedup/latency (docs/SERVING.md)",
-    )
-    loadtest_p.add_argument(
-        "--url", default=None, metavar="HOST:PORT",
-        help="target server; omit to boot an in-process one")
-    loadtest_p.add_argument(
-        "--requests", type=int, default=200,
-        help="total submissions in the storm phase (default: 200)")
-    loadtest_p.add_argument(
-        "--duplicate-ratio", type=float, default=0.8,
-        help="fraction of requests replaying the hot job (default: 0.8)")
-    loadtest_p.add_argument(
-        "--concurrency", type=int, default=32,
-        help="submissions in flight at once (default: 32)")
-    loadtest_p.add_argument(
-        "--benchmark", action="append", default=None,
-        help="benchmark(s) each sweep job covers (default: rodinia/kmeans)")
-    loadtest_p.add_argument(
-        "--scale", type=float, default=1 / 64,
-        help="footprint scale of the jobs (default: 1/64)")
-    loadtest_p.add_argument(
-        "--warm-requests", type=int, default=20,
-        help="warm-phase repeats of the hot job (default: 20)")
-    loadtest_p.add_argument("--seed", type=int, default=0,
-                            help="shuffle seed for the request mix")
-    loadtest_p.add_argument(
-        "--job-timeout", type=float, default=120.0,
-        help="per-request terminal-status timeout (default: 120s)")
-    loadtest_p.add_argument(
-        "--check", action="store_true",
-        help="exit 1 unless dedup collapsed duplicates, the warm phase "
-        "computed nothing, and warm p50 is under --warm-p50-bound")
-    loadtest_p.add_argument(
-        "--warm-p50-bound", type=float, default=2.0,
-        help="warm-hit p50 outer-time bound for --check (default: 2.0s)")
-    loadtest_p.add_argument(
-        "--json", action="store_true",
-        help="print the full report as JSON instead of the summary")
-    loadtest_p.set_defaults(handler=cmd_loadtest)
     advise_p = add("advise", cmd_advise,
                    "rank optimization opportunities for one benchmark")
     advise_p.add_argument("benchmark", nargs="?", default=None,

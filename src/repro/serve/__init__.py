@@ -4,18 +4,14 @@ The package turns the sweep runner into a long-running service
 (docs/SERVING.md):
 
 * :mod:`repro.serve.schemas` — request validation and the stable error /
-  job / metrics JSON shapes (``repro.serve.*/v1``).
+  job / metrics JSON shapes (``repro.serve.*`` schema tags).
 * :mod:`repro.serve.jobs` — the in-memory job store with content-hash
   single-flight dedup: identical in-flight submissions coalesce into one
   computation.
 * :mod:`repro.serve.app` — the asyncio HTTP server (stdlib only): submit,
   poll, stream progress (SSE), cache stats, health, graceful shutdown.
 * :mod:`repro.serve.client` — an asyncio client plus the in-process
-  :class:`~repro.serve.client.ServerThread` harness the tests and the
-  load-test use.
-* :mod:`repro.serve.loadtest` — the ``repro loadtest`` harness hammering
-  a server with concurrent duplicate-and-distinct jobs and reporting
-  dedup/latency numbers.
+  :class:`~repro.serve.client.ServerThread` harness the tests use.
 """
 
 from repro.serve.app import ServeApp, ServeConfig
@@ -30,7 +26,6 @@ from repro.serve.jobs import (
     Job,
     JobStore,
 )
-from repro.serve.loadtest import LoadTestConfig, check_report, run_loadtest
 from repro.serve.schemas import (
     ERROR_SCHEMA,
     JOB_SCHEMA,
@@ -49,7 +44,6 @@ __all__ = [
     "JobSpec",
     "JobStore",
     "JobValidationError",
-    "LoadTestConfig",
     "PARTIAL",
     "QUEUED",
     "RUNNING",
@@ -59,8 +53,6 @@ __all__ = [
     "ServeHttpError",
     "ServerThread",
     "TERMINAL_STATES",
-    "check_report",
     "error_payload",
-    "run_loadtest",
     "validate_job",
 ]

@@ -1,10 +1,8 @@
 """The asyncio HTTP/JSON server behind ``repro serve`` (docs/SERVING.md).
 
 Stdlib only: requests are parsed straight off asyncio streams, responses
-are JSON with ``Connection: close`` (one request per connection — load
-tests open hundreds of short-lived connections, which is exactly the
-FaaS-launcher shape SHARP measures), and progress streams are
-server-sent events over the same socket.
+are JSON with ``Connection: close`` (one request per connection), and
+progress streams are server-sent events over the same socket.
 
 Endpoints::
 
@@ -14,8 +12,7 @@ Endpoints::
     GET  /v1/jobs/<id>           status + result when terminal
     GET  /v1/jobs/<id>/events    SSE progress stream until terminal
     GET  /v1/cache               ResultCache stats + dedup counters
-    GET  /v1/metrics             per-route outer_time percentiles, queue
-                                 depth, sweep-wide trace totals
+    GET  /v1/metrics             dedup counters + sweep-wide trace totals
     POST /v1/shutdown            graceful shutdown (drains running jobs)
 
 Jobs are validated on submit (``repro lint`` preflight included),
@@ -47,7 +44,7 @@ from repro.experiments.parallel import (
     run_tasks_async,
 )
 from repro.sim.engine import ENGINE_VERSION, SimOptions
-from repro.sim.observe.metrics import MetricsRegistry, ServiceMetrics
+from repro.sim.observe.metrics import MetricsRegistry
 from repro.sim.resultcache import ResultCache, default_cache_dir
 from repro.serve.jobs import DONE, FAILED, PARTIAL, Job, JobStore
 from repro.serve.schemas import (
@@ -77,6 +74,9 @@ _REASONS = {
 #: 1/32 the CLI harness uses (see repro.experiments.runner).
 DEFAULT_SERVE_SCALE = 1 / 32
 
+#: SSE keep-alive interval while a job produces no events.
+SSE_KEEPALIVE_S = 15.0
+
 
 class _HttpError(Exception):
     """An error response decided during request parsing/dispatch."""
@@ -89,7 +89,8 @@ class _HttpError(Exception):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Knobs of one server process (all surfaced on ``repro serve``)."""
+    """Knobs of one server process (each one a ``repro serve`` option,
+    except ``max_body_bytes``)."""
 
     host: str = "127.0.0.1"
     port: int = 8372  # 0 = ephemeral (the in-process test harness)
@@ -100,16 +101,11 @@ class ServeConfig:
     cache_dir: Union[None, str, Path] = None  # None = default location
     no_cache: bool = False
     default_scale: float = DEFAULT_SERVE_SCALE
-    #: Tasks per run_tasks_async chunk (progress-event granularity);
-    #: 0 = auto: two pool-widths per chunk.
-    chunk_size: int = 0
     max_retries: int = 2
     task_timeout_s: Optional[float] = None
     #: Run the lint preflight on every submission.
     lint: bool = True
     max_body_bytes: int = 1 << 20
-    #: SSE keep-alive interval while a job produces no events.
-    sse_keepalive_s: float = 15.0
     #: Executor backend job sweeps fan out through ("local" or
     #: "subprocess" — see docs/SWEEPS.md); results are identical across
     #: them.
@@ -128,10 +124,9 @@ class ServeApp:
         )
         self.store = JobStore()
         self.metrics_registry = MetricsRegistry()
-        self.service_metrics = ServiceMetrics()
         self.discrete = discrete_gpu_system()
         self.heterogeneous = heterogeneous_processor()
-        #: Dedup / work counters (the load test's acceptance numbers).
+        #: Dedup / work counters, served by ``/v1/cache`` and ``/v1/metrics``.
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "coalesced": 0,
@@ -209,9 +204,9 @@ class ServeApp:
 
     # -- job execution -------------------------------------------------------
 
-    def _chunk_size(self, total: int) -> int:
-        if self.config.chunk_size > 0:
-            return self.config.chunk_size
+    def _chunk_size(self) -> int:
+        """Tasks per run_tasks_async chunk (progress-event granularity):
+        two pool-widths, at least four."""
         return max(4, 2 * resolve_jobs(self.config.jobs))
 
     def _options(self, job: Job) -> SimOptions:
@@ -235,7 +230,6 @@ class ServeApp:
             if job_id is None:
                 self._queue.task_done()
                 return
-            self.service_metrics.record_queue_depth(self._queue.qsize())
             job = self.store.get(job_id)
             try:
                 if job is not None:
@@ -281,7 +275,7 @@ class ServeApp:
             metrics_registry=self.metrics_registry,
             policy=policy,
             executor=self._executor,
-            chunk_size=self._chunk_size(len(tasks)),
+            chunk_size=self._chunk_size(),
             progress=progress,
             backend=self.config.backend,
         )
@@ -369,33 +363,27 @@ class ServeApp:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        start = time.perf_counter()
-        route = "<parse-error>"
-        status = 500
         try:
             parsed = await self._read_request(reader)
             if parsed is None:
                 return
             method, path, body = parsed
-            route = self._route_label(method, path)
             if method == "GET" and path.startswith("/v1/jobs/") and path.endswith(
                 "/events"
             ):
                 job_id = path[len("/v1/jobs/") : -len("/events")]
-                status = await self._stream_events(writer, job_id)
+                await self._stream_events(writer, job_id)
             else:
                 status, payload = await self._dispatch(method, path, body)
                 self._write_json(writer, status, payload)
         except _HttpError as exc:
-            status = exc.status
             try:
                 self._write_json(writer, exc.status, exc.payload)
             except (ConnectionError, OSError):
                 pass
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            status = 499  # client went away mid-request
+            pass  # client went away mid-request
         except Exception as exc:  # never leak a traceback to the socket
-            status = 500
             try:
                 self._write_json(
                     writer,
@@ -413,9 +401,6 @@ class ServeApp:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-            self.service_metrics.record_request(
-                route, status, time.perf_counter() - start
-            )
 
     async def _read_request(
         self, reader: asyncio.StreamReader
@@ -457,15 +442,6 @@ class ServeApp:
             )
         body = await reader.readexactly(length) if length else b""
         return method, path, body
-
-    @staticmethod
-    def _route_label(method: str, path: str) -> str:
-        """Collapse per-job paths so metrics aggregate per route."""
-        if path.startswith("/v1/jobs/"):
-            rest = path[len("/v1/jobs/") :]
-            suffix = "/events" if rest.endswith("/events") else ""
-            return f"{method} /v1/jobs/{{id}}{suffix}"
-        return f"{method} {path}"
 
     def _write_json(
         self,
@@ -557,14 +533,13 @@ class ServeApp:
             self.stats["jobs_created"] += 1
             assert self._queue is not None
             await self._queue.put(job.id)
-            self.service_metrics.record_queue_depth(self._queue.qsize())
         response = job.describe(include_result=False)
         response["coalesced"] = coalesced
         return (200 if coalesced else 202), response
 
     async def _stream_events(
         self, writer: asyncio.StreamWriter, job_id: str
-    ) -> int:
+    ) -> None:
         job = self.store.get(job_id)
         if job is None:
             self._write_json(
@@ -572,7 +547,7 @@ class ServeApp:
                 404,
                 error_payload("unknown-job", f"no job {job_id!r}"),
             )
-            return 404
+            return
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"
@@ -584,7 +559,7 @@ class ServeApp:
         seq = 0
         while True:
             events, terminal = await job.wait_events(
-                seq, timeout=self.config.sse_keepalive_s
+                seq, timeout=SSE_KEEPALIVE_S
             )
             for event in events:
                 data = json.dumps(event, sort_keys=True)
@@ -594,7 +569,7 @@ class ServeApp:
                 writer.write(b": keepalive\n\n")
             await writer.drain()
             if terminal and seq >= len(job.events):
-                return 200
+                return
 
     # -- introspection payloads ----------------------------------------------
 
@@ -625,7 +600,6 @@ class ServeApp:
     def _metrics(self) -> Dict[str, Any]:
         return {
             "schema": METRICS_SCHEMA,
-            "service": self.service_metrics.snapshot(),
             "dedup": dict(self.stats),
             "sweep_totals": self.metrics_registry.totals(),
         }

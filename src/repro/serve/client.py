@@ -2,13 +2,11 @@
 
 :class:`ServeClient` speaks the server's minimal HTTP/1.1 dialect (one
 request per connection) straight over asyncio streams — no third-party
-HTTP stack, so the tests and the load-test harness run anywhere the
-server does.
+HTTP stack, so the tests run anywhere the server does.
 
 :class:`ServerThread` boots a :class:`~repro.serve.app.ServeApp` on its
 own event loop in a daemon thread (port 0 = pick a free port), which is
-how the tests, ``repro loadtest``'s self-contained mode, and the CI
-serve-smoke job get a real server — real sockets, real concurrency —
+how the tests get a real server — real sockets, real concurrency —
 without a subprocess.
 """
 
@@ -120,7 +118,7 @@ class ServeClient:
     async def run(
         self, job: Dict[str, Any], timeout_s: float = 60.0
     ) -> Dict[str, Any]:
-        """Submit and wait: the one-call path most load-test requests use."""
+        """Submit and wait for the job to reach a terminal state."""
         accepted = await self.submit(job)
         return await self.wait_job(accepted["id"], timeout_s=timeout_s)
 

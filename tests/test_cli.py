@@ -106,9 +106,12 @@ class TestCommands:
         assert "[copy]" in out and "[limited-copy]" in out
         assert "roi_s" in out
 
-    def test_run_unknown_benchmark(self):
-        with pytest.raises(KeyError):
-            main(["run", "rodinia/quake", "--scale", TINY])
+    @pytest.mark.parametrize("command", ["run", "timeline", "advise", "export"])
+    def test_unknown_benchmark_exits_2(self, command, capsys):
+        assert main([command, "rodinia/quake", "--scale", TINY]) == 2
+        assert capsys.readouterr().err == (
+            f"repro {command}: no benchmark named 'rodinia/quake'\n"
+        )
 
     def test_fig3(self, capsys):
         assert main(["fig3", "--scale", TINY]) == 0

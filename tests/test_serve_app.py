@@ -2,8 +2,7 @@
 
 Each test boots a :class:`~repro.serve.client.ServerThread` (ephemeral
 port, throwaway cache directory, serial in-parent sweeps unless the test
-needs a pool) and drives it with the asyncio :class:`ServeClient` — the
-same stack ``repro loadtest`` and the CI serve-smoke job use.
+needs a pool) and drives it with the asyncio :class:`ServeClient`.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import random
 
 import pytest
 
@@ -67,7 +67,7 @@ class TestLifecycleAndHealth:
 
     def test_graceful_shutdown_leaves_no_pool_workers(self, tmp_path):
         """After running a real multi-process sweep, teardown must not
-        leave orphaned pool processes behind (the serve-smoke gate)."""
+        leave orphaned pool processes behind."""
         with ServerThread(_config(tmp_path, jobs=2)) as server:
             client = server.client()
             final = _run(client.run(_sweep((KMEANS, BFS)), timeout_s=120))
@@ -198,6 +198,43 @@ class TestDedupAndCache:
         # cost exactly one computation.
         assert dedup["computed_runs"] == 4
 
+    def test_duplicate_storm_computes_each_hash_once(self, tmp_path):
+        """A shuffled storm of duplicate and distinct sweep jobs against
+        four job executors computes each content hash exactly once, and
+        warm repeats of the hot job compute nothing."""
+        distinct, duplicates, warm_repeats = 20, 180, 10
+        # Seeds 0..19 are the distinct jobs; every duplicate replays the
+        # hot seed-0 job.
+        storm = [_sweep(seed=seed) for seed in range(distinct)]
+        storm += [_sweep(seed=0)] * duplicates
+        random.Random(0).shuffle(storm)
+        with ServerThread(_config(tmp_path, concurrency=4)) as server:
+            client = server.client()
+
+            async def scenario():
+                gate = asyncio.Semaphore(32)
+
+                async def run(body):
+                    async with gate:
+                        return await client.run(body, timeout_s=300)
+
+                cold = await asyncio.gather(*map(run, storm))
+                after_storm = (await client.cache_stats())["dedup"]
+                warm = await asyncio.gather(
+                    *(run(_sweep(seed=0)) for _ in range(warm_repeats))
+                )
+                after_warm = (await client.cache_stats())["dedup"]
+                return cold, warm, after_storm, after_warm
+
+            cold, warm, after_storm, after_warm = _run(scenario())
+        assert {final["status"] for final in cold + warm} == {"done"}
+        assert after_storm["submitted"] == distinct + duplicates
+        # Two versions per job: one computation per content hash.
+        assert after_storm["computed_runs"] == 2 * distinct
+        assert after_warm["submitted"] == distinct + duplicates + warm_repeats
+        assert after_warm["computed_runs"] == after_storm["computed_runs"]
+        assert all(final["result"]["metrics"]["launched"] == 0 for final in warm)
+
     def test_engine_knob_variants_coalesce(self, tmp_path):
         config = _config(tmp_path, concurrency=1)
         with ServerThread(config) as server:
@@ -259,7 +296,7 @@ class TestEvents:
 
 
 class TestMetricsEndpoint:
-    def test_request_latency_and_dedup_counters(self, tmp_path):
+    def test_dedup_counters_and_sweep_totals(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
 
@@ -269,18 +306,10 @@ class TestMetricsEndpoint:
                 return await client.metrics()
 
             metrics = _run(scenario())
-        assert metrics["schema"] == "repro.serve.metrics/v1"
-        service = metrics["service"]
-        assert service["requests"] >= 3
-        assert service["statuses"].get("200", service["statuses"].get(200))
-        routes = service["routes"]
-        assert "POST /v1/jobs" in routes
-        assert "GET /v1/jobs/{id}" in routes
-        for stats in routes.values():
-            assert stats["outer_s"]["p50"] >= 0
-            assert stats["outer_s"]["max"] >= stats["outer_s"]["p50"]
+        assert sorted(metrics) == ["dedup", "schema", "sweep_totals"]
+        assert metrics["schema"] == "repro.serve.metrics/v2"
         assert metrics["dedup"]["computed_runs"] == 2
-        assert metrics["sweep_totals"]
+        assert metrics["sweep_totals"]["runs"] == 2
 
 
 class TestHttpErrors:

@@ -5,8 +5,8 @@ memory step is indistinguishable — down to the serialized v2-full bytes —
 from recomputing it.  The property test here drives that from arbitrary
 interleavings of runs (and therefore arbitrary hit/miss patterns against
 the shared process-wide memo) and page-fault configurations; the
-env-gated differential (``REPRO_MEMO_DIFFERENTIAL=1``, the CI
-``memo-differential`` job) pins an 8-benchmark memo-on/off matrix.  The
+env-gated differential (``REPRO_MEMO_DIFFERENTIAL=1``, run by the CI
+``differential`` job) pins an 8-benchmark memo-on/off matrix.  The
 rest covers the key's :data:`~repro.sim.engine.ENGINE_VERSION`
 invalidation (shared with the persistent :mod:`repro.sim.resultcache`),
 sharing entries across fault timings and cache implementations, snapshot
@@ -56,7 +56,7 @@ _HETEROGENEOUS = heterogeneous_processor()
 #: (histo).
 POOL = ("rodinia/kmeans", "rodinia/srad", "lonestar/bfs", "parboil/histo")
 
-#: The CI memo-differential matrix (mirrors the equivalence sample).
+#: The CI memo-on/off differential matrix (mirrors the equivalence sample).
 DIFFERENTIAL_BENCHMARKS = (
     "rodinia/kmeans",
     "lonestar/bfs",

@@ -4,11 +4,12 @@
 Scenario (see docs/SWEEPS.md): the full 46x2 sweep fanned out through
 ``--backend subprocess`` — one worker child per task — with one task
 killed permanently must still complete every other result, report exactly
-one structured per-host ``WorkerCrash`` failure, and exit 3 (partial)
-from the CLI.  A second, fault-free pass must be answered almost entirely
-from the coordinator cache that the *workers* filled (warm-cache
-synchronization), and spot-checked results must be byte-identical to the
-local pool backend's.
+one structured ``WorkerCrash`` failure, and exit 3 (partial) from the
+CLI.  The coordinator must have cached every fresh result the workers
+returned, so a second, fault-free pass is answered almost entirely from
+its cache.  Spot-checked results must be byte-identical to the local pool
+backend's, both from that cached sweep and from a cache-less subprocess
+run.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ def main_check() -> None:
         "the failure is the killed task",
     )
     check(failure.error_type == "WorkerCrash", "failure typed WorkerCrash")
-    check(bool(failure.host), f"failure carries a host ({failure.host!r})")
     check(produced == total - 1, f"{produced}/{total} results produced")
     check(
         metrics.pool_rebuilds == 0,
@@ -83,11 +83,11 @@ def main_check() -> None:
     )
     check(
         len(runner.cache) == total - 1,
-        "workers' cache entries absorbed by the coordinator cache",
+        "coordinator cached every fresh result",
     )
 
     # CLI: partial (3) under the fault, then a clean warm pass (0) that
-    # barely simulates — the coordinator cache was filled by the workers.
+    # barely simulates — the coordinator cached the workers' results.
     argv = [
         "run",
         "--scale",
@@ -119,25 +119,37 @@ def main_check() -> None:
     )
     check(
         warm_fraction >= 0.9,
-        f"second pass >=90% warm from synchronized cache "
+        f"second pass >=90% warm from the coordinator cache "
         f"({warm_metrics.cache_hits}/{total})",
     )
 
-    # Result identity: the distributed results must be byte-identical to
-    # the local pool's for the spot-check benchmarks.
+    # Result identity: the subprocess results — from the cached sweep and
+    # from a cache-less run — must be byte-identical to the local pool's
+    # for the spot-check benchmarks.
     local = SweepRunner(
         options=SimOptions(scale=SCALE, seed=0), parallel=4, backend="local"
     )
-    for name in IDENTITY_SPOT_CHECK:
-        spec = get(name)
+    cacheless = SweepRunner(
+        options=SimOptions(scale=SCALE, seed=0), parallel=4, backend="subprocess"
+    )
+    spot = [get(name) for name in IDENTITY_SPOT_CHECK]
+    cacheless.sweep(spot)
+    check(
+        cacheless.last_metrics.launched == 2 * len(spot)
+        and not cacheless.last_metrics.failures,
+        "cache-less subprocess run simulated every spot-check task",
+    )
+    for spec in spot:
         pair = local.pair(spec)
         for version, reference in ((COPY, pair.copy), (LIMITED, pair.limited)):
-            distributed = warm.try_result(spec, version)
-            check(
-                distributed is not None
-                and results_identical(distributed, reference),
-                f"{name}:{version} identical across backends",
-            )
+            for label, runner in (("cached", warm), ("cache-less", cacheless)):
+                distributed = runner.try_result(spec, version)
+                check(
+                    distributed is not None
+                    and results_identical(distributed, reference),
+                    f"{spec.full_name}:{version} identical across backends "
+                    f"({label} subprocess)",
+                )
     print("distributed_sweep_check: all assertions passed")
 
 

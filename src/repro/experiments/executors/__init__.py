@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Union
 
 from repro.experiments.executors.base import (
-    LOCAL_HOST,
     ExecutorBackend,
     ExecutorError,
     RemoteTaskError,
@@ -40,7 +39,6 @@ __all__ = [
     "BACKENDS",
     "ExecutorBackend",
     "ExecutorError",
-    "LOCAL_HOST",
     "LocalPoolBackend",
     "RemoteTaskError",
     "SubprocessBackend",

@@ -15,8 +15,9 @@ recycle / degrade ladder:
 * :class:`RemoteTaskError` — the task ran in a worker child and raised;
   carries the child's exception type/message so the failure report looks
   the same as a pool worker's (``worker_fate`` *alive*).
-* :class:`WireProtocolError` — the worker's reply could not be decoded;
-  surfaces as a structured retryable failure, never a coordinator crash.
+* :class:`WireProtocolError` — the worker's reply could not be decoded,
+  or its result entry is damaged or keyed to another task; surfaces as a
+  structured retryable failure, never a coordinator crash.
 
 ``BrokenExecutor`` keeps its existing meaning — the backend as a whole is
 unusable — and still drives the bounded recycle → degrade-to-serial path.
@@ -33,20 +34,15 @@ from repro.config.system import SystemConfig
 from repro.sim.engine import SimOptions
 from repro.sim.results import SimResult
 
-#: ``WorkerOutcome.host`` of tasks run by the in-process pool backend.
-LOCAL_HOST = "local"
-
 
 @dataclass(frozen=True)
 class WorkerTask:
-    """Everything a worker anywhere needs to run one simulation.
+    """Everything a worker needs to run one simulation.
 
     ``spec_blob`` is ``None`` for registry benchmarks (the worker
     re-resolves ``benchmark`` by name) or a pickled spec otherwise.
-    ``cache_dir`` names the result cache a worker child should consult
-    and fill (``None`` = no worker-side cache); with ``sync_cache`` it
-    ships its stored cache-entry bytes back so the coordinator's cache can
-    absorb them (warm-cache synchronization).
+    ``cache_key`` names the run: a worker child keys the result it sends
+    back with it, and the coordinator refuses a reply keyed otherwise.
     """
 
     benchmark: str
@@ -55,40 +51,24 @@ class WorkerTask:
     system: SystemConfig
     options: SimOptions
     cache_key: str
-    cache_dir: Optional[str] = None
-    sync_cache: bool = True
 
 
 @dataclass(frozen=True)
 class WorkerOutcome:
-    """One finished task, as every backend reports it.
-
-    Exactly one of ``result`` / ``entry_bytes`` may be ``None``: the pool
-    and in-parent backends return the live :class:`SimResult`; worker
-    children with a cache return the content-addressed cache-entry bytes
-    instead (the coordinator absorbs them — one decode, zero re-encodes),
-    and worker children without a cache return the decoded result.
-    ``cache_hit`` marks outcomes the *worker's* cache answered without
-    simulating.
-    """
+    """One finished task, as every backend reports it: the fresh result,
+    its simulation wall time, and the stage-memo traffic of the process
+    that ran it."""
 
     benchmark: str
     version: str
     wall_s: float
+    result: SimResult
     memo_hits: int = 0
     memo_misses: int = 0
-    host: Optional[str] = None
-    cache_hit: bool = False
-    result: Optional[SimResult] = None
-    entry_bytes: Optional[bytes] = None
 
 
 class ExecutorError(RuntimeError):
-    """Base of the structured executor failures; carries host attribution."""
-
-    def __init__(self, message: str, host: Optional[str] = None):
-        super().__init__(message)
-        self.host = host
+    """Base of the structured executor failures."""
 
 
 class TaskCrash(ExecutorError):
@@ -102,8 +82,8 @@ class WireProtocolError(ExecutorError):
 class RemoteTaskError(ExecutorError):
     """The task ran in a worker child and raised; the child's post-mortem."""
 
-    def __init__(self, error_type: str, message: str, host: Optional[str] = None):
-        super().__init__(message, host=host)
+    def __init__(self, error_type: str, message: str):
+        super().__init__(message)
         self.error_type = error_type
         self.message = message
 
@@ -140,10 +120,6 @@ class ExecutorBackend(ABC):
         which makes the supervisor fall back to a full recycle.
         """
         return False
-
-    def host_of(self, future: "Future[WorkerOutcome]") -> Optional[str]:
-        """Host the task behind ``future`` was routed to, if known."""
-        return None
 
     @abstractmethod
     def recycle(self) -> None:

@@ -12,7 +12,6 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Optional
 
 from repro.experiments.executors.base import (
-    LOCAL_HOST,
     ExecutorBackend,
     WorkerOutcome,
     WorkerTask,
@@ -38,10 +37,7 @@ class LocalPoolBackend(ExecutorBackend):
 
         if self._pool is None:
             raise RuntimeError("backend not started")
-        return self._pool.submit(run_worker_task, task, LOCAL_HOST)
-
-    def host_of(self, future: "Future[WorkerOutcome]") -> Optional[str]:
-        return LOCAL_HOST
+        return self._pool.submit(run_worker_task, task)
 
     def _terminate(self) -> None:
         # Hung or crashed workers cannot be joined; kill what's left.

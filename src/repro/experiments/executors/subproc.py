@@ -1,30 +1,28 @@
-"""Per-task child-process backend speaking the JSON wire format.
+"""Per-task child-process backend speaking the wire format of
+:mod:`~repro.experiments.executors.wire`.
 
 Each submitted task launches one ``python -m repro.experiments.remote_worker``
-child, writes the encoded :class:`WorkerTask` to its stdin, and parses the
-single JSON reply from its stdout.  Children are fully isolated: a crash
-(or a supervisor task-timeout kill) takes down exactly one task, so —
-unlike the shared process pool — no backend recycle is needed and other
-in-flight tasks keep running.
+child, writes the encoded :class:`WorkerTask` to its stdin, and decodes
+the single reply from its stdout — the result's cache entry, checked
+against the task's cache key — in the launcher thread.  Children are
+fully isolated: a crash (or a supervisor task-timeout kill) takes down
+exactly one task, so — unlike the shared process pool — no backend
+recycle is needed and other in-flight tasks keep running.
 """
 
 from __future__ import annotations
 
 import os
-import socket
 import subprocess
 import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro.experiments.executors.base import (
     ExecutorBackend,
-    RemoteTaskError,
     TaskCrash,
-    WireProtocolError,
     WorkerOutcome,
     WorkerTask,
 )
@@ -52,24 +50,18 @@ class _ChildHandle:
 
 
 class SubprocessBackend(ExecutorBackend):
-    """``--backend subprocess``: one local worker child per task."""
+    """``--backend subprocess``: one local worker child per task.
+
+    ``worker_cmd`` replaces the child's command line (default: this
+    interpreter running :data:`WORKER_MODULE`).
+    """
 
     name = "subprocess"
 
-    def __init__(
-        self,
-        worker_cmd: Optional[Sequence[str]] = None,
-        worker_cache_dir: Optional[str] = None,
-    ) -> None:
+    def __init__(self, worker_cmd: Optional[Sequence[str]] = None) -> None:
         self._worker_cmd = list(worker_cmd) if worker_cmd else [
             sys.executable, "-m", WORKER_MODULE
         ]
-        #: Overrides the cache directory workers use (default: whatever
-        #: the coordinator put in the task — its own cache root).
-        self._worker_cache_dir = worker_cache_dir
-        #: Children all run here, so every task — a *crashed* one too (no
-        #: reply to report a host in) — is attributed to this machine.
-        self._host = socket.gethostname() or "localhost"
         self._threads: Optional[ThreadPoolExecutor] = None
         self._workers = 1
         self._guard = threading.Lock()
@@ -98,8 +90,6 @@ class SubprocessBackend(ExecutorBackend):
     def submit(self, task: WorkerTask) -> "Future[WorkerOutcome]":
         if self._threads is None:
             raise RuntimeError("backend not started")
-        if self._worker_cache_dir is not None:
-            task = replace(task, cache_dir=self._worker_cache_dir)
         handle = _ChildHandle()
         future = self._threads.submit(self._run_child, task, handle)
         with self._guard:
@@ -122,9 +112,6 @@ class SubprocessBackend(ExecutorBackend):
             except OSError:
                 pass
         return True  # surgical: only this task's child dies
-
-    def host_of(self, future: "Future[WorkerOutcome]") -> Optional[str]:
-        return self._host
 
     def recycle(self) -> None:
         self.shutdown()
@@ -150,9 +137,8 @@ class SubprocessBackend(ExecutorBackend):
     # -- the launcher thread body -------------------------------------------
 
     def _run_child(self, task: WorkerTask, handle: _ChildHandle) -> WorkerOutcome:
-        host = self._host
         if handle.killed:
-            raise TaskCrash("killed before launch", host=host)
+            raise TaskCrash("killed before launch")
         payload = encode_task(task)
         try:
             proc = subprocess.Popen(
@@ -163,7 +149,7 @@ class SubprocessBackend(ExecutorBackend):
                 env=self._child_env(),
             )
         except OSError as exc:
-            raise TaskCrash(f"cannot launch worker: {exc}", host=host) from exc
+            raise TaskCrash(f"cannot launch worker: {exc}") from exc
         handle.proc = proc
         if handle.killed:  # kill raced the launch
             proc.kill()
@@ -172,19 +158,10 @@ class SubprocessBackend(ExecutorBackend):
         except (OSError, ValueError) as exc:
             proc.kill()
             proc.wait()
-            raise TaskCrash(f"worker pipe failed: {exc}", host=host) from exc
+            raise TaskCrash(f"worker pipe failed: {exc}") from exc
         if handle.killed:
-            raise TaskCrash("worker killed by supervisor", host=host)
+            raise TaskCrash("worker killed by supervisor")
         rc = proc.returncode
         if rc != 0:
-            raise TaskCrash(
-                f"worker exited {rc}: {_stderr_tail(err)}", host=host
-            )
-        try:
-            outcome = decode_result(out)
-        except (RemoteTaskError, WireProtocolError) as exc:
-            exc.host = host
-            raise
-        # Attribute to this backend's host label, not whatever name the
-        # worker resolved for itself.
-        return replace(outcome, host=host)
+            raise TaskCrash(f"worker exited {rc}: {_stderr_tail(err)}")
+        return decode_result(out, task.cache_key)

@@ -1,22 +1,27 @@
-"""JSON wire format spoken between the coordinator and remote workers.
+"""Wire format spoken between the coordinator and subprocess workers.
 
-One task request flows to a worker's stdin, one result reply flows back on
-its stdout — a single JSON document each way, so the protocol works over
-any byte pipe.
+One task request flows to a worker's stdin as a single JSON document; one
+reply flows back on its stdout, framed as a ``uint32`` little-endian byte
+length, a JSON header, and a body:
+
+* success — the header holds the stage-memo counts and the body is the
+  ``repro.sweep_cache/v2`` entry of the fresh result under the task's
+  cache key (:func:`repro.sim.resultcache.encode_entry`), raw;
+* failure — the header holds the exception type and message; no body.
 
 Encoding reuses :func:`repro.sim.resultcache.canonical` (dataclasses →
 field dicts, enums → values), which already covers every config object;
 decoding rebuilds the typed dataclasses generically from their field
 annotations, so new ``SystemConfig``/``SimOptions`` fields never need
-hand-written codec updates.  Results travel either as raw content-addressed
-cache-entry bytes (base64; the coordinator's cache absorbs them verbatim —
-warm-cache synchronization) or, for cacheless workers, as a lossless
-``repro.sim_result/v2-full`` dict.
+hand-written codec updates.  Result bodies pass through the cache's one
+decoder, :func:`repro.sim.resultcache.decode_entry_bytes`, which checks
+the CRC, the schema and the key.
 
 Anything malformed — truncated stdout, non-JSON garbage, a foreign schema,
-a field of the wrong shape — decodes to :class:`WireProtocolError`, which
-the supervisor converts into a structured retryable ``TaskFailure`` rather
-than crashing the coordinator (tests/test_executors.py pins this).
+a field of the wrong shape, a damaged or mis-keyed entry — decodes to
+:class:`WireProtocolError`, which the supervisor converts into a
+structured retryable ``TaskFailure`` rather than crashing the coordinator
+(tests/test_executors.py pins this).
 """
 
 from __future__ import annotations
@@ -25,24 +30,27 @@ import base64
 import dataclasses
 import enum
 import json
+import struct
 import typing
 from typing import Any, Dict, Optional, Type, TypeVar, Union
 
 from repro.config.system import SystemConfig
 from repro.sim.engine import SimOptions
-from repro.sim.resultcache import canonical
-from repro.sim.results import SimResult
-from repro.sim.serialize import result_from_dict, result_to_full_dict
+from repro.sim.resultcache import canonical, decode_entry_bytes, encode_entry
 
 from repro.experiments.executors.base import (
+    RemoteTaskError,
     WireProtocolError,
     WorkerOutcome,
     WorkerTask,
 )
 
-#: Schema tags of the two wire documents.
-TASK_SCHEMA = "repro.executor.task/v1"
-RESULT_SCHEMA = "repro.executor.result/v1"
+#: Schema tags of the task document and of the reply header.
+TASK_SCHEMA = "repro.executor.task/v2"
+RESULT_SCHEMA = "repro.executor.result/v2"
+
+#: Byte length of a reply's JSON header, which precedes it.
+_U32 = struct.Struct("<I")
 
 T = TypeVar("T")
 
@@ -101,6 +109,10 @@ def decode_typed(cls: Type[T], value: Any) -> T:
     return _from_wire(cls, value)
 
 
+def _dumps(payload: Dict[str, Any]) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def _b64(data: Optional[bytes]) -> Optional[str]:
     return base64.b64encode(data).decode("ascii") if data is not None else None
 
@@ -126,10 +138,8 @@ def encode_task(task: WorkerTask) -> bytes:
         "system": canonical(task.system),
         "options": canonical(task.options),
         "cache_key": task.cache_key,
-        "cache_dir": task.cache_dir,
-        "sync_cache": task.sync_cache,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _dumps(payload)
 
 
 def _parse_document(data: bytes, schema: str) -> Dict[str, Any]:
@@ -161,96 +171,77 @@ def decode_task(data: bytes) -> WorkerTask:
         system=decode_typed(SystemConfig, payload.get("system")),
         options=decode_typed(SimOptions, payload.get("options")),
         cache_key=str(cache_key),
-        cache_dir=payload.get("cache_dir"),
-        sync_cache=bool(payload.get("sync_cache", True)),
     )
 
 
 # -- result ----------------------------------------------------------------
 
 
-def encode_outcome(outcome: WorkerOutcome) -> bytes:
-    """Serialize a successful task's reply."""
-    payload: Dict[str, Any] = {
+def _frame(header: Dict[str, Any], body: bytes = b"") -> bytes:
+    text = _dumps(header)
+    return b"".join([_U32.pack(len(text)), text, body])
+
+
+def encode_outcome(outcome: WorkerOutcome, key: str) -> bytes:
+    """Serialize a successful task's reply: the header, then the result's
+    cache entry under ``key`` (which also carries ``wall_s``)."""
+    header = {
         "schema": RESULT_SCHEMA,
         "ok": True,
         "benchmark": outcome.benchmark,
         "version": outcome.version,
-        "wall_s": outcome.wall_s,
         "memo_hits": outcome.memo_hits,
         "memo_misses": outcome.memo_misses,
-        "host": outcome.host,
-        "cache_hit": outcome.cache_hit,
     }
-    if outcome.entry_bytes is not None:
-        # The cache-entry bytes *are* the result (content-addressed under
-        # the task's cache key); no second encoding of the SimResult.
-        payload["entry_b64"] = _b64(outcome.entry_bytes)
-    elif outcome.result is not None:
-        payload["result"] = result_to_full_dict(outcome.result)
-    else:
-        raise ValueError("outcome carries neither a result nor entry bytes")
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _frame(header, encode_entry(key, outcome.result, outcome.wall_s))
 
 
-def encode_error(
-    benchmark: str,
-    version: str,
-    error_type: str,
-    message: str,
-    host: Optional[str] = None,
-) -> bytes:
+def encode_error(benchmark: str, version: str, error_type: str, message: str) -> bytes:
     """Serialize a task that ran (or failed to decode) and raised."""
-    payload = {
+    header = {
         "schema": RESULT_SCHEMA,
         "ok": False,
         "benchmark": benchmark,
         "version": version,
         "error_type": error_type,
         "message": message,
-        "host": host,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _frame(header)
 
 
-def decode_result(data: bytes) -> WorkerOutcome:
-    """Parse a worker reply.
+def decode_result(data: bytes, key: str) -> WorkerOutcome:
+    """Parse a worker's reply to the task keyed ``key``.
 
     Raises :class:`~.base.RemoteTaskError` for a well-formed error reply
-    and :class:`~.base.WireProtocolError` for anything undecodable.
+    and :class:`~.base.WireProtocolError` for anything undecodable,
+    including a result entry that is damaged or keyed to another task.
     """
-    from repro.experiments.executors.base import RemoteTaskError
-
-    payload = _parse_document(data, RESULT_SCHEMA)
-    host = payload.get("host")
+    if len(data) < _U32.size:
+        raise WireProtocolError(f"truncated reply ({len(data)} bytes)")
+    end = _U32.size + _U32.unpack_from(data)[0]
+    if end > len(data):
+        raise WireProtocolError(f"truncated reply header ({len(data)} of {end} bytes)")
+    payload = _parse_document(data[_U32.size : end], RESULT_SCHEMA)
     if not payload.get("ok"):
         raise RemoteTaskError(
             error_type=str(payload.get("error_type", "RemoteError")),
             message=str(payload.get("message", "")),
-            host=host if isinstance(host, str) else None,
         )
-    result: Optional[SimResult] = None
-    entry_bytes: Optional[bytes] = None
-    if "entry_b64" in payload:
-        entry_bytes = _unb64(payload["entry_b64"], "entry_b64")
-    elif "result" in payload:
-        try:
-            result = result_from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise WireProtocolError(f"undecodable result payload: {exc}") from exc
-    else:
-        raise WireProtocolError("result payload carries neither result nor entry bytes")
     try:
-        return WorkerOutcome(
-            benchmark=str(payload["benchmark"]),
-            version=str(payload["version"]),
-            wall_s=float(payload["wall_s"]),
-            memo_hits=int(payload.get("memo_hits", 0)),
-            memo_misses=int(payload.get("memo_misses", 0)),
-            host=host if isinstance(host, str) else None,
-            cache_hit=bool(payload.get("cache_hit", False)),
-            result=result,
-            entry_bytes=entry_bytes,
-        )
+        benchmark = str(payload["benchmark"])
+        version = str(payload["version"])
+        memo_hits = int(payload.get("memo_hits", 0))
+        memo_misses = int(payload.get("memo_misses", 0))
     except (KeyError, TypeError, ValueError) as exc:
-        raise WireProtocolError(f"malformed result payload: {exc}") from exc
+        raise WireProtocolError(f"malformed result header: {exc}") from exc
+    entry = decode_entry_bytes(key, data[end:])
+    if entry is None:
+        raise WireProtocolError("damaged result entry, or one keyed to another task")
+    return WorkerOutcome(
+        benchmark=benchmark,
+        version=version,
+        wall_s=entry.sim_wall_s,
+        result=entry.result,
+        memo_hits=memo_hits,
+        memo_misses=memo_misses,
+    )

@@ -7,8 +7,9 @@ is independent, so this module fans tasks out through a pluggable
 ``subprocess`` runs each task in its own worker child (``--backend``) —
 and funnels finished results through the persistent
 :class:`~repro.sim.resultcache.ResultCache`.  The coordinator resolves
-cache hits before dispatch and stores (or absorbs, for workers that ship
-their cache-entry bytes back) fresh results as workers complete.
+cache hits before dispatch; every backend hands back a
+:class:`~repro.sim.results.SimResult`, and the coordinator stores each
+fresh one as it completes — workers never touch the cache.
 
 Most benchmark specs hold closure-based pipeline builders that cannot be
 pickled, so tasks cross the process boundary as ``suite/name`` strings and
@@ -72,7 +73,7 @@ from repro.pipeline.transforms import remove_copies
 from repro.sim.engine import SimOptions, simulate
 from repro.sim.memo import stage_memo_snapshot
 from repro.sim.observe.metrics import MetricsRegistry
-from repro.sim.resultcache import ResultCache, cache_key, decode_entry_bytes
+from repro.sim.resultcache import ResultCache, cache_key
 from repro.sim.results import SimResult
 from repro.testing.faults import maybe_inject
 from repro.workloads import registry
@@ -156,15 +157,11 @@ class TaskFailure:
     message: str
     attempts: int
     worker_fate: str  # one of the FATE_* constants above
-    #: Host the final attempt ran on (executor backends; None when
-    #: unknown or in-parent).
-    host: Optional[str] = None
 
     def describe(self) -> str:
-        where = f" on {self.host}" if self.host else ""
         return (
             f"{self.benchmark}:{self.version} failed after "
-            f"{self.attempts} attempt(s) [{self.worker_fate}{where}] "
+            f"{self.attempts} attempt(s) [{self.worker_fate}] "
             f"{self.error_type}: {self.message}"
         )
 
@@ -222,12 +219,10 @@ class SweepMetrics:
     #: the parent's shared memo.
     stage_memo_hits: int = 0
     stage_memo_misses: int = 0
-    #: Tasks a *worker child's* cache answered without simulating
-    #: (subprocess backend); coordinator-cache hits stay in
-    #: ``cache_hits``.
-    remote_cache_hits: int = 0
-    #: Fresh results per executor host ("local" for the process pool).
-    host_launched: Dict[str, int] = field(default_factory=dict)
+    #: Fresh results the result cache failed to store (an ``OSError``:
+    #: disk full, read-only or missing directory); they are still
+    #: returned, only not persisted.
+    not_cached: int = 0
     failures: List[TaskFailure] = field(default_factory=list)
 
     @property
@@ -257,9 +252,7 @@ class SweepMetrics:
         self.sweeps += other.sweeps
         self.stage_memo_hits += other.stage_memo_hits
         self.stage_memo_misses += other.stage_memo_misses
-        self.remote_cache_hits += other.remote_cache_hits
-        for host, count in other.host_launched.items():
-            self.host_launched[host] = self.host_launched.get(host, 0) + count
+        self.not_cached += other.not_cached
         self.failures.extend(other.failures)
 
     def format_line(self) -> str:
@@ -272,8 +265,8 @@ class SweepMetrics:
             parts.append(f"{self.memo_hits} memo hits")
         if self.stage_memo_hits:
             parts.append(f"{self.stage_memo_hits} stage-memo hits")
-        if self.remote_cache_hits:
-            parts.append(f"{self.remote_cache_hits} worker cache hits")
+        if self.not_cached:
+            parts.append(f"{self.not_cached} not cached")
         if self.retries:
             parts.append(f"{self.retries} retries")
         if self.failures:
@@ -318,9 +311,7 @@ def _simulate_version(
 
 
 def run_worker_task(
-    task: WorkerTask,
-    host: Optional[str] = None,
-    spec: Optional[BenchmarkSpec] = None,
+    task: WorkerTask, spec: Optional[BenchmarkSpec] = None
 ) -> WorkerOutcome:
     """Simulate one task: the body every executor backend runs.
 
@@ -341,10 +332,9 @@ def run_worker_task(
         benchmark=task.benchmark,
         version=task.version,
         wall_s=wall_s,
+        result=result,
         memo_hits=after[0] - before[0],
         memo_misses=after[1] - before[1],
-        host=host,
-        result=result,
     )
 
 
@@ -396,24 +386,21 @@ def _dispatchable(task: SweepTask) -> Optional[bytes]:
     return pickle.dumps(task.spec)
 
 
-def _attempt_failure(
-    exc: Exception, in_parent: bool
-) -> Tuple[str, str, str, Optional[str]]:
-    """``(error_type, message, worker_fate, host)`` of one failed attempt.
+def _attempt_failure(exc: Exception, in_parent: bool) -> Tuple[str, str, str]:
+    """``(error_type, message, worker_fate)`` of one failed attempt.
 
     In-parent, every exception is the task's own: no worker can crash,
     garble a reply or break a pool there, whatever the exception type.
     """
     if in_parent:
-        return type(exc).__name__, str(exc) or repr(exc), FATE_IN_PARENT, None
+        return type(exc).__name__, str(exc) or repr(exc), FATE_IN_PARENT
     if isinstance(exc, (BrokenExecutor, TaskCrash)):
-        host = exc.host if isinstance(exc, TaskCrash) else None
-        return "WorkerCrash", str(exc) or "worker process died", FATE_CRASHED, host
+        return "WorkerCrash", str(exc) or "worker process died", FATE_CRASHED
     if isinstance(exc, RemoteTaskError):
-        return exc.error_type, exc.message, FATE_ALIVE, exc.host
+        return exc.error_type, exc.message, FATE_ALIVE
     if isinstance(exc, WireProtocolError):
-        return "WireProtocolError", str(exc), FATE_ALIVE, exc.host
-    return type(exc).__name__, str(exc) or repr(exc), FATE_ALIVE, None
+        return "WireProtocolError", str(exc), FATE_ALIVE
+    return type(exc).__name__, str(exc) or repr(exc), FATE_ALIVE
 
 
 @dataclass
@@ -462,7 +449,8 @@ def run_tasks(
     (default :class:`FaultPolicy`) and, once its retries are exhausted,
     reported as a :class:`TaskFailure` on ``metrics.failures`` while the
     rest of the sweep completes.  The returned dict then holds exactly the
-    successful subset, every fresh success already persisted to ``cache``.
+    successful subset, every fresh success already persisted to ``cache``
+    (a failed store only counts on ``metrics.not_cached``).
     """
     jobs = resolve_jobs(jobs)
     policy = policy if policy is not None else FaultPolicy()
@@ -488,51 +476,28 @@ def run_tasks(
         else:
             pending.append(_TaskState(task, key))
 
-    def complete(state: _TaskState, outcome: WorkerOutcome) -> bool:
-        """Record one successful :class:`WorkerOutcome`.
-
-        Worker children may ship raw cache-entry bytes instead of a
-        result; the coordinator's cache absorbs them (warm-cache sync).
-        Returns False when the payload was undecodable — the caller
-        requeues the task as a wire-protocol failure.
-        """
-        result = outcome.result
-        stored = False
-        if result is None:
-            entry = None
-            if outcome.entry_bytes is not None:
-                if cache is not None:
-                    entry = cache.absorb(state.key, outcome.entry_bytes)
-                    stored = entry is not None
-                else:
-                    entry = decode_entry_bytes(state.key, outcome.entry_bytes)
-            if entry is None:
-                return False
-            result = entry.result
+    def complete(state: _TaskState, outcome: WorkerOutcome) -> None:
+        """Record one successful :class:`WorkerOutcome`: the one place a
+        fresh result enters the result cache.  A failed store (disk full,
+        read-only or missing directory) costs persistence, not the
+        result: it is still returned, and counted as not cached."""
         task = state.task
-        results[(task.full_name, task.version)] = result
-        record(task, result)
+        results[(task.full_name, task.version)] = outcome.result
+        record(task, outcome.result)
         metrics.launched += 1
-        if outcome.cache_hit:
-            metrics.remote_cache_hits += 1
-        if outcome.host is not None:
-            per_host = metrics.host_launched
-            per_host[outcome.host] = per_host.get(outcome.host, 0) + 1
         metrics.serial_estimate_s += outcome.wall_s
         metrics.stage_memo_hits += outcome.memo_hits
         metrics.stage_memo_misses += outcome.memo_misses
         if metrics_registry is not None:
             metrics_registry.record_stage_memo(outcome.memo_hits, outcome.memo_misses)
-        if cache is not None and not stored:
-            cache.store(state.key, result, sim_wall_s=outcome.wall_s)
-        return True
+        if cache is not None:
+            try:
+                cache.store(state.key, outcome.result, sim_wall_s=outcome.wall_s)
+            except OSError:
+                metrics.not_cached += 1
 
     def final_failure(
-        state: _TaskState,
-        error_type: str,
-        message: str,
-        fate: str,
-        host: Optional[str] = None,
+        state: _TaskState, error_type: str, message: str, fate: str
     ) -> None:
         nonlocal stop
         failure = TaskFailure(
@@ -542,16 +507,12 @@ def run_tasks(
             message=message,
             attempts=state.attempts,
             worker_fate=fate,
-            host=host,
         )
         metrics.failures.append(failure)
         if metrics_registry is not None:
             metrics_registry.record_failure(failure)
         if policy.fail_fast and fate != FATE_CANCELLED:
             stop = True
-
-    # Workers on this machine share the coordinator's cache directory.
-    worker_cache_dir = str(cache.root) if cache is not None else None
 
     def supervise(
         states: List[_TaskState], backend: ExecutorBackend
@@ -579,15 +540,11 @@ def run_tasks(
         slept_until = 0.0
 
         def requeue(
-            state: _TaskState,
-            error_type: str,
-            message: str,
-            fate: str,
-            host: Optional[str] = None,
+            state: _TaskState, error_type: str, message: str, fate: str
         ) -> None:
             """Charge a failed attempt: retry after backoff, or give up."""
             if state.attempts > policy.max_retries:
-                final_failure(state, error_type, message, fate, host=host)
+                final_failure(state, error_type, message, fate)
                 return
             metrics.retries += 1
             state.ready_at = time.monotonic() + policy.backoff_s(state.attempts)
@@ -609,14 +566,7 @@ def run_tasks(
             except Exception as exc:
                 requeue(state, *_attempt_failure(exc, in_parent))
                 return isinstance(exc, BrokenExecutor) and not in_parent
-            if not complete(state, outcome):
-                requeue(
-                    state,
-                    "WireProtocolError",
-                    "undecodable cache-entry bytes from worker",
-                    FATE_ALIVE,
-                    host=outcome.host,
-                )
+            complete(state, outcome)
             return False
 
         def salvage_and_recycle(charge_unfinished: bool) -> bool:
@@ -634,7 +584,6 @@ def run_tasks(
                         "WorkerCrash",
                         "worker process died (pool broken)",
                         FATE_CRASHED,
-                        host=backend.host_of(future),
                     )
                 else:
                     requeue_free(state)
@@ -684,7 +633,6 @@ def run_tasks(
                                 system=system,
                                 options=options,
                                 cache_key=state.key,
-                                cache_dir=worker_cache_dir,
                             )
                         )
                     except (BrokenExecutor, RuntimeError):
@@ -755,7 +703,6 @@ def run_tasks(
                         surgical = True
                         for future, state in expired:
                             del inflight[future]
-                            host = backend.host_of(future)
                             if not backend.kill_task(future):
                                 surgical = False
                             requeue(
@@ -764,7 +711,6 @@ def run_tasks(
                                 f"exceeded task timeout "
                                 f"({policy.task_timeout_s:g}s)",
                                 FATE_TIMED_OUT,
-                                host=host,
                             )
                         # Backends with per-task children kill just the
                         # hung worker; a shared pool cannot, so the whole

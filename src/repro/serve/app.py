@@ -301,7 +301,6 @@ class ServeApp:
                 "message": failure.message,
                 "attempts": failure.attempts,
                 "worker_fate": failure.worker_fate,
-                "host": failure.host,
             }
             for failure in metrics.failures
         ]

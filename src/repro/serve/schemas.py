@@ -3,7 +3,7 @@
 Every response body the server emits carries a ``schema`` tag so clients
 can detect drift:
 
-* ``repro.serve.job/v1`` — job descriptions (submit responses, status
+* ``repro.serve.job/v2`` — job descriptions (submit responses, status
   polls, the job list).
 * ``repro.serve.error/v1`` — every 4xx/5xx body.  Malformed bodies,
   unknown benchmarks, and lint-rejected pipelines map to *distinct*
@@ -46,7 +46,7 @@ from repro.workloads import registry
 
 #: Schema tags of the serve wire format.
 ERROR_SCHEMA = "repro.serve.error/v1"
-JOB_SCHEMA = "repro.serve.job/v1"
+JOB_SCHEMA = "repro.serve.job/v2"
 HEALTH_SCHEMA = "repro.serve.health/v1"
 CACHE_SCHEMA = "repro.serve.cache/v1"
 METRICS_SCHEMA = "repro.serve.metrics/v2"

@@ -37,7 +37,7 @@ Loading checks the CRC, schema and key, inflates each column and reads it
 back with ``np.frombuffer``: the result's arrays are zero-copy, read-only
 views of the inflated bytes, and no column ever passes through Python
 objects.  Writes are atomic (temp file + ``os.replace``), so concurrent
-sweep workers sharing one cache directory cannot corrupt it.  The v2-full
+sweeps sharing one cache directory cannot corrupt it.  The v2-full
 schema is forward-compatible with optional result fields (``violations``
 from the invariant monitor), while stale *semantics* are caught by the
 :data:`~repro.sim.engine.ENGINE_VERSION` tag in the key.
@@ -60,13 +60,10 @@ import json
 import os
 import struct
 import tempfile
-import threading
-import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -151,7 +148,10 @@ def cache_key(
     # tests/test_stage_memo.py enforce this), so both are deliberately
     # excluded from the key: reference/fast and memo-on/off runs share
     # cache entries, and keys match those written before the options
-    # existed.  tests/test_resultcache.py pins this sharing.
+    # existed.  tests/test_engine_equivalence.py::TestResultCacheSharing::
+    # test_cache_key_ignores_engine_impl and
+    # tests/test_stage_memo.py::test_cache_key_ignores_stage_memo pin
+    # this sharing.
     options_view.pop("engine_impl", None)
     options_view.pop("stage_memo", None)
     payload = {
@@ -199,7 +199,8 @@ def pack_entry(meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> bytes:
 
 
 def encode_entry(key: str, result: SimResult, sim_wall_s: float = 0.0) -> bytes:
-    """The entry bytes :meth:`ResultCache.store` writes for ``result``."""
+    """The entry bytes :meth:`ResultCache.store` writes for ``result``
+    (and a subprocess worker child sends back)."""
     meta = {
         "schema": CACHE_SCHEMA,
         "key": key,
@@ -212,10 +213,9 @@ def encode_entry(key: str, result: SimResult, sim_wall_s: float = 0.0) -> bytes:
 def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
     """Parse raw entry bytes for ``key``: the one decoder of the cache.
 
-    :meth:`ResultCache.load` runs it on file contents, and a remote worker's
-    shipped bytes pass through it before :meth:`ResultCache.absorb`
-    installs them verbatim.  Anything torn, bit-flipped, foreign or
-    mis-keyed returns ``None``.
+    :meth:`ResultCache.load` runs it on file contents, and the subprocess
+    executor backend on the entry a worker child sends back.  Anything
+    torn, bit-flipped, foreign or mis-keyed returns ``None``.
     """
     view = memoryview(data)
     body = view[: len(view) - _U32.size]
@@ -248,42 +248,20 @@ def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
         return None
 
 
-class _Flight:
-    """Refcounted per-key lock slot of the single-flight registry."""
-
-    __slots__ = ("lock", "refs")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.refs = 0
-
-
-#: Process-wide single-flight registry keyed by (cache root, entry key).
-#: Slots are refcounted and dropped when the last holder releases, so a
-#: long-running server's lock table stays bounded by its concurrency, not
-#: by the number of keys it has ever served.
-_FLIGHT_GUARD = threading.Lock()
-_FLIGHTS: Dict[Tuple[str, str], _Flight] = {}
-
-
 class ResultCache:
     """Filesystem-backed result store; one columnar v2 file per key.
 
     The layout is described in the module docstring: a JSON header, the
     array columns as zlib'd little-endian bytes and a CRC-32 trailer.  One
     encoder (:func:`encode_entry`) and one decoder
-    (:func:`decode_entry_bytes`) serve :meth:`store`, :meth:`load` and
-    :meth:`absorb`; v1 ``.json.gz`` files are never read (:meth:`legacy`).
+    (:func:`decode_entry_bytes`) serve :meth:`store` and :meth:`load`; v1
+    ``.json.gz`` files are never read (:meth:`legacy`).
 
     Concurrency: entries are written atomically (temp file +
     ``os.replace``) so readers can never observe torn data, and multiple
     threads/processes may store the same key concurrently (last atomic
-    replace wins — both wrote the same bytes).  What atomicity alone does
-    not prevent is *duplicate computation*: two clients missing on the
-    same key both simulate.  :meth:`get_or_compute` closes that gap with
-    a process-local single-flight lock per key — the first caller
-    computes and stores while the rest block, then load the stored entry
-    (tests/test_resultcache_concurrency.py pins both properties).
+    replace wins — both wrote the same bytes;
+    tests/test_resultcache_concurrency.py pins this).
     """
 
     def __init__(self, root: Union[None, str, Path] = None):
@@ -292,48 +270,6 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         # Two-level fan-out keeps directories small for big sweeps.
         return self.root / key[:2] / f"{key}{ENTRY_SUFFIX}"
-
-    @contextmanager
-    def lock(self, key: str) -> Iterator[None]:
-        """Serialize the enclosed block against same-key blocks in this
-        process (other cache roots and other keys are unaffected)."""
-        slot_key = (str(self.root), key)
-        with _FLIGHT_GUARD:
-            flight = _FLIGHTS.get(slot_key)
-            if flight is None:
-                flight = _FLIGHTS[slot_key] = _Flight()
-            flight.refs += 1
-        try:
-            with flight.lock:
-                yield
-        finally:
-            with _FLIGHT_GUARD:
-                flight.refs -= 1
-                if flight.refs == 0 and _FLIGHTS.get(slot_key) is flight:
-                    del _FLIGHTS[slot_key]
-
-    def get_or_compute(
-        self, key: str, compute: Callable[[], SimResult]
-    ) -> Tuple[CacheEntry, bool]:
-        """Load ``key`` or compute-and-store it, single-flight per process.
-
-        Returns ``(entry, computed)`` where ``computed`` is True when
-        *this* call ran ``compute``.  Concurrent same-key callers block on
-        the per-key lock and then load the freshly stored entry, so N
-        racing clients cost one computation, not N.
-        """
-        entry = self.load(key)
-        if entry is not None:
-            return entry, False
-        with self.lock(key):
-            entry = self.load(key)
-            if entry is not None:
-                return entry, False
-            start = time.perf_counter()
-            result = compute()
-            wall_s = time.perf_counter() - start
-            self.store(key, result, sim_wall_s=wall_s)
-            return CacheEntry(result=result, sim_wall_s=wall_s), True
 
     def load(self, key: str) -> Optional[CacheEntry]:
         """Return the stored entry, or None on miss or unreadable file.
@@ -365,25 +301,12 @@ class ResultCache:
             pass
 
     def store(self, key: str, result: SimResult, sim_wall_s: float = 0.0) -> Path:
-        """Atomically persist one result under ``key``; returns its path."""
-        return self._install(key, encode_entry(key, result, sim_wall_s))
+        """Atomically persist one result under ``key``; returns its path.
 
-    def absorb(self, key: str, data: bytes) -> Optional[CacheEntry]:
-        """Adopt entry bytes another cache produced (warm-cache sync).
-
-        Remote sweep workers return the content-addressed bytes they
-        stored locally; installing them verbatim costs one validating
-        decode and one atomic write — no re-simulation, no re-encode.
-        Returns the decoded entry, or ``None`` (and installs nothing)
-        when the bytes are damaged or keyed differently.
+        Raises ``OSError`` when the entry cannot be written (disk full,
+        read-only or missing directory); no temp file is left behind.
         """
-        entry = decode_entry_bytes(key, data)
-        if entry is not None:
-            self._install(key, data)
-        return entry
-
-    def _install(self, key: str, data: bytes) -> Path:
-        """Atomically write ``data`` as the entry for ``key``."""
+        data = encode_entry(key, result, sim_wall_s)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(

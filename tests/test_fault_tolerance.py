@@ -281,6 +281,31 @@ class TestSweepRunnerIntegration:
         assert runner.last_metrics.launched == 1
 
 
+class TestCacheStoreFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_stores_keep_every_result(self, tmp_path, jobs):
+        """A store that raises ``OSError`` costs persistence, not results.
+
+        The cache root is a regular file, so every store fails with
+        ``NotADirectoryError``; file permissions would not stop a test run
+        as root, and disk-full or read-only stores take the same path.
+        """
+        root = tmp_path / "cache"
+        root.write_text("not a directory")
+        specs = [get(name) for name in NAMES]
+        runner = SweepRunner(options=_options(), parallel=jobs, cache_dir=root)
+        runs = runner.sweep(specs)
+        assert sorted(runs) == sorted(NAMES)
+        metrics = runner.last_metrics
+        assert (metrics.launched, metrics.not_cached) == (4, 4)
+        assert not metrics.failures
+        assert "4 not cached" in metrics.format_line()
+        # The results are memoized all the same.
+        runner.sweep(specs)
+        assert (runner.last_metrics.launched, runner.last_metrics.memo_hits) == (0, 4)
+        assert "not cached" not in runner.last_metrics.format_line()
+
+
 class TestDispatchClassification:
     def test_broken_reduce_surfaces_instead_of_degrading(self):
         """Only genuine pickling errors fall back to in-parent execution;
@@ -333,11 +358,12 @@ class TestSweepMetricsMerge:
             attempts=1,
             worker_fate=FATE_ALIVE,
         )
-        left = self._metrics(retries=1, pool_rebuilds=1)
-        right = self._metrics(retries=2, failures=[failure])
+        left = self._metrics(retries=1, pool_rebuilds=1, not_cached=1)
+        right = self._metrics(retries=2, not_cached=2, failures=[failure])
         left.merge(right)
         assert left.retries == 3
         assert left.pool_rebuilds == 1
+        assert left.not_cached == 3
         assert left.failures == [failure]
         assert left.failed == 1
 

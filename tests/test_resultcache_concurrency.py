@@ -1,26 +1,19 @@
-"""Concurrency guarantees of the ResultCache, exercised with real threads.
+"""Concurrency guarantee of the ResultCache, exercised with real threads.
 
-Two properties back the serve stack's warm path:
-
-* **No torn entries** — stores are atomic (temp file + ``os.replace``),
-  so a reader hammering a key that writers are replacing sees either a
-  miss or a complete, valid entry; never garbage.
-* **Single flight** — :meth:`ResultCache.get_or_compute` holds a per-key
-  lock around the load-compute-store window, so N racing clients missing
-  on the same key cost exactly one computation.
+**No torn entries** — stores are atomic (temp file + ``os.replace``), so
+a reader hammering a key that writers are replacing sees either a miss or
+a complete, valid entry; never garbage.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.config.system import discrete_gpu_system
 from repro.sim.engine import SimOptions, simulate
-from repro.sim.resultcache import _FLIGHTS, ResultCache
+from repro.sim.resultcache import ResultCache
 from repro.sim.serialize import results_identical
-from repro.workloads.registry import get
 
 from .conftest import build_offload_pipeline
 
@@ -74,95 +67,3 @@ def test_concurrent_store_and_load_never_tear(tmp_path):
         entry = cache.load(key)
         assert entry is not None
         assert results_identical(entry.result, result)
-
-
-class TestSingleFlight:
-    def test_racing_misses_cost_one_computation(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = _result()
-        key = "ab" * 32
-        computations = []
-        barrier = threading.Barrier(16)
-
-        def compute():
-            computations.append(threading.get_ident())
-            time.sleep(0.05)  # widen the window the lock must cover
-            return result
-
-        def client():
-            barrier.wait()
-            return cache.get_or_compute(key, compute)
-
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            outcomes = [f.result() for f in [pool.submit(client) for _ in range(16)]]
-        assert len(computations) == 1
-        assert sum(computed for _, computed in outcomes) == 1
-        for entry, _ in outcomes:
-            assert results_identical(entry.result, result)
-
-    def test_warm_key_skips_compute_entirely(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = _result()
-        key = "cd" * 32
-        cache.store(key, result, sim_wall_s=1.25)
-
-        def compute():
-            raise AssertionError("compute ran despite a warm cache")
-
-        entry, computed = cache.get_or_compute(key, compute)
-        assert not computed
-        assert entry.sim_wall_s == 1.25
-
-    def test_distinct_keys_do_not_serialize(self, tmp_path):
-        """The lock is per-key: four keys computing 100ms each across four
-        threads must overlap, not queue up behind one global lock."""
-        cache = ResultCache(tmp_path)
-        result = _result()
-
-        def client(key: str):
-            return cache.get_or_compute(
-                key, lambda: time.sleep(0.1) or result
-            )
-
-        keys = [f"{i:x}" * 16 for i in range(4)]
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for future in [pool.submit(client, key) for key in keys]:
-                future.result()
-        wall = time.perf_counter() - start
-        assert wall < 0.35, f"distinct keys serialized: {wall:.2f}s"
-
-    def test_distinct_roots_do_not_serialize(self, tmp_path):
-        """Same key under different cache directories — independent."""
-        a = ResultCache(tmp_path / "a")
-        b = ResultCache(tmp_path / "b")
-        key = "ef" * 32
-        order = []
-        with a.lock(key):
-            order.append("a-held")
-            with b.lock(key):  # must not deadlock or block
-                order.append("b-held")
-        assert order == ["a-held", "b-held"]
-
-    def test_lock_registry_drains_after_use(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = _result()
-        keys = [f"{i:x}" * 16 for i in range(8)]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [
-                pool.submit(cache.get_or_compute, key, lambda: result)
-                for key in keys
-                for _ in range(4)
-            ]
-            for future in futures:
-                future.result()
-        assert not _FLIGHTS, "single-flight registry leaked lock slots"
-
-    def test_reentrant_use_after_contention(self, tmp_path):
-        """A key's slot is dropped at refcount zero and recreated on the
-        next use; interleaving must never raise or deadlock."""
-        cache = ResultCache(tmp_path)
-        for _ in range(100):
-            with cache.lock("aa" * 32):
-                pass
-        assert not _FLIGHTS

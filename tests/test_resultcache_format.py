@@ -2,8 +2,8 @@
 
 Pins the documented layout, the lossless zero-copy round trip, the
 integrity guarantee (a flipped byte anywhere or a write torn at any column
-boundary is a miss that removes the file, and ``decode_entry_bytes`` and
-``absorb`` refuse the same bytes), and the handling of v1 ``.json.gz``
+boundary is a miss that removes the file, and ``decode_entry_bytes``
+refuses the same bytes), and the handling of v1 ``.json.gz``
 leftovers: never read, reported by ``repro cache``, removed by
 ``repro cache --clear``.
 """
@@ -124,16 +124,13 @@ def test_every_damaged_copy_is_refused_and_removed(tmp_path, data):
     for label, bad in cases:
         assert bad != data, label
         assert decode_entry_bytes(KEY, bad) is None, label
-        assert cache.absorb(KEY, bad) is None, label
-        assert not path.exists(), f"absorb installed {label}"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(bad)
         assert cache.load(KEY) is None, label
         assert not path.exists(), f"load kept {label}"
-    # The undamaged bytes pass all three.
+    # The undamaged bytes pass both.
     assert decode_entry_bytes(KEY, data) is not None
-    assert cache.absorb(KEY, data) is not None
-    assert path.read_bytes() == data
+    path.write_bytes(data)
     assert cache.load(KEY) is not None
 
 
@@ -141,8 +138,11 @@ def test_entry_of_another_key_is_refused(tmp_path, data):
     other = "cd" + "0" * 62
     assert decode_entry_bytes(other, data) is None
     cache = ResultCache(tmp_path)
-    assert cache.absorb(other, data) is None
-    assert not cache.path_for(other).exists()
+    path = cache.path_for(other)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    assert cache.load(other) is None
+    assert not path.exists()
 
 
 def test_foreign_schema_entry_has_a_valid_crc(tmp_path):

@@ -88,7 +88,7 @@ class TestJobs:
 
             async def scenario():
                 accepted = await client.submit(_sweep())
-                assert accepted["schema"] == "repro.serve.job/v1"
+                assert accepted["schema"] == "repro.serve.job/v2"
                 assert accepted["status"] in ("queued", "running")
                 assert accepted["coalesced"] is False
                 assert accepted["runs"] == 2

@@ -52,6 +52,10 @@ def test_raised_fault_yields_partial_with_structured_failure(tmp_path):
         f"{KMEANS}:limited-copy",
     ]
     (failure,) = result["failures"]
+    # Exactly the fields docs/SERVING.md lists for a failure record.
+    assert set(failure) == {
+        "benchmark", "version", "error_type", "message", "attempts", "worker_fate"
+    }
     assert failure["benchmark"] == BFS
     assert failure["version"] == "copy"
     assert failure["error_type"] == "FaultInjected"

@@ -84,14 +84,13 @@ class ScriptedBackend(ExecutorBackend):
                     benchmark=task.benchmark,
                     version=task.version,
                     wall_s=0.0,
-                    host="scripted",
                     result=self._results[(task.benchmark, task.version)],
                 )
             )
         elif outcome == "raise":
             future.set_exception(ValueError("scripted failure"))
         elif outcome == "crash":
-            future.set_exception(TaskCrash("scripted crash", host="scripted"))
+            future.set_exception(TaskCrash("scripted crash"))
         elif outcome == "wire":
             future.set_exception(WireProtocolError("scripted garbage"))
         else:

@@ -279,6 +279,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     entries = len(cache)
     size_mb = cache.size_bytes() / (1024 * 1024)
     legacy, legacy_bytes = cache.legacy()
+    partial, partial_bytes = cache.partial()
     print(format_mapping(
         "Persistent sweep cache",
         {
@@ -286,6 +287,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
             "entries": str(entries),
             "size": f"{size_mb:.1f} MB",
             "legacy v1 entries": f"{legacy} ({legacy_bytes / 2**20:.1f} MB, unread)",
+            "partial writes": (
+                f"{partial} ({partial_bytes / 2**20:.1f} MB, interrupted stores)"
+            ),
         },
     ))
     return 0
@@ -924,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p = add("cache", cmd_cache, "inspect the persistent result cache")
     cache_p.add_argument("--clear", action="store_true",
                          help="delete every cached result, legacy v1 "
-                         "entries included")
+                         "entries and partial writes included")
     bench_p = sub.add_parser(
         "bench",
         help="measure engine performance and gate against a baseline "

@@ -28,16 +28,26 @@ Each entry is one ``{key}.entry`` file in the columnar
 * a ``uint32`` byte length, then a JSON header: ``schema``, ``key``,
   ``sim_wall_s``, ``result`` (the lossless ``repro.sim_result/v2-full``
   dict of :mod:`repro.sim.serialize` without its array fields) and
-  ``columns``, a table of ``[name, dtype, length, byte count]`` rows;
+  ``columns``, a table of ``[name, dtype, length, byte count]`` rows
+  giving each column's *stored* dtype;
 * each array column in table order (the five off-chip log columns, then
-  one per component's ``touched_blocks``), zlib level 1;
+  one per component's ``touched_blocks``).  A non-negative integer column
+  is stored at the narrowest unsigned width (``uint8``/``16``/``32``)
+  that holds its maximum, when that is narrower than its in-memory dtype;
+  any other column keeps its dtype.  Columns are zlib level 1, except
+  ``log_blocks`` stored in 16 bits or fewer, which is zlib-framed stored
+  blocks (level 0): such block ids barely compress;
 * a ``uint32`` CRC-32 of every byte before it.
 
 Loading checks the CRC, schema and key, inflates each column and reads it
-back with ``np.frombuffer``: the result's arrays are zero-copy, read-only
-views of the inflated bytes, and no column ever passes through Python
-objects.  Writes are atomic (temp file + ``os.replace``), so concurrent
-sweeps sharing one cache directory cannot corrupt it.  The v2-full
+back with ``np.frombuffer``; :func:`~repro.sim.serialize.result_from_dict`
+widens narrowed columns to their in-memory dtypes.  Every array of a
+loaded result is read-only, columns stored at their in-memory width are
+zero-copy views of the inflated bytes, and no column ever passes through
+Python objects.  Entries written before columns were narrowed (every
+integer column full width, all at level 1) load the same way.  Writes are
+atomic (temp file + ``os.replace``), so concurrent sweeps sharing one
+cache directory cannot corrupt it.  The v2-full
 schema is forward-compatible with optional result fields (``violations``
 from the invariant monitor), while stale *semantics* are caught by the
 :data:`~repro.sim.engine.ENGINE_VERSION` tag in the key.
@@ -45,7 +55,8 @@ from the invariant monitor), while stale *semantics* are caught by the
 Entries of the gzip-JSON ``repro.sweep_cache/v1`` format
 (``{key}.json.gz``) are never read: the schema is part of every key, so
 they can only miss.  :meth:`ResultCache.legacy` counts them and
-:meth:`ResultCache.clear` removes them.
+:meth:`ResultCache.clear` removes them, as it does the temp files of
+stores killed before their rename (:meth:`ResultCache.partial`).
 
 The default location is ``~/.cache/repro-sweeps``, overridable with the
 ``REPRO_CACHE_DIR`` environment variable or an explicit ``cache_dir``.
@@ -84,9 +95,11 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Schema tag of the on-disk entry format.
 CACHE_SCHEMA = "repro.sweep_cache/v2"
 
-#: File suffix of current entries, and of the never-read v1 entries.
+#: File suffix of current entries, of the never-read v1 entries, and of
+#: the temp file a store writes before renaming it into place.
 ENTRY_SUFFIX = ".entry"
 LEGACY_SUFFIX = ".json.gz"
+TEMP_SUFFIX = ".tmp"
 
 _MAGIC = b"RPRSWC2\n"
 _U32 = struct.Struct("<I")
@@ -178,17 +191,43 @@ class CacheEntry:
     sim_wall_s: float
 
 
+#: Widths a non-negative integer column may be stored at, narrowest first.
+_UNSIGNED = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
+
+
+def _narrowest(column: np.ndarray) -> np.ndarray:
+    """``column`` at the narrowest unsigned width that holds its maximum.
+
+    Only non-negative integer columns narrow, and only to a width below
+    their own; bools, columns holding a negative value and empty columns
+    come back as they are.
+    """
+    if column.dtype.kind in "iu" and column.size and column.min() >= 0:
+        high = column.max()
+        for dtype in _UNSIGNED:
+            if dtype.itemsize >= column.dtype.itemsize:
+                break
+            if high <= np.iinfo(dtype).max:
+                return column.astype(dtype)
+    return column
+
+
 def pack_entry(meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> bytes:
     """Lay out one entry: magic, JSON header, zlib columns, CRC-32 trailer.
 
-    ``meta`` holds the header fields; the column table is added here.
+    ``meta`` holds the header fields; the column table, which records each
+    column's stored (possibly narrowed) dtype, is added here.
     """
     table, blobs = [], []
     for name, column in columns.items():
-        data = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
-        # Level 1 shrinks the columns ~5x; level 6 saves another ~8% at ~5x
-        # the time (lonestar/mst at 1/32), and stores must stay cheap.
-        blobs.append(zlib.compress(data, 1))
+        stored = _narrowest(column)
+        data = np.ascontiguousarray(stored, dtype=stored.dtype.newbyteorder("<"))
+        # Level 1 shrinks most columns ~5x; level 6 saves another ~8% at ~5x
+        # the time (lonestar/mst at 1/32), and stores must stay cheap.  Block
+        # ids of 16 bits or fewer shrink only ~11% at level 1, so they are
+        # framed as stored blocks (level 0): still a valid zlib stream.
+        level = 0 if name == "log_blocks" and data.dtype.itemsize <= 2 else 1
+        blobs.append(zlib.compress(data, level))
         table.append([name, data.dtype.str, data.size, len(blobs[-1])])
     header = json.dumps({**meta, "columns": table}, separators=(",", ":")).encode()
     parts = [_MAGIC, _U32.pack(len(header)), header, *blobs]
@@ -240,10 +279,12 @@ def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
             offset += nbytes
         if offset != len(body):
             return None
-        return CacheEntry(
-            result=result_from_dict(join_columns(meta["result"], columns)),
-            sim_wall_s=float(meta["sim_wall_s"]),
-        )
+        # Same-width columns pass through as the read-only views above;
+        # narrowed ones come back widened, and those copies are frozen too.
+        result = result_from_dict(join_columns(meta["result"], columns))
+        for column in result_columns(result).values():
+            column.flags.writeable = False
+        return CacheEntry(result=result, sim_wall_s=float(meta["sim_wall_s"]))
     except (ValueError, KeyError, TypeError, AttributeError, zlib.error, struct.error):
         return None
 
@@ -252,16 +293,19 @@ class ResultCache:
     """Filesystem-backed result store; one columnar v2 file per key.
 
     The layout is described in the module docstring: a JSON header, the
-    array columns as zlib'd little-endian bytes and a CRC-32 trailer.  One
-    encoder (:func:`encode_entry`) and one decoder
-    (:func:`decode_entry_bytes`) serve :meth:`store` and :meth:`load`; v1
-    ``.json.gz`` files are never read (:meth:`legacy`).
+    array columns as zlib'd little-endian bytes, each at its narrowest
+    width, and a CRC-32 trailer.  One encoder (:func:`encode_entry`) and
+    one decoder (:func:`decode_entry_bytes`) serve :meth:`store` and
+    :meth:`load`; loaded arrays are read-only, and zero-copy where the
+    stored width is the in-memory one.  v1 ``.json.gz`` files are never
+    read (:meth:`legacy`).
 
     Concurrency: entries are written atomically (temp file +
     ``os.replace``) so readers can never observe torn data, and multiple
     threads/processes may store the same key concurrently (last atomic
-    replace wins — both wrote the same bytes;
-    tests/test_resultcache_concurrency.py pins this).
+    replace wins).  Both wrote the same *result*, though not always the
+    same bytes: each header carries its own measured ``sim_wall_s``
+    (tests/test_resultcache_concurrency.py pins this).
     """
 
     def __init__(self, root: Union[None, str, Path] = None):
@@ -310,7 +354,7 @@ class ResultCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
+            dir=path.parent, prefix=f".{key[:8]}-", suffix=TEMP_SUFFIX
         )
         try:
             with os.fdopen(fd, "wb") as raw:
@@ -326,7 +370,7 @@ class ResultCache:
 
     # -- maintenance ---------------------------------------------------------
 
-    def _walk(self, suffix: str) -> Iterator[Path]:
+    def _walk(self, pattern: str) -> Iterator[Path]:
         # A concurrent sweep (or ``clear``) may remove entries and fan-out
         # directories while this iterator walks them; vanished paths are
         # simply skipped rather than crashing the listing.
@@ -338,13 +382,13 @@ class ResultCache:
             return
         for subdir in subdirs:
             try:
-                names = sorted(subdir.glob(f"*{suffix}"))
+                names = sorted(subdir.glob(pattern))
             except OSError:
                 continue
             yield from names
 
     def entries(self) -> Iterator[Path]:
-        return self._walk(ENTRY_SUFFIX)
+        return self._walk(f"*{ENTRY_SUFFIX}")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
@@ -354,19 +398,38 @@ class ResultCache:
 
     def legacy(self) -> Tuple[int, int]:
         """``(count, bytes)`` of v1 ``.json.gz`` entries, which are never read."""
-        sizes = [_size(path) for path in self._walk(LEGACY_SUFFIX)]
-        return len(sizes), sum(sizes)
+        return _tally(self._walk(f"*{LEGACY_SUFFIX}"))
+
+    def partial(self) -> Tuple[int, int]:
+        """``(count, bytes)`` of temp files that stores killed between
+        ``mkstemp`` and ``os.replace`` (SIGKILL, OOM) left behind."""
+        return _tally(self._walk(f".*{TEMP_SUFFIX}"))
 
     def clear(self) -> int:
-        """Delete every entry, v1 ones included; returns how many were removed."""
+        """Delete every entry, v1 entries and :meth:`partial` temp files
+        included; returns how many files were removed.
+
+        A store still writing its temp file then fails its rename, and its
+        sweep counts the result as not cached.
+        """
         removed = 0
-        for path in [*self.entries(), *self._walk(LEGACY_SUFFIX)]:
+        paths = [
+            *self.entries(),
+            *self._walk(f"*{LEGACY_SUFFIX}"),
+            *self._walk(f".*{TEMP_SUFFIX}"),
+        ]
+        for path in paths:
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
         return removed
+
+
+def _tally(paths: Iterator[Path]) -> Tuple[int, int]:
+    sizes = [_size(path) for path in paths]
+    return len(sizes), sum(sizes)
 
 
 def _size(path: Path) -> int:

@@ -220,7 +220,8 @@ def result_from_dict(payload: Dict[str, Any]) -> SimResult:
     """Rebuild a :class:`SimResult` from its ``v2-full`` dictionary.
 
     Array fields may be JSON lists or numpy arrays (:func:`join_columns`);
-    arrays already of the result's dtypes are kept as they are.
+    arrays already of the result's dtypes are kept as they are, and others,
+    such as the result cache's narrowed columns, are widened to them.
     """
     schema = payload.get("schema")
     if schema != SCHEMA_FULL:

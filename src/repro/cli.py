@@ -10,7 +10,6 @@ Commands::
     repro validate                    # Section V-A/V-B validations
     repro ablations                   # ablation studies
     repro cache [--clear]             # inspect the persistent result cache
-    repro bench [--compare BASE]      # engine perf report + regression gate
     repro serve [--port P --jobs N]   # async HTTP/JSON sweep service
     repro lint [BENCHMARK...] [--fix] # static pipeline verification
     repro advise [BENCHMARK] [--static]  # rank optimization opportunities
@@ -292,82 +291,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
             ),
         },
     ))
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Measure engine performance; optionally gate against a baseline.
-
-    Exit status: 0 on success (and no regression), 1 when ``--compare``
-    found a regression, 2 on usage errors (unreadable or schema-invalid
-    baseline, bad tolerance).
-    """
-    import json
-    from pathlib import Path
-
-    from repro.bench import (
-        BenchConfig,
-        collect_report,
-        compare_reports,
-        summarize,
-        validate_report,
-        write_report,
-    )
-
-    if args.tolerance <= 0:
-        print(
-            f"repro bench: --tolerance must be positive, got {args.tolerance}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.reps < 1:
-        print(
-            f"repro bench: --reps must be at least 1, got {args.reps}",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = None
-    if args.compare:
-        try:
-            baseline = json.loads(Path(args.compare).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro bench: cannot read {args.compare}: {exc}", file=sys.stderr)
-            return 2
-        problems = validate_report(baseline)
-        if problems:
-            print(f"repro bench: invalid baseline {args.compare}:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 2
-
-    config = BenchConfig(
-        scale=args.scale,
-        seed=args.seed,
-        reps=args.reps,
-        quick=args.quick,
-        stage_memo=args.stage_memo,
-    )
-    report = collect_report(config)
-    print(summarize(report))
-    if args.output:
-        write_report(report, Path(args.output))
-        print(f"wrote {args.output}")
-
-    if baseline is not None:
-        comparison = compare_reports(baseline, report, args.tolerance)
-        if comparison.regressions:
-            print(
-                f"repro bench: {len(comparison.regressions)} regression(s) "
-                f"beyond {args.tolerance:.2f}x tolerance:",
-                file=sys.stderr,
-            )
-            for delta in comparison.regressions:
-                print(f"  {delta.describe()}", file=sys.stderr)
-            return 1
-        print(
-            f"no regressions across {len(comparison.compared)} shared "
-            f"metric(s) at {args.tolerance:.2f}x tolerance"
-        )
     return 0
 
 
@@ -929,39 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.add_argument("--clear", action="store_true",
                          help="delete every cached result, legacy v1 "
                          "entries and partial writes included")
-    bench_p = sub.add_parser(
-        "bench",
-        help="measure engine performance and gate against a baseline "
-        "(docs/BENCHMARKING.md)",
-    )
-    bench_p.add_argument(
-        "--scale", type=float, default=DEFAULT_BENCH_SCALE,
-        help="footprint/cache scale factor (1.0 = paper scale)")
-    bench_p.add_argument("--seed", type=int, default=0, help="trace seed")
-    bench_p.add_argument(
-        "--reps", type=int, default=5,
-        help="repetitions per timed metric (default: 5)")
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="smoke mode: at most 2 reps and only the 8-benchmark sweep "
-        "subset (metric keys stay comparable to a full baseline)")
-    bench_p.add_argument(
-        "--stage-memo",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="stage-level memoization for the measured runs (default: "
-        "auto = on with the fast engine)")
-    bench_p.add_argument(
-        "--compare", default=None, metavar="BASELINE.json",
-        help="compare against a saved report; exit 1 when any shared "
-        "metric's p50 regresses beyond --tolerance")
-    bench_p.add_argument(
-        "--tolerance", type=float, default=1.5,
-        help="multiplicative regression tolerance on p50 (default: 1.5)")
-    bench_p.add_argument(
-        "-o", "--output", default=None,
-        help="write the report JSON here (e.g. BENCH_engine.json)")
-    bench_p.set_defaults(handler=cmd_bench)
     serve_p = sub.add_parser(
         "serve",
         help="run the async HTTP/JSON sweep service (docs/SERVING.md)",

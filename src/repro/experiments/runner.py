@@ -297,10 +297,6 @@ class SweepRunner:
                 )
         return runs
 
-    def trace_summary_table(self) -> str:
-        """Per-benchmark trace summaries of every run this runner served."""
-        return self.metrics_registry.format_table()
-
 
 _default_runner: Optional[SweepRunner] = None
 

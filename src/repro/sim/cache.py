@@ -69,9 +69,6 @@ class SetAssocCache:
     def occupancy(self) -> int:
         return len(self._resident)
 
-    def is_dirty(self, block: int) -> bool:
-        return block in self._dirty
-
     # -- the hot path ------------------------------------------------------------
 
     def access_stream(self, stream: AccessStream) -> AccessStream:

@@ -99,8 +99,8 @@ class SimOptions:
             plain-Python model, selectable as the opt-out).  The two
             produce bit-identical SimResults (enforced by the differential
             test suite), so the persistent result cache is shared between
-            them; the choice is purely a wall-clock trade-off measured by
-            ``repro bench``.
+            them; the reference engine is the test oracle the fast one is
+            held to.
         stage_memo: stage-level memoization (:mod:`repro.sim.memo`) —
             ``"auto"`` (the default) enables it exactly when
             ``engine_impl == "fast"``; ``"on"`` / ``"off"`` force it for
@@ -170,10 +170,15 @@ class Engine:
                 f"unknown stage_memo {options.stage_memo!r}; "
                 "choose from 'auto', 'on', 'off'"
             )
-        # Stage-level memoization (repro.sim.memo): process-wide, shared
-        # across engine instances, systems, and the copy / limited-copy
-        # pair.  "auto" follows the engine impl so the reference engine
-        # stays a memo-free baseline by default.
+        # Stage-level memoization (repro.sim.memo): process-wide and shared
+        # across engine instances.  Keys hold ``caches.coherent``, so the
+        # copy (discrete) and limited-copy (heterogeneous) runs never share
+        # an entry; hits come from repeated stages within a pipeline and
+        # from re-runs of one version.  At scale 1/32, seed 1, a cleared
+        # memo gives a limited-copy run the same hits/misses after its copy
+        # sibling as alone (kmeans 13/4, srad 1/4, bfs 0/97, histo 0/3,
+        # mst 0/113).  "auto" follows the engine impl so the reference
+        # engine stays a memo-free baseline by default.
         use_stage_memo = options.stage_memo == "on" or (
             options.stage_memo == "auto" and options.engine_impl == "fast"
         )

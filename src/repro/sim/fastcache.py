@@ -197,10 +197,6 @@ class FastSetAssocCache:
     def occupancy(self) -> int:
         return len(self._blocks)
 
-    def is_dirty(self, block: int) -> bool:
-        row = self._row_of(block)
-        return row >= 0 and bool(self._dirty[row])
-
     # -- the hot path ----------------------------------------------------------
 
     def access_stream(self, stream: AccessStream) -> AccessStream:

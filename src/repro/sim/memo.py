@@ -18,11 +18,14 @@ live, which is what keeps memoized runs bit-exact with memo-off runs
 (enforced by tests/test_stage_memo.py and the differential matrix of
 tests/test_engine_equivalence.py).
 
-Keys repeat massively in practice: iterated pipelines (stencil sweeps,
-kmeans-style offload loops) reach a cache-state fixed point after a couple
-of iterations, after which every further iteration is a hit; repeated
-in-process runs (figure modules, bench reps, the equivalence suite's
-double-runs) hit from the first stage.  The memo is process-wide and
+Keys repeat within a pipeline and across re-runs of one version:
+iterated pipelines (stencil sweeps, kmeans-style offload loops) reach a
+cache-state fixed point after a couple of iterations, after which every
+further iteration is a hit; repeated in-process runs of one version
+(ablation studies, repeated figure renders, the equivalence suite's
+double-runs) hit from the first stage.  Keys hold the cache system's
+coherence flag, so a copy run (discrete) and its limited-copy sibling
+(heterogeneous) never share an entry.  The memo is process-wide and
 shared across engine instances — state digests make sharing safe — and,
 like the persistent :mod:`repro.sim.resultcache`, entries are shared
 between the ``reference`` and ``fast`` cache implementations because the
@@ -211,9 +214,9 @@ def stage_memo_snapshot() -> Tuple[int, int]:
 
 def clear_shared_stage_memo() -> None:
     """Empty the shared memo (cumulative counters survive, per the
-    :meth:`StageMemo.clear` contract).  The bench harness calls this so
-    cold measurements start from an empty memo and every rep sees the
-    same deterministic hit pattern."""
+    :meth:`StageMemo.clear` contract).  Runs repeated after a clear make
+    the same hits and misses, so tests call this to start memo-cold and
+    compare :func:`stage_memo_snapshot` deltas."""
     if _shared is not None:
         _shared.clear()
 

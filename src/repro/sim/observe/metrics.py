@@ -113,9 +113,6 @@ class MetricsRegistry:
     def summaries(self) -> List[RunTraceSummary]:
         return [self._runs[key] for key in sorted(self._runs)]
 
-    def benchmark_summaries(self, benchmark: str) -> List[RunTraceSummary]:
-        return [s for s in self.summaries() if s.benchmark == benchmark]
-
     def totals(self) -> Dict[str, float]:
         """Sweep-wide counter totals (the numbers behind Figs. 4-6)."""
         totals: Dict[str, float] = {

@@ -15,10 +15,6 @@ class CopyTiming:
     launch_s: float
     transfer_s: float
 
-    @property
-    def total_s(self) -> float:
-        return self.launch_s + self.transfer_s
-
 
 class CopyEngine:
     """Times copy stages for either system organization.

@@ -173,9 +173,6 @@ class SimResult:
         """Time during which two or more components are active."""
         return sum(t for mask, t in self.activity().items() if len(mask) >= 2)
 
-    def idle_time(self) -> float:
-        return self.activity().get(frozenset(), 0.0)
-
     def serial_launch_time(self) -> float:
         """Cserial of Eq. 1: launch time not masked by GPU or copy activity.
 
@@ -248,12 +245,6 @@ class SimResult:
         return sum(self.footprint_blocks_by_subset().values()) * self.line_bytes
 
     # -- convenience -----------------------------------------------------------
-
-    def stages_by_logical(self) -> Dict[str, List[StageRecord]]:
-        out: Dict[str, List[StageRecord]] = {}
-        for record in self.stages:
-            out.setdefault(record.logical, []).append(record)
-        return out
 
     def summary(self) -> Dict[str, float]:
         return {

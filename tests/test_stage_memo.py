@@ -10,7 +10,8 @@ env-gated differential (``REPRO_MEMO_DIFFERENTIAL=1``, run by the CI
 rest covers the key's :data:`~repro.sim.engine.ENGINE_VERSION`
 invalidation (shared with the persistent :mod:`repro.sim.resultcache`),
 sharing entries across fault timings and cache implementations, snapshot
-immutability, the option plumbing, and the bounded-memory wholesale clear.
+immutability, the option plumbing, hit counts that repeat after a clear,
+and the bounded-memory wholesale clear.
 """
 
 from __future__ import annotations
@@ -335,6 +336,23 @@ def test_memo_stats_hit_rate():
     assert stats.lookups == 4
     assert stats.hit_rate == pytest.approx(0.75)
     assert stats.snapshot() == (3, 1)
+
+
+def test_cleared_memo_repeats_hit_pattern():
+    """After ``clear_shared_stage_memo()`` the same runs make the same
+    hits and misses, so memo counters compare across repeated runs."""
+
+    def pair_delta():
+        clear_shared_stage_memo()
+        before = stage_memo_snapshot()
+        _run("rodinia/kmeans", COPY, "on")
+        _run("rodinia/kmeans", LIMITED, "on")
+        after = stage_memo_snapshot()
+        return (after[0] - before[0], after[1] - before[1])
+
+    first = pair_delta()
+    assert first[0] > 0, "kmeans iterations must hit their own stages"
+    assert pair_delta() == first
 
 
 def _tiny_entry() -> StageEntry:

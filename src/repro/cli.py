@@ -376,7 +376,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         LintReport,
         Severity,
         lint_pipeline,
-        render_json,
         render_text,
         report_to_dict,
     )
@@ -727,8 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--stage-memo",
             choices=("auto", "on", "off"),
             default="auto",
-            help="stage-level memoization: replay repeated (stage, cache "
-            "state) executions instead of re-simulating them; 'auto' "
+            help="stage-level memoization: replay repeated memory steps "
+            "(page-fault touch, each cache level, peer probe, copy) instead "
+            "of re-simulating them; 'auto' "
             "enables it with the fast engine (default), results are "
             "bit-identical either way (docs/MODELING.md)",
         )

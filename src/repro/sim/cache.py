@@ -8,7 +8,7 @@ return as numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Set, Tuple
 
 import numpy as np
@@ -77,9 +77,21 @@ class SetAssocCache:
         The downstream stream contains, in occurrence order, a read for every
         miss fill and a write for every dirty eviction.
         """
+        return self.access_misses(stream)[0]
+
+    def access_misses(
+        self, stream: AccessStream
+    ) -> Tuple[AccessStream, np.ndarray, np.ndarray]:
+        """:meth:`access_stream` plus (miss mask over ``stream``, stream
+        positions whose miss evicted a dirty line); the evicted lines are the
+        downstream's writes, in the same order."""
         n = len(stream)
         if not n:
-            return AccessStream.empty()
+            return (
+                AccessStream.empty(),
+                np.zeros(0, dtype=bool),
+                np.empty(0, dtype=np.int64),
+            )
         blocks = stream.blocks.tolist()
         writes = stream.is_write.tolist()
         set_of = (stream.blocks % self.num_sets).tolist()
@@ -90,6 +102,8 @@ class SetAssocCache:
         assoc = self.assoc
         out_blocks: List[int] = []
         out_writes: List[bool] = []
+        miss = np.zeros(n, dtype=bool)
+        wb_pos: List[int] = []
         hits = 0
 
         for i in range(n):
@@ -102,6 +116,7 @@ class SetAssocCache:
                 hits += 1
             else:
                 # Miss: fill from below.
+                miss[i] = True
                 out_blocks.append(block)
                 out_writes.append(False)
                 lru.append(block)
@@ -111,6 +126,7 @@ class SetAssocCache:
                     resident.discard(victim)
                     if victim in dirty:
                         dirty.discard(victim)
+                        wb_pos.append(i)
                         out_blocks.append(victim)
                         out_writes.append(True)
             if writes[i]:
@@ -120,10 +136,11 @@ class SetAssocCache:
         self.stats.hits += hits
         self.stats.misses += n - hits
         self.stats.writebacks += sum(out_writes)
-        return AccessStream(
+        downstream = AccessStream(
             np.asarray(out_blocks, dtype=np.int64),
             np.asarray(out_writes, dtype=bool),
         )
+        return downstream, miss, np.asarray(wb_pos, dtype=np.int64)
 
     # -- maintenance ----------------------------------------------------------
 

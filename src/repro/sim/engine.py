@@ -11,7 +11,7 @@ generated access trace through the cache system in start-time order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,10 +44,10 @@ from repro.sim.observe.events import (
 from repro.sim.memo import (
     StageEntry,
     StageMemo,
-    apply_stats_delta,
+    cache_effects,
+    replay_cache_effects,
     shared_stage_memo,
     states_digest,
-    stats_delta,
     stats_tuple,
 )
 from repro.sim.observe.sinks import TraceSink
@@ -156,6 +156,28 @@ class Engine:
             # one pipeline) synthesize each identical sub-stream once.
             memo=_TRACE_MEMO if options.engine_impl == "fast" else None,
         )
+        if options.stage_memo not in ("auto", "on", "off"):
+            raise ValueError(
+                f"unknown stage_memo {options.stage_memo!r}; "
+                "choose from 'auto', 'on', 'off'"
+            )
+        # Step-level memoization (repro.sim.memo): process-wide and shared
+        # across engine instances.  A compute stage's page-fault touch, L1,
+        # L2 and peer probe are separate steps keyed on their own inputs,
+        # so runs differing in one component replay the others' steps;
+        # copy and drain steps key on every cache and ``caches.coherent``.
+        # At scale 1/32, seed 1, a cleared memo gives a copy run, then its
+        # limited-copy sibling, these step hits/misses: kmeans 44/14 then
+        # 52/13, srad 2/9 then 4/13, bfs 94/150 then 143/242, histo 0/7
+        # then 2/7, mst 110/174 then 167/282 (the siblings share CPU
+        # steps).  "auto" follows the engine impl so the reference engine
+        # stays a memo-free baseline by default.
+        use_stage_memo = options.stage_memo == "on" or (
+            options.stage_memo == "auto" and options.engine_impl == "fast"
+        )
+        self.stage_memo: Optional[StageMemo] = (
+            shared_stage_memo() if use_stage_memo else None
+        )
         coherent = system.kind is SystemKind.HETEROGENEOUS
         self.caches = CacheSystem(
             cpu_l1=system.cpu.l1d,
@@ -164,26 +186,7 @@ class Engine:
             gpu_l2=system.gpu.l2,
             coherent=coherent,
             impl=options.engine_impl,
-        )
-        if options.stage_memo not in ("auto", "on", "off"):
-            raise ValueError(
-                f"unknown stage_memo {options.stage_memo!r}; "
-                "choose from 'auto', 'on', 'off'"
-            )
-        # Stage-level memoization (repro.sim.memo): process-wide and shared
-        # across engine instances.  Keys hold ``caches.coherent``, so the
-        # copy (discrete) and limited-copy (heterogeneous) runs never share
-        # an entry; hits come from repeated stages within a pipeline and
-        # from re-runs of one version.  At scale 1/32, seed 1, a cleared
-        # memo gives a limited-copy run the same hits/misses after its copy
-        # sibling as alone (kmeans 13/4, srad 1/4, bfs 0/97, histo 0/3,
-        # mst 0/113).  "auto" follows the engine impl so the reference
-        # engine stays a memo-free baseline by default.
-        use_stage_memo = options.stage_memo == "on" or (
-            options.stage_memo == "auto" and options.engine_impl == "fast"
-        )
-        self.stage_memo: Optional[StageMemo] = (
-            shared_stage_memo() if use_stage_memo else None
+            memo=self.stage_memo,
         )
         self.memory = MemorySystem(system)
         self.copy_engine = CopyEngine(system)
@@ -224,49 +227,46 @@ class Engine:
 
     # -- stage memoization -----------------------------------------------------
     #
-    # Each stage's *memory step* — the page-fault touch, the stream's trip
-    # through the cache hierarchy, and the off-chip log appends it produces
-    # — is a pure function of (access stream, cache configs, incoming
-    # cache state, page size, page-table state).  The helpers below key it
-    # by exactly those inputs and replay the recorded outcome on a repeat;
-    # timing (fault service seconds included), scheduling, and trace
-    # events are cheap arithmetic over the replayed counters and always run
-    # live, which keeps memoized runs bit-exact with memo-off runs.  See
-    # repro.sim.memo.
+    # A stage's memory step is split into steps, each a pure function of
+    # its inputs: a compute stage's page-fault touch here, its L1, L2 and
+    # peer probe in repro.sim.hierarchy, and one step per copy and per
+    # drain.  The helpers below key the engine's steps by exactly their
+    # inputs and replay the recorded outcome on a repeat; timing (fault
+    # service seconds included), scheduling, and trace events are cheap
+    # arithmetic over the replayed counters and always run live, which
+    # keeps memoized runs bit-exact with memo-off runs.  See repro.sim.memo.
 
-    def _memo_caches(self, component: Optional[Component]) -> tuple:
-        """The caches one memory step can read or mutate, in fixed order."""
-        if component is None:  # copy / drain: both domains, both levels
-            return (
-                self.caches.cpu.l1,
-                self.caches.cpu.l2,
-                self.caches.gpu.l1,
-                self.caches.gpu.l2,
-            )
-        domain = self.caches.domain_for(component)
-        involved = [domain.l1, domain.l2]
-        peer = self.caches.peer_of(component)
-        if peer is not None:
-            involved += [peer.l1, peer.l2]
-        return tuple(involved)
-
-    def _memo_key(
-        self, tag: tuple, stream_key: Optional[tuple], involved: tuple,
-        with_faults: bool,
-    ) -> tuple:
-        # ENGINE_VERSION is read dynamically (module global) so a version
-        # bump invalidates live stage memos exactly like the result cache.
-        fault_key = None
-        if with_faults and self.faults is not None:
-            fault_key = self.faults.state_key()
+    def _all_caches(self) -> tuple:
+        """The caches a copy or drain step can read or mutate, in fixed order."""
         return (
-            ENGINE_VERSION,
+            self.caches.cpu.l1,
+            self.caches.cpu.l2,
+            self.caches.gpu.l1,
+            self.caches.gpu.l2,
+        )
+
+    def _stream_key(self, stage: Optional[Stage], trace: Optional[StageTrace]) -> tuple:
+        """Versioned name of a step's input stream (the drain has none).
+
+        ENGINE_VERSION is read dynamically (module global) so a version
+        bump invalidates live stage memos exactly like the result cache:
+        every step key holds this key or chains from a step that does.  The
+        stage's trace key is built here only without a trace memo.
+        """
+        if trace is None:
+            trace_key = None
+        elif trace.key is not None:
+            trace_key = trace.key
+        else:
+            trace_key = self.tracegen.stage_key(stage)
+        return (ENGINE_VERSION, self.options.line_bytes, trace_key)
+
+    def _memo_key(self, tag: tuple, stream_key: tuple, involved: tuple) -> tuple:
+        return (
             tag,
             stream_key,
-            self.options.line_bytes,
             self.caches.coherent,
             tuple(cache.config for cache in involved),
-            fault_key,
             states_digest([cache.state_arrays() for cache in involved]),
         )
 
@@ -281,6 +281,7 @@ class Engine:
         aux: tuple = (),
     ) -> None:
         assert self.stage_memo is not None
+        states, deltas = cache_effects(involved, before_stats)
         self.stage_memo.store(
             key,
             StageEntry(
@@ -295,11 +296,8 @@ class Engine:
                     mem.offchip_blocks,
                 ),
                 fault=fault,
-                cache_states=tuple(c.state_arrays() for c in involved),
-                stats_deltas=tuple(
-                    stats_delta(before, stats_tuple(cache))
-                    for before, cache in zip(before_stats, involved)
-                ),
+                cache_states=states,
+                stats_deltas=deltas,
                 aux=aux,
             ),
         )
@@ -308,57 +306,61 @@ class Engine:
         self, entry: StageEntry, involved: tuple, ordinal: int
     ) -> Optional[DomainResult]:
         self.caches.log.replay(entry.log_parts, ordinal)
-        for cache, state, delta in zip(
-            involved, entry.cache_states, entry.stats_deltas
-        ):
-            cache.restore_state(state)
-            apply_stats_delta(cache, delta)
+        replay_cache_effects(involved, entry)
         if entry.fault is not None and self.faults is not None:
             self.faults.replay(entry.fault[2])
         if entry.mem is None:
             return None
         return DomainResult(*entry.mem)
 
-    def _compute_memory_live(
+    def _touch_live(
+        self, stage: Stage, stream: AccessStream, ordinal: int
+    ) -> tuple:
+        """One compute stage's page-fault touch.
+
+        Returns (fault count, zeroed blocks, newly mapped pages).
+        """
+        fault = self.faults.touch(stream.blocks, stage.kind)
+        zeroed = fault.zeroed_blocks
+        if len(zeroed) and self.system.page_faults.enabled:
+            # The CPU zeroes newly mapped pages; attribute the writes to
+            # the CPU component (the srad access-shifting effect).
+            # Zeroing traffic counts as CPU memory accesses but not as
+            # core-touched footprint.
+            self.caches.log.append(
+                zeroed,
+                np.ones(len(zeroed), dtype=bool),
+                ordinal,
+                Component.CPU,
+            )
+            bpp = self.faults.layout.blocks_per_page
+            new_pages = (zeroed[::bpp] // bpp).astype(np.int64)
+        else:
+            new_pages = np.empty(0, dtype=np.int64)
+        return (fault.faults, zeroed, new_pages)
+
+    def _touch_step(
         self,
         stage: Stage,
         stream: AccessStream,
+        stream_key: Optional[tuple],
         component: Component,
         ordinal: int,
-    ) -> Tuple[DomainResult, Optional[tuple]]:
-        """One compute stage's memory step.
-
-        Returns (mem, fault tuple): the tuple is (fault count, zeroed
-        blocks, newly mapped pages), or None without a fault model.
-        """
-        fault_tuple: Optional[tuple] = None
-        if self.faults is not None and len(stream):
-            fault = self.faults.touch(stream.blocks, stage.kind)
-            zeroed = fault.zeroed_blocks
-            if len(zeroed) and self.system.page_faults.enabled:
-                # The CPU zeroes newly mapped pages; attribute the writes to
-                # the CPU component (the srad access-shifting effect).
-                # Zeroing traffic counts as CPU memory accesses but not as
-                # core-touched footprint.
-                self.caches.log.append(
-                    zeroed,
-                    np.ones(len(zeroed), dtype=bool),
-                    ordinal,
-                    Component.CPU,
-                )
-                bpp = self.faults.layout.blocks_per_page
-                new_pages = (zeroed[::bpp] // bpp).astype(np.int64)
-            else:
-                new_pages = np.empty(0, dtype=np.int64)
-            fault_tuple = (fault.faults, zeroed, new_pages)
-        mem = self.caches.process_compute(stream, ordinal, component)
-        return mem, fault_tuple
-
-    def _stream_key(self, stage: Stage, trace: StageTrace) -> tuple:
-        """The stage's trace key, built here only without a trace memo."""
-        if trace.key is not None:
-            return trace.key
-        return self.tracegen.stage_key(stage)
+    ) -> tuple:
+        """Memoized page-fault touch, keyed on page size, page-table token,
+        stream and component; returns :meth:`_touch_live`'s tuple."""
+        memo = self.stage_memo
+        if memo is None:
+            return self._touch_live(stage, stream, ordinal)
+        key = ("fault", component.value, stream_key, self.faults.state_key())
+        entry = memo.lookup(key)
+        if entry is not None:
+            self._memo_replay(entry, (), ordinal)
+            return entry.fault
+        mark = self.caches.log.mark()
+        fault = self._touch_live(stage, stream, ordinal)
+        self._memo_record(key, (), [], mark, fault=fault)
+        return fault
 
     def _compute_memory_step(
         self,
@@ -367,40 +369,21 @@ class Engine:
         component: Component,
         ordinal: int,
     ) -> Tuple[DomainResult, float, int, int]:
-        """Memoized compute memory step.
+        """A compute stage's memory step: page-fault touch, then the caches.
 
         Returns (mem, fault service seconds, fault count, zeroed blocks).
         """
-        memo = self.stage_memo
         stream = trace.stream
-        if memo is None or not len(stream):
-            mem, fault_tuple = self._compute_memory_live(
-                stage, stream, component, ordinal
-            )
-        else:
-            involved = self._memo_caches(component)
-            key = self._memo_key(
-                ("compute", component.value),
-                self._stream_key(stage, trace),
-                involved,
-                with_faults=True,
-            )
-            entry = memo.lookup(key)
-            if entry is not None:
-                mem = self._memo_replay(entry, involved, ordinal)
-                fault_tuple = entry.fault
-            else:
-                mark = self.caches.log.mark()
-                before = [stats_tuple(cache) for cache in involved]
-                mem, fault_tuple = self._compute_memory_live(
-                    stage, stream, component, ordinal
-                )
-                self._memo_record(
-                    key, involved, before, mark, mem=mem, fault=fault_tuple
-                )
-        if fault_tuple is None:
+        stream_key = None
+        if self.stage_memo is not None and len(stream):
+            stream_key = self._stream_key(stage, trace)
+        fault = None
+        if self.faults is not None and len(stream):
+            fault = self._touch_step(stage, stream, stream_key, component, ordinal)
+        mem = self.caches.process_compute(stream, ordinal, component, stream_key)
+        if fault is None:
             return mem, 0.0, 0, 0
-        faults, zeroed, _ = fault_tuple
+        faults, zeroed, _ = fault
         return mem, self.faults.service_time(faults), faults, len(zeroed)
 
     def _copy_memory_step(
@@ -415,13 +398,8 @@ class Engine:
         memo = self.stage_memo
         if memo is None or not (len(src_blocks) + len(dst_blocks)):
             return self.caches.process_copy(src_blocks, dst_blocks, ordinal)
-        involved = self._memo_caches(None)
-        key = self._memo_key(
-            ("copy",),
-            self._stream_key(stage, trace),
-            involved,
-            with_faults=False,
-        )
+        involved = self._all_caches()
+        key = self._memo_key(("copy",), self._stream_key(stage, trace), involved)
         entry = memo.lookup(key)
         if entry is not None:
             mem = self._memo_replay(entry, involved, ordinal)
@@ -869,7 +847,7 @@ class Engine:
             written_per_cache = self._drain_live(pairs, ordinal)
         else:
             involved = tuple(cache for cache, _ in pairs)
-            key = self._memo_key(("drain",), None, involved, with_faults=False)
+            key = self._memo_key(("drain",), self._stream_key(None, None), involved)
             entry = memo.lookup(key)
             if entry is not None:
                 self._memo_replay(entry, involved, ordinal)

@@ -33,7 +33,10 @@ call is processed in four vectorized passes:
    Survivors, ordered by end position, are the final LRU -> MRU stacks.
 4. **Downstream assembly.** Each miss emits its fill read, immediately
    followed by its dirty victim's writeback, rebuilt in original stream
-   order with one cumulative-sum scatter.
+   order with one cumulative-sum scatter (:func:`downstream`).  The miss
+   mask and the (position, victim) pairs it is built from are what
+   :meth:`FastSetAssocCache.access_misses` hands the stage memo's L1
+   step, which keeps them instead of the downstream stream itself.
 
 The cache's state *is* the canonical memo snapshot of
 :meth:`FastSetAssocCache.state_arrays`: read-only ``(lengths int32,
@@ -90,6 +93,11 @@ _RESIDUE_BUDGET_FACTOR = 32
 
 #: Element bound of one window-scan chunk (keeps gather matrices small).
 _CHUNK_ELEMS = 1 << 21
+
+#: The shared (read-only) empty position and victim array of a call
+#: without dirty evictions.
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+_NO_POSITIONS.flags.writeable = False
 
 
 def stable_argsort_ids(values: np.ndarray) -> np.ndarray:
@@ -206,9 +214,21 @@ class FastSetAssocCache:
         occurrence order, a read for every miss fill and a write for every
         dirty eviction.
         """
+        return self.access_misses(stream)[0]
+
+    def access_misses(
+        self, stream: AccessStream
+    ) -> Tuple[AccessStream, np.ndarray, np.ndarray]:
+        """:meth:`access_stream` plus what the downstream is built from.
+
+        Returns (downstream, miss mask over ``stream``, stream positions
+        whose miss evicted a dirty line); the evicted lines are the
+        downstream's writes, in the same order.  :func:`downstream` rebuilds
+        the downstream from the three.
+        """
         n = len(stream)
         if not n:
-            return AccessStream.empty()
+            return AccessStream.empty(), np.zeros(0, dtype=bool), _NO_POSITIONS
         blocks = stream.blocks
         is_write = stream.is_write
         if n >= SERIAL_CUTOFF:
@@ -217,21 +237,23 @@ class FastSetAssocCache:
             processed = None
         if processed is None:
             processed = self._process_serial(blocks, is_write)
-        out_b, out_w, hits, writebacks = processed
+        miss, wb_pos, wb_block = processed
+        misses = int(np.count_nonzero(miss))
         self.stats.accesses += n
-        self.stats.hits += hits
-        self.stats.misses += n - hits
-        self.stats.writebacks += writebacks
-        return AccessStream(out_b, out_w)
+        self.stats.hits += n - misses
+        self.stats.misses += misses
+        self.stats.writebacks += len(wb_pos)
+        return downstream(blocks, miss, wb_pos, wb_block), miss, wb_pos
 
     def _process_serial(
         self, blocks: np.ndarray, is_write: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reference-semantics loop (short streams and the safety net).
 
         Only the sets the stream maps to are unpacked into ``OrderedDict``s
         (LRU -> MRU insertion order); the other sets' rows pass through
-        untouched when the result is packed back.
+        untouched when the result is packed back.  Returns (miss mask,
+        dirty-eviction positions, evicted blocks), as the offline pass does.
         """
         num_sets = self.num_sets
         assoc = self.assoc
@@ -248,29 +270,23 @@ class FastSetAssocCache:
             )
             pos += count
 
-        out_b: List[int] = []
-        out_w: List[bool] = []
-        append_b = out_b.append
-        append_w = out_w.append
-        hits = 0
-        writebacks = 0
-        for block, write in zip(blocks.tolist(), is_write.tolist()):
+        miss_at: List[int] = []
+        wb_at: List[int] = []
+        wb_blocks: List[int] = []
+        for i, (block, write) in enumerate(zip(blocks.tolist(), is_write.tolist())):
             lru = sets[block % num_sets]
             if block in lru:
                 lru.move_to_end(block)
                 if write:
                     lru[block] = True
-                hits += 1
             else:
-                append_b(block)
-                append_w(False)
+                miss_at.append(i)
                 lru[block] = write
                 if len(lru) > assoc:
                     victim, victim_dirty = lru.popitem(last=False)
                     if victim_dirty:
-                        append_b(victim)
-                        append_w(True)
-                        writebacks += 1
+                        wb_at.append(i)
+                        wb_blocks.append(victim)
 
         # Untouched sets' rows, then the touched sets' new stacks; a stable
         # sort by set index restores set-major order (a set's rows all come
@@ -294,16 +310,17 @@ class FastSetAssocCache:
             new_blocks[order],
             new_dirty[order],
         )
+        miss = np.zeros(len(blocks), dtype=bool)
+        miss[miss_at] = True
         return (
-            np.asarray(out_b, dtype=np.int64),
-            np.asarray(out_w, dtype=bool),
-            hits,
-            writebacks,
+            miss,
+            np.asarray(wb_at, dtype=np.int64),
+            np.asarray(wb_blocks, dtype=np.int64),
         )
 
     def _process_offline(
         self, blocks: np.ndarray, is_write: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, int, int]]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Whole-call vectorized processing; None if the scan budget blows.
 
         Mutates no state until every classification is final, so a None
@@ -454,25 +471,14 @@ class FastSetAssocCache:
                     victim_run[victim_dirty]
                 ]
 
-        # ---- downstream assembly in original stream order ----
+        # ---- misses and dirty victims in original stream order ----
         miss_orig = np.zeros(n, dtype=bool)
         miss_orig[sm_real[miss & (sm_real >= 0)]] = True
         if dirty_evictions:
-            has_wb = wb_block >= 0
-            counts = np.add(miss_orig, has_wb, dtype=np.int8)
-            offsets = np.cumsum(counts, dtype=np.int32)
-            total = int(offsets[-1])
-            offsets -= counts
-            out_b = np.empty(total, dtype=np.int64)
-            out_w = np.zeros(total, dtype=bool)
-            out_b[offsets[miss_orig]] = blocks[miss_orig]
-            wb_pos = offsets[has_wb] + 1
-            out_b[wb_pos] = wb_block[has_wb]
-            out_w[wb_pos] = True
+            wb_pos = np.flatnonzero(wb_block >= 0)
+            wb_block = wb_block[wb_pos]
         else:
-            # No dirty victims: the downstream is just the miss fills.
-            out_b = blocks[miss_orig]
-            out_w = np.zeros(len(out_b), dtype=bool)
+            wb_pos = wb_block = _NO_POSITIONS
 
         # ---- commit final state: surviving runs, end position ascending ----
         # In run_sort order each set's evicted runs lead its group, so one
@@ -488,8 +494,7 @@ class FastSetAssocCache:
             run_dirty[survivors],
         )
 
-        hits_count = n - int(miss_orig.sum())
-        return out_b, out_w, hits_count, dirty_evictions
+        return miss_orig, wb_pos, wb_block
 
     # -- maintenance ----------------------------------------------------------
 
@@ -570,6 +575,33 @@ class FastSetAssocCache:
     ) -> None:
         """Adopt a :meth:`state_arrays` snapshot (stats are untouched)."""
         self._adopt(*state)
+
+
+def downstream(
+    blocks: np.ndarray, miss: np.ndarray, wb_pos: np.ndarray, wb_block: np.ndarray
+) -> AccessStream:
+    """The stream a cache sends below for one ``access_stream`` call.
+
+    In stream order, each miss (``miss`` over ``blocks``) emits its fill
+    read, immediately followed by the writeback of ``wb_block[i]`` when it
+    evicted that dirty line at position ``wb_pos[i]``.
+    """
+    if not len(wb_pos):
+        # No dirty victims: the downstream is just the miss fills.
+        out_b = blocks[miss]
+        return AccessStream(out_b, np.zeros(len(out_b), dtype=bool))
+    counts = miss.astype(np.int8)
+    counts[wb_pos] += 1
+    offsets = np.cumsum(counts, dtype=np.int32)
+    total = int(offsets[-1])
+    offsets -= counts
+    out_b = np.empty(total, dtype=np.int64)
+    out_w = np.zeros(total, dtype=bool)
+    out_b[offsets[miss]] = blocks[miss]
+    wb_at = offsets[wb_pos] + 1
+    out_b[wb_at] = wb_block
+    out_w[wb_at] = True
+    return AccessStream(out_b, out_w)
 
 
 def _sorted_ids(blocks: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:

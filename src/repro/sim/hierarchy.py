@@ -9,19 +9,32 @@ behind the paper's "Parallel + Cache" kmeans organization.
 
 Every access that does reach memory is appended to the
 :class:`OffChipLog`, which Figs. 5 and 9 are computed from.
+
+With a stage memo (:mod:`repro.sim.memo`), each level of a domain and the
+coherent peer probe is its own memoized step, keyed only on that step's
+inputs, so a study that changes one cache replays the levels it did not
+change.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config.components import CacheConfig
 from repro.sim.cache import SetAssocCache
-from repro.sim.fastcache import FastSetAssocCache
+from repro.sim.fastcache import FastSetAssocCache, downstream
+from repro.sim.memo import (
+    StageEntry,
+    StageMemo,
+    cache_effects,
+    replay_cache_effects,
+    states_digest,
+    stats_tuple,
+)
 from repro.trace.stream import AccessStream, sorted_unique
 
 #: Selectable cache-simulation implementations.  ``reference`` is the
@@ -43,6 +56,9 @@ class Component(enum.Enum):
 COMPONENT_CODE = {Component.CPU: 0, Component.GPU: 1, Component.COPY: 2}
 COMPONENT_BY_CODE = {code: comp for comp, code in COMPONENT_CODE.items()}
 
+_NONE_MIGRATED = np.empty(0, dtype=np.int64)
+_NONE_MIGRATED.flags.writeable = False
+
 
 class OffChipLog:
     """Append-only record of every access that reaches off-chip memory."""
@@ -52,6 +68,8 @@ class OffChipLog:
         self._is_write: List[np.ndarray] = []
         self._stage: List[np.ndarray] = []
         self._component: List[np.ndarray] = []
+        # Per part, the positions left out when the log is read, or None.
+        self._dropped: List[Optional[np.ndarray]] = []
 
     def append(
         self,
@@ -59,19 +77,37 @@ class OffChipLog:
         is_write: np.ndarray,
         stage_ordinal: int,
         component: Component,
+        dropped: Optional[np.ndarray] = None,
     ) -> None:
-        count = len(blocks)
+        """Append one part of ``blocks``/``is_write``, less the positions in
+        ``dropped`` (lines a coherent peer supplied on chip).
+
+        The part keeps the arrays as given and leaves the dropped positions
+        out only when the log is read, so it can share the unfiltered
+        arrays a stage-memo entry holds instead of a filtered copy.
+        """
+        if dropped is not None and not len(dropped):
+            dropped = None
+        count = len(blocks) - (0 if dropped is None else len(dropped))
         if not count:
             return
         self._blocks.append(np.asarray(blocks, dtype=np.int64))
         self._is_write.append(np.asarray(is_write, dtype=bool))
+        self._dropped.append(dropped)
         self._stage.append(np.full(count, stage_ordinal, dtype=np.int32))
         self._component.append(
             np.full(count, COMPONENT_CODE[component], dtype=np.int8)
         )
 
     def __len__(self) -> int:
-        return sum(len(part) for part in self._blocks)
+        return sum(len(part) for part in self._stage)
+
+    def _kept(self, parts: List[np.ndarray], index: int) -> np.ndarray:
+        """Part ``index`` of ``parts`` without its dropped positions."""
+        dropped = self._dropped[index]
+        if dropped is None:
+            return parts[index]
+        return np.delete(parts[index], dropped)
 
     # -- delta capture (stage memoization) -------------------------------------
 
@@ -90,7 +126,11 @@ class OffChipLog:
         — replays re-stamp parts with the replaying stage's ordinal.
         """
         return tuple(
-            (self._blocks[i], self._is_write[i], int(self._component[i][0]))
+            (
+                self._kept(self._blocks, i),
+                self._kept(self._is_write, i),
+                int(self._component[i][0]),
+            )
             for i in range(mark, len(self._blocks))
         )
 
@@ -103,6 +143,20 @@ class OffChipLog:
         for blocks, is_write, code in parts:
             self.append(blocks, is_write, stage_ordinal, COMPONENT_BY_CODE[code])
 
+    def _read(self, parts: List[np.ndarray], dtype) -> np.ndarray:
+        """``parts`` in log order without their dropped positions.
+
+        Fills one output array part by part, so at most one filtered copy
+        of a part exists at a time.
+        """
+        out = np.empty(len(self), dtype=dtype)
+        pos = 0
+        for index in range(len(parts)):
+            part = self._kept(parts, index)
+            out[pos : pos + len(part)] = part
+            pos += len(part)
+        return out
+
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(blocks, is_write, stage_ordinal, component_code) in log order."""
         if not self._blocks:
@@ -114,8 +168,8 @@ class OffChipLog:
                 np.empty(0, dtype=np.int8),
             )
         return (
-            np.concatenate(self._blocks),
-            np.concatenate(self._is_write),
+            self._read(self._blocks, np.int64),
+            self._read(self._is_write, bool),
             np.concatenate(self._stage),
             np.concatenate(self._component),
         )
@@ -169,53 +223,139 @@ class Domain:
         stage_ordinal: int,
         component: Component,
         peer: Optional["Domain"] = None,
+        memo: Optional[StageMemo] = None,
+        stream_key: Optional[tuple] = None,
     ) -> DomainResult:
         """Run a stream through L1 then L2, logging off-chip accesses.
 
         With a coherent ``peer`` (heterogeneous processor), L2 read misses
         that hit in the peer's L2 become on-chip transfers: the line migrates
         to this domain and no off-chip access is logged.
+
+        With a ``memo``, the L1, the L2 and the probe are memoized steps;
+        ``stream_key`` names the stream's contents (and the engine version)
+        for the L1 step's key.
         """
         if not len(stream):
             return DomainResult(0, 0, 0, 0)
-        below_l1 = self.l1.access_stream(stream)
-        below_l2 = self.l2.access_stream(below_l1)
+        if memo is None:
+            below_l2 = self.l2.access_stream(self.l1.access_stream(stream))
+        else:
+            below_l2, token = self._levels_memoized(stream, stream_key, memo)
         if not len(below_l2):
             return DomainResult(len(stream), 0, 0, 0)
 
-        if peer is None:
-            blocks, is_write = below_l2.blocks, below_l2.is_write
-            transfers = 0
-        elif self.impl == "fast":
-            blocks, is_write, transfers = self._probe_peer_fast(below_l2, peer)
-        else:
-            peer_resident = peer.l2.resident_blocks
-            keep = np.ones(len(below_l2), dtype=bool)
-            transfers = 0
-            out_blocks = below_l2.blocks.tolist()
-            out_writes = below_l2.is_write.tolist()
-            for i in range(len(below_l2)):
-                if out_writes[i]:
-                    continue  # writebacks always go to memory
-                block = out_blocks[i]
-                if block in peer_resident:
-                    peer.l2.extract(block)
-                    peer.l1.extract(block)
-                    keep[i] = False
-                    transfers += 1
-            blocks = below_l2.blocks[keep]
-            is_write = below_l2.is_write[keep]
+        blocks, is_write = below_l2.blocks, below_l2.is_write
+        migrated = _NONE_MIGRATED
+        if peer is not None:
+            if memo is None:
+                migrated = self._probe_peer(below_l2, peer)
+            else:
+                migrated = self._probe_memoized(below_l2, peer, memo, token)
 
-        log.append(blocks, is_write, stage_ordinal, component)
-        reads = int((~is_write).sum())
+        # Migrated lines are reads that never reach memory; the log leaves
+        # them out when read, so it keeps the L2's arrays, not a copy.
+        log.append(blocks, is_write, stage_ordinal, component, dropped=migrated)
         writes = int(is_write.sum())
         return DomainResult(
-            len(stream), reads, writes, transfers, offchip_blocks=blocks
+            len(stream),
+            len(is_write) - writes - len(migrated),
+            writes,
+            len(migrated),
+            offchip_blocks=np.delete(blocks, migrated) if len(migrated) else blocks,
         )
+
+    def _levels_memoized(
+        self, stream: AccessStream, stream_key: tuple, memo: StageMemo
+    ) -> Tuple[AccessStream, Optional[int]]:
+        """The L1 and L2 steps; returns (L2 downstream, L2 step token).
+
+        The L1 step keys on the stream key; the L2 step on the L1 step's
+        token.  A replayed L1 step's downstream is rebuilt only when the L2
+        step misses and has to simulate it.
+        """
+        l1, l2 = self.l1, self.l2
+        key = ("l1", l1.config, states_digest([l1.state_arrays()]), stream_key)
+        l1_entry = memo.lookup(key)
+        below_l1: Optional[AccessStream] = None
+        if l1_entry is None:
+            before = stats_tuple(l1)
+            below_l1, miss, wb_pos = l1.access_misses(stream)
+            victims = below_l1.blocks[below_l1.is_write]
+            l1_entry = _record(
+                memo, key, (l1,), (before,), (np.packbits(miss), wb_pos, victims)
+            )
+        else:
+            replay_cache_effects((l1,), l1_entry)
+        if not l1_entry.stats_deltas[0][2]:
+            # No L1 misses: nothing reaches the L2.
+            return AccessStream.empty(), None
+
+        key = ("l2", l2.config, states_digest([l2.state_arrays()]), l1_entry.token)
+        l2_entry = memo.lookup(key)
+        if l2_entry is not None:
+            replay_cache_effects((l2,), l2_entry)
+            return AccessStream(*l2_entry.aux), l2_entry.token
+        if below_l1 is None:
+            miss_bits, wb_pos, wb_block = l1_entry.aux
+            miss = np.unpackbits(miss_bits, count=len(stream)).view(bool)
+            below_l1 = downstream(stream.blocks, miss, wb_pos, wb_block)
+        before = stats_tuple(l2)
+        below_l2 = l2.access_stream(below_l1)
+        l2_entry = _record(
+            memo, key, (l2,), (before,), (below_l2.blocks, below_l2.is_write)
+        )
+        return below_l2, l2_entry.token
+
+    def _probe_memoized(
+        self,
+        below_l2: AccessStream,
+        peer: "Domain",
+        memo: StageMemo,
+        token: int,
+    ) -> np.ndarray:
+        """The probe step, keyed on the peer's states and the L2 token."""
+        peers = (peer.l1, peer.l2)
+        key = (
+            "probe",
+            states_digest([cache.state_arrays() for cache in peers]),
+            token,
+        )
+        entry = memo.lookup(key)
+        if entry is not None:
+            replay_cache_effects(peers, entry)
+            return entry.aux[0]
+        before = [stats_tuple(cache) for cache in peers]
+        migrated = self._probe_peer(below_l2, peer)
+        _record(memo, key, peers, before, (migrated,))
+        return migrated
+
+    def _probe_peer(self, below_l2: AccessStream, peer: "Domain") -> np.ndarray:
+        """Probe the peer's L2 with this domain's L2 read misses.
+
+        Returns the positions in ``below_l2`` whose line migrated from the
+        peer: the first read of each block resident in the peer's L2, which
+        the peer's L1 and L2 drop.  Writebacks always go to memory.
+        """
+        if self.impl == "fast":
+            return self._probe_peer_fast(below_l2, peer)
+        peer_resident = peer.l2.resident_blocks
+        migrated = []
+        out_blocks = below_l2.blocks.tolist()
+        out_writes = below_l2.is_write.tolist()
+        for i in range(len(below_l2)):
+            if out_writes[i]:
+                continue  # writebacks always go to memory
+            block = out_blocks[i]
+            if block in peer_resident:
+                peer.l2.extract(block)
+                peer.l1.extract(block)
+                migrated.append(i)
+        return np.asarray(migrated, dtype=np.int64)
 
     def _probe_peer_fast(
         self, below_l2: AccessStream, peer: "Domain"
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
+    ) -> np.ndarray:
         """Vectorized coherent peer probe, bit-exact with the loop above.
 
         Only reads probe the peer, and extraction removes the line, so only
@@ -227,16 +367,14 @@ class Domain:
         blocks, is_write = below_l2.blocks, below_l2.is_write
         resident = peer.l2.resident_array()
         if not len(resident):
-            return blocks, is_write, 0
+            return _NONE_MIGRATED
         candidates = np.flatnonzero(~is_write & np.isin(blocks, resident))
         if not len(candidates):
-            return blocks, is_write, 0
+            return _NONE_MIGRATED
         taken, first = np.unique(blocks[candidates], return_index=True)
         peer.l2.extract_all(taken)
         peer.l1.extract_all(taken)
-        keep = np.ones(len(blocks), dtype=bool)
-        keep[candidates[first]] = False
-        return blocks[keep], is_write[keep], len(taken)
+        return candidates[first]
 
     def invalidate(self, blocks: np.ndarray) -> None:
         """Drop lines in both levels without writeback (DMA overwrite)."""
@@ -267,8 +405,29 @@ class Domain:
         return arr.tolist()
 
 
+def _record(
+    memo: StageMemo, key: tuple, caches: tuple, before: Sequence, aux: tuple
+) -> StageEntry:
+    """Store one cache step's entry: the ``caches``' post-states and stats
+    deltas since ``before``, its ``aux`` arrays and a fresh token."""
+    states, deltas = cache_effects(caches, before)
+    entry = StageEntry(
+        cache_states=states,
+        stats_deltas=deltas,
+        aux=aux,
+        token=memo.new_token(),
+    )
+    memo.store(key, entry)
+    return entry
+
+
 class CacheSystem:
-    """Both domains plus the copy-engine path and the off-chip log."""
+    """Both domains plus the copy-engine path and the off-chip log.
+
+    ``memo`` memoizes each domain's levels and its peer probe on compute
+    stages (see :meth:`Domain.process`); copies are memoized by the
+    engine, as one step.
+    """
 
     def __init__(
         self,
@@ -278,11 +437,13 @@ class CacheSystem:
         gpu_l2: CacheConfig,
         coherent: bool,
         impl: str = "reference",
+        memo: Optional[StageMemo] = None,
     ):
         self.cpu = Domain("cpu", cpu_l1, cpu_l2, impl=impl)
         self.gpu = Domain("gpu", gpu_l1, gpu_l2, impl=impl)
         self.coherent = coherent
         self.impl = impl
+        self.memo = memo
         self.log = OffChipLog()
 
     def domain_for(self, component: Component) -> Domain:
@@ -298,12 +459,26 @@ class CacheSystem:
         return self.gpu if component is Component.CPU else self.cpu
 
     def process_compute(
-        self, stream: AccessStream, stage_ordinal: int, component: Component
+        self,
+        stream: AccessStream,
+        stage_ordinal: int,
+        component: Component,
+        stream_key: Optional[tuple] = None,
     ) -> DomainResult:
-        """Run a CPU or GPU stage's stream through its domain."""
+        """Run a CPU or GPU stage's stream through its domain.
+
+        ``stream_key`` names the stream for the memo's L1 step; it is
+        required when the system has a memo.
+        """
         domain = self.domain_for(component)
         return domain.process(
-            stream, self.log, stage_ordinal, component, peer=self.peer_of(component)
+            stream,
+            self.log,
+            stage_ordinal,
+            component,
+            peer=self.peer_of(component),
+            memo=self.memo,
+            stream_key=stream_key,
         )
 
     def process_copy(

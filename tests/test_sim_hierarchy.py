@@ -52,6 +52,21 @@ class TestOffChipLog:
         assert counts[Component.GPU] == 2
         assert counts[Component.CPU] == 0
 
+    def test_dropped_positions_left_out(self):
+        log = OffChipLog()
+        blocks = np.array([5, 6, 7, 8])
+        is_write = np.array([False, False, True, False])
+        log.append(blocks, is_write, 0, Component.GPU, dropped=np.array([3, 0]))
+        log.append(np.array([9]), np.array([False]), 1, Component.GPU, dropped=np.array([0]))
+        assert len(log) == 2
+        got_blocks, got_write, stage, comp = log.arrays()
+        assert list(got_blocks) == [6, 7]
+        assert list(got_write) == [False, True]
+        assert list(stage) == [0, 0] and list(comp) == [1, 1]
+        ((part_blocks, part_write, code),) = log.parts_since(0)
+        assert list(part_blocks) == [6, 7] and list(part_write) == [False, True]
+        assert list(blocks) == [5, 6, 7, 8], "the appended arrays stay whole"
+
     def test_empty_append_ignored(self):
         log = OffChipLog()
         log.append(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), 0, Component.CPU)

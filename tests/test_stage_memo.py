@@ -1,14 +1,16 @@
 """Stage-level memoization (:mod:`repro.sim.memo`): bit-exactness first.
 
-The memo's whole license to exist is that replaying a recorded stage
-memory step is indistinguishable — down to the serialized v2-full bytes —
-from recomputing it.  The property test here drives that from arbitrary
+The memo's whole license to exist is that replaying a recorded memory
+step is indistinguishable — down to the serialized v2-full bytes — from
+recomputing it.  The property test here drives that from arbitrary
 interleavings of runs (and therefore arbitrary hit/miss patterns against
-the shared process-wide memo) and page-fault configurations; the
-env-gated differential (``REPRO_MEMO_DIFFERENTIAL=1``, run by the CI
-``differential`` job) pins an 8-benchmark memo-on/off matrix.  The
-rest covers the key's :data:`~repro.sim.engine.ENGINE_VERSION`
-invalidation (shared with the persistent :mod:`repro.sim.resultcache`),
+the shared process-wide memo), page-fault configurations and GPU L2
+sizes; the env-gated differentials (``REPRO_MEMO_DIFFERENTIAL=1``, run by
+the CI ``differential`` job) pin an 8-benchmark memo-on/off matrix and
+the five ablation studies' rows.  The rest covers the key's
+:data:`~repro.sim.engine.ENGINE_VERSION` invalidation (shared with the
+persistent :mod:`repro.sim.resultcache`), per-level sharing (a GPU L2
+change replays the GPU L1 steps, a page-fault change every cache step),
 sharing entries across fault timings and cache implementations, snapshot
 immutability, the option plumbing, hit counts that repeat after a clear,
 and the bounded-memory wholesale clear.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -26,14 +29,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config.components import CacheConfig
 from repro.config.system import (
     PageFaultConfig,
     discrete_gpu_system,
     heterogeneous_processor,
 )
+from repro.experiments import ablations
 from repro.experiments.parallel import COPY, LIMITED, _simulate_version, _system_for
 from repro.sim import engine as engine_mod
 from repro.sim.engine import SimOptions
+from repro.sim.fastcache import FastSetAssocCache
+from repro.sim.hierarchy import CacheSystem, Component
 from repro.sim.memo import (
     MemoStats,
     StageEntry,
@@ -44,6 +51,7 @@ from repro.sim.memo import (
 )
 from repro.sim.resultcache import cache_key
 from repro.sim.serialize import result_to_full_dict
+from repro.trace.stream import AccessStream
 from repro.units import MICROSECONDS
 from repro.workloads.registry import get
 
@@ -86,6 +94,11 @@ FAULT_CONFIGS = (
 )
 
 
+#: GPU L2 capacity factors of the property test (cache_size_sweep's kind
+#: of change), whose runs share every step but the GPU L2's.
+GPU_L2_SCALES = (0.5, 1.0, 2.0)
+
+
 def _options(stage_memo: str, impl: str = "fast") -> SimOptions:
     return SimOptions(
         scale=TINY_SCALE, seed=7, engine_impl=impl, stage_memo=stage_memo
@@ -98,6 +111,7 @@ def _run(
     stage_memo: str,
     impl: str = "fast",
     faults: PageFaultConfig = _DEFAULT_FAULTS,
+    l2_scale: float = 1.0,
 ):
     heterogeneous = (
         _HETEROGENEOUS
@@ -105,6 +119,9 @@ def _run(
         else heterogeneous_processor(page_faults=faults)
     )
     system = _system_for(version, _DISCRETE, heterogeneous)
+    if l2_scale != 1.0:
+        gpu = replace(system.gpu, l2=system.gpu.l2.scaled(l2_scale))
+        system = replace(system, gpu=gpu)
     result, _wall = _simulate_version(
         get(name), version, system, _options(stage_memo, impl)
     )
@@ -117,10 +134,30 @@ def _payload_bytes(result) -> bytes:
 
 @lru_cache(maxsize=None)
 def _memo_off_bytes(
-    name: str, version: str, faults: PageFaultConfig = _DEFAULT_FAULTS
+    name: str,
+    version: str,
+    faults: PageFaultConfig = _DEFAULT_FAULTS,
+    l2_scale: float = 1.0,
 ) -> bytes:
     """The ground truth: this run simulated without the memo."""
-    return _payload_bytes(_run(name, version, "off", faults=faults))
+    return _payload_bytes(
+        _run(name, version, "off", faults=faults, l2_scale=l2_scale)
+    )
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Counter of fast-cache kernel runs (offline or serial) per cache name."""
+    runs: Counter = Counter()
+    for attr in ("_process_offline", "_process_serial"):
+        kernel = getattr(FastSetAssocCache, attr)
+
+        def counted(self, *args, _kernel=kernel):
+            runs[self.name] += 1
+            return _kernel(self, *args)
+
+        monkeypatch.setattr(FastSetAssocCache, attr, counted)
+    return runs
 
 
 # -- bit-exactness ----------------------------------------------------------
@@ -133,6 +170,7 @@ def _memo_off_bytes(
             st.sampled_from(POOL),
             st.sampled_from((COPY, LIMITED)),
             st.sampled_from(FAULT_CONFIGS),
+            st.sampled_from(GPU_L2_SCALES),
         ),
         min_size=1,
         max_size=6,
@@ -146,15 +184,54 @@ def test_any_interleaving_matches_memo_off(sequence):
     so the hit/miss pattern varies arbitrarily — which is exactly the
     claim under test, that memo state can never leak into results.  Runs
     differing only in fault timing replay each other's entries, so their
-    fault service time must still come out of their own configuration.
+    fault service time must still come out of their own configuration;
+    runs differing in GPU L2 size replay each other's L1 steps.
     """
-    for name, version, faults in sequence:
-        got = _payload_bytes(_run(name, version, "on", faults=faults))
-        assert got == _memo_off_bytes(name, version, faults), (
+    for name, version, faults, l2_scale in sequence:
+        got = _payload_bytes(
+            _run(name, version, "on", faults=faults, l2_scale=l2_scale)
+        )
+        assert got == _memo_off_bytes(name, version, faults, l2_scale), (
             name,
             version,
             faults,
+            l2_scale,
         )
+
+
+def test_gpu_l2_change_replays_gpu_l1_steps(kernel_runs):
+    """A run at twice the GPU L2 runs no GPU L1 kernel after the run at
+    the stock size: each GPU L1 step keys on the L1's own config, state
+    and stream, none of which the L2 size changes."""
+    clear_shared_stage_memo()
+    first = _run("rodinia/kmeans", COPY, "on")
+    assert kernel_runs["gpu.l1"] > 0
+    kernel_runs.clear()
+    second = _run("rodinia/kmeans", COPY, "on", l2_scale=2.0)
+    assert kernel_runs["gpu.l1"] == 0
+    assert kernel_runs["gpu.l2"] > 0, "the larger L2 must simulate its own steps"
+    assert _payload_bytes(first) == _memo_off_bytes("rodinia/kmeans", COPY)
+    assert _payload_bytes(second) == _memo_off_bytes(
+        "rodinia/kmeans", COPY, l2_scale=2.0
+    )
+
+
+def test_fault_handling_change_replays_every_cache_step(kernel_runs):
+    """Turning CPU-handled page faults on changes the page-table steps
+    only: the run with faults runs no GPU kernel at either level after
+    the run without them."""
+    no_faults = PageFaultConfig(enabled=False)
+    clear_shared_stage_memo()
+    first = _run("rodinia/srad", LIMITED, "on", faults=no_faults)
+    assert kernel_runs["gpu.l1"] > 0
+    kernel_runs.clear()
+    second = _run("rodinia/srad", LIMITED, "on")
+    assert kernel_runs["gpu.l1"] == kernel_runs["gpu.l2"] == 0
+    assert second.roi_s > first.roi_s, "the faults must still cost time"
+    assert _payload_bytes(first) == _memo_off_bytes(
+        "rodinia/srad", LIMITED, no_faults
+    )
+    assert _payload_bytes(second) == _memo_off_bytes("rodinia/srad", LIMITED)
 
 
 def test_fault_timing_shares_entries():
@@ -193,6 +270,94 @@ def test_memo_differential(name, version):
     clear_shared_stage_memo()
     assert _payload_bytes(_run(name, version, "on")) == expected  # recording
     assert _payload_bytes(_run(name, version, "on")) == expected  # replaying
+
+
+def _small_system(memo, impl: str = "fast") -> CacheSystem:
+    def config(lines: int, assoc: int) -> CacheConfig:
+        return CacheConfig(lines * 128, line_bytes=128, associativity=assoc)
+
+    return CacheSystem(
+        cpu_l1=config(4, 2),
+        cpu_l2=config(16, 4),
+        gpu_l1=config(4, 2),
+        gpu_l2=config(16, 4),
+        coherent=True,
+        impl=impl,
+        memo=memo,
+    )
+
+
+def _outcome(system: CacheSystem, mem) -> tuple:
+    """Everything a compute step leaves behind, as comparable bytes."""
+    caches = (system.cpu.l1, system.cpu.l2, system.gpu.l1, system.gpu.l2)
+    return (
+        (mem.requests, mem.offchip_reads, mem.offchip_writes, mem.onchip_transfers),
+        mem.offchip_blocks.tobytes(),
+        [arr.tobytes() for arr in system.log.arrays()],
+        [arr.tobytes() for cache in caches for arr in cache.state_arrays()],
+        [vars(cache.stats) for cache in caches],
+    )
+
+
+@pytest.mark.parametrize("impl", ["fast", "reference"])
+@pytest.mark.parametrize("warmed", ["gpu.l1", "gpu.l2", "cpu.l1", "cpu.l2"])
+def test_cache_steps_key_on_every_state_they_read(warmed, impl):
+    """A GPU stage recorded on cold caches, then run again with one cache
+    warmed, gives the memo-off outcome of the warmed run: the L1 and L2
+    steps key on their own states, the probe on both peer states."""
+    # Starts on lines the warming leaves resident in every cache.
+    blocks = np.concatenate([[20, 21, 22, 23, 8, 9, 10, 11], np.arange(40)])
+    stream = AccessStream(blocks, np.arange(len(blocks)) % 5 == 0)
+    warm = AccessStream.of(range(8, 24))
+    memo = StageMemo()
+    cold = _small_system(memo, impl)
+    cold_mem = cold.process_compute(stream, 0, Component.GPU, ("stream",))
+    got, want = _small_system(memo, impl), _small_system(None, impl)
+    domain, level = warmed.split(".")
+    for system in (got, want):
+        getattr(getattr(system, domain), level).access_stream(warm)
+    hits_before = memo.stats.hits
+    outcomes = [
+        _outcome(system, system.process_compute(stream, 0, Component.GPU, ("stream",)))
+        for system in (got, want)
+    ]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][:4] != _outcome(cold, cold_mem)[:4], "the warming must matter"
+    if warmed.startswith("cpu"):
+        assert memo.stats.hits > hits_before, "the GPU's own levels replay"
+
+
+#: Benchmarks and studies of the ablation differential (perfbench's
+#: ``design_space`` workload).
+ABLATION_BENCHMARKS = ("rodinia/kmeans", "rodinia/srad", "lonestar/bfs")
+ABLATION_STUDIES = (
+    "cache_size_sweep",
+    "pagefault_sweep",
+    "pcie_sweep",
+    "alignment_ablation",
+    "dynamic_parallelism_sweep",
+)
+
+
+@pytest.mark.skipif(
+    not RUN_MEMO_DIFFERENTIAL,
+    reason="ablation memo differential runs with REPRO_MEMO_DIFFERENTIAL=1",
+)
+def test_ablation_studies_memo_differential():
+    """The five ablation studies give identical rows with the memo on and
+    off.  The memo-on runs share one memo, cleared once, so each study
+    replays the steps every earlier one recorded."""
+
+    def rows(stage_memo: str) -> list:
+        options = SimOptions(scale=1 / 32, seed=1, stage_memo=stage_memo)
+        return [
+            getattr(ablations, study)(benchmark=name, options=options)
+            for name in ABLATION_BENCHMARKS
+            for study in ABLATION_STUDIES
+        ]
+
+    clear_shared_stage_memo()
+    assert rows("on") == rows("off")
 
 
 # -- ENGINE_VERSION invalidation (shared with the persistent cache) ---------

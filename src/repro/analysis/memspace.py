@@ -21,7 +21,7 @@ from repro.analysis.diagnostics import Diagnostic, make_diagnostic
 from repro.analysis.happens import HappensBefore
 from repro.pipeline.buffers import Buffer, MemorySpace
 from repro.pipeline.graph import Pipeline
-from repro.pipeline.stage import Stage, StageKind
+from repro.pipeline.stage import StageKind
 from repro.workloads.spec import BenchmarkSpec
 
 

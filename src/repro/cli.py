@@ -727,8 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("auto", "on", "off"),
             default="auto",
             help="stage-level memoization: replay repeated memory steps "
-            "(page-fault touch, each cache level, peer probe, copy) instead "
-            "of re-simulating them; 'auto' "
+            "(page-fault touch, each cache level, peer probe, copy, "
+            "end-of-run drain) instead of re-simulating them; 'auto' "
             "enables it with the fast engine (default), results are "
             "bit-identical either way (docs/MODELING.md)",
         )

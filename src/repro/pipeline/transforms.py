@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.pipeline.buffers import Buffer
 from repro.pipeline.graph import Pipeline, PipelineError
 from repro.pipeline.stage import BufferAccess, Stage, StageKind
 

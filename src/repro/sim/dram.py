@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from typing import FrozenSet
 
 from repro.config.components import MemoryConfig
 from repro.config.system import SystemConfig, SystemKind

@@ -41,15 +41,7 @@ from repro.sim.observe.events import (
     SpanEvent,
     TraceEvent,
 )
-from repro.sim.memo import (
-    StageEntry,
-    StageMemo,
-    cache_effects,
-    replay_cache_effects,
-    shared_stage_memo,
-    states_digest,
-    stats_tuple,
-)
+from repro.sim.memo import StageMemo, run_step, shared_stage_memo, states_digest
 from repro.sim.observe.sinks import TraceSink
 from repro.sim.pagefault import PageFaultModel, premapped_pages
 from repro.sim.pcie import CopyEngine
@@ -166,12 +158,10 @@ class Engine:
         # L2 and peer probe are separate steps keyed on their own inputs,
         # so runs differing in one component replay the others' steps;
         # copy and drain steps key on every cache and ``caches.coherent``.
-        # At scale 1/32, seed 1, a cleared memo gives a copy run, then its
-        # limited-copy sibling, these step hits/misses: kmeans 44/14 then
-        # 52/13, srad 2/9 then 4/13, bfs 94/150 then 143/242, histo 0/7
-        # then 2/7, mst 110/174 then 167/282 (the siblings share CPU
-        # steps).  "auto" follows the engine impl so the reference engine
-        # stays a memo-free baseline by default.
+        # docs/BENCHMARKING.md tables the step hits/misses of five
+        # benchmarks, which tests/test_stage_memo.py pins.  "auto" follows
+        # the engine impl so the reference engine stays a memo-free
+        # baseline by default.
         use_stage_memo = options.stage_memo == "on" or (
             options.stage_memo == "auto" and options.engine_impl == "fast"
         )
@@ -225,16 +215,17 @@ class Engine:
         for sink in self.sinks:
             sink.emit(event)
 
-    # -- stage memoization -----------------------------------------------------
+    # -- memory steps ----------------------------------------------------------
     #
     # A stage's memory step is split into steps, each a pure function of
     # its inputs: a compute stage's page-fault touch here, its L1, L2 and
     # peer probe in repro.sim.hierarchy, and one step per copy and per
-    # drain.  The helpers below key the engine's steps by exactly their
-    # inputs and replay the recorded outcome on a repeat; timing (fault
-    # service seconds included), scheduling, and trace events are cheap
-    # arithmetic over the replayed counters and always run live, which
-    # keeps memoized runs bit-exact with memo-off runs.  See repro.sim.memo.
+    # drain.  Every step is one repro.sim.memo.run_step call, given the
+    # step's key and its live simulation; with a stage memo a repeated key
+    # replays the recorded outcome.  Timing (fault service seconds
+    # included), scheduling, and trace events are cheap arithmetic over the
+    # step outputs and always run live, which keeps memoized runs bit-exact
+    # with memo-off runs.
 
     def _all_caches(self) -> tuple:
         """The caches a copy or drain step can read or mutate, in fixed order."""
@@ -270,98 +261,6 @@ class Engine:
             states_digest([cache.state_arrays() for cache in involved]),
         )
 
-    def _memo_record(
-        self,
-        key: tuple,
-        involved: tuple,
-        before_stats: list,
-        mark: int,
-        mem: Optional[DomainResult] = None,
-        fault: Optional[tuple] = None,
-        aux: tuple = (),
-    ) -> None:
-        assert self.stage_memo is not None
-        states, deltas = cache_effects(involved, before_stats)
-        self.stage_memo.store(
-            key,
-            StageEntry(
-                log_parts=self.caches.log.parts_since(mark),
-                mem=None
-                if mem is None
-                else (
-                    mem.requests,
-                    mem.offchip_reads,
-                    mem.offchip_writes,
-                    mem.onchip_transfers,
-                    mem.offchip_blocks,
-                ),
-                fault=fault,
-                cache_states=states,
-                stats_deltas=deltas,
-                aux=aux,
-            ),
-        )
-
-    def _memo_replay(
-        self, entry: StageEntry, involved: tuple, ordinal: int
-    ) -> Optional[DomainResult]:
-        self.caches.log.replay(entry.log_parts, ordinal)
-        replay_cache_effects(involved, entry)
-        if entry.fault is not None and self.faults is not None:
-            self.faults.replay(entry.fault[2])
-        if entry.mem is None:
-            return None
-        return DomainResult(*entry.mem)
-
-    def _touch_live(
-        self, stage: Stage, stream: AccessStream, ordinal: int
-    ) -> tuple:
-        """One compute stage's page-fault touch.
-
-        Returns (fault count, zeroed blocks, newly mapped pages).
-        """
-        fault = self.faults.touch(stream.blocks, stage.kind)
-        zeroed = fault.zeroed_blocks
-        if len(zeroed) and self.system.page_faults.enabled:
-            # The CPU zeroes newly mapped pages; attribute the writes to
-            # the CPU component (the srad access-shifting effect).
-            # Zeroing traffic counts as CPU memory accesses but not as
-            # core-touched footprint.
-            self.caches.log.append(
-                zeroed,
-                np.ones(len(zeroed), dtype=bool),
-                ordinal,
-                Component.CPU,
-            )
-            bpp = self.faults.layout.blocks_per_page
-            new_pages = (zeroed[::bpp] // bpp).astype(np.int64)
-        else:
-            new_pages = np.empty(0, dtype=np.int64)
-        return (fault.faults, zeroed, new_pages)
-
-    def _touch_step(
-        self,
-        stage: Stage,
-        stream: AccessStream,
-        stream_key: Optional[tuple],
-        component: Component,
-        ordinal: int,
-    ) -> tuple:
-        """Memoized page-fault touch, keyed on page size, page-table token,
-        stream and component; returns :meth:`_touch_live`'s tuple."""
-        memo = self.stage_memo
-        if memo is None:
-            return self._touch_live(stage, stream, ordinal)
-        key = ("fault", component.value, stream_key, self.faults.state_key())
-        entry = memo.lookup(key)
-        if entry is not None:
-            self._memo_replay(entry, (), ordinal)
-            return entry.fault
-        mark = self.caches.log.mark()
-        fault = self._touch_live(stage, stream, ordinal)
-        self._memo_record(key, (), [], mark, fault=fault)
-        return fault
-
     def _compute_memory_step(
         self,
         stage: Stage,
@@ -374,17 +273,57 @@ class Engine:
         Returns (mem, fault service seconds, fault count, zeroed blocks).
         """
         stream = trace.stream
-        stream_key = None
-        if self.stage_memo is not None and len(stream):
-            stream_key = self._stream_key(stage, trace)
-        fault = None
+        stream_key = self._stream_key(stage, trace)
+        fault_count = zeroed = 0
         if self.faults is not None and len(stream):
-            fault = self._touch_step(stage, stream, stream_key, component, ordinal)
+            fault_count, zeroed = self._touch_step(
+                stage, stream, stream_key, component, ordinal
+            )
         mem = self.caches.process_compute(stream, ordinal, component, stream_key)
-        if fault is None:
+        if self.faults is None:
             return mem, 0.0, 0, 0
-        faults, zeroed, _ = fault
-        return mem, self.faults.service_time(faults), faults, len(zeroed)
+        return mem, self.faults.service_time(fault_count), fault_count, zeroed
+
+    def _touch_step(
+        self,
+        stage: Stage,
+        stream: AccessStream,
+        stream_key: tuple,
+        component: Component,
+        ordinal: int,
+    ) -> Tuple[int, int]:
+        """One compute stage's page-fault touch, keyed on page size,
+        page-table token, stream and component.
+
+        Returns (fault count, zeroed blocks).
+        """
+
+        def live() -> tuple:
+            fault = self.faults.touch(stream.blocks, stage.kind)
+            zeroed = fault.zeroed_blocks
+            if len(zeroed):
+                # The CPU zeroes newly mapped pages; attribute the writes
+                # to the CPU component (the srad access-shifting effect).
+                # Zeroing traffic counts as CPU memory accesses but not as
+                # core-touched footprint.
+                self.caches.log.append(
+                    zeroed,
+                    np.ones(len(zeroed), dtype=bool),
+                    ordinal,
+                    Component.CPU,
+                )
+            return fault.faults, zeroed, fault.new_pages
+
+        (fault_count, zeroed, _), _ = run_step(
+            self.stage_memo,
+            lambda: ("fault", component.value, stream_key, self.faults.state_key()),
+            (),
+            self.caches.log,
+            ordinal,
+            live,
+            replay=lambda outputs: self.faults.map_pages(outputs[2]),
+        )
+        return fault_count, len(zeroed)
 
     def _copy_memory_step(
         self,
@@ -394,21 +333,16 @@ class Engine:
         dst_blocks: np.ndarray,
         ordinal: int,
     ) -> DomainResult:
-        """Memoized copy (DMA) memory step."""
-        memo = self.stage_memo
-        if memo is None or not (len(src_blocks) + len(dst_blocks)):
-            return self.caches.process_copy(src_blocks, dst_blocks, ordinal)
-        involved = self._all_caches()
-        key = self._memo_key(("copy",), self._stream_key(stage, trace), involved)
-        entry = memo.lookup(key)
-        if entry is not None:
-            mem = self._memo_replay(entry, involved, ordinal)
-            assert mem is not None
-            return mem
-        mark = self.caches.log.mark()
-        before = [stats_tuple(cache) for cache in involved]
-        mem = self.caches.process_copy(src_blocks, dst_blocks, ordinal)
-        self._memo_record(key, involved, before, mark, mem=mem)
+        """A copy (DMA) stage's memory step; an empty copy is not memoized."""
+        caches = self._all_caches()
+        mem, _ = run_step(
+            self.stage_memo if len(src_blocks) + len(dst_blocks) else None,
+            lambda: self._memo_key(("copy",), self._stream_key(stage, trace), caches),
+            caches,
+            self.caches.log,
+            ordinal,
+            lambda: self.caches.process_copy(src_blocks, dst_blocks, ordinal),
+        )
         return mem
 
     # -- scheduling ------------------------------------------------------------
@@ -830,37 +764,35 @@ class Engine:
     def _drain_caches(self, ordinal: int, roi_s: float = 0.0) -> None:
         """Flush dirty lines at ROI end so final writes reach the log.
 
-        Memoized like any other memory step (keyed purely by cache state;
-        the per-cache writeback arrays ride along as the entry's ``aux``
-        so trace events can be re-emitted live).  Tracing hook point: each
-        cache's drain volume is emitted as a ``dram.writes`` counter with
-        source ``drain`` at ``t == roi_s``.
+        One memory step, keyed purely by cache state; its outputs are the
+        per-cache writeback arrays, so trace events are emitted live from
+        them.  Tracing hook point: each cache's drain volume is emitted as a
+        ``dram.writes`` counter with source ``drain`` at ``t == roi_s``.
         """
-        pairs = (
-            (self.caches.cpu.l1, Component.CPU),
-            (self.caches.cpu.l2, Component.CPU),
-            (self.caches.gpu.l1, Component.GPU),
-            (self.caches.gpu.l2, Component.GPU),
+        caches = self._all_caches()
+        components = (Component.CPU, Component.CPU, Component.GPU, Component.GPU)
+
+        def live() -> tuple:
+            written_per_cache = []
+            for cache, comp in zip(caches, components):
+                arr = np.asarray(cache.drain(), dtype=np.int64)
+                if len(arr):
+                    self.caches.log.append(
+                        arr, np.ones(len(arr), dtype=bool), ordinal, comp
+                    )
+                written_per_cache.append(arr)
+            return tuple(written_per_cache)
+
+        written_per_cache, _ = run_step(
+            self.stage_memo,
+            lambda: self._memo_key(("drain",), self._stream_key(None, None), caches),
+            caches,
+            self.caches.log,
+            ordinal,
+            live,
         )
-        memo = self.stage_memo
-        if memo is None:
-            written_per_cache = self._drain_live(pairs, ordinal)
-        else:
-            involved = tuple(cache for cache, _ in pairs)
-            key = self._memo_key(("drain",), self._stream_key(None, None), involved)
-            entry = memo.lookup(key)
-            if entry is not None:
-                self._memo_replay(entry, involved, ordinal)
-                written_per_cache = list(entry.aux)
-            else:
-                mark = self.caches.log.mark()
-                before = [stats_tuple(cache) for cache in involved]
-                written_per_cache = self._drain_live(pairs, ordinal)
-                self._memo_record(
-                    key, involved, before, mark, aux=tuple(written_per_cache)
-                )
         if self._tracing:
-            for (cache, comp), written in zip(pairs, written_per_cache):
+            for cache, comp, written in zip(caches, components, written_per_cache):
                 if len(written):
                     self._emit(
                         CounterEvent(
@@ -873,17 +805,6 @@ class Engine:
                             args={"cache": cache.name},
                         )
                     )
-
-    def _drain_live(self, pairs: tuple, ordinal: int) -> list:
-        written_per_cache = []
-        for cache, comp in pairs:
-            arr = np.asarray(cache.drain(), dtype=np.int64)
-            if len(arr):
-                self.caches.log.append(
-                    arr, np.ones(len(arr), dtype=bool), ordinal, comp
-                )
-            written_per_cache.append(arr)
-        return written_per_cache
 
 
 def simulate(

@@ -10,31 +10,23 @@ behind the paper's "Parallel + Cache" kmeans organization.
 Every access that does reach memory is appended to the
 :class:`OffChipLog`, which Figs. 5 and 9 are computed from.
 
-With a stage memo (:mod:`repro.sim.memo`), each level of a domain and the
-coherent peer probe is its own memoized step, keyed only on that step's
-inputs, so a study that changes one cache replays the levels it did not
-change.
+Each level of a domain and the coherent peer probe is its own step, run
+by :func:`repro.sim.memo.run_step`: with a stage memo each step is keyed
+only on its own inputs, so a study that changes one cache replays the
+levels it did not change.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.config.components import CacheConfig
 from repro.sim.cache import SetAssocCache
 from repro.sim.fastcache import FastSetAssocCache, downstream
-from repro.sim.memo import (
-    StageEntry,
-    StageMemo,
-    cache_effects,
-    replay_cache_effects,
-    states_digest,
-    stats_tuple,
-)
+from repro.sim.memo import StageMemo, run_step, states_digest
 from repro.trace.stream import AccessStream, sorted_unique
 
 #: Selectable cache-simulation implementations.  ``reference`` is the
@@ -183,9 +175,9 @@ class OffChipLog:
         return totals
 
 
-@dataclass
-class DomainResult:
-    """Summary of running one stage's stream through a domain."""
+class DomainResult(NamedTuple):
+    """Summary of running one stage's stream through a domain (a tuple, so
+    a copy step's result is its stage-memo outputs as is)."""
 
     requests: int
     offchip_reads: int
@@ -232,26 +224,70 @@ class Domain:
         that hit in the peer's L2 become on-chip transfers: the line migrates
         to this domain and no off-chip access is logged.
 
-        With a ``memo``, the L1, the L2 and the probe are memoized steps;
-        ``stream_key`` names the stream's contents (and the engine version)
-        for the L1 step's key.
+        The L1, the L2 and the probe are steps run through ``memo``; the L1
+        step keys on ``stream_key``, which names the stream's contents (and
+        the engine version), the L2 step on the L1 step's token and the
+        probe on the L2 step's.
         """
         if not len(stream):
             return DomainResult(0, 0, 0, 0)
-        if memo is None:
-            below_l2 = self.l2.access_stream(self.l1.access_stream(stream))
-        else:
-            below_l2, token = self._levels_memoized(stream, stream_key, memo)
-        if not len(below_l2):
+        l1, l2 = self.l1, self.l2
+        below_l1: Optional[AccessStream] = None
+
+        def l1_live() -> tuple:
+            nonlocal below_l1
+            below_l1, miss, wb_pos = l1.access_misses(stream)
+            victims = below_l1.blocks[below_l1.is_write]
+            return np.packbits(miss), wb_pos, victims
+
+        l1_out, l1_token = run_step(
+            memo,
+            lambda: ("l1", l1.config, states_digest([l1.state_arrays()]), stream_key),
+            (l1,),
+            log,
+            stage_ordinal,
+            l1_live,
+        )
+        if not l1_out[0].any():
+            # No L1 misses: nothing reaches the L2.
             return DomainResult(len(stream), 0, 0, 0)
 
-        blocks, is_write = below_l2.blocks, below_l2.is_write
+        def l2_live() -> tuple:
+            below = below_l1
+            if below is None:
+                # The L1 step replayed: rebuild its downstream.
+                miss_bits, wb_pos, wb_block = l1_out
+                miss = np.unpackbits(miss_bits, count=len(stream)).view(bool)
+                below = downstream(stream.blocks, miss, wb_pos, wb_block)
+            below_l2 = l2.access_stream(below)
+            return below_l2.blocks, below_l2.is_write
+
+        (blocks, is_write), l2_token = run_step(
+            memo,
+            lambda: ("l2", l2.config, states_digest([l2.state_arrays()]), l1_token),
+            (l2,),
+            log,
+            stage_ordinal,
+            l2_live,
+        )
+        if not len(blocks):
+            return DomainResult(len(stream), 0, 0, 0)
+
         migrated = _NONE_MIGRATED
         if peer is not None:
-            if memo is None:
-                migrated = self._probe_peer(below_l2, peer)
-            else:
-                migrated = self._probe_memoized(below_l2, peer, memo, token)
+            peers = (peer.l1, peer.l2)
+            (migrated,), _ = run_step(
+                memo,
+                lambda: (
+                    "probe",
+                    states_digest([cache.state_arrays() for cache in peers]),
+                    l2_token,
+                ),
+                peers,
+                log,
+                stage_ordinal,
+                lambda: (self._probe_peer(AccessStream(blocks, is_write), peer),),
+            )
 
         # Migrated lines are reads that never reach memory; the log leaves
         # them out when read, so it keeps the L2's arrays, not a copy.
@@ -264,71 +300,6 @@ class Domain:
             len(migrated),
             offchip_blocks=np.delete(blocks, migrated) if len(migrated) else blocks,
         )
-
-    def _levels_memoized(
-        self, stream: AccessStream, stream_key: tuple, memo: StageMemo
-    ) -> Tuple[AccessStream, Optional[int]]:
-        """The L1 and L2 steps; returns (L2 downstream, L2 step token).
-
-        The L1 step keys on the stream key; the L2 step on the L1 step's
-        token.  A replayed L1 step's downstream is rebuilt only when the L2
-        step misses and has to simulate it.
-        """
-        l1, l2 = self.l1, self.l2
-        key = ("l1", l1.config, states_digest([l1.state_arrays()]), stream_key)
-        l1_entry = memo.lookup(key)
-        below_l1: Optional[AccessStream] = None
-        if l1_entry is None:
-            before = stats_tuple(l1)
-            below_l1, miss, wb_pos = l1.access_misses(stream)
-            victims = below_l1.blocks[below_l1.is_write]
-            l1_entry = _record(
-                memo, key, (l1,), (before,), (np.packbits(miss), wb_pos, victims)
-            )
-        else:
-            replay_cache_effects((l1,), l1_entry)
-        if not l1_entry.stats_deltas[0][2]:
-            # No L1 misses: nothing reaches the L2.
-            return AccessStream.empty(), None
-
-        key = ("l2", l2.config, states_digest([l2.state_arrays()]), l1_entry.token)
-        l2_entry = memo.lookup(key)
-        if l2_entry is not None:
-            replay_cache_effects((l2,), l2_entry)
-            return AccessStream(*l2_entry.aux), l2_entry.token
-        if below_l1 is None:
-            miss_bits, wb_pos, wb_block = l1_entry.aux
-            miss = np.unpackbits(miss_bits, count=len(stream)).view(bool)
-            below_l1 = downstream(stream.blocks, miss, wb_pos, wb_block)
-        before = stats_tuple(l2)
-        below_l2 = l2.access_stream(below_l1)
-        l2_entry = _record(
-            memo, key, (l2,), (before,), (below_l2.blocks, below_l2.is_write)
-        )
-        return below_l2, l2_entry.token
-
-    def _probe_memoized(
-        self,
-        below_l2: AccessStream,
-        peer: "Domain",
-        memo: StageMemo,
-        token: int,
-    ) -> np.ndarray:
-        """The probe step, keyed on the peer's states and the L2 token."""
-        peers = (peer.l1, peer.l2)
-        key = (
-            "probe",
-            states_digest([cache.state_arrays() for cache in peers]),
-            token,
-        )
-        entry = memo.lookup(key)
-        if entry is not None:
-            replay_cache_effects(peers, entry)
-            return entry.aux[0]
-        before = [stats_tuple(cache) for cache in peers]
-        migrated = self._probe_peer(below_l2, peer)
-        _record(memo, key, peers, before, (migrated,))
-        return migrated
 
     def _probe_peer(self, below_l2: AccessStream, peer: "Domain") -> np.ndarray:
         """Probe the peer's L2 with this domain's L2 read misses.
@@ -405,28 +376,12 @@ class Domain:
         return arr.tolist()
 
 
-def _record(
-    memo: StageMemo, key: tuple, caches: tuple, before: Sequence, aux: tuple
-) -> StageEntry:
-    """Store one cache step's entry: the ``caches``' post-states and stats
-    deltas since ``before``, its ``aux`` arrays and a fresh token."""
-    states, deltas = cache_effects(caches, before)
-    entry = StageEntry(
-        cache_states=states,
-        stats_deltas=deltas,
-        aux=aux,
-        token=memo.new_token(),
-    )
-    memo.store(key, entry)
-    return entry
-
-
 class CacheSystem:
     """Both domains plus the copy-engine path and the off-chip log.
 
     ``memo`` memoizes each domain's levels and its peer probe on compute
-    stages (see :meth:`Domain.process`); copies are memoized by the
-    engine, as one step.
+    stages (see :meth:`Domain.process`); the engine runs a copy as one
+    step, calling :meth:`process_copy` only when it misses.
     """
 
     def __init__(

@@ -1,12 +1,11 @@
 """Content-addressed step-level memoization for the simulation engine.
 
 A stage's *memory step* is split into steps, each a pure function of its
-own inputs, and the engine and :mod:`repro.sim.hierarchy` key every step
-by exactly those inputs in one process-wide :class:`StageMemo`.  When a key
-repeats, the recorded outcome is *replayed* instead of recomputed: log
-parts are re-appended (retagged with the current stage ordinal), cache
-post-states restored, statistics deltas re-applied and page-fault effects
-re-mapped.  The compute-stage steps and their keys:
+own inputs.  The engine and :mod:`repro.sim.hierarchy` run every step
+through :func:`run_step`, the one place a step is recorded and replayed,
+keyed by exactly its inputs in one process-wide :class:`StageMemo`.  When
+a key repeats, the recorded outcome is *replayed* instead of recomputed.
+The compute-stage steps and their keys:
 
 - **page-fault touch** — page size and page-table token, the stream key
   and the component.  Behaviour only, so configurations that differ only
@@ -18,7 +17,7 @@ re-mapped.  The compute-stage steps and their keys:
 - **the coherent peer probe** — the peer L1/L2 state digests and the L2
   step's token.
 
-A *token* is a process-unique id a step's entry carries for its output
+Every entry carries a *token*, a process-unique id for its outputs
 (:meth:`StageMemo.new_token`), so a step keys on the step before it
 without hashing a stream or re-hashing a key.  Of the cache steps only
 the L1's key holds the stream key; the stream key holds
@@ -40,12 +39,12 @@ memoized runs bit-exact with memo-off runs (enforced by
 tests/test_stage_memo.py and the differential matrix of
 tests/test_engine_equivalence.py).
 
-Entries stay compact.  An L1 entry keeps its bit-packed miss mask over
+Entries stay compact.  An L1 step outputs its bit-packed miss mask over
 the stage stream and its dirty victims, and its downstream is rebuilt
 (:func:`repro.sim.fastcache.downstream`) only when the L2 step after it
-misses; an L2 entry keeps its downstream arrays by reference, the same
-arrays the off-chip log holds; a probe entry keeps the positions it
-migrated on chip.  Cache-state snapshots are stored in a canonical
+misses; an L2 step outputs its downstream arrays, the same arrays the
+off-chip log holds; a probe outputs the positions it migrated on chip.
+Cache-state snapshots are stored in a canonical
 impl-independent form, so entries are shared between the ``reference``
 and ``fast`` cache implementations like the persistent
 :mod:`repro.sim.resultcache` is.  That form is the fast cache's own
@@ -62,15 +61,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.sim.hierarchy import OffChipLog
 
 __all__ = [
     "MemoStats",
     "StageEntry",
     "StageMemo",
     "clear_shared_stage_memo",
+    "run_step",
     "shared_stage_memo",
     "stage_memo_snapshot",
 ]
@@ -121,44 +124,38 @@ class MemoStats:
 class StageEntry:
     """Everything needed to replay one memory step.
 
-    ``log_parts`` are the off-chip log parts the step appended; ``mem``
-    carries a copy step's :class:`~repro.sim.hierarchy.DomainResult`
-    fields (requests, offchip reads/writes, on-chip transfers, offchip
-    block ids); ``fault`` a page-fault touch's outcome (fault count, zeroed
-    blocks, newly mapped pages) — fault service seconds are not stored, the
-    engine recomputes them live with
-    :meth:`~repro.sim.pagefault.PageFaultModel.service_time`;
-    ``cache_states`` the post-step snapshots of the caches the step
+    ``log_parts`` are the off-chip log parts the step appended;
+    ``outputs`` the tuple the step's ``live`` callable returned, handed
+    back as is on a replay: an L1 step's (packed miss mask, dirty-victim
+    positions, victim blocks), an L2 step's downstream (blocks, is_write),
+    a probe's migrated positions, a page-fault touch's (fault count, zeroed
+    blocks, newly mapped pages), a copy's
+    :class:`~repro.sim.hierarchy.DomainResult`, the drain's per-cache
+    writebacks.  No seconds are stored: the engine recomputes fault service
+    time live with :meth:`~repro.sim.pagefault.PageFaultModel.service_time`.
+    ``cache_states`` are the post-step snapshots of the caches the step
     touches, in the order the step names them (shared with the cache that
     produced them, never mutated); ``stats_deltas`` the per-cache counter
-    increments in the same order.  ``aux`` holds step-specific arrays: an
-    L1 step's (packed miss mask, dirty-victim positions, victim blocks),
-    an L2 step's downstream (blocks, is_write), a probe's migrated
-    positions, the drain's per-cache writebacks.  ``token`` identifies a
-    cache step's output to the step keyed after it.
+    increments in the same order; ``token`` identifies the step's outputs
+    to a step keyed after it.
     """
 
-    log_parts: Tuple[LogPart, ...] = ()
-    mem: Optional[Tuple[int, int, int, int, Optional[np.ndarray]]] = None
-    fault: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
-    cache_states: Tuple[CacheState, ...] = ()
-    stats_deltas: Tuple[Tuple[int, ...], ...] = ()
-    aux: Tuple[np.ndarray, ...] = ()
-    token: Optional[int] = None
+    log_parts: Tuple[LogPart, ...]
+    outputs: Tuple[Any, ...]
+    cache_states: Tuple[CacheState, ...]
+    stats_deltas: Tuple[Tuple[int, ...], ...]
+    token: int
 
 
 def _entry_nbytes(entry: StageEntry) -> int:
     total = 0
     for blocks, is_write, _ in entry.log_parts:
         total += blocks.nbytes + is_write.nbytes
-    if entry.mem is not None and entry.mem[4] is not None:
-        total += entry.mem[4].nbytes
-    if entry.fault is not None:
-        total += entry.fault[1].nbytes + entry.fault[2].nbytes
+    for value in entry.outputs:
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
     for state in entry.cache_states:
         total += sum(arr.nbytes for arr in state)
-    for arr in entry.aux:
-        total += arr.nbytes
     return total
 
 
@@ -265,43 +262,69 @@ def states_digest(states: Sequence[CacheState]) -> bytes:
     return h.digest()
 
 
-def stats_tuple(cache) -> Tuple[int, ...]:
-    """Counter snapshot of one cache's :class:`CacheStats`."""
+# -- the one step runner (used by the engine and the hierarchy) ---------------
+
+
+def run_step(
+    memo: Optional[StageMemo],
+    key: Callable[[], Tuple],
+    caches: Sequence,
+    log: "OffChipLog",
+    ordinal: int,
+    live: Callable[[], Tuple[Any, ...]],
+    replay: Optional[Callable[[Tuple[Any, ...]], None]] = None,
+) -> Tuple[Tuple[Any, ...], Optional[int]]:
+    """Run one memory step, through ``memo`` when there is one; returns
+    (outputs, token), the token ``None`` without a memo.
+
+    ``live()`` simulates the step: it may change ``caches`` and append to
+    ``log``, and returns the step's outputs, a tuple whose arrays nothing
+    mutates afterwards.  ``key()`` names everything the step reads; it is
+    called only with a memo, before the step runs.  A miss runs ``live()``
+    and records the log parts it appended, the caches' post-states and
+    counter deltas and its outputs under a fresh token.  A hit replays
+    them instead, re-appending the log parts under ``ordinal``, and calls
+    ``replay(outputs)`` for effects outside the caches (the page table).
+    """
+    if memo is None:
+        return live(), None
+    step_key = key()
+    entry = memo.lookup(step_key)
+    if entry is not None:
+        log.replay(entry.log_parts, ordinal)
+        for cache, state, delta in zip(caches, entry.cache_states, entry.stats_deltas):
+            cache.restore_state(state)
+            _add_counters(cache, delta)
+        if replay is not None:
+            replay(entry.outputs)
+        return entry.outputs, entry.token
+    mark = log.mark()
+    before = [_counters(cache) for cache in caches]
+    outputs = live()
+    entry = StageEntry(
+        log_parts=log.parts_since(mark),
+        outputs=outputs,
+        cache_states=tuple(cache.state_arrays() for cache in caches),
+        stats_deltas=tuple(
+            tuple(after - prior for after, prior in zip(_counters(cache), counts))
+            for cache, counts in zip(caches, before)
+        ),
+        token=memo.new_token(),
+    )
+    memo.store(step_key, entry)
+    return outputs, entry.token
+
+
+def _counters(cache) -> Tuple[int, ...]:
+    """The :class:`~repro.sim.cache.CacheStats` counters a step's deltas cover."""
     s = cache.stats
     return (s.accesses, s.hits, s.misses, s.writebacks, s.invalidations)
 
 
-def stats_delta(before: Tuple[int, ...], after: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(b - a for b, a in zip(after, before))
-
-
-def apply_stats_delta(cache, delta: Tuple[int, ...]) -> None:
+def _add_counters(cache, delta: Tuple[int, ...]) -> None:
     s = cache.stats
     s.accesses += delta[0]
     s.hits += delta[1]
     s.misses += delta[2]
     s.writebacks += delta[3]
     s.invalidations += delta[4]
-
-
-def cache_effects(
-    caches: Sequence, before: Sequence[Tuple[int, ...]]
-) -> Tuple[Tuple[CacheState, ...], Tuple[Tuple[int, ...], ...]]:
-    """(post-state snapshots, stats deltas) of ``caches``, the deltas taken
-    against ``before``, their :func:`stats_tuple` snapshots from before
-    the step, in the form a :class:`StageEntry` keeps."""
-    return (
-        tuple(cache.state_arrays() for cache in caches),
-        tuple(
-            stats_delta(prior, stats_tuple(cache))
-            for prior, cache in zip(before, caches)
-        ),
-    )
-
-
-def replay_cache_effects(caches: Sequence, entry: StageEntry) -> None:
-    """Restore ``entry``'s post-states into ``caches`` and re-apply its
-    stats deltas (the replay side of :func:`cache_effects`)."""
-    for cache, state, delta in zip(caches, entry.cache_states, entry.stats_deltas):
-        cache.restore_state(state)
-        apply_stats_delta(cache, delta)

@@ -27,6 +27,7 @@ class FaultResult:
     faults: int
     service_time_s: float
     zeroed_blocks: np.ndarray  # blocks the CPU wrote while zeroing new pages
+    new_pages: np.ndarray  # int64 ids of the pages the touch mapped
 
 
 def premapped_pages(pipeline: Pipeline, layout: BufferLayout) -> Set[int]:
@@ -120,8 +121,9 @@ class PageFaultModel:
             factor = 1.0 / self.config.hidden_parallelism
         return faults * self.config.service_latency_s * factor
 
-    def replay(self, new_pages: np.ndarray) -> None:
-        """Re-apply a memoized touch's newly mapped pages."""
+    def map_pages(self, new_pages: np.ndarray) -> None:
+        """Map ``new_pages``, none of them mapped yet: the one page-table
+        update, made by :meth:`touch` and by a memoized touch's replay."""
         if not len(new_pages):
             return
         self.mapped.update(int(p) for p in new_pages)
@@ -133,17 +135,17 @@ class PageFaultModel:
         CPU first-touches are ordinary minor faults handled locally at
         negligible cost; they still map (and zero) the pages.
         """
+        none = np.empty(0, dtype=np.int64)
         if not self.config.enabled or not len(blocks):
-            return FaultResult(0, 0.0, np.empty(0, dtype=np.int64))
+            return FaultResult(0, 0.0, none, none)
         pages = self.layout.pages_of(blocks)
         new_mask = np.fromiter(
             (int(p) not in self.mapped for p in pages), dtype=bool, count=len(pages)
         )
-        new_pages = pages[new_mask]
+        new_pages = pages[new_mask].astype(np.int64, copy=False)
         if not len(new_pages):
-            return FaultResult(0, 0.0, np.empty(0, dtype=np.int64))
-        self.mapped.update(int(p) for p in new_pages)
-        self._token = (self._token + _pages_token(new_pages)) & _TOKEN_MASK
+            return FaultResult(0, 0.0, none, none)
+        self.map_pages(new_pages)
 
         blocks_per_page = self.layout.blocks_per_page
         zeroed = (
@@ -152,6 +154,6 @@ class PageFaultModel:
             .astype(np.int64)
         )
         if kind is not StageKind.GPU_KERNEL:
-            return FaultResult(0, 0.0, zeroed)
+            return FaultResult(0, 0.0, zeroed, new_pages)
         faults = int(len(new_pages))
-        return FaultResult(faults, self.service_time(faults), zeroed)
+        return FaultResult(faults, self.service_time(faults), zeroed, new_pages)

@@ -12,8 +12,10 @@ the five ablation studies' rows.  The rest covers the key's
 persistent :mod:`repro.sim.resultcache`), per-level sharing (a GPU L2
 change replays the GPU L1 steps, a page-fault change every cache step),
 sharing entries across fault timings and cache implementations, snapshot
-immutability, the option plumbing, hit counts that repeat after a clear,
-and the bounded-memory wholesale clear.
+immutability, the option plumbing, hit counts that repeat after a clear
+and the step counts docs/BENCHMARKING.md quotes, the one step runner
+(:func:`~repro.sim.memo.run_step`) on its own, and the bounded-memory
+wholesale clear.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,12 +43,13 @@ from repro.experiments.parallel import COPY, LIMITED, _simulate_version, _system
 from repro.sim import engine as engine_mod
 from repro.sim.engine import SimOptions
 from repro.sim.fastcache import FastSetAssocCache
-from repro.sim.hierarchy import CacheSystem, Component
+from repro.sim.hierarchy import CacheSystem, Component, DomainResult
 from repro.sim.memo import (
     MemoStats,
     StageEntry,
     StageMemo,
     clear_shared_stage_memo,
+    run_step,
     shared_stage_memo,
     stage_memo_snapshot,
 )
@@ -520,9 +524,201 @@ def test_cleared_memo_repeats_hit_pattern():
     assert pair_delta() == first
 
 
+#: docs/BENCHMARKING.md's table of step hits / misses at scale 1/32, seed 1,
+#: default options, each column from a cleared memo: the copy run, the
+#: limited-copy run alone, and the limited-copy run after the copy run.
+DOCUMENTED_STEP_COUNTS = {
+    "rodinia/kmeans": ((44, 14), (52, 13), (52, 13)),
+    "rodinia/srad": ((2, 9), (4, 13), (4, 13)),
+    "lonestar/bfs": ((94, 150), (141, 244), (143, 242)),
+    "parboil/histo": ((0, 7), (0, 9), (2, 7)),
+    "lonestar/mst": ((110, 174), (165, 284), (167, 282)),
+}
+
+#: The rows that take seconds rather than a fraction of one (bfs ~1 s,
+#: mst ~2.5 s); the CI ``differential`` job checks them.
+_SLOW_STEP_COUNT_ROWS = ("lonestar/bfs", "lonestar/mst")
+
+_BENCHMARKING_DOC = Path(__file__).resolve().parents[1] / "docs" / "BENCHMARKING.md"
+
+
+def _step_counts(name: str, *versions: str) -> tuple:
+    """(hits, misses) of the last of ``versions``, run in order from a
+    cleared memo at the documented scale and seed."""
+    options = SimOptions(scale=1 / 32, seed=1)
+    clear_shared_stage_memo()
+    for version in versions:
+        before = stage_memo_snapshot()
+        system = _system_for(version, _DISCRETE, _HETEROGENEOUS)
+        _simulate_version(get(name), version, system, options)
+    after = stage_memo_snapshot()
+    return (after[0] - before[0], after[1] - before[1])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.skipif(
+                name in _SLOW_STEP_COUNT_ROWS and not RUN_MEMO_DIFFERENTIAL,
+                reason="slow step-count rows run with REPRO_MEMO_DIFFERENTIAL=1",
+            ),
+        )
+        for name in DOCUMENTED_STEP_COUNTS
+    ],
+)
+def test_step_counts_match_the_docs(name):
+    """The step hits and misses docs/BENCHMARKING.md quotes are the ones a
+    run makes, and the doc holds each row verbatim."""
+    copy, alone, after_copy = DOCUMENTED_STEP_COUNTS[name]
+    row = f"| {name} | " + " | ".join(
+        f"{hits} / {misses}" for hits, misses in (copy, alone, after_copy)
+    ) + " |"
+    assert row in _BENCHMARKING_DOC.read_text().splitlines()
+    assert _step_counts(name, COPY) == copy
+    assert _step_counts(name, LIMITED) == alone
+    assert _step_counts(name, COPY, LIMITED) == after_copy
+
+
+# -- the step runner --------------------------------------------------------
+
+
+def _counters(cache) -> tuple:
+    s = cache.stats
+    return (s.accesses, s.hits, s.misses, s.writebacks, s.invalidations)
+
+
+def _gpu_step(system: CacheSystem, ordinal: int, calls: list):
+    """A step's ``live``: a stream through the GPU L1 and L2, its
+    downstream appended to the log; outputs (downstream blocks, count)."""
+    stream = AccessStream(np.arange(40), np.arange(40) % 3 == 0)
+
+    def live() -> tuple:
+        calls.append(ordinal)
+        below = system.gpu.l2.access_stream(system.gpu.l1.access_stream(stream))
+        system.log.append(below.blocks, below.is_write, ordinal, Component.GPU)
+        return below.blocks, len(below)
+
+    return live
+
+
+def _log_bytes(system: CacheSystem) -> list:
+    return [arr.tobytes() for arr in system.log.arrays()]
+
+
+def test_run_step_without_memo_only_runs_live(monkeypatch):
+    lookups = []
+    monkeypatch.setattr(StageMemo, "lookup", lambda self, key: lookups.append(key))
+    system, calls = _small_system(None), []
+    caches = (system.gpu.l1, system.gpu.l2)
+
+    def key() -> tuple:
+        raise AssertionError("a step without a memo builds no key")
+
+    outputs, token = run_step(
+        None, key, caches, system.log, 3, _gpu_step(system, 3, calls)
+    )
+    assert calls == [3] and token is None and lookups == []
+    assert outputs[1] == len(system.log) > 0
+
+
+def test_run_step_miss_records_what_the_step_did():
+    """A miss stores the log parts appended since the step began (not the
+    earlier ones), the caches' post-states, their counter deltas, the
+    outputs and a token no earlier step was given."""
+    memo = StageMemo()
+    system, calls = _small_system(memo), []
+    caches = (system.gpu.l1, system.gpu.l2)
+    system.log.append(np.arange(3), np.zeros(3, dtype=bool), 0, Component.CPU)
+    system.gpu.l1.access_stream(AccessStream.of(range(100, 104)))
+    before = [_counters(cache) for cache in caches]
+    earlier = memo.new_token()
+    outputs, token = run_step(
+        memo, lambda: ("step",), caches, system.log, 1, _gpu_step(system, 1, calls)
+    )
+    assert calls == [1] and memo.stats.snapshot() == (0, 1)
+    entry = memo.lookup(("step",))
+    assert entry.outputs is outputs and entry.token == token
+    assert token not in (None, earlier)
+    ((blocks, is_write, code),) = entry.log_parts
+    assert (blocks.tobytes(), is_write.tobytes()) == (
+        outputs[0].tobytes(),
+        system.log.arrays()[1][3:].tobytes(),
+    )
+    assert code == 1  # the GPU's component code
+    assert [arr.tobytes() for state in entry.cache_states for arr in state] == [
+        arr.tobytes() for cache in caches for arr in cache.state_arrays()
+    ]
+    assert entry.stats_deltas == tuple(
+        tuple(a - b for a, b in zip(_counters(cache), prior))
+        for cache, prior in zip(caches, before)
+    )
+    assert entry.stats_deltas[0][0] == 40
+    _, second = run_step(
+        memo, lambda: ("other",), caches, system.log, 2, _gpu_step(system, 2, calls)
+    )
+    assert second not in (earlier, token)
+
+
+def test_run_step_hit_replays_the_recording():
+    """A hit re-appends the recorded log parts under the replaying stage's
+    ordinal, restores the post-states and counter deltas, hands the
+    recorded outputs to ``replay`` and returns the recorded token."""
+    memo = StageMemo()
+    recorded, calls = _small_system(memo), []
+    live_caches = (recorded.gpu.l1, recorded.gpu.l2)
+    outputs, token = run_step(
+        memo, lambda: ("step",), live_caches, recorded.log, 1,
+        _gpu_step(recorded, 1, calls),
+    )
+    replaying, replayed = _small_system(memo), []
+    caches = (replaying.gpu.l1, replaying.gpu.l2)
+    got, got_token = run_step(
+        memo, lambda: ("step",), caches, replaying.log, 5,
+        _gpu_step(replaying, 5, calls),
+        replay=replayed.append,
+    )
+    assert calls == [1] and memo.stats.snapshot() == (1, 1)
+    assert got is outputs and got_token == token
+    assert len(replayed) == 1 and replayed[0] is outputs
+    blocks, is_write, stage, component = replaying.log.arrays()
+    want = recorded.log.arrays()
+    assert (blocks.tobytes(), is_write.tobytes(), component.tobytes()) == (
+        want[0].tobytes(), want[1].tobytes(), want[3].tobytes()
+    )
+    assert set(stage.tolist()) == {5}
+    for cache, source in zip(caches, live_caches):
+        assert [arr.tobytes() for arr in cache.state_arrays()] == [
+            arr.tobytes() for arr in source.state_arrays()
+        ]
+        assert _counters(cache) == _counters(source)
+
+
+def test_retained_bytes_count_every_output_array():
+    """The byte bound decides when the memo clears, so every array a step
+    outputs counts, a copy's offchip blocks included."""
+    arrays = (np.zeros(10, dtype=np.int64), np.zeros(7, dtype=bool))
+    blocks = np.arange(4, dtype=np.int64)
+    for outputs, nbytes in (
+        ((5,) + arrays + (None,), 87),
+        (DomainResult(8, 4, 4, 0, offchip_blocks=blocks), 32),
+        (DomainResult(0, 0, 0, 0), 0),
+    ):
+        memo = StageMemo()
+        memo.store(
+            ("k",),
+            StageEntry(
+                log_parts=(), outputs=outputs, cache_states=(), stats_deltas=(),
+                token=1,
+            ),
+        )
+        assert memo.retained_bytes == nbytes
+
+
 def _tiny_entry() -> StageEntry:
     return StageEntry(
-        log_parts=(), mem=None, fault=None, cache_states=(), stats_deltas=()
+        log_parts=(), outputs=(), cache_states=(), stats_deltas=(), token=1
     )
 
 
@@ -541,10 +737,10 @@ def test_byte_bound_triggers_wholesale_clear():
         log_parts=(
             (np.zeros(256, dtype=np.int64), np.zeros(256, dtype=bool), 0),
         ),
-        mem=None,
-        fault=None,
+        outputs=(),
         cache_states=(),
         stats_deltas=(),
+        token=1,
     )
     probe = StageMemo()
     probe.store(("probe",), big)

@@ -81,15 +81,16 @@ class SetAssocCache:
 
     def access_misses(
         self, stream: AccessStream
-    ) -> Tuple[AccessStream, np.ndarray, np.ndarray]:
+    ) -> Tuple[AccessStream, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`access_stream` plus (miss mask over ``stream``, stream
-        positions whose miss evicted a dirty line); the evicted lines are the
-        downstream's writes, in the same order."""
+        positions whose miss evicted a dirty line, the evicted lines); the
+        evicted lines are the downstream's writes, in the same order."""
         n = len(stream)
         if not n:
             return (
                 AccessStream.empty(),
                 np.zeros(0, dtype=bool),
+                np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
             )
         blocks = stream.blocks.tolist()
@@ -104,6 +105,7 @@ class SetAssocCache:
         out_writes: List[bool] = []
         miss = np.zeros(n, dtype=bool)
         wb_pos: List[int] = []
+        wb_blocks: List[int] = []
         hits = 0
 
         for i in range(n):
@@ -127,6 +129,7 @@ class SetAssocCache:
                     if victim in dirty:
                         dirty.discard(victim)
                         wb_pos.append(i)
+                        wb_blocks.append(victim)
                         out_blocks.append(victim)
                         out_writes.append(True)
             if writes[i]:
@@ -140,7 +143,12 @@ class SetAssocCache:
             np.asarray(out_blocks, dtype=np.int64),
             np.asarray(out_writes, dtype=bool),
         )
-        return downstream, miss, np.asarray(wb_pos, dtype=np.int64)
+        return (
+            downstream,
+            miss,
+            np.asarray(wb_pos, dtype=np.int64),
+            np.asarray(wb_blocks, dtype=np.int64),
+        )
 
     # -- maintenance ----------------------------------------------------------
 

@@ -442,12 +442,10 @@ class Engine:
         if self._tracing:
             self._emit(MarkEvent(name=MARK_ROI_END, t_s=roi))
 
-        blocks, is_write, stage_arr, comp_arr = self.caches.log.arrays()
-        if not self.options.collect_log:
-            blocks = blocks[:0]
-            is_write = is_write[:0]
-            stage_arr = stage_arr[:0]
-            comp_arr = comp_arr[:0]
+        log = self.caches.log
+        blocks, is_write, stage_arr, comp_arr = (
+            log.arrays() if self.options.collect_log else log.empty_arrays()
+        )
         touched_final = {
             comp: sorted_unique(np.concatenate(list(parts.values())))
             if parts

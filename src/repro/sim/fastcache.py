@@ -11,26 +11,35 @@ within one set, an access hits if and only if fewer than ``assoc`` distinct
 blocks of that set were touched since the block's previous access.  The
 call is processed in four vectorized passes:
 
-1. **Set-major layout.** Accesses are grouped by set (one stable argsort),
-   and each set's current stack (LRU -> MRU) is prepended as *virtual*
-   accesses carrying the lines' dirty bits, so pre-existing residency needs
-   no special cases anywhere downstream.
-2. **Classification.** Previous/next occurrences per (set, block) come
-   from one stable argsort of block ids.  An access with reuse gap
-   ``g < assoc`` is a hit and ``g``-independent rules resolve whole sets
-   with at most ``assoc`` distinct blocks; the remainder count distinct
-   blocks in the reuse window exactly, scanning backwards in fixed-width
-   chunks and stopping as soon as the count reaches ``assoc`` (a proven
+1. **One set-major sort.** One stable radix argsort of the set ids of the
+   resident lines followed by the stream groups the rows by set: each
+   set's lines first, LRU -> MRU and carrying their dirty bits as writes,
+   then its accesses in time order.  Within a set a larger row is a later
+   access, so residency carried into the call needs no special case, and
+   the permutation maps each row back to its stream position.
+2. **Classification in block order.** One stable radix argsort of the
+   rows' block ids lists each block's rows in time order, so a repeat's
+   previous occurrence is its neighbour and its reuse gap a row
+   difference.  A gap shorter than ``assoc`` is a hit; a gap holding
+   ``assoc`` first occurrences (one running count) is a miss; a set with
+   at most ``assoc`` distinct blocks never evicts.  The remaining rows
+   count distinct blocks in the gap exactly: first a running count of the
+   nearby gap rows whose block recurs only after the access (enough to
+   prove most misses), then ``window`` gap rows at once, then the rest of
+   the gap, stopping as soon as the count reaches ``assoc`` (a proven
    miss).  A pathological stream that exhausts the scan budget falls back
    to the serial loop for the whole call — state is only committed at the
    end, so the fallback is always safe.
-3. **Residency runs.** Consecutive occurrences ``[miss, hit...]`` of a
-   block form one residency run whose dirty flag is the OR of its write
-   flags.  A miss evicts iff at least ``assoc`` distinct blocks of the set
-   preceded it, and the victims are exactly the runs with the smallest
-   end positions, matched in time order (evictions consume least-recently
-   -used lines, and a run only becomes evictable after its last hit).
-   Survivors, ordered by end position, are the final LRU -> MRU stacks.
+3. **Residency runs by mask.** Consecutive occurrences ``[miss, hit...]``
+   of a block form one residency run whose dirty flag is the OR of its
+   write flags.  A run ends at a row whose block's next occurrence misses,
+   or that has none, so one ``flatnonzero`` of that mask in set-major
+   order lists the runs by (set, end position) without a sort.  Only a
+   set's first ``assoc`` first occurrences fill it without evicting; the
+   k-th eviction of a set takes its k-th run (evictions consume
+   least-recently-used lines, and a run only becomes evictable after its
+   last hit), and the set's remaining runs, in order, are its final
+   LRU -> MRU stack.
 4. **Downstream assembly.** Each miss emits its fill read, immediately
    followed by its dirty victim's writeback, rebuilt in original stream
    order with one cumulative-sum scatter (:func:`downstream`).  The miss
@@ -38,10 +47,19 @@ call is processed in four vectorized passes:
    :meth:`FastSetAssocCache.access_misses` hands the stage memo's L1
    step, which keeps them instead of the downstream stream itself.
 
+The passes move data, so their arrays follow one dtype rule: arrays used
+as indices (permutations, rows, positions in block order) are ``intp``,
+and arrays of position *values* (the running first-occurrence count, next
+occurrences, window contents) are ``int32`` or narrower.  numpy converts
+any index array that is not ``intp`` on every fancy index: on a 2-vCPU
+Xeon VM with numpy 2.4, gathering 20k values took 54-67 µs through an
+int32 index and 19-26 µs through an intp one, while narrow values halve
+the memory traffic of the window scan.
+
 The cache's state *is* the canonical memo snapshot of
 :meth:`FastSetAssocCache.state_arrays`: read-only ``(lengths int32,
 blocks int64, dirty bool)`` arrays that every change replaces and none
-mutates.  Pass 1 reads its virtual prefix straight from them, pass 3
+mutates.  Pass 1 reads the resident lines straight from them, pass 3
 commits the survivors with one gather, and :mod:`repro.sim.memo` stores
 and restores snapshots without a copy or a conversion.
 
@@ -61,6 +79,7 @@ from itertools import chain
 from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.config.components import CacheConfig
 from repro.sim.cache import CacheStats
@@ -218,17 +237,22 @@ class FastSetAssocCache:
 
     def access_misses(
         self, stream: AccessStream
-    ) -> Tuple[AccessStream, np.ndarray, np.ndarray]:
+    ) -> Tuple[AccessStream, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`access_stream` plus what the downstream is built from.
 
         Returns (downstream, miss mask over ``stream``, stream positions
-        whose miss evicted a dirty line); the evicted lines are the
-        downstream's writes, in the same order.  :func:`downstream` rebuilds
-        the downstream from the three.
+        whose miss evicted a dirty line, the evicted lines); the evicted
+        lines are the downstream's writes, in the same order.
+        :func:`downstream` rebuilds the downstream from the last three.
         """
         n = len(stream)
         if not n:
-            return AccessStream.empty(), np.zeros(0, dtype=bool), _NO_POSITIONS
+            return (
+                AccessStream.empty(),
+                np.zeros(0, dtype=bool),
+                _NO_POSITIONS,
+                _NO_POSITIONS,
+            )
         blocks = stream.blocks
         is_write = stream.is_write
         if n >= SERIAL_CUTOFF:
@@ -243,7 +267,7 @@ class FastSetAssocCache:
         self.stats.hits += n - misses
         self.stats.misses += misses
         self.stats.writebacks += len(wb_pos)
-        return downstream(blocks, miss, wb_pos, wb_block), miss, wb_pos
+        return downstream(blocks, miss, wb_pos, wb_block), miss, wb_pos, wb_block
 
     def _process_serial(
         self, blocks: np.ndarray, is_write: np.ndarray
@@ -329,171 +353,130 @@ class FastSetAssocCache:
         n = len(blocks)
         num_sets = self.num_sets
         assoc = self.assoc
+        k = len(self._blocks)
 
-        # ---- set-major layout with each set's stack as a virtual prefix ----
-        k = self._lengths
-        if num_sets > 1:
-            set_ids = self._set_ids(blocks)
-            real_counts = np.bincount(set_ids, minlength=num_sets)
-            order = stable_argsort_ids(set_ids)
-        else:
-            real_counts = np.asarray([n], dtype=np.int64)
-            order = None
+        # ---- set-major layout: one stable sort of resident + stream rows ----
+        # Row r holds stream access perm[r] - k, or a resident line where
+        # that is negative.  Stability puts each set's lines first, LRU ->
+        # MRU, then its accesses in time order, so within a set a larger
+        # row is a later access.
+        all_blocks = np.concatenate([self._blocks, blocks])
+        set_ids = self._set_ids(all_blocks)
+        perm = stable_argsort_ids(set_ids)
+        starts = np.zeros(num_sets + 1, dtype=np.intp)
+        np.cumsum(np.bincount(set_ids, minlength=num_sets), out=starts[1:])
+        m = len(perm)
+        sm_block = np.take(all_blocks, perm)
 
-        total_counts = k + real_counts
-        m = int(total_counts.sum())
-        starts = np.zeros(num_sets + 1, dtype=np.int64)
-        np.cumsum(total_counts, out=starts[1:])
-
-        sm_block = np.empty(m, dtype=np.int64)
-        sm_write = np.empty(m, dtype=bool)
-        sm_real = np.full(m, -1, dtype=np.int32)
-        total_k = len(self._blocks)
-        if total_k:
-            # Row `starts[s] + j` is the j-th (LRU-most) line of set s: the
-            # state arrays are already set-major, so every line shifts by
-            # its set's offset difference.
-            vdest = np.arange(total_k, dtype=np.int64) + np.repeat(
-                starts[:-1] - self._set_starts()[:-1], k
-            )
-            sm_block[vdest] = self._blocks
-            sm_write[vdest] = self._dirty
-        if order is None:
-            base = int(k[0])
-            sm_block[base:] = blocks
-            sm_write[base:] = is_write
-            sm_real[base:] = np.arange(n, dtype=np.int32)
-        else:
-            sorted_sets = set_ids[order]
-            cum_real = np.zeros(num_sets + 1, dtype=np.int32)
-            np.cumsum(real_counts, out=cum_real[1:])
-            dest = (
-                np.arange(n, dtype=np.int32)
-                - cum_real[sorted_sets]
-                + (starts[:-1] + k)[sorted_sets].astype(np.int32)
-            )
-            sm_block[dest] = blocks[order]
-            sm_write[dest] = is_write[order]
-            sm_real[dest] = order
-
-        set_of_row = np.repeat(np.arange(num_sets, dtype=np.int32), total_counts)
-        # Positions fit comfortably in int32; narrower arrays halve the
-        # memory traffic of the gather-heavy passes below.
-        pos_in_set = np.arange(m, dtype=np.int32) - starts[set_of_row].astype(
-            np.int32
-        )
-
-        # ---- previous/next occurrence within each (set, block) ----
+        # ---- occurrences in block order ----
         # A block id determines its set, so one stable sort by block id
-        # groups occurrences per (set, block) in time order (virtual rows
-        # precede real ones by construction).
+        # lists each block's rows in time order: pair i joins row bo[i] and
+        # row bo[i + 1], a repeat of its block when same[i].
         bo = stable_argsort_ids(sm_block)
-        bo_blocks = sm_block[bo]
-        same = bo_blocks[1:] == bo_blocks[:-1]
-        prevpos = np.full(m, -1, dtype=np.int32)
-        nextpos = np.full(m, m, dtype=np.int32)
-        prevpos[bo[1:][same]] = pos_in_set[bo[:-1][same]]
-        nextpos[bo[:-1][same]] = pos_in_set[bo[1:][same]]
-        first_occ = prevpos < 0
+        bo_block = np.take(sm_block, bo)
+        same = bo_block[1:] == bo_block[:-1]
+        fresh = np.flatnonzero(~same) + 1  # where a block's rows begin
+        first_occ = np.zeros(m, dtype=bool)
+        first_occ[bo[0]] = True
+        first_occ[np.take(bo, fresh)] = True
+        cs = np.cumsum(first_occ, dtype=np.int32)
+        # First occurrences before each set, and in all (num_sets + 1).
+        seen = np.concatenate([np.zeros(1, dtype=np.int32), cs])[starts]
 
         # ---- classification: hit iff < assoc distinct blocks in the gap ----
-        g = pos_in_set - prevpos  # same-set accesses since previous use
-        g -= 1
-        repeat_occ = ~first_occ
-        hit = repeat_occ & (g < assoc)
-        cs = np.cumsum(first_occ, dtype=np.int32)
-        set_distinct = np.bincount(set_of_row[first_occ], minlength=num_sets)
-        small = set_distinct <= assoc
-        if small.any():
+        dist = np.diff(bo)  # the reuse gap plus one
+        hit = same & (dist <= assoc)  # over pairs: the repeat at bo[i + 1]
+        # Cheap miss proof before any window scan: first occurrences inside
+        # the reuse gap are pairwise-distinct blocks, and a repeat is no
+        # first occurrence, so the running first-occurrence count across a
+        # pair lower-bounds the gap's distinct count.  High-entropy streams
+        # resolve almost every repeat here (same ^ hit: repeats not yet hits).
+        pend = np.flatnonzero((same ^ hit) & (np.diff(np.take(cs, bo)) < assoc))
+        small = np.diff(seen) <= assoc
+        if len(pend) and small.any():
             # Sets whose whole working set fits never evict: every repeat hits.
-            hit |= repeat_occ & small[set_of_row]
-        pend = np.nonzero(repeat_occ & ~hit)[0]
+            in_small = small[self._set_ids(np.take(bo_block, pend))]
+            hit[pend[in_small]] = True
+            pend = pend[~in_small]
         if len(pend):
-            # Cheap miss proof before any window scan: first occurrences
-            # inside the reuse gap are pairwise-distinct blocks, and gap
-            # rows are contiguous in the set-major layout, so two gathers
-            # of the running first-occurrence count lower-bound the gap's
-            # distinct count.  High-entropy streams resolve almost every
-            # pending row here.
-            fo_gap = cs[pend - 1] - cs[pend - 1 - g[pend]]
-            pend = pend[fo_gap < assoc]
-        if len(pend):
-            window = _window_width(assoc)
+            nextpos_bo = np.empty(m, dtype=np.int32)
+            nextpos_bo[:-1] = bo[1:]
+            nextpos_bo[fresh - 1] = m  # a block's last row never recurs
+            nextpos_bo[-1] = m
+            nextpos = np.empty(m, dtype=np.int32)
+            nextpos[bo] = nextpos_bo
             hit_pend = _window_classify(
-                pend, g, pos_in_set, nextpos, assoc, window, m
+                np.take(bo[1:], pend),
+                np.take(dist, pend) - 1,
+                nextpos,
+                assoc,
+                _window_width(assoc),
+                m,
             )
             if hit_pend is None:
                 return None
             hit[pend[hit_pend]] = True
 
+        # ---- residency runs ([miss, hit...] per block, in block order) ----
+        # A run ends where its block's next occurrence misses, or at its
+        # last one; its dirty flag is the OR of its rows' write flags.
+        miss_bo = np.empty(m, dtype=bool)
+        miss_bo[0] = True
+        np.logical_not(hit, out=miss_bo[1:])
+        run_start = np.flatnonzero(miss_bo)
+        perm_bo = np.take(perm, bo)
+        run_dirty = np.logical_or.reduceat(
+            np.take(np.concatenate([self._dirty, is_write]), perm_bo), run_start
+        )
+        # Row-order flags: 1 miss, 2 run end, 4 dirty run end.
+        flags_bo = miss_bo.astype(np.uint8)
+        flags_bo[:-1] |= miss_bo[1:].view(np.uint8) << 1
+        flags_bo[-1] |= 2
+        # Run i ends just before run i + 1 starts, the last one at m - 1.
+        flags_bo[run_start[1:][run_dirty[:-1]] - 1] |= 4
+        if run_dirty[-1]:
+            flags_bo[-1] |= 4
+        flags = np.empty(m, dtype=np.uint8)
+        flags[bo] = flags_bo
+
         # ---- evictions: a miss evicts iff >= assoc distinct preceded it ----
-        miss = ~hit  # virtual rows count as "misses" but never evict/emit
-        seen_before_set = np.concatenate([np.zeros(1, np.int32), cs])[starts[:-1]]
-        distinct_before = cs - np.repeat(seen_before_set, total_counts)
-        distinct_before -= first_occ
-        evict = miss & (distinct_before >= assoc)
-
-        # ---- residency runs ([miss, hit...] per block, in bo order) ----
-        hit_bo = hit[bo]
-        run_start = np.nonzero(~hit_bo)[0]
-        nruns = len(run_start)
-        run_end = np.empty(nruns, dtype=np.int64)
-        run_end[:-1] = run_start[1:] - 1
-        run_end[-1] = m - 1
-        run_dirty = np.bitwise_or.reduceat(sm_write[bo], run_start)
-        run_end_row = bo[run_end]
-        run_block = bo_blocks[run_start]
-        run_set = set_of_row[run_end_row]
-
-        # Per set, victims are the runs with the smallest end positions,
-        # matched to the evicting misses in time order.  Sets are contiguous
-        # in the set-major layout, so ordering runs by (set, end position)
-        # is simply ordering them by end row.
-        run_sort = stable_argsort_ids(run_end_row)
-        runs_per_set = np.bincount(run_set, minlength=num_sets)
-        run_off = np.zeros(num_sets + 1, dtype=np.int64)
-        np.cumsum(runs_per_set, out=run_off[1:])
-
-        evict_rows = np.nonzero(evict)[0]  # ascending = per-set time order
-        evicts_per_set = np.bincount(set_of_row[evict_rows], minlength=num_sets)
-        wb_block = np.full(n, -1, dtype=np.int64)
-        dirty_evictions = 0
-        if len(evict_rows):
-            eoff = np.zeros(num_sets + 1, dtype=np.int64)
-            np.cumsum(evicts_per_set, out=eoff[1:])
-            es = set_of_row[evict_rows]
-            rank = np.arange(len(evict_rows), dtype=np.int64) - eoff[es]
-            victim_run = run_sort[run_off[es] + rank]
-            victim_dirty = run_dirty[victim_run]
-            dirty_evictions = int(victim_dirty.sum())
-            if dirty_evictions:
-                wb_block[sm_real[evict_rows[victim_dirty]]] = run_block[
-                    victim_run[victim_dirty]
-                ]
-
-        # ---- misses and dirty victims in original stream order ----
-        miss_orig = np.zeros(n, dtype=bool)
-        miss_orig[sm_real[miss & (sm_real >= 0)]] = True
-        if dirty_evictions:
-            wb_pos = np.flatnonzero(wb_block >= 0)
-            wb_block = wb_block[wb_pos]
+        # Only a set's first assoc first occurrences (its resident lines
+        # among them) fill it without evicting; every other miss evicts.
+        evicts = flags & 1
+        fills = np.minimum(np.diff(seen), assoc)
+        evicts[np.flatnonzero(first_occ)[_ranges(seen[:-1], fills)]] = 0
+        evict_rows = np.flatnonzero(evicts)
+        # Runs in (set, end position) order; per set, victims are the runs
+        # with the smallest end positions, matched to the evicting misses
+        # in time order, and the rest survive as its LRU -> MRU stack.
+        run_end = np.flatnonzero(flags & 2)
+        run_off = np.searchsorted(run_end, starts)
+        kept = np.diff(run_off) - np.diff(np.searchsorted(evict_rows, starts))
+        survivors = _ranges(run_off[1:] - kept, kept)
+        victim = np.ones(len(run_end), dtype=bool)
+        victim[survivors] = False
+        victim_rows = run_end[victim]
+        victim_dirty = (np.take(flags, victim_rows) >> 2).view(bool)
+        if victim_dirty.any():
+            wb_pos = np.take(perm, evict_rows[victim_dirty]) - k
+            order = stable_argsort_ids(wb_pos)
+            wb_pos = np.take(wb_pos, order)
+            wb_block = np.take(sm_block, np.take(victim_rows[victim_dirty], order))
         else:
             wb_pos = wb_block = _NO_POSITIONS
 
-        # ---- commit final state: surviving runs, end position ascending ----
-        # In run_sort order each set's evicted runs lead its group, so one
-        # rank test over all runs selects every set's survivors at once.
-        sorted_run_set = run_set[run_sort]
-        survivors = run_sort[
-            np.arange(nruns, dtype=np.int64) - run_off[sorted_run_set]
-            >= evicts_per_set[sorted_run_set]
-        ]
-        self._adopt(
-            (runs_per_set - evicts_per_set).astype(np.int32),
-            run_block[survivors],
-            run_dirty[survivors],
-        )
+        # ---- misses in original stream order ----
+        miss_all = np.empty(m, dtype=bool)
+        miss_all[perm_bo] = miss_bo
+        miss_orig = miss_all[k:]
 
+        # ---- commit final state: surviving runs, end position ascending ----
+        kept_rows = np.take(run_end, survivors)
+        self._adopt(
+            kept.astype(np.int32),
+            np.take(sm_block, kept_rows),
+            (np.take(flags, kept_rows) >> 2).view(bool),
+        )
         return miss_orig, wb_pos, wb_block
 
     # -- maintenance ----------------------------------------------------------
@@ -604,6 +587,12 @@ def downstream(
     return AccessStream(out_b, out_w)
 
 
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``first[i] .. first[i] + counts[i] - 1``."""
+    offsets = np.cumsum(counts, dtype=np.intp) - counts
+    return np.repeat(first - offsets, counts) + np.arange(int(offsets[-1] + counts[-1]))
+
+
 def _sorted_ids(blocks: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
     """(sorted lookup, lookup as given) of a block-id collection.
 
@@ -620,9 +609,8 @@ def _sorted_ids(blocks: Iterable[int]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _window_classify(
-    pend: np.ndarray,
-    g: np.ndarray,
-    pos_in_set: np.ndarray,
+    rows: np.ndarray,
+    gaps: np.ndarray,
     nextpos: np.ndarray,
     assoc: int,
     window: int,
@@ -630,54 +618,65 @@ def _window_classify(
 ) -> Optional[np.ndarray]:
     """Exact windowed distinct counts for the unresolved accesses.
 
-    For a pending row at per-set position ``p`` with reuse gap ``g``, the
-    distinct blocks in the gap are exactly the gap rows that are the *last*
-    occurrence of their block inside it (``nextpos >= p``).  Scanning the
-    gap backwards ``window`` columns at a time, the count is exact once the
-    gap is exhausted, and a partial count already >= ``assoc`` proves a
-    miss.  Gap rows never leave the set: a row within the gap lies strictly
-    between the previous occurrence and ``p``.
+    For a pending set-major row ``p`` with reuse gap ``g`` (the ``rows``
+    and ``gaps`` entries), the distinct blocks in the gap are exactly the
+    gap rows that are the *last* occurrence of their block inside it
+    (``nextpos >= p``; ``nextpos`` is ``m`` after a block's last row).
+    Scanning the gap backwards ``window`` columns at a time, the count is
+    exact once the gap is exhausted, and a partial count already >=
+    ``assoc`` proves a miss.  Gap rows never leave the set: a row within
+    the gap lies strictly between the previous occurrence and ``p``.
 
-    Returns a hit mask aligned with ``pend``, or None if a pathological
+    Returns a hit mask aligned with ``rows``, or None if a pathological
     stream (huge gaps of repeats) exceeds the scan budget.
     """
-    rows = pend
     # Narrow value arrays cut the gather traffic of the window matrices,
     # the dominant cost of this pass.
-    if m < np.iinfo(np.int16).max:
-        nextpos = nextpos.astype(np.int16)
-        p = pos_in_set[rows].astype(np.int16)
-    else:
-        p = pos_in_set[rows]
-    gaps = g[rows]
-    cols = np.arange(window, dtype=np.int64)
+    dtype = np.int16 if m < np.iinfo(np.int16).max else np.int32
+    p = rows.astype(dtype)
+    # windows[r] views the ``window`` rows before row r, nearest last; the
+    # padding before row 0 never counts (and is masked anyway).
+    padded = np.empty(window + m, dtype=dtype)
+    padded[:window] = -1
+    padded[window:] = nextpos
+    windows = as_strided(
+        padded, (m + 1, window), padded.strides * 2, writeable=False
+    )
+    cols = np.arange(window, dtype=dtype)
     hit_out = np.zeros(len(rows), dtype=bool)
     budget = _RESIDUE_BUDGET_FACTOR * m + (1 << 16)
     chunk = max(1, _CHUNK_ELEMS // window)
 
+    # A bound first, without gathering any window: a gap row within
+    # ``window`` rows of p whose block recurs ``window`` or more rows later
+    # (or never) recurs only after p, so it is a distinct block of the
+    # gap.  One running count of such rows proves most misses.
+    far = np.cumsum(
+        nextpos >= np.arange(window, window + m, dtype=nextpos.dtype),
+        dtype=np.int32,
+    )
+    last_gap_row = rows - 1
+    open_ = (
+        far[last_gap_row] - far[last_gap_row - np.minimum(gaps, window)] < assoc
+    )
+
     # Rows whose whole gap fits in one window: one masked pass, exact.
-    exact_idx = np.nonzero(gaps <= window)[0]
+    exact_idx = np.flatnonzero(open_ & (gaps <= window))
     for lo in range(0, len(exact_idx), chunk):
         sel = exact_idx[lo : lo + chunk]
-        r = rows[sel]
-        gg = gaps[sel]
-        within = cols[None, :] < gg[:, None]
-        j = r[:, None] - 1 - cols[None, :]
-        np.maximum(j, 0, out=j)  # masked entries only; keep the gather legal
-        distinct = ((nextpos[j] >= p[sel, None]) & within).sum(axis=1)
-        hit_out[sel] = distinct < assoc
+        within = cols >= (window - gaps[sel]).astype(dtype)[:, None]
+        counted = windows[rows[sel]] >= p[sel, None]
+        hit_out[sel] = np.count_nonzero(counted & within, axis=1) < assoc
 
     # Rows with wider gaps: every window column is a valid gap row (no
-    # mask, no clipping), and a partial count >= assoc already proves a
-    # miss; survivors carry their count into the backward residue scan.
-    big_idx = np.nonzero(gaps > window)[0]
+    # mask), and a partial count >= assoc already proves a miss; survivors
+    # carry their count into the backward residue scan.
+    big_idx = np.flatnonzero(open_ & (gaps > window))
     residue_idx: List[np.ndarray] = []
     residue_acc: List[np.ndarray] = []
     for lo in range(0, len(big_idx), chunk):
         sel = big_idx[lo : lo + chunk]
-        r = rows[sel]
-        j = r[:, None] - 1 - cols[None, :]
-        distinct = (nextpos[j] >= p[sel, None]).sum(axis=1)
+        distinct = np.count_nonzero(windows[rows[sel]] >= p[sel, None], axis=1)
         unresolved = distinct < assoc
         if unresolved.any():
             residue_idx.append(sel[unresolved])

@@ -149,16 +149,20 @@ class OffChipLog:
             pos += len(part)
         return out
 
+    @staticmethod
+    def empty_arrays() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh empty arrays of the :meth:`arrays` dtypes."""
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=bool),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int8),
+        )
+
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(blocks, is_write, stage_ordinal, component_code) in log order."""
         if not self._blocks:
-            empty = np.empty(0, dtype=np.int64)
-            return (
-                empty,
-                np.empty(0, dtype=bool),
-                np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=np.int8),
-            )
+            return self.empty_arrays()
         return (
             self._read(self._blocks, np.int64),
             self._read(self._is_write, bool),
@@ -236,8 +240,7 @@ class Domain:
 
         def l1_live() -> tuple:
             nonlocal below_l1
-            below_l1, miss, wb_pos = l1.access_misses(stream)
-            victims = below_l1.blocks[below_l1.is_write]
+            below_l1, miss, wb_pos, victims = l1.access_misses(stream)
             return np.packbits(miss), wb_pos, victims
 
         l1_out, l1_token = run_step(

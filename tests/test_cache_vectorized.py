@@ -11,7 +11,8 @@ strategies.
 
 The offline path is forced by patching ``SERIAL_CUTOFF`` to zero (and the
 scan-budget/serial paths by patching their knobs), so short generated
-streams still exercise the vectorized passes.
+streams still exercise the vectorized passes.  One seeded test (not
+Hypothesis) runs long streams at the shapes perfbench times instead.
 """
 
 from __future__ import annotations
@@ -227,6 +228,53 @@ def test_wide_block_ids_use_int64_path():
         assert_equivalent(
             ref, fast, ref.access_stream(stream), fast.access_stream(stream)
         )
+
+
+def benchmark_shaped_stream(rng, n: int, base: int) -> AccessStream:
+    """``n`` accesses at ids ``base`` and up, shaped like a GPU stage stream.
+
+    Each access comes from a cyclic sweep over 1536 lines (larger than
+    either cache), a hot set of 40 lines or 24000 random lines, so reuse
+    gaps range from a few rows to thousands; about 30% are writes.
+    """
+    source = rng.choice(3, size=n, p=[0.5, 0.2, 0.3])
+    sweep = np.cumsum(source == 0) % 1536
+    hot = 30000 + rng.integers(0, 40, size=n)
+    scattered = 2000 + rng.integers(0, 24000, size=n)
+    blocks = base + np.choose(source, [sweep, hot, scattered])
+    return AccessStream(blocks.astype(np.int64), rng.random(n) < 0.3)
+
+
+@pytest.mark.parametrize("base", [0, 3 << 20], ids=["ids-below-2^16", "ids-above-2^16"])
+@pytest.mark.parametrize("geometry", [(32, 4), (16, 16)], ids=["gpu-l1", "gpu-l2"])
+def test_benchmark_shaped_calls_match_reference(geometry, base, monkeypatch):
+    """Three long calls with carried state, at the shapes perfbench runs.
+
+    The GPU L1 and L2 geometries of scale 1/32; each call is longer than
+    32767 rows, where the window scan stops narrowing positions to int16,
+    and the ids take one 16-bit radix pass, or two above 2**16.  Every
+    call must take the offline path, not the serial fallback.
+    """
+    offline = FastSetAssocCache._process_offline
+    results = []
+
+    def spy(self, blocks, is_write):
+        results.append(offline(self, blocks, is_write))
+        return results[-1]
+
+    monkeypatch.setattr(FastSetAssocCache, "_process_offline", spy)
+    rng = np.random.default_rng(20151019 + geometry[0] + base)
+    ref, fast = make_pair(geometry)
+    for n in (33000, 34500, 36962):
+        stream = benchmark_shaped_stream(rng, n, base)
+        down_ref, down_fast = ref.access_stream(stream), fast.access_stream(stream)
+        for field in ("blocks", "is_write"):
+            arr_ref, arr_fast = getattr(down_ref, field), getattr(down_fast, field)
+            assert arr_ref.dtype == arr_fast.dtype
+            assert arr_ref.tobytes() == arr_fast.tobytes()
+        assert_same_state(ref, fast)
+        assert vars(ref.stats) == vars(fast.stats)
+    assert len(results) == 3 and all(out is not None for out in results)
 
 
 @given(

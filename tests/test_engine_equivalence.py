@@ -18,7 +18,9 @@ differential (the focused memo tests live in tests/test_stage_memo.py).
 
 The full 46x2 matrix runs in CI (``REPRO_EQUIVALENCE_FULL=1``); locally
 only a deterministic 8-benchmark sample runs, the rest are skipped (marker
-``equivalence_full``).
+``equivalence_full``).  With the full matrix, the five benchmarks perfbench
+times also run at its scale, 1/32, where cache-kernel calls reach 37k rows
+(at most 9200 at 1/128).
 """
 
 from __future__ import annotations
@@ -56,21 +58,37 @@ RUN_FULL_MATRIX = bool(os.environ.get("REPRO_EQUIVALENCE_FULL"))
 
 ALL_NAMES = sorted(spec.full_name for spec in simulatable_specs())
 
+#: The benchmarks perfbench sweeps, and its scale.
+PERFBENCH_SUBSET = (
+    "lonestar/bfs",
+    "lonestar/mst",
+    "parboil/histo",
+    "rodinia/kmeans",
+    "rodinia/srad",
+)
+PERFBENCH_SCALE = 1 / 32
+
+#: (benchmark, scale, runs without the full matrix): every benchmark at the
+#: suite's scale, then perfbench's benchmarks at its scale.
+CASES = [(name, TINY_SCALE, name in SAMPLED_BENCHMARKS) for name in ALL_NAMES] + [
+    (name, PERFBENCH_SCALE, False) for name in PERFBENCH_SUBSET
+]
+
 PARAMS = [
     pytest.param(
         name,
         version,
-        id=f"{name}-{version}",
+        scale,
+        id=f"{name}-{version}"
+        + ("" if scale == TINY_SCALE else f"-1/{round(1 / scale)}"),
         marks=[]
-        if RUN_FULL_MATRIX or name in SAMPLED_BENCHMARKS
+        if RUN_FULL_MATRIX or local
         else [
             pytest.mark.equivalence_full,
-            pytest.mark.skip(
-                reason="full 46x2 matrix runs with REPRO_EQUIVALENCE_FULL=1"
-            ),
+            pytest.mark.skip(reason="full matrix runs with REPRO_EQUIVALENCE_FULL=1"),
         ],
     )
-    for name in ALL_NAMES
+    for name, scale, local in CASES
     for version in (COPY, LIMITED)
 ]
 
@@ -79,18 +97,18 @@ _DISCRETE = discrete_gpu_system()
 _HETEROGENEOUS = heterogeneous_processor()
 
 
-def _run(name: str, version: str, impl: str):
-    options = SimOptions(scale=TINY_SCALE, seed=7, engine_impl=impl)
+def _run(name: str, version: str, impl: str, scale: float = TINY_SCALE):
+    options = SimOptions(scale=scale, seed=7, engine_impl=impl)
     system = _system_for(version, _DISCRETE, _HETEROGENEOUS)
     result, _wall = _simulate_version(_SPECS[name], version, system, options)
     return result
 
 
-@pytest.mark.parametrize("name, version", PARAMS)
-def test_fast_engine_is_bit_exact(name, version):
+@pytest.mark.parametrize("name, version, scale", PARAMS)
+def test_fast_engine_is_bit_exact(name, version, scale):
     """Fast and reference SimResults serialize to identical v2-full bytes."""
-    reference = _run(name, version, "reference")
-    fast = _run(name, version, "fast")
+    reference = _run(name, version, "reference", scale)
+    fast = _run(name, version, "fast", scale)
     ref_dict = result_to_full_dict(reference)
     fast_dict = result_to_full_dict(fast)
     assert fast_dict == ref_dict

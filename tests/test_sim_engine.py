@@ -1,5 +1,7 @@
 """Tests for repro.sim.engine (the discrete-event scheduler)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from repro.pipeline.transforms import (
     remove_copies,
 )
 from repro.sim.engine import SimOptions, simulate
-from repro.sim.hierarchy import Component
-from repro.sim.results import merge_intervals
+from repro.sim.hierarchy import Component, OffChipLog
+from repro.sim.results import SimResult
 
 from tests.conftest import TINY_SCALE, build_offload_pipeline
 
@@ -100,11 +102,34 @@ class TestMemoryAccounting:
             (2 * 5e7 + 2 * 1e6) * TINY_SCALE
         )
 
-    def test_collect_log_false_drops_log(self, offload_pipeline, discrete):
+    def test_collect_log_false_drops_log(
+        self, offload_pipeline, discrete, monkeypatch
+    ):
+        """Without the log the run never builds it (nothing of it stays
+        alive behind an empty view), and every other field is unchanged."""
+        full = simulate(
+            offload_pipeline, discrete, SimOptions(scale=TINY_SCALE)
+        )
+
+        def no_arrays(self):
+            raise AssertionError("collect_log=False built the off-chip log")
+
+        monkeypatch.setattr(OffChipLog, "arrays", no_arrays)
         options = SimOptions(scale=TINY_SCALE, collect_log=False)
         result = simulate(offload_pipeline, discrete, options)
         assert result.offchip_accesses() == 0
         assert result.roi_s > 0
+        log_fields = ("log_blocks", "log_is_write", "log_stage", "log_component")
+        for name in log_fields:
+            column = getattr(result, name)
+            assert len(column) == 0
+            assert column.dtype == getattr(full, name).dtype
+            assert column.base is None
+        for field in dataclasses.fields(SimResult):
+            if field.name not in log_fields:
+                np.testing.assert_equal(
+                    getattr(result, field.name), getattr(full, field.name)
+                )
 
 
 class TestDeterminism:

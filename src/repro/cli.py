@@ -155,7 +155,7 @@ def _lookup(command: str, name: str) -> Optional[BenchmarkSpec]:
 
 def _report_failures(runner: SweepRunner) -> int:
     """Print outstanding task failures; exit status for the command."""
-    failures = runner.metrics_registry.failures
+    failures = runner.failures
     if not failures:
         return 0
     print(f"sweep: {len(failures)} task(s) failed:", file=sys.stderr)

@@ -27,7 +27,7 @@ from repro.config.system import (
     discrete_gpu_system,
     heterogeneous_processor,
 )
-from repro.core.classify import AccessClass, classify_result
+from repro.core.classify import classify_result
 from repro.experiments.report import format_table
 from repro.experiments.runner import DEFAULT_BENCH_SCALE
 from repro.pipeline.transforms import remove_copies

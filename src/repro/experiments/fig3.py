@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.casestudy import ORGANIZATIONS, OrganizationResult, kmeans_case_study
+from repro.core.casestudy import kmeans_case_study
 from repro.experiments.report import format_table
 from repro.sim.engine import SimOptions
 

@@ -20,7 +20,6 @@ from repro.core.footprint import (
 from repro.core.metrics import geomean
 from repro.experiments.report import format_table
 from repro.experiments.runner import SweepRunner, default_runner
-from repro.sim.hierarchy import Component
 from repro.workloads.spec import BenchmarkSpec
 
 

@@ -34,8 +34,6 @@ docs/SWEEPS.md).
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import os
 import pickle
 import time
@@ -43,21 +41,11 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     CancelledError,
-    Executor,
     Future,
     wait,
 )
 from dataclasses import dataclass, field
-from typing import (
-    Awaitable,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.system import SystemConfig
 from repro.experiments.executors import (
@@ -72,7 +60,6 @@ from repro.experiments.executors import (
 from repro.pipeline.transforms import remove_copies
 from repro.sim.engine import SimOptions, simulate
 from repro.sim.memo import stage_memo_snapshot
-from repro.sim.observe.metrics import MetricsRegistry
 from repro.sim.resultcache import ResultCache, cache_key
 from repro.sim.results import SimResult
 from repro.testing.faults import maybe_inject
@@ -209,9 +196,6 @@ class SweepMetrics:
     #: Times the process pool was torn down and rebuilt (worker crash or
     #: task timeout).
     pool_rebuilds: int = 0
-    #: How many sweep invocations this object aggregates (grows via
-    #: :meth:`merge`).
-    sweeps: int = 1
     #: Stage-level memoization traffic (repro.sim.memo) of the fresh
     #: simulations this sweep launched: per-stage memory steps replayed
     #: instead of recomputed, and steps computed and recorded.  Pool
@@ -237,24 +221,6 @@ class SweepMetrics:
     def speedup_estimate(self) -> float:
         return self.serial_estimate_s / self.wall_s if self.wall_s > 0 else 0.0
 
-    def merge(self, other: "SweepMetrics") -> None:
-        self.total += other.total
-        self.launched += other.launched
-        self.cache_hits += other.cache_hits
-        self.memo_hits += other.memo_hits
-        # jobs is a configuration, not a counter: a merged line reports the
-        # widest pool any constituent sweep used.
-        self.jobs = max(self.jobs, other.jobs)
-        self.wall_s += other.wall_s
-        self.serial_estimate_s += other.serial_estimate_s
-        self.retries += other.retries
-        self.pool_rebuilds += other.pool_rebuilds
-        self.sweeps += other.sweeps
-        self.stage_memo_hits += other.stage_memo_hits
-        self.stage_memo_misses += other.stage_memo_misses
-        self.not_cached += other.not_cached
-        self.failures.extend(other.failures)
-
     def format_line(self) -> str:
         parts = [
             f"{self.total} runs",
@@ -277,10 +243,7 @@ class SweepMetrics:
         )
         if self.serial_estimate_s > 0:
             line += f"; serial estimate {self.serial_estimate_s:.1f}s"
-            # Merged metrics sum wall times of sweeps that may have run
-            # back-to-back against a warm memo, so a speedup ratio over the
-            # sum would be meaningless; only a single sweep claims one.
-            if self.sweeps == 1 and self.wall_s > 0:
+            if self.wall_s > 0:
                 line += f" ({self.speedup_estimate:.1f}x)"
         return line
 
@@ -423,9 +386,9 @@ def run_tasks(
     options: SimOptions,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    metrics_registry: Optional[MetricsRegistry] = None,
     policy: Optional[FaultPolicy] = None,
     backend: Union[None, str, ExecutorBackend] = None,
+    progress: Optional[Callable[[SweepMetrics], None]] = None,
 ) -> Tuple[Dict[Tuple[str, str], SimResult], SweepMetrics]:
     """Execute a batch of sweep tasks, parallel, cache-aware, fault-tolerant.
 
@@ -433,10 +396,13 @@ def run_tasks(
     this invocation.  With ``jobs`` resolving to 1 (or a single task to
     run) the batch runs in the parent process, through the same supervisor
     loop and bit-identical to the pooled path — simulations are
-    deterministic and every backend runs :func:`run_worker_task`.  With a
-    ``metrics_registry`` every result of the batch — fresh simulation and
-    persistent-cache hit alike — is summarized into it, so sweeps can
-    surface per-benchmark trace summaries without re-running anything.
+    deterministic and every backend runs :func:`run_worker_task`.
+
+    ``progress``, when given, is called with the batch's metrics so far
+    after the cache pass (if it resolved any task) and after every task
+    that completes or fails for good; ``launched + cache_hits + failed``
+    of ``total`` tasks are then done.  It runs on the calling thread and
+    delays the sweep for as long as it takes.
 
     ``backend`` selects the execution substrate when the batch pools
     (``local`` process pool by default; ``subprocess`` for per-task
@@ -459,9 +425,9 @@ def run_tasks(
     start = time.perf_counter()
     stop = False  # set once fail-fast trips; no further dispatch
 
-    def record(task: SweepTask, result: SimResult) -> None:
-        if metrics_registry is not None:
-            metrics_registry.record(task.full_name, task.version, result)
+    def report() -> None:
+        if progress is not None:
+            progress(metrics)
 
     pending: List[_TaskState] = []
     for task in tasks:
@@ -470,11 +436,12 @@ def run_tasks(
         entry = cache.load(key) if cache is not None else None
         if entry is not None:
             results[(task.full_name, task.version)] = entry.result
-            record(task, entry.result)
             metrics.cache_hits += 1
             metrics.serial_estimate_s += entry.sim_wall_s
         else:
             pending.append(_TaskState(task, key))
+    if metrics.cache_hits:
+        report()
 
     def complete(state: _TaskState, outcome: WorkerOutcome) -> None:
         """Record one successful :class:`WorkerOutcome`: the one place a
@@ -483,18 +450,16 @@ def run_tasks(
         result: it is still returned, and counted as not cached."""
         task = state.task
         results[(task.full_name, task.version)] = outcome.result
-        record(task, outcome.result)
         metrics.launched += 1
         metrics.serial_estimate_s += outcome.wall_s
         metrics.stage_memo_hits += outcome.memo_hits
         metrics.stage_memo_misses += outcome.memo_misses
-        if metrics_registry is not None:
-            metrics_registry.record_stage_memo(outcome.memo_hits, outcome.memo_misses)
         if cache is not None:
             try:
                 cache.store(state.key, outcome.result, sim_wall_s=outcome.wall_s)
             except OSError:
                 metrics.not_cached += 1
+        report()
 
     def final_failure(
         state: _TaskState, error_type: str, message: str, fate: str
@@ -509,10 +474,9 @@ def run_tasks(
             worker_fate=fate,
         )
         metrics.failures.append(failure)
-        if metrics_registry is not None:
-            metrics_registry.record_failure(failure)
         if policy.fail_fast and fate != FATE_CANCELLED:
             stop = True
+        report()
 
     def supervise(
         states: List[_TaskState], backend: ExecutorBackend
@@ -664,8 +628,10 @@ def run_tasks(
                     # Drain every finished future before reacting to any
                     # failure: results that are already computed must be
                     # recorded and cached no matter what their batch-mates
-                    # did (the pre-supervisor code lost them).
-                    for future in done:
+                    # did (the pre-supervisor code lost them).  Submission
+                    # order, not set order, keeps the retry order and the
+                    # results' order the same from run to run.
+                    for future in [f for f in inflight if f in done]:
                         state = inflight.pop(future)
                         if drain_finished(future, state):
                             broken = True
@@ -748,79 +714,3 @@ def run_tasks(
     metrics.wall_s = time.perf_counter() - start
     return results, metrics
 
-
-#: Signature of the optional progress hook of :func:`run_tasks_async`:
-#: ``(tasks_completed, tasks_total, metrics_so_far)`` awaited on the event
-#: loop after every chunk, so servers can stream progress without polling.
-ProgressHook = Callable[[int, int, SweepMetrics], Awaitable[None]]
-
-
-async def run_tasks_async(
-    tasks: Sequence[SweepTask],
-    *,
-    discrete: SystemConfig,
-    heterogeneous: SystemConfig,
-    options: SimOptions,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    metrics_registry: Optional[MetricsRegistry] = None,
-    policy: Optional[FaultPolicy] = None,
-    backend: Union[None, str, ExecutorBackend] = None,
-    executor: Optional[Executor] = None,
-    chunk_size: Optional[int] = None,
-    progress: Optional[ProgressHook] = None,
-) -> Tuple[Dict[Tuple[str, str], SimResult], SweepMetrics]:
-    """Asyncio-facing :func:`run_tasks`: the submission API ``repro serve``
-    dispatches through.
-
-    The batch runs in ``executor`` (default: the loop's default thread
-    pool) so the event loop stays responsive while simulations fan out
-    over the process pool; semantics — caching, retries, structured
-    :class:`TaskFailure` reports — are exactly those of :func:`run_tasks`.
-
-    With ``chunk_size`` the batch is split into sequential sub-batches
-    and ``progress`` is awaited after each one, which is how a server
-    streams per-job progress events; without it the whole batch is one
-    call (one pool spin-up — cheapest, but no intermediate progress).
-    Chunked metrics are merged, so counters (launched, cache hits,
-    failures, retries) cover the whole batch either way.
-    """
-    loop = asyncio.get_running_loop()
-    tasks = list(tasks)
-    if chunk_size is None or chunk_size <= 0 or chunk_size >= len(tasks):
-        chunks = [tasks] if tasks else []
-    else:
-        chunks = [
-            tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)
-        ]
-
-    results: Dict[Tuple[str, str], SimResult] = {}
-    combined: Optional[SweepMetrics] = None
-    completed = 0
-    for chunk in chunks:
-        part, metrics = await loop.run_in_executor(
-            executor,
-            functools.partial(
-                run_tasks,
-                chunk,
-                discrete=discrete,
-                heterogeneous=heterogeneous,
-                options=options,
-                jobs=jobs,
-                cache=cache,
-                metrics_registry=metrics_registry,
-                policy=policy,
-                backend=backend,
-            ),
-        )
-        results.update(part)
-        if combined is None:
-            combined = metrics
-        else:
-            combined.merge(metrics)
-        completed += len(chunk)
-        if progress is not None:
-            await progress(completed, len(tasks), combined)
-    if combined is None:
-        combined = SweepMetrics(total=0, jobs=resolve_jobs(jobs))
-    return results, combined

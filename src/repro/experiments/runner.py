@@ -48,7 +48,6 @@ from repro.experiments.parallel import (
     run_tasks,
 )
 from repro.sim.engine import SimOptions
-from repro.sim.observe.metrics import MetricsRegistry
 from repro.sim.resultcache import ResultCache, cache_key
 from repro.sim.results import SimResult
 from repro.workloads.registry import simulatable_specs
@@ -111,8 +110,8 @@ class SweepRunner:
             (:class:`~repro.experiments.parallel.FaultPolicy`; default
             policy when ``None``).  Failed tasks never abort a sweep: they
             surface as :class:`TaskFailure` entries on ``last_metrics`` and
-            in the ``metrics_registry``, while every completed result is
-            kept, cached, and memoized.
+            in :attr:`failures`, while every completed result is kept,
+            cached, and memoized.
         backend: executor backend fanning out the sweep — ``"local"``
             (default process pool), ``"subprocess"``, or a ready
             :class:`~repro.experiments.executors.ExecutorBackend`
@@ -145,10 +144,9 @@ class SweepRunner:
         #: tag, so changing ``self.options`` can never serve stale results.
         self._memo: Dict[str, SimResult] = {}
         self.last_metrics: Optional[SweepMetrics] = None
-        #: Per-(benchmark, version) trace summaries of everything this
-        #: runner has produced (fresh, cache hit, or memo hit) — the
-        #: sweep-level aggregation point of repro.sim.observe.metrics.
-        self.metrics_registry = MetricsRegistry()
+        #: The latest failure of each (benchmark, version) that has not
+        #: produced a result since.
+        self._failures: Dict[Tuple[str, str], TaskFailure] = {}
 
     # -- keys ----------------------------------------------------------------
 
@@ -174,9 +172,6 @@ class SweepRunner:
             keys[(spec.full_name, version)] = key
             if key in self._memo:
                 memo_hits += 1
-                self.metrics_registry.record(
-                    spec.full_name, version, self._memo[key]
-                )
             else:
                 tasks.append((SweepTask(spec, version), key))
         if self.preflight:
@@ -188,16 +183,19 @@ class SweepRunner:
             options=self.options,
             jobs=self.jobs,
             cache=self.cache,
-            metrics_registry=self.metrics_registry,
             policy=self.fault_policy,
             backend=self.backend,
         )
         # Failed tasks produce no result; memoize exactly the successes so
         # a later request re-attempts the failures instead of KeyError-ing.
         for task, key in tasks:
-            produced = results.get((task.full_name, task.version))
+            pair = (task.full_name, task.version)
+            produced = results.get(pair)
             if produced is not None:
                 self._memo[key] = produced
+                self._failures.pop(pair, None)
+        for failure in metrics.failures:
+            self._failures[(failure.benchmark, failure.version)] = failure
         metrics.total += memo_hits
         metrics.memo_hits = memo_hits
         self.last_metrics = metrics
@@ -224,12 +222,11 @@ class SweepRunner:
                 pipeline = remove_copies(pipeline)
             assert_lint_clean(pipeline, task.spec, memoize=True)
 
-    def _failures_for(self, name: str, version: str) -> List[TaskFailure]:
-        metrics = self.last_metrics
-        failures = metrics.failures if metrics is not None else []
-        return [
-            f for f in failures if f.benchmark == name and f.version == version
-        ]
+    @property
+    def failures(self) -> List[TaskFailure]:
+        """Failures no later sweep of this runner recovered, ordered by
+        (benchmark, version)."""
+        return [self._failures[pair] for pair in sorted(self._failures)]
 
     def _require(
         self, name: str, version: str, keys: Dict[Tuple[str, str], str]
@@ -238,8 +235,9 @@ class SweepRunner:
         result = self._memo.get(key)
         if result is not None:
             return result
-        relevant = self._failures_for(name, version)
-        detail = "; ".join(f.describe() for f in relevant) or "no result produced"
+        failure = self._failures.get((name, version))
+        relevant = [failure] if failure is not None else []
+        detail = failure.describe() if failure is not None else "no result produced"
         raise SweepError(f"{name}:{version} did not complete: {detail}", relevant)
 
     def run(self, spec: BenchmarkSpec, version: str) -> SimResult:
@@ -280,8 +278,8 @@ class SweepRunner:
         Failing tasks never abort the sweep: benchmarks whose pair could
         not be completed are omitted from the returned dict, their
         :class:`TaskFailure` reports land on ``last_metrics.failures`` (and
-        ``metrics_registry.failures``), and single-version successes remain
-        readable through :meth:`try_result`.
+        :attr:`failures`), and single-version successes remain readable
+        through :meth:`try_result`.
         """
         specs = list(specs) if specs is not None else list(simulatable_specs())
         keys = self._ensure(

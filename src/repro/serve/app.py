@@ -12,13 +12,13 @@ Endpoints::
     GET  /v1/jobs/<id>           status + result when terminal
     GET  /v1/jobs/<id>/events    SSE progress stream until terminal
     GET  /v1/cache               ResultCache stats + dedup counters
-    GET  /v1/metrics             dedup counters + sweep-wide trace totals
+    GET  /v1/metrics             dedup counters
     POST /v1/shutdown            graceful shutdown (drains running jobs)
 
 Jobs are validated on submit (``repro lint`` preflight included),
 deduplicated by content hash against in-flight work, and executed on a
-bounded worker pool that dispatches through
-:func:`repro.experiments.parallel.run_tasks_async` — the PR 5 fault
+bounded worker pool that runs each job as one
+:func:`repro.experiments.parallel.run_tasks` call — the fault
 supervisor, so a crashed pool worker surfaces as a structured per-run
 failure and a ``partial`` job status, never a hung request.  Warm
 requests are answered from the shared content-addressed
@@ -28,6 +28,7 @@ requests are answered from the shared content-addressed
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -41,10 +42,9 @@ from repro.experiments.parallel import (
     SweepMetrics,
     SweepTask,
     resolve_jobs,
-    run_tasks_async,
+    run_tasks,
 )
 from repro.sim.engine import ENGINE_VERSION, SimOptions
-from repro.sim.observe.metrics import MetricsRegistry
 from repro.sim.resultcache import ResultCache, default_cache_dir
 from repro.serve.jobs import DONE, FAILED, PARTIAL, Job, JobStore
 from repro.serve.schemas import (
@@ -123,7 +123,6 @@ class ServeApp:
             else ResultCache(self.config.cache_dir or default_cache_dir())
         )
         self.store = JobStore()
-        self.metrics_registry = MetricsRegistry()
         self.discrete = discrete_gpu_system()
         self.heterogeneous = heterogeneous_processor()
         #: Dedup / work counters, served by ``/v1/cache`` and ``/v1/metrics``.
@@ -204,11 +203,6 @@ class ServeApp:
 
     # -- job execution -------------------------------------------------------
 
-    def _chunk_size(self) -> int:
-        """Tasks per run_tasks_async chunk (progress-event granularity):
-        two pool-widths, at least four."""
-        return max(4, 2 * resolve_jobs(self.config.jobs))
-
     def _options(self, job: Job) -> SimOptions:
         return SimOptions(
             scale=job.spec.scale,
@@ -254,30 +248,38 @@ class ServeApp:
             for version in job.spec.versions
         ]
 
-        async def progress(done: int, total: int, metrics: SweepMetrics) -> None:
-            await job.publish(
-                "progress",
-                completed=done,
-                total=total,
-                launched=metrics.launched,
-                cache_hits=metrics.cache_hits,
-                failures=metrics.failed,
-                retries=metrics.retries,
-            )
+        loop = asyncio.get_running_loop()
 
-        results, metrics = await run_tasks_async(
-            tasks,
-            discrete=self.discrete,
-            heterogeneous=self.heterogeneous,
-            options=options,
-            jobs=self.config.jobs,
-            cache=self.cache,
-            metrics_registry=self.metrics_registry,
-            policy=policy,
-            executor=self._executor,
-            chunk_size=self._chunk_size(),
-            progress=progress,
-            backend=self.config.backend,
+        def progress(metrics: SweepMetrics) -> None:
+            # Called on the executor thread running the sweep; waiting for
+            # the publish keeps every progress event ahead of ``finished``.
+            asyncio.run_coroutine_threadsafe(
+                job.publish(
+                    "progress",
+                    completed=metrics.launched + metrics.cache_hits + metrics.failed,
+                    total=metrics.total,
+                    launched=metrics.launched,
+                    cache_hits=metrics.cache_hits,
+                    failures=metrics.failed,
+                    retries=metrics.retries,
+                ),
+                loop,
+            ).result()
+
+        results, metrics = await loop.run_in_executor(
+            self._executor,
+            functools.partial(
+                run_tasks,
+                tasks,
+                discrete=self.discrete,
+                heterogeneous=self.heterogeneous,
+                options=options,
+                jobs=self.config.jobs,
+                cache=self.cache,
+                policy=policy,
+                backend=self.config.backend,
+                progress=progress,
+            ),
         )
         self.stats["computed_runs"] += metrics.launched
         self.stats["warm_runs"] += metrics.cache_hits
@@ -597,8 +599,4 @@ class ServeApp:
         return payload
 
     def _metrics(self) -> Dict[str, Any]:
-        return {
-            "schema": METRICS_SCHEMA,
-            "dedup": dict(self.stats),
-            "sweep_totals": self.metrics_registry.totals(),
-        }
+        return {"schema": METRICS_SCHEMA, "dedup": dict(self.stats)}

@@ -49,7 +49,7 @@ ERROR_SCHEMA = "repro.serve.error/v1"
 JOB_SCHEMA = "repro.serve.job/v2"
 HEALTH_SCHEMA = "repro.serve.health/v1"
 CACHE_SCHEMA = "repro.serve.cache/v1"
-METRICS_SCHEMA = "repro.serve.metrics/v2"
+METRICS_SCHEMA = "repro.serve.metrics/v3"
 
 #: Job kinds the service accepts.
 KIND_SIMULATE = "simulate"

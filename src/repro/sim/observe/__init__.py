@@ -12,7 +12,6 @@ taxonomy, the sink API, and the invariant catalogue.
   ``trace_event`` JSON loadable in Perfetto or ``chrome://tracing``.
 * :class:`InvariantMonitor` checks conservation laws online and records
   (or raises on) violations.
-* :class:`MetricsRegistry` aggregates per-run counters across a sweep.
 """
 
 from repro.sim.observe.chrome import (
@@ -46,7 +45,6 @@ from repro.sim.observe.invariants import (
     InvariantError,
     InvariantMonitor,
 )
-from repro.sim.observe.metrics import MetricsRegistry, RunTraceSummary
 from repro.sim.observe.sinks import (
     BaseSink,
     JsonlSink,
@@ -75,8 +73,6 @@ __all__ = [
     "JsonlSink",
     "MARK_ROI_END",
     "MarkEvent",
-    "MetricsRegistry",
-    "RunTraceSummary",
     "SPAN_CATEGORIES",
     "SPAN_FAULT",
     "SPAN_LAUNCH",

@@ -49,7 +49,7 @@ def _tasks(names=NAMES):
     return [SweepTask(get(name), v) for name in names for v in (COPY, LIMITED)]
 
 
-def _run(tasks, *, jobs=2, policy=None, cache=None, registry=None):
+def _run(tasks, *, jobs=2, policy=None, cache=None, progress=None):
     return run_tasks(
         tasks,
         discrete=discrete_gpu_system(),
@@ -57,8 +57,8 @@ def _run(tasks, *, jobs=2, policy=None, cache=None, registry=None):
         options=_options(),
         jobs=jobs,
         cache=cache,
-        metrics_registry=registry,
         policy=policy,
+        progress=progress,
     )
 
 
@@ -229,6 +229,29 @@ class TestSerialInParent:
         assert all(f.worker_fate == FATE_IN_PARENT for f in metrics.failures)
 
 
+class TestProgress:
+    def test_after_cache_pass_and_each_settled_task(self, tmp_path):
+        """``progress`` sees the cache pass once (when it answered any
+        task), then every task that completes or fails for good."""
+        cache = ResultCache(tmp_path / "cache")
+
+        def sweep():
+            seen = []
+            _run(
+                _tasks(),
+                jobs=1,
+                policy=_fast(max_retries=0),
+                cache=cache,
+                progress=lambda m: seen.append((m.launched, m.cache_hits, m.failed)),
+            )
+            return seen
+
+        with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
+            cold, warm = sweep(), sweep()
+        assert cold == [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1)]
+        assert warm == [(0, 3, 0), (0, 3, 1)]
+
+
 class TestSweepRunnerIntegration:
     def test_sweep_returns_partial_and_reports_failures(self, tmp_path):
         specs = [get(name) for name in NAMES]
@@ -241,16 +264,33 @@ class TestSweepRunnerIntegration:
             )
             runs = runner.sweep(specs)
         assert sorted(runs) == ["rodinia/kmeans"]  # incomplete pair omitted
-        assert len(runner.last_metrics.failures) == 1
-        assert len(runner.metrics_registry.failures) == 1
+        (failure,) = runner.failures
+        assert runner.last_metrics.failures == [failure]
+        assert (failure.benchmark, failure.version) == ("lonestar/bfs", COPY)
+        assert "[alive] FaultInjected" in failure.describe()
         # The successful half of the failed pair is still readable.
         assert runner.try_result(get("lonestar/bfs"), LIMITED) is not None
         assert runner.try_result(get("lonestar/bfs"), COPY) is None
-        # Trace summaries exist for exactly the successful runs.
-        assert len(runner.metrics_registry) == 3
-        totals = runner.metrics_registry.totals()
-        assert totals["failed_runs"] == 1.0
-        assert "FAILED [alive] FaultInjected" in runner.metrics_registry.format_table()
+
+    def test_failures_outlive_later_sweeps_in_pair_order(self):
+        """A later sweep's success elsewhere clears nothing, and the
+        outstanding failures list by (benchmark, version), not by when
+        they happened."""
+        runner = SweepRunner(options=_options(), fault_policy=_fast(max_retries=0))
+        rules = {
+            "rodinia/kmeans:copy": FaultRule("raise"),
+            "lonestar/bfs:limited-copy": FaultRule("raise"),
+        }
+        with injected_faults(rules):
+            runner.sweep([get("rodinia/kmeans")])
+            runner.sweep([get("lonestar/bfs")])
+        assert [(f.benchmark, f.version) for f in runner.failures] == [
+            ("lonestar/bfs", LIMITED),
+            ("rodinia/kmeans", COPY),
+        ]
+        assert [f.benchmark for f in runner.last_metrics.failures] == [
+            "lonestar/bfs"
+        ]
 
     def test_run_raises_sweep_error_with_failures(self):
         spec = get("lonestar/bfs")
@@ -263,7 +303,7 @@ class TestSweepRunnerIntegration:
 
     def test_failed_task_recovers_on_next_request(self, tmp_path):
         """A failure is not memoized: once the fault clears, re-requesting
-        the pair re-simulates the failed half and clears the registry."""
+        the pair re-simulates the failed half and clears its failure."""
         spec = get("lonestar/bfs")
         runner = SweepRunner(
             options=_options(),
@@ -273,10 +313,10 @@ class TestSweepRunnerIntegration:
         with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
             with pytest.raises(SweepError):
                 runner.pair(spec)
-        assert len(runner.metrics_registry.failures) == 1
+        assert len(runner.failures) == 1
         pair = runner.pair(spec)  # fault gone: succeeds
         assert pair.copy is not None
-        assert runner.metrics_registry.failures == []
+        assert runner.failures == []
         # Only the failed half re-ran; the limited version came from memo.
         assert runner.last_metrics.launched == 1
 
@@ -341,44 +381,11 @@ class TestSweepMetricsMerge:
     def _metrics(self, **kwargs) -> SweepMetrics:
         return SweepMetrics(**kwargs)
 
-    def test_merge_takes_max_jobs_not_left_operand(self):
-        left = self._metrics(total=2, jobs=2)
-        right = self._metrics(total=4, jobs=8)
-        left.merge(right)
-        assert left.jobs == 8
-        assert left.total == 6
-        assert left.sweeps == 2
-
-    def test_merge_concatenates_failures_and_counters(self):
-        failure = TaskFailure(
-            benchmark="a/b",
-            version=COPY,
-            error_type="X",
-            message="m",
-            attempts=1,
-            worker_fate=FATE_ALIVE,
-        )
-        left = self._metrics(retries=1, pool_rebuilds=1, not_cached=1)
-        right = self._metrics(retries=2, not_cached=2, failures=[failure])
-        left.merge(right)
-        assert left.retries == 3
-        assert left.pool_rebuilds == 1
-        assert left.not_cached == 3
-        assert left.failures == [failure]
-        assert left.failed == 1
-
-    def test_format_line_suppresses_speedup_for_merged_metrics(self):
+    def test_format_line_reports_single_sweep_speedup(self):
         single = self._metrics(
             total=4, launched=4, wall_s=2.0, serial_estimate_s=8.0
         )
         assert "(4.0x)" in single.format_line()
-        merged = self._metrics(
-            total=4, launched=4, wall_s=2.0, serial_estimate_s=8.0
-        )
-        merged.merge(self._metrics(wall_s=1.0, serial_estimate_s=1.0))
-        line = merged.format_line()
-        assert "serial estimate" in line
-        assert "x)" not in line  # no speedup claim across merged sweeps
 
     def test_format_line_reports_retries_and_failures(self):
         failure = TaskFailure(

@@ -18,6 +18,7 @@ from repro.serve import ServeConfig, ServeHttpError, ServerThread
 
 KMEANS = "rodinia/kmeans"
 BFS = "lonestar/bfs"
+SPMV = "parboil/spmv"
 #: Small enough that a benchmark pair simulates in tens of milliseconds.
 SCALE = 1 / 128
 
@@ -274,6 +275,41 @@ class TestEvents:
         assert progress[-1]["completed"] == progress[-1]["total"] == 4
         assert events[-1]["status"] == "done"
 
+    def test_progress_per_task_and_once_when_warm(self, tmp_path):
+        """A job is one sweep: with jobs=1 each of its six tasks publishes
+        its own progress event before ``finished``; a warm repeat, settled
+        by the cache pass, publishes exactly one."""
+        body = _sweep((KMEANS, BFS, SPMV))
+        with ServerThread(_config(tmp_path)) as server:
+            client = server.client()
+
+            async def scenario():
+                histories = []
+                for _ in range(2):
+                    final = await client.run(body, timeout_s=120)
+                    assert final["status"] == "done"
+                    histories.append(
+                        await client.events(final["id"], timeout_s=10)
+                    )
+                return histories
+
+            cold, warm = _run(scenario())
+        for events in (cold, warm):
+            assert [event["seq"] for event in events] == list(range(len(events)))
+        assert [event["event"] for event in cold] == (
+            ["started"] + ["progress"] * 6 + ["finished"]
+        )
+        assert [event["completed"] for event in cold[1:-1]] == [1, 2, 3, 4, 5, 6]
+        assert {event["total"] for event in cold[1:-1]} == {6}
+        assert cold[-2]["launched"] == 6
+        assert [event["event"] for event in warm] == [
+            "started",
+            "progress",
+            "finished",
+        ]
+        assert warm[1]["completed"] == warm[1]["total"] == 6
+        assert warm[1]["cache_hits"] == 6
+
     def test_sse_after_terminal_replays_history(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
@@ -296,7 +332,7 @@ class TestEvents:
 
 
 class TestMetricsEndpoint:
-    def test_dedup_counters_and_sweep_totals(self, tmp_path):
+    def test_v3_payload_is_schema_and_dedup_only(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
 
@@ -306,10 +342,17 @@ class TestMetricsEndpoint:
                 return await client.metrics()
 
             metrics = _run(scenario())
-        assert sorted(metrics) == ["dedup", "schema", "sweep_totals"]
-        assert metrics["schema"] == "repro.serve.metrics/v2"
+        assert sorted(metrics) == ["dedup", "schema"]
+        assert metrics["schema"] == "repro.serve.metrics/v3"
+        assert sorted(metrics["dedup"]) == [
+            "coalesced",
+            "computed_runs",
+            "failed_runs",
+            "jobs_created",
+            "submitted",
+            "warm_runs",
+        ]
         assert metrics["dedup"]["computed_runs"] == 2
-        assert metrics["sweep_totals"]["runs"] == 2
 
 
 class TestHttpErrors:

@@ -5,7 +5,8 @@ per (task, attempt): success, an exception raised in the worker, a worker
 crash, an undecodable reply, or a broken pool.  Whatever the script, the
 loop must account for every task exactly once, stay inside the policy's
 retry and rebuild budgets, and — once a rebuild budget is spent — finish
-the leftovers in-parent with real simulations.  The pool width helper is
+the leftovers in-parent with real simulations, and futures that finish
+together must complete in submission order.  The pool width helper is
 pinned here too.
 """
 
@@ -143,6 +144,41 @@ def test_every_task_accounted_once_within_budgets(
     # Scripted and in-parent successes alike are the reference results.
     for key, result in results.items():
         assert results_identical(result, reference[key]), key
+
+
+class _ReverseHashFuture(Future):
+    """A future whose hash falls as submissions rise, so a set of them
+    does not iterate in submission order."""
+
+    def __init__(self, seq):
+        super().__init__()
+        self._seq = seq
+
+    def __hash__(self):
+        return -self._seq
+
+
+class ReverseHashBackend(ScriptedBackend):
+    """Succeeds at submit, handing out :class:`_ReverseHashFuture`s."""
+
+    def __init__(self, results):
+        super().__init__(lambda task: "ok", results)
+        self._submits = 0
+
+    def submit(self, task):
+        future = _ReverseHashFuture(self._submits)
+        self._submits += 1
+        future.set_result(super().submit(task).result())
+        return future
+
+
+def test_futures_finished_together_drain_in_submission_order(reference):
+    """Every task is in flight at once and finished on submit, so one wait
+    returns them all: they must complete in submission (task) order, not
+    in the order a set of the futures happens to iterate."""
+    results, metrics = _run(jobs=len(TASKS), backend=ReverseHashBackend(reference))
+    assert list(results) == [(task.full_name, task.version) for task in TASKS]
+    assert metrics.launched == len(TASKS)
 
 
 class TestResolveJobs:

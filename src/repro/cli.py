@@ -109,12 +109,7 @@ FIGURES = {
 
 
 def _options(args: argparse.Namespace) -> SimOptions:
-    return SimOptions(
-        scale=args.scale,
-        seed=args.seed,
-        engine_impl=getattr(args, "engine", "fast"),
-        stage_memo=getattr(args, "stage_memo", "auto"),
-    )
+    return SimOptions(scale=args.scale, seed=args.seed)
 
 
 def _cache_dir(args: argparse.Namespace):
@@ -714,24 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="footprint/cache scale factor (1.0 = paper scale)",
         )
         p.add_argument("--seed", type=int, default=0, help="trace seed")
-        p.add_argument(
-            "--engine",
-            choices=("reference", "fast"),
-            default="fast",
-            help="cache-simulation implementation (default: fast, the "
-            "vectorized engine; 'reference' opts back into the "
-            "bit-identical readable baseline — see docs/BENCHMARKING.md)",
-        )
-        p.add_argument(
-            "--stage-memo",
-            choices=("auto", "on", "off"),
-            default="auto",
-            help="stage-level memoization: replay repeated memory steps "
-            "(page-fault touch, each cache level, peer probe, copy, "
-            "end-of-run drain) instead of re-simulating them; 'auto' "
-            "enables it with the fast engine (default), results are "
-            "bit-identical either way (docs/MODELING.md)",
-        )
         p.add_argument(
             "--jobs",
             type=int,

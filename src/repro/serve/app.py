@@ -37,13 +37,17 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
+from repro.experiments.advisor import advise_pair
 from repro.experiments.parallel import (
+    COPY,
+    LIMITED,
     FaultPolicy,
     SweepMetrics,
     SweepTask,
     resolve_jobs,
     run_tasks,
 )
+from repro.experiments.runner import BenchmarkRun
 from repro.sim.engine import ENGINE_VERSION, SimOptions
 from repro.sim.resultcache import ResultCache, default_cache_dir
 from repro.serve.jobs import DONE, FAILED, PARTIAL, Job, JobStore
@@ -203,20 +207,6 @@ class ServeApp:
 
     # -- job execution -------------------------------------------------------
 
-    def _options(self, job: Job) -> SimOptions:
-        return SimOptions(
-            scale=job.spec.scale,
-            seed=job.spec.seed,
-            engine_impl=job.spec.engine,
-            stage_memo=job.spec.stage_memo,
-        )
-
-    def _policy(self) -> FaultPolicy:
-        return FaultPolicy(
-            max_retries=self.config.max_retries,
-            task_timeout_s=self.config.task_timeout_s,
-        )
-
     async def _worker_loop(self) -> None:
         assert self._queue is not None
         while True:
@@ -239,8 +229,6 @@ class ServeApp:
 
     async def _execute(self, job: Job) -> None:
         await self.store.mark_running(job)
-        options = self._options(job)
-        policy = self._policy()
         specs = [registry.get(name) for name in job.spec.benchmarks]
         tasks = [
             SweepTask(spec, version)
@@ -273,10 +261,13 @@ class ServeApp:
                 tasks,
                 discrete=self.discrete,
                 heterogeneous=self.heterogeneous,
-                options=options,
+                options=SimOptions(scale=job.spec.scale, seed=job.spec.seed),
                 jobs=self.config.jobs,
                 cache=self.cache,
-                policy=policy,
+                policy=FaultPolicy(
+                    max_retries=self.config.max_retries,
+                    task_timeout_s=self.config.task_timeout_s,
+                ),
                 backend=self.config.backend,
                 progress=progress,
             ),
@@ -319,10 +310,17 @@ class ServeApp:
             },
         }
 
-        if job.spec.kind == KIND_ADVISE and results:
-            advice = await self._render_advice(job, options, policy)
-            if advice is not None:
-                payload["advice"] = advice
+        if job.spec.kind == KIND_ADVISE and len(results) == 2:
+            (name,) = job.spec.benchmarks
+            pair = BenchmarkRun(
+                registry.get(name), results[(name, COPY)], results[(name, LIMITED)]
+            )
+            # Ranking classifies the limited-copy run's whole off-chip log
+            # (75 ms for lonestar/mst at scale 1/32), so not on the loop.
+            payload["advice"] = await loop.run_in_executor(
+                self._executor,
+                lambda: advise_pair(pair, self.heterogeneous).render(),
+            )
 
         if failures and not results:
             status = FAILED
@@ -331,33 +329,6 @@ class ServeApp:
         else:
             status = DONE
         await self.store.finish(job, status, result=payload)
-
-    async def _render_advice(
-        self, job: Job, options: SimOptions, policy: FaultPolicy
-    ) -> Optional[str]:
-        """Advisor text for an advise job; the pair it ranks was computed
-        (and cached) by the sweep dispatch just above, so the runner the
-        advisor drives replays warm results instead of re-simulating."""
-        from repro.experiments import advisor
-        from repro.experiments.runner import SweepError, SweepRunner
-
-        name = job.spec.benchmarks[0]
-        cache_root = self.cache.root if self.cache is not None else None
-
-        def render() -> Optional[str]:
-            runner = SweepRunner(
-                options=options,
-                parallel=1,
-                cache_dir=cache_root,
-                fault_policy=policy,
-            )
-            try:
-                return advisor.advise_benchmark(name, runner).render()
-            except SweepError:
-                return None  # failures already reported on the job
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, render)
 
     # -- HTTP front-end ------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Every response body the server emits carries a ``schema`` tag so clients
 can detect drift:
 
-* ``repro.serve.job/v2`` — job descriptions (submit responses, status
+* ``repro.serve.job/v3`` — job descriptions (submit responses, status
   polls, the job list).
 * ``repro.serve.error/v1`` — every 4xx/5xx body.  Malformed bodies,
   unknown benchmarks, and lint-rejected pipelines map to *distinct*
@@ -26,10 +26,8 @@ can detect drift:
 
 A validated job normalizes into a :class:`JobSpec` whose
 :meth:`~JobSpec.content_hash` is the dedup key: the SHA-256 of the
-canonical JSON of everything that determines the job's *result* —
-mirroring :func:`repro.sim.resultcache.cache_key`, the ``engine`` and
-``stage_memo`` knobs are excluded (they select bit-identical execution
-strategies), so identical jobs coalesce regardless of the impl requested.
+canonical JSON of every job field, each of which determines the job's
+*result*, like the inputs of :func:`repro.sim.resultcache.cache_key`.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from repro.workloads import registry
 
 #: Schema tags of the serve wire format.
 ERROR_SCHEMA = "repro.serve.error/v1"
-JOB_SCHEMA = "repro.serve.job/v2"
+JOB_SCHEMA = "repro.serve.job/v3"
 HEALTH_SCHEMA = "repro.serve.health/v1"
 CACHE_SCHEMA = "repro.serve.cache/v1"
 METRICS_SCHEMA = "repro.serve.metrics/v3"
@@ -65,20 +63,8 @@ VERSIONS = (VERSION_COPY, VERSION_LIMITED)
 #: Fields a job body may carry; anything else is rejected so typos fail
 #: loudly instead of silently running a default sweep.
 _ALLOWED_FIELDS = frozenset(
-    {
-        "kind",
-        "benchmark",
-        "benchmarks",
-        "version",
-        "scale",
-        "seed",
-        "engine",
-        "stage_memo",
-    }
+    {"kind", "benchmark", "benchmarks", "version", "scale", "seed"}
 )
-
-_ENGINES = ("reference", "fast")
-_STAGE_MEMO = ("auto", "on", "off")
 
 
 def error_payload(
@@ -126,8 +112,6 @@ class JobSpec:
     versions: Tuple[str, ...]
     scale: float
     seed: int
-    engine: str = "fast"
-    stage_memo: str = "auto"
 
     @property
     def runs(self) -> int:
@@ -139,13 +123,7 @@ class JobSpec:
         return {
             "schema": JOB_SCHEMA,
             "engine_version": ENGINE_VERSION,
-            "kind": self.kind,
-            "benchmarks": list(self.benchmarks),
-            "versions": list(self.versions),
-            "scale": self.scale,
-            "seed": self.seed,
-            # engine / stage_memo deliberately excluded: bit-identical
-            # execution strategies must coalesce (see module docstring).
+            **self.describe(),
         }
 
     def content_hash(self) -> str:
@@ -161,8 +139,6 @@ class JobSpec:
             "versions": list(self.versions),
             "scale": self.scale,
             "seed": self.seed,
-            "engine": self.engine,
-            "stage_memo": self.stage_memo,
         }
 
 
@@ -177,17 +153,6 @@ def _require_number(
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _invalid(f"{field!r} must be a number, got {value!r}")
     return float(value)
-
-
-def _require_choice(
-    body: Dict[str, Any], field: str, choices: Tuple[str, ...], default: str
-) -> str:
-    value = body.get(field, default)
-    if value not in choices:
-        raise _invalid(
-            f"{field!r} must be one of {', '.join(choices)}, got {value!r}"
-        )
-    return str(value)
 
 
 def _resolve_benchmarks(body: Dict[str, Any], kind: str) -> Tuple[str, ...]:
@@ -330,8 +295,6 @@ def validate_job(
     seed = body.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise _invalid(f"'seed' must be an integer, got {seed!r}")
-    engine = _require_choice(body, "engine", _ENGINES, "fast")
-    stage_memo = _require_choice(body, "stage_memo", _STAGE_MEMO, "auto")
 
     if lint:
         _lint_preflight(benchmarks, versions)
@@ -342,6 +305,4 @@ def validate_job(
         versions=versions,
         scale=scale,
         seed=seed,
-        engine=engine,
-        stage_memo=stage_memo,
     )

@@ -11,7 +11,7 @@ generated access trace through the cache system in start-time order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,9 @@ ENGINE_VERSION = "repro-sim/2"
 #: systems, and the copy/limited-copy pair is exact.
 _TRACE_MEMO: dict = {}
 
+#: Default ``stage_memo`` of :class:`Engine`: the process-wide shared memo.
+_SHARED_MEMO: Any = object()
+
 
 @dataclass(frozen=True)
 class SimOptions:
@@ -85,21 +88,9 @@ class SimOptions:
         line_bytes: cache line size (Table I: 128B).
         collect_log: keep the full off-chip log (needed for Fig. 9); can be
             disabled to save memory on very large runs.
-        engine_impl: cache-simulation implementation — ``"fast"`` (the
-            default: the vectorized engine of :mod:`repro.sim.fastcache`,
-            plus per-stage trace memoization) or ``"reference"`` (the
-            plain-Python model, selectable as the opt-out).  The two
-            produce bit-identical SimResults (enforced by the differential
-            test suite), so the persistent result cache is shared between
-            them; the reference engine is the test oracle the fast one is
-            held to.
-        stage_memo: stage-level memoization (:mod:`repro.sim.memo`) —
-            ``"auto"`` (the default) enables it exactly when
-            ``engine_impl == "fast"``; ``"on"`` / ``"off"`` force it for
-            either implementation.  Memoized runs are bit-exact with
-            memo-off runs (timing and trace events are always recomputed
-            live from the replayed counters), so like ``engine_impl`` the
-            knob is excluded from result-cache keys.
+
+    Every field changes a result; how a result is computed does not (the
+    cache implementation and stage memo are :class:`Engine` arguments).
     """
 
     seed: int = 0
@@ -109,8 +100,6 @@ class SimOptions:
     # Opt-in row-buffer-aware DRAM efficiency (see repro.sim.dram_row); the
     # calibrated default is the paper's flat ~82%-of-pin model.
     dram_row_model: bool = False
-    engine_impl: str = "fast"
-    stage_memo: str = "auto"
 
 
 class Engine:
@@ -122,6 +111,16 @@ class Engine:
     with the completed result.  Tracing is observation-only — attaching
     sinks never changes the simulation outcome — and with no sinks the
     emission paths are skipped entirely.
+
+    ``impl`` and ``stage_memo`` choose how the result is computed, never
+    what it is: the cache implementation (``"fast"``, the vectorized caches
+    of :mod:`repro.sim.fastcache` plus per-stage trace memoization, or
+    ``"reference"``, the plain-Python caches without it) and the step memo
+    (:mod:`repro.sim.memo`: the process-wide shared one, or ``None`` for
+    none).  Every run of the program uses the defaults; the reference
+    caches and memo-off runs are the oracles that
+    tests/test_engine_equivalence.py and tests/test_stage_memo.py hold
+    them to, bit for bit.
     """
 
     def __init__(
@@ -130,6 +129,9 @@ class Engine:
         system: SystemConfig,
         options: SimOptions,
         sinks: Sequence[TraceSink] = (),
+        *,
+        impl: str = "fast",
+        stage_memo: Optional[StageMemo] = _SHARED_MEMO,
     ):
         self.sinks: Tuple[TraceSink, ...] = tuple(sinks)
         self._tracing = bool(self.sinks)
@@ -146,27 +148,17 @@ class Engine:
             # The fast path memoizes per-access trace parts process-wide,
             # so the copy / limited-copy pair (and repeated stages within
             # one pipeline) synthesize each identical sub-stream once.
-            memo=_TRACE_MEMO if options.engine_impl == "fast" else None,
+            memo=_TRACE_MEMO if impl == "fast" else None,
         )
-        if options.stage_memo not in ("auto", "on", "off"):
-            raise ValueError(
-                f"unknown stage_memo {options.stage_memo!r}; "
-                "choose from 'auto', 'on', 'off'"
-            )
         # Step-level memoization (repro.sim.memo): process-wide and shared
         # across engine instances.  A compute stage's page-fault touch, L1,
         # L2 and peer probe are separate steps keyed on their own inputs,
         # so runs differing in one component replay the others' steps;
         # copy and drain steps key on every cache and ``caches.coherent``.
         # docs/BENCHMARKING.md tables the step hits/misses of five
-        # benchmarks, which tests/test_stage_memo.py pins.  "auto" follows
-        # the engine impl so the reference engine stays a memo-free
-        # baseline by default.
-        use_stage_memo = options.stage_memo == "on" or (
-            options.stage_memo == "auto" and options.engine_impl == "fast"
-        )
+        # benchmarks, which tests/test_stage_memo.py pins.
         self.stage_memo: Optional[StageMemo] = (
-            shared_stage_memo() if use_stage_memo else None
+            shared_stage_memo() if stage_memo is _SHARED_MEMO else stage_memo
         )
         coherent = system.kind is SystemKind.HETEROGENEOUS
         self.caches = CacheSystem(
@@ -175,7 +167,7 @@ class Engine:
             gpu_l1=self._aggregate_gpu_l1(),
             gpu_l2=system.gpu.l2,
             coherent=coherent,
-            impl=options.engine_impl,
+            impl=impl,
             memo=self.stage_memo,
         )
         self.memory = MemorySystem(system)

@@ -350,7 +350,6 @@ class FastSetAssocCache:
         Mutates no state until every classification is final, so a None
         return leaves the cache ready for the serial fallback.
         """
-        n = len(blocks)
         num_sets = self.num_sets
         assoc = self.assoc
         k = len(self._blocks)

@@ -400,7 +400,6 @@ class CacheSystem:
         self.cpu = Domain("cpu", cpu_l1, cpu_l2, impl=impl)
         self.gpu = Domain("gpu", gpu_l1, gpu_l2, impl=impl)
         self.coherent = coherent
-        self.impl = impl
         self.memo = memo
         self.log = OffChipLog()
 

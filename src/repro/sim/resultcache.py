@@ -11,9 +11,7 @@ everything that determines its value:
 * the sweep version string (``copy`` / ``limited-copy``),
 * the full :class:`~repro.config.system.SystemConfig`,
 * the full :class:`~repro.sim.engine.SimOptions` (including ``scale`` and
-  ``seed`` — two sweeps at different scales never collide) *except*
-  ``engine_impl`` and ``stage_memo``, whose settings select between
-  bit-identical execution strategies and therefore share entries, and
+  ``seed`` — two sweeps at different scales never collide), and
 * :data:`repro.sim.engine.ENGINE_VERSION`, so bumping the tag invalidates
   every archived result at once.
 
@@ -154,26 +152,13 @@ def cache_key(
     engine_version: str = ENGINE_VERSION,
 ) -> str:
     """Stable SHA-256 key of one (benchmark, version, system, options) run."""
-    options_view = canonical(options)
-    # ``engine_impl`` selects between bit-identical implementations and
-    # ``stage_memo`` between bit-identical execution strategies (the
-    # differential suites in tests/test_engine_equivalence.py and
-    # tests/test_stage_memo.py enforce this), so both are deliberately
-    # excluded from the key: reference/fast and memo-on/off runs share
-    # cache entries, and keys match those written before the options
-    # existed.  tests/test_engine_equivalence.py::TestResultCacheSharing::
-    # test_cache_key_ignores_engine_impl and
-    # tests/test_stage_memo.py::test_cache_key_ignores_stage_memo pin
-    # this sharing.
-    options_view.pop("engine_impl", None)
-    options_view.pop("stage_memo", None)
     payload = {
         "schema": CACHE_SCHEMA,
         "engine": engine_version,
         "benchmark": spec_fingerprint(spec),
         "version": version,
         "system": canonical(system),
-        "options": options_view,
+        "options": canonical(options),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -7,15 +7,28 @@ import os
 import pytest
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
+from repro.experiments.parallel import LIMITED
 from repro.pipeline.builder import PipelineBuilder
 from repro.pipeline.patterns import AccessPattern
 from repro.pipeline.stage import BufferAccess
-from repro.sim.engine import SimOptions
+from repro.pipeline.transforms import remove_copies
+from repro.sim.engine import Engine, SimOptions
 from repro.units import MB
 
 #: Scale used throughout the test suite: big enough for cache behaviour to
 #: be non-trivial, small enough that a full pipeline simulates in ~10ms.
 TINY_SCALE = 1 / 128
+
+
+def run_engine(spec, version, system, options, **engine):
+    """Simulate one version of ``spec`` as a sweep task does, on an
+    :class:`~repro.sim.engine.Engine` built with ``engine`` (its ``impl``
+    and ``stage_memo`` arguments): the seam of the reference-cache and
+    memo-off oracles."""
+    pipeline = spec.pipeline()
+    if version == LIMITED:
+        pipeline = remove_copies(pipeline)
+    return Engine(pipeline, system, options, **engine).run()
 
 
 def pytest_addoption(parser):

@@ -1,19 +1,17 @@
 """Registry-wide differential tests: fast engine == reference engine.
 
-The vectorized cache implementation (``engine_impl="fast"``, the default
-since the flip — ``reference`` is the opt-out baseline) must be
-*bit-exact* with the reference model on every benchmark and both pipeline
-versions: identical figure inputs, Table II metrics, invariant violations,
-and byte-identical v2-full serialization.  This is the contract that lets
-the persistent result cache be shared between the two implementations
-(``engine_impl`` is deliberately excluded from the cache key — see
-:func:`repro.sim.resultcache.cache_key`), which the second half of this
-module tests directly.
+What the program runs — the vectorized caches of :mod:`repro.sim.fastcache`
+with the trace-part and shared stage memos — must be *bit-exact* with the
+oracle, an :class:`~repro.sim.engine.Engine` built with
+``impl="reference"`` and ``stage_memo=None`` (the plain-Python caches with
+neither memo), on every benchmark and both pipeline versions: identical
+figure inputs, Table II metrics, invariant violations, and byte-identical
+v2-full serialization.  How a result was computed is therefore no input
+of the persistent result cache's key
+(:func:`repro.sim.resultcache.cache_key`); the second half of this module
+checks that an entry either side writes serves the other.
 
-Because ``stage_memo`` defaults to ``"auto"``, every fast run here
-executes with stage-level memoization (:mod:`repro.sim.memo`) enabled
-while the reference side runs memo-free — so this matrix is
-simultaneously the fast-vs-reference *and* the memo-on-vs-off
+So this matrix is at once the fast-vs-reference *and* the memo-on-vs-off
 differential (the focused memo tests live in tests/test_stage_memo.py).
 
 The full 46x2 matrix runs in CI (``REPRO_EQUIVALENCE_FULL=1``); locally
@@ -32,12 +30,15 @@ import pytest
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
 from repro.experiments.parallel import COPY, LIMITED, _simulate_version, _system_for
-from repro.sim.engine import SimOptions
+from repro.sim.cache import SetAssocCache
+from repro.sim.engine import _TRACE_MEMO, Engine, SimOptions
+from repro.sim.fastcache import FastSetAssocCache
+from repro.sim.memo import shared_stage_memo
 from repro.sim.resultcache import ResultCache, cache_key
 from repro.sim.serialize import result_to_full_dict, results_identical
 from repro.workloads.registry import simulatable_specs
 
-from tests.conftest import TINY_SCALE
+from tests.conftest import TINY_SCALE, run_engine
 
 #: Benchmarks always exercised locally: the paper's focal four plus one
 #: extra per suite, chosen for pattern diversity (graph, spmv, stencil).
@@ -98,8 +99,13 @@ _HETEROGENEOUS = heterogeneous_processor()
 
 
 def _run(name: str, version: str, impl: str, scale: float = TINY_SCALE):
-    options = SimOptions(scale=scale, seed=7, engine_impl=impl)
+    """A ``fast`` run is a sweep task's; a ``reference`` run is the oracle."""
+    options = SimOptions(scale=scale, seed=7)
     system = _system_for(version, _DISCRETE, _HETEROGENEOUS)
+    if impl == "reference":
+        return run_engine(
+            _SPECS[name], version, system, options, impl=impl, stage_memo=None
+        )
     result, _wall = _simulate_version(_SPECS[name], version, system, options)
     return result
 
@@ -121,16 +127,17 @@ def test_fast_engine_is_bit_exact(name, version, scale):
 
 
 def test_fast_is_the_default_engine():
-    """The vectorized engine is the default; reference is the opt-out.
-
-    The differential matrix above is what licenses the default: users get
-    the fast path, and ``--engine reference`` (or
-    ``SimOptions(engine_impl="reference")``) opts back into the readable
-    baseline with bit-identical results.
-    """
-    options = SimOptions()
-    assert options.engine_impl == "fast"
-    assert options.stage_memo == "auto"
+    """An engine runs the fast caches with the trace-part and shared stage
+    memos unless a test asks for the oracle, which has neither memo."""
+    pipeline = _SPECS["rodinia/kmeans"].pipeline()
+    options = SimOptions(scale=TINY_SCALE)
+    fast = Engine(pipeline, _DISCRETE, options)
+    assert isinstance(fast.caches.gpu.l1, FastSetAssocCache)
+    assert fast.tracegen.memo is _TRACE_MEMO
+    assert fast.stage_memo is shared_stage_memo()
+    oracle = Engine(pipeline, _DISCRETE, options, impl="reference", stage_memo=None)
+    assert type(oracle.caches.gpu.l1) is SetAssocCache
+    assert oracle.tracegen.memo is None and oracle.stage_memo is None
 
 
 def test_violations_match_on_fault_free_runs():
@@ -144,22 +151,19 @@ def test_violations_match_on_fault_free_runs():
 class TestResultCacheSharing:
     """A cache entry written by one engine impl serves the other.
 
-    ``engine_impl`` is excluded from the cache key *because* the
-    differential suite above proves bit-exactness; these tests pin the
-    exclusion and the end-to-end hand-off in both directions.
+    The key holds no engine impl *because* the differential suite above
+    proves bit-exactness; these tests pin the end-to-end hand-off in both
+    directions.
     """
 
-    def _key(self, impl: str) -> str:
-        options = SimOptions(scale=TINY_SCALE, seed=7, engine_impl=impl)
+    def _key(self) -> str:
+        options = SimOptions(scale=TINY_SCALE, seed=7)
         return cache_key(_SPECS["rodinia/kmeans"], COPY, _DISCRETE, options)
 
-    def test_cache_key_ignores_engine_impl(self):
-        assert self._key("reference") == self._key("fast")
-
     def test_cache_key_still_separates_other_options(self):
-        options = SimOptions(scale=TINY_SCALE, seed=8, engine_impl="fast")
+        options = SimOptions(scale=TINY_SCALE, seed=8)
         other = cache_key(_SPECS["rodinia/kmeans"], COPY, _DISCRETE, options)
-        assert other != self._key("fast")
+        assert other != self._key()
 
     @pytest.mark.parametrize(
         "writer, reader", [("reference", "fast"), ("fast", "reference")]
@@ -169,8 +173,8 @@ class TestResultCacheSharing:
     ):
         cache = ResultCache(tmp_path)
         result = _run("rodinia/kmeans", COPY, writer)
-        cache.store(self._key(writer), result, sim_wall_s=0.5)
-        entry = cache.load(self._key(reader))
+        cache.store(self._key(), result, sim_wall_s=0.5)
+        entry = cache.load(self._key())
         assert entry is not None
         assert results_identical(entry.result, result)
         # And the served payload equals what the reader would compute.

@@ -122,3 +122,16 @@ def test_key_is_stable_across_process_restarts():
         SimOptions(scale=1 / 32, seed=11),
     )
     assert keys[0] == keys[1] == in_process
+
+
+def test_key_is_pinned():
+    """One key, written down: a change to the key payload (what it hashes
+    or how) rotates every stored entry, so it must show up here as a
+    deliberate edit rather than as a cache that quietly stops hitting."""
+    key = cache_key(
+        get("rodinia/kmeans"),
+        "copy",
+        discrete_gpu_system(),
+        SimOptions(scale=1 / 32, seed=1),
+    )
+    assert key == "f0ee17cf40518f92841e67a19450b0af553e2e9dc6eb74ead255f370350aeeb8"

@@ -14,7 +14,12 @@ import random
 
 import pytest
 
+from repro.experiments import parallel
+from repro.experiments.advisor import advise
+from repro.experiments.runner import SweepRunner
 from repro.serve import ServeConfig, ServeHttpError, ServerThread
+from repro.sim.engine import SimOptions
+from repro.workloads.registry import get
 
 KMEANS = "rodinia/kmeans"
 BFS = "lonestar/bfs"
@@ -89,7 +94,7 @@ class TestJobs:
 
             async def scenario():
                 accepted = await client.submit(_sweep())
-                assert accepted["schema"] == "repro.serve.job/v2"
+                assert accepted["schema"] == "repro.serve.job/v3"
                 assert accepted["status"] in ("queued", "running")
                 assert accepted["coalesced"] is False
                 assert accepted["runs"] == 2
@@ -133,6 +138,29 @@ class TestJobs:
         assert len(final["result"]["runs"]) == 2
         advice = final["result"]["advice"]
         assert isinstance(advice, str) and KMEANS in advice
+
+    def test_cache_less_advise_job_simulates_its_pair_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The advice ranks the job's own results: without a cache the job
+        simulates each version once, and the text is the one the advisor
+        renders through a runner of its own."""
+        calls = []
+        simulate = parallel.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "simulate", counted)
+        with ServerThread(_config(tmp_path, no_cache=True)) as server:
+            body = {"kind": "advise", "benchmark": KMEANS, "scale": SCALE}
+            final = _run(server.client().run(body, timeout_s=120))
+        assert final["status"] == "done"
+        assert len(calls) == 2
+        monkeypatch.undo()
+        runner = SweepRunner(options=SimOptions(scale=SCALE))
+        assert final["result"]["advice"] == advise(get(KMEANS), runner).render()
 
     def test_default_scale_applies(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
@@ -235,25 +263,6 @@ class TestDedupAndCache:
         assert after_warm["submitted"] == distinct + duplicates + warm_repeats
         assert after_warm["computed_runs"] == after_storm["computed_runs"]
         assert all(final["result"]["metrics"]["launched"] == 0 for final in warm)
-
-    def test_engine_knob_variants_coalesce(self, tmp_path):
-        config = _config(tmp_path, concurrency=1)
-        with ServerThread(config) as server:
-            client = server.client()
-
-            async def scenario():
-                blocker = await client.submit(_sweep((BFS,), seed=99))
-                first = await client.submit(_sweep())
-                second = await client.submit(_sweep(engine="reference"))
-                third = await client.submit(_sweep(stage_memo="off"))
-                for reply in (blocker, first):
-                    await client.wait_job(reply["id"], timeout_s=120)
-                return first, second, third
-
-            first, second, third = _run(scenario())
-        assert second["id"] == first["id"]
-        assert third["id"] == first["id"]
-        assert second["coalesced"] and third["coalesced"]
 
 
 class TestEvents:
@@ -435,6 +444,7 @@ class TestHttpErrors:
                 422,
                 "not-simulatable",
             ),
+            ({"kind": "sweep", "benchmarks": [KMEANS], "engine": "fast"}, 400, "invalid-job"),
         ]
         with ServerThread(_config(tmp_path)) as server:
             for body, expected_status, expected_code in cases:

@@ -101,13 +101,6 @@ class TestContentHash:
         b = _validate(self.body(benchmarks=[BFS, KMEANS])).content_hash()
         assert a == b
 
-    def test_engine_knobs_excluded(self):
-        """reference/fast and memo on/off runs are bit-identical, so jobs
-        differing only in those knobs must coalesce (mirrors cache_key)."""
-        base = _validate(self.body()).content_hash()
-        assert _validate(self.body(engine="reference")).content_hash() == base
-        assert _validate(self.body(stage_memo="off")).content_hash() == base
-
     def test_result_determining_fields_included(self):
         base = _validate(self.body()).content_hash()
         assert _validate(self.body(seed=4)).content_hash() != base
@@ -159,6 +152,14 @@ class TestRejections:
     def test_invalid_job_is_400(self, body):
         error = _rejection(body)
         assert (error.status, error.code) == (400, "invalid-job")
+
+    def test_engine_knobs_are_unknown_fields(self):
+        """How a job is computed is no job field: the engine selectors of
+        earlier job schemas are rejected like any typo."""
+        for field, value in (("engine", "reference"), ("stage_memo", "off")):
+            error = _rejection({"kind": "sweep", "benchmarks": [KMEANS], field: value})
+            assert (error.status, error.code) == (400, "invalid-job")
+            assert error.detail == {"unknown_fields": [field]}
 
     def test_unknown_benchmark_is_404(self):
         error = _rejection({"kind": "sweep", "benchmarks": ["rodinia/nope"]})

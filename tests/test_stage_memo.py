@@ -12,10 +12,10 @@ the five ablation studies' rows.  The rest covers the key's
 persistent :mod:`repro.sim.resultcache`), per-level sharing (a GPU L2
 change replays the GPU L1 steps, a page-fault change every cache step),
 sharing entries across fault timings and cache implementations, snapshot
-immutability, the option plumbing, hit counts that repeat after a clear
-and the step counts docs/BENCHMARKING.md quotes, the one step runner
-(:func:`~repro.sim.memo.run_step`) on its own, and the bounded-memory
-wholesale clear.
+immutability, the engine's memo argument, hit counts that repeat after a
+clear and the step counts docs/BENCHMARKING.md quotes, the one step
+runner (:func:`~repro.sim.memo.run_step`) on its own, and the
+bounded-memory wholesale clear.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.config.system import (
 from repro.experiments import ablations
 from repro.experiments.parallel import COPY, LIMITED, _simulate_version, _system_for
 from repro.sim import engine as engine_mod
-from repro.sim.engine import SimOptions
+from repro.sim.engine import Engine, SimOptions
 from repro.sim.fastcache import FastSetAssocCache
 from repro.sim.hierarchy import CacheSystem, Component, DomainResult
 from repro.sim.memo import (
@@ -53,13 +53,13 @@ from repro.sim.memo import (
     shared_stage_memo,
     stage_memo_snapshot,
 )
-from repro.sim.resultcache import cache_key
-from repro.sim.serialize import result_to_full_dict
+from repro.sim.resultcache import ResultCache, cache_key
+from repro.sim.serialize import result_to_full_dict, results_identical
 from repro.trace.stream import AccessStream
 from repro.units import MICROSECONDS
 from repro.workloads.registry import get
 
-from tests.conftest import TINY_SCALE
+from tests.conftest import TINY_SCALE, run_engine
 
 _DISCRETE = discrete_gpu_system()
 _HETEROGENEOUS = heterogeneous_processor()
@@ -103,16 +103,13 @@ FAULT_CONFIGS = (
 GPU_L2_SCALES = (0.5, 1.0, 2.0)
 
 
-def _options(stage_memo: str, impl: str = "fast") -> SimOptions:
-    return SimOptions(
-        scale=TINY_SCALE, seed=7, engine_impl=impl, stage_memo=stage_memo
-    )
+_OPTIONS = SimOptions(scale=TINY_SCALE, seed=7)
 
 
 def _run(
     name: str,
     version: str,
-    stage_memo: str,
+    memo: bool = True,
     impl: str = "fast",
     faults: PageFaultConfig = _DEFAULT_FAULTS,
     l2_scale: float = 1.0,
@@ -126,10 +123,10 @@ def _run(
     if l2_scale != 1.0:
         gpu = replace(system.gpu, l2=system.gpu.l2.scaled(l2_scale))
         system = replace(system, gpu=gpu)
-    result, _wall = _simulate_version(
-        get(name), version, system, _options(stage_memo, impl)
+    stage_memo = shared_stage_memo() if memo else None
+    return run_engine(
+        get(name), version, system, _OPTIONS, impl=impl, stage_memo=stage_memo
     )
-    return result
 
 
 def _payload_bytes(result) -> bytes:
@@ -145,7 +142,7 @@ def _memo_off_bytes(
 ) -> bytes:
     """The ground truth: this run simulated without the memo."""
     return _payload_bytes(
-        _run(name, version, "off", faults=faults, l2_scale=l2_scale)
+        _run(name, version, memo=False, faults=faults, l2_scale=l2_scale)
     )
 
 
@@ -193,7 +190,7 @@ def test_any_interleaving_matches_memo_off(sequence):
     """
     for name, version, faults, l2_scale in sequence:
         got = _payload_bytes(
-            _run(name, version, "on", faults=faults, l2_scale=l2_scale)
+            _run(name, version, faults=faults, l2_scale=l2_scale)
         )
         assert got == _memo_off_bytes(name, version, faults, l2_scale), (
             name,
@@ -208,10 +205,10 @@ def test_gpu_l2_change_replays_gpu_l1_steps(kernel_runs):
     the stock size: each GPU L1 step keys on the L1's own config, state
     and stream, none of which the L2 size changes."""
     clear_shared_stage_memo()
-    first = _run("rodinia/kmeans", COPY, "on")
+    first = _run("rodinia/kmeans", COPY)
     assert kernel_runs["gpu.l1"] > 0
     kernel_runs.clear()
-    second = _run("rodinia/kmeans", COPY, "on", l2_scale=2.0)
+    second = _run("rodinia/kmeans", COPY, l2_scale=2.0)
     assert kernel_runs["gpu.l1"] == 0
     assert kernel_runs["gpu.l2"] > 0, "the larger L2 must simulate its own steps"
     assert _payload_bytes(first) == _memo_off_bytes("rodinia/kmeans", COPY)
@@ -226,10 +223,10 @@ def test_fault_handling_change_replays_every_cache_step(kernel_runs):
     the run without them."""
     no_faults = PageFaultConfig(enabled=False)
     clear_shared_stage_memo()
-    first = _run("rodinia/srad", LIMITED, "on", faults=no_faults)
+    first = _run("rodinia/srad", LIMITED, faults=no_faults)
     assert kernel_runs["gpu.l1"] > 0
     kernel_runs.clear()
-    second = _run("rodinia/srad", LIMITED, "on")
+    second = _run("rodinia/srad", LIMITED)
     assert kernel_runs["gpu.l1"] == kernel_runs["gpu.l2"] == 0
     assert second.roi_s > first.roi_s, "the faults must still cost time"
     assert _payload_bytes(first) == _memo_off_bytes(
@@ -246,9 +243,9 @@ def test_fault_timing_shares_entries():
     slow = PageFaultConfig(service_latency_s=10 * MICROSECONDS)
     clear_shared_stage_memo()
     memo = shared_stage_memo()
-    first = _run("rodinia/srad", LIMITED, "on", faults=quick)
+    first = _run("rodinia/srad", LIMITED, faults=quick)
     before = memo.stats.snapshot()
-    second = _run("rodinia/srad", LIMITED, "on", faults=slow)
+    second = _run("rodinia/srad", LIMITED, faults=slow)
     after = memo.stats.snapshot()
     assert after[1] == before[1], "no stage may miss"
     assert after[0] > before[0]
@@ -272,8 +269,8 @@ def test_memo_differential(name, version):
     """Memo-on equals memo-off byte-for-byte, cold and warm."""
     expected = _memo_off_bytes(name, version)
     clear_shared_stage_memo()
-    assert _payload_bytes(_run(name, version, "on")) == expected  # recording
-    assert _payload_bytes(_run(name, version, "on")) == expected  # replaying
+    assert _payload_bytes(_run(name, version)) == expected  # recording
+    assert _payload_bytes(_run(name, version)) == expected  # replaying
 
 
 def _small_system(memo, impl: str = "fast") -> CacheSystem:
@@ -347,13 +344,13 @@ ABLATION_STUDIES = (
     not RUN_MEMO_DIFFERENTIAL,
     reason="ablation memo differential runs with REPRO_MEMO_DIFFERENTIAL=1",
 )
-def test_ablation_studies_memo_differential():
+def test_ablation_studies_memo_differential(monkeypatch):
     """The five ablation studies give identical rows with the memo on and
     off.  The memo-on runs share one memo, cleared once, so each study
     replays the steps every earlier one recorded."""
 
-    def rows(stage_memo: str) -> list:
-        options = SimOptions(scale=1 / 32, seed=1, stage_memo=stage_memo)
+    def rows() -> list:
+        options = SimOptions(scale=1 / 32, seed=1)
         return [
             getattr(ablations, study)(benchmark=name, options=options)
             for name in ABLATION_BENCHMARKS
@@ -361,7 +358,15 @@ def test_ablation_studies_memo_differential():
         ]
 
     clear_shared_stage_memo()
-    assert rows("on") == rows("off")
+    memo_on = rows()
+    monkeypatch.setattr(
+        ablations,
+        "simulate",
+        lambda pipeline, system, options: Engine(
+            pipeline, system, options, stage_memo=None
+        ).run(),
+    )
+    assert memo_on == rows()
 
 
 # -- ENGINE_VERSION invalidation (shared with the persistent cache) ---------
@@ -374,63 +379,52 @@ def test_engine_version_bump_invalidates_memo_and_resultcache(monkeypatch):
     clear_shared_stage_memo()
     memo = shared_stage_memo()
     start = memo.stats.snapshot()
-    _run("rodinia/kmeans", COPY, "on")
+    _run("rodinia/kmeans", COPY)
     before = memo.stats.snapshot()
     # An iterated pipeline self-hits even on a cold run (its stages reach
     # a cache-state fixed point); what makes it *cold* is the misses.
     cold_profile = (before[0] - start[0], before[1] - start[1])
     assert cold_profile[1] > 0
-    _run("rodinia/kmeans", COPY, "on")
+    _run("rodinia/kmeans", COPY)
     after = memo.stats.snapshot()
     assert after[0] > before[0], "warm identical run must hit"
     assert after[1] == before[1], "warm identical run must not miss"
 
     spec = get("rodinia/kmeans")
-    key_now = cache_key(spec, COPY, _DISCRETE, _options("on"))
+    key_now = cache_key(spec, COPY, _DISCRETE, _OPTIONS)
     monkeypatch.setattr(engine_mod, "ENGINE_VERSION", "repro-sim/test-bump")
     mid = memo.stats.snapshot()
-    result = _run("rodinia/kmeans", COPY, "on")
+    result = _run("rodinia/kmeans", COPY)
     bumped = memo.stats.snapshot()
     # Every pre-bump entry is unreachable: the run re-records from scratch,
     # reproducing the cold run's exact hit/miss profile.
     assert (bumped[0] - mid[0], bumped[1] - mid[1]) == cold_profile
     assert _payload_bytes(result) == _memo_off_bytes("rodinia/kmeans", COPY)
     key_bumped = cache_key(
-        spec, COPY, _DISCRETE, _options("on"), engine_version="repro-sim/test-bump"
+        spec, COPY, _DISCRETE, _OPTIONS, engine_version="repro-sim/test-bump"
     )
     assert key_bumped != key_now
 
 
-# -- option plumbing and key sharing ----------------------------------------
+# -- the memo argument and key sharing --------------------------------------
 
 
-def test_cache_key_ignores_stage_memo():
+def test_cache_key_ignores_stage_memo(tmp_path):
     """Memo-on and memo-off runs share persistent cache entries, like the
-    two engine implementations do."""
-    spec = get("rodinia/kmeans")
-    base = cache_key(spec, COPY, _DISCRETE, _options("on"))
-    for mode in ("off", "auto"):
-        assert cache_key(spec, COPY, _DISCRETE, _options(mode)) == base
-
-
-def test_invalid_stage_memo_rejected():
-    with pytest.raises(ValueError, match="stage_memo"):
-        _run("rodinia/kmeans", COPY, "sometimes")
-
-
-def test_auto_enables_memo_only_on_fast():
-    clear_shared_stage_memo()
-    before = stage_memo_snapshot()
-    _run("rodinia/kmeans", COPY, "auto", impl="reference")
-    assert stage_memo_snapshot() == before, "auto+reference must not memoize"
-    _run("rodinia/kmeans", COPY, "auto", impl="fast")
-    assert stage_memo_snapshot() != before, "auto+fast must memoize"
+    two engine implementations do: the key holds no memo, and an entry a
+    memo-off run stored serves a memo-on run."""
+    cache = ResultCache(tmp_path)
+    key = cache_key(get("rodinia/kmeans"), COPY, _DISCRETE, _OPTIONS)
+    cache.store(key, _run("rodinia/kmeans", COPY, memo=False), sim_wall_s=0.5)
+    entry = cache.load(key)
+    assert entry is not None
+    assert results_identical(entry.result, _run("rodinia/kmeans", COPY))
 
 
 def test_off_disables_memo_on_fast():
     clear_shared_stage_memo()
     before = stage_memo_snapshot()
-    _run("rodinia/kmeans", COPY, "off", impl="fast")
+    _run("rodinia/kmeans", COPY, memo=False, impl="fast")
     assert stage_memo_snapshot() == before
 
 
@@ -438,10 +432,10 @@ def test_reference_run_replays_fast_recorded_entries():
     """Entries are impl-independent: a reference run warm-hits a memo
     populated entirely by the fast engine, and stays bit-exact."""
     clear_shared_stage_memo()
-    _run("rodinia/srad", COPY, "on", impl="fast")
+    _run("rodinia/srad", COPY, impl="fast")
     memo = shared_stage_memo()
     mid = memo.stats.snapshot()
-    result = _run("rodinia/srad", COPY, "on", impl="reference")
+    result = _run("rodinia/srad", COPY, impl="reference")
     final = memo.stats.snapshot()
     assert final[0] > mid[0], "reference must hit fast-recorded entries"
     assert final[1] == mid[1]
@@ -469,8 +463,8 @@ def test_replayed_snapshots_stay_intact(monkeypatch):
     monkeypatch.setattr(StageMemo, "lookup", lookup)
     clear_shared_stage_memo()
     spec = get("lonestar/bfs")
-    seed_8 = replace(_options("on"), seed=8)
-    _simulate_version(spec, COPY, _DISCRETE, _options("on"))
+    seed_8 = replace(_OPTIONS, seed=8)
+    _simulate_version(spec, COPY, _DISCRETE, _OPTIONS)
     recorded = [
         [arr.tobytes() for state in entry.cache_states for arr in state]
         for entry in stored
@@ -489,9 +483,7 @@ def test_replayed_snapshots_stay_intact(monkeypatch):
         assert [
             arr.tobytes() for state in entry.cache_states for arr in state
         ] == before
-    memo_off, _wall = _simulate_version(
-        spec, COPY, _DISCRETE, replace(seed_8, stage_memo="off")
-    )
+    memo_off = run_engine(spec, COPY, _DISCRETE, seed_8, stage_memo=None)
     assert _payload_bytes(result) == _payload_bytes(memo_off)
 
 
@@ -514,8 +506,8 @@ def test_cleared_memo_repeats_hit_pattern():
     def pair_delta():
         clear_shared_stage_memo()
         before = stage_memo_snapshot()
-        _run("rodinia/kmeans", COPY, "on")
-        _run("rodinia/kmeans", LIMITED, "on")
+        _run("rodinia/kmeans", COPY)
+        _run("rodinia/kmeans", LIMITED)
         after = stage_memo_snapshot()
         return (after[0] - before[0], after[1] - before[1])
 

@@ -28,13 +28,17 @@ writes a Chrome ``trace_event`` file (open in https://ui.perfetto.dev);
 ``--format jsonl`` writes the compact JSONL stream instead.  Exits 1 if
 any conservation invariant was violated, 2 on usage errors.
 
-Every simulating command takes ``--jobs N`` (0 = every CPU this process
-may run on, 1 = serial in-parent) to fan the sweep out over an executor
-backend (``--backend local`` process pool or ``subprocess`` worker
-children), and ``--cache-dir``/``--no-cache`` to control the persistent
-result cache (default ``~/.cache/repro-sweeps``, or ``$REPRO_CACHE_DIR``).
-A repeated invocation with a warm cache simulates nothing and reproduces
-identical output.
+Every command that runs a sweep (``run``, ``advise``, ``timeline``,
+``export``, ``fig4``-``fig9``, ``validate``, ``all``) takes ``--jobs N``
+(0 = every CPU this process may run on, 1 = serial in-parent) to fan the
+sweep out over an executor backend (``--backend local`` process pool or
+``subprocess`` worker children), and ``--cache-dir``/``--no-cache`` to
+control the persistent result cache (default ``~/.cache/repro-sweeps``,
+or ``$REPRO_CACHE_DIR``).  A repeated invocation with a warm cache
+simulates nothing and reproduces identical output.  A command accepts
+only the flags it reads: ``trace``, ``run-spec``, ``fig3`` and
+``ablations`` simulate without a sweep and take ``--scale``/``--seed``
+alone, and ``cache`` takes ``--cache-dir`` alone.
 
 ``repro serve`` turns the sweep runner into a long-running service
 (docs/SERVING.md): an asyncio HTTP/JSON API accepting simulation, sweep,
@@ -55,7 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.config.system import TABLE_I
 from repro.experiments import (
@@ -113,28 +117,28 @@ def _options(args: argparse.Namespace) -> SimOptions:
 
 
 def _cache_dir(args: argparse.Namespace):
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    return getattr(args, "cache_dir", None) or default_cache_dir()
+    return args.cache_dir or default_cache_dir()
 
 
 def _fault_policy(args: argparse.Namespace) -> FaultPolicy:
     return FaultPolicy(
-        max_retries=getattr(args, "max_retries", 2),
-        task_timeout_s=getattr(args, "task_timeout", None),
-        fail_fast=getattr(args, "fail_fast", False),
+        max_retries=args.max_retries,
+        task_timeout_s=args.task_timeout,
+        fail_fast=args.fail_fast,
     )
 
 
 def _runner(args: argparse.Namespace) -> SweepRunner:
     return SweepRunner(
         options=_options(args),
-        parallel=getattr(args, "jobs", 1),
+        parallel=args.jobs,
         cache_dir=_cache_dir(args),
         verbose=True,
-        preflight=getattr(args, "preflight", False),
+        preflight=args.preflight,
         fault_policy=_fault_policy(args),
-        backend=getattr(args, "backend", "local"),
+        backend=args.backend,
     )
 
 
@@ -265,7 +269,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(getattr(args, "cache_dir", None) or default_cache_dir())
+    cache = ResultCache(args.cache_dir or default_cache_dir())
     if args.clear:
         removed = cache.clear()
         print(f"cleared {removed} cached results from {cache.root}")
@@ -299,8 +303,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         jobs=args.jobs,
         concurrency=args.concurrency,
-        cache_dir=getattr(args, "cache_dir", None),
-        no_cache=getattr(args, "no_cache", False),
+        cache_dir=args.cache_dir,
+        no_cache=args.no_cache,
         default_scale=args.default_scale,
         max_retries=args.max_retries,
         task_timeout_s=args.task_timeout,
@@ -691,6 +695,76 @@ def cmd_all(args: argparse.Namespace) -> int:
     return _report_failures(runner)
 
 
+#: Every flag that more than one command takes, defined once:
+#: ``add_argument`` keywords by flag.
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--scale": dict(
+        type=float,
+        default=DEFAULT_BENCH_SCALE,
+        help="footprint/cache scale factor (1.0 = paper scale)",
+    ),
+    "--seed": dict(type=int, default=0, help="trace seed"),
+    "--jobs": dict(
+        type=int,
+        default=0,
+        help="parallel sweep workers (0 = every CPU this process may run "
+        "on, 1 = serial)",
+    ),
+    "--cache-dir": dict(
+        default=None,
+        help="persistent result-cache directory "
+        "(default: $REPRO_CACHE_DIR or ~/.cache/repro-sweeps)",
+    ),
+    "--no-cache": dict(
+        action="store_true", help="disable the persistent result cache"
+    ),
+    "--preflight": dict(
+        action="store_true",
+        help="statically lint every pipeline before simulating and refuse "
+        "to run on error-level findings",
+    ),
+    "--max-retries": dict(
+        type=int,
+        default=2,
+        metavar="N",
+        help="retry each failing simulation up to N times with capped "
+        "exponential backoff (default: 2; 0 disables retries)",
+    ),
+    "--task-timeout": dict(
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="kill and retry any single simulation exceeding this "
+        "wall-clock budget (parallel workers only; default: none)",
+    ),
+    "--fail-fast": dict(
+        action="store_true",
+        help="stop dispatching new work once a task exhausts its retries; "
+        "results finished before the failure are kept",
+    ),
+    "--backend": dict(
+        choices=EXECUTOR_BACKENDS,
+        default="local",
+        help="executor backend for parallel sweeps: 'local' shares a "
+        "process pool, 'subprocess' isolates each task in its own worker "
+        "child (docs/SWEEPS.md); results are bit-identical across backends",
+    ),
+}
+#: Commands that simulate without a sweep runner read only these.
+_SIM_FLAGS = ("--scale", "--seed")
+#: Commands that build a sweep runner read every flag.
+_RUNNER_FLAGS = tuple(_FLAGS)
+#: The runner flags ``repro serve`` applies to each job's sweep.
+_SERVE_FLAGS = (
+    "--jobs",
+    "--cache-dir",
+    "--no-cache",
+    "--max-retries",
+    "--task-timeout",
+    "--backend",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -700,70 +774,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, flags=()):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--scale",
-            type=float,
-            default=DEFAULT_BENCH_SCALE,
-            help="footprint/cache scale factor (1.0 = paper scale)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="trace seed")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=0,
-            help="parallel sweep workers (0 = every CPU this process may "
-            "run on, 1 = serial)",
-        )
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            help="persistent result-cache directory "
-            "(default: $REPRO_CACHE_DIR or ~/.cache/repro-sweeps)",
-        )
-        p.add_argument(
-            "--no-cache",
-            action="store_true",
-            help="disable the persistent result cache",
-        )
-        p.add_argument(
-            "--preflight",
-            action="store_true",
-            help="statically lint every pipeline before simulating and "
-            "refuse to run on error-level findings",
-        )
-        p.add_argument(
-            "--max-retries",
-            type=int,
-            default=2,
-            metavar="N",
-            help="retry each failing simulation up to N times with capped "
-            "exponential backoff (default: 2; 0 disables retries)",
-        )
-        p.add_argument(
-            "--task-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="kill and retry any single simulation exceeding this "
-            "wall-clock budget (parallel workers only; default: none)",
-        )
-        p.add_argument(
-            "--fail-fast",
-            action="store_true",
-            help="stop dispatching new work once a task exhausts its "
-            "retries; results finished before the failure are kept",
-        )
-        p.add_argument(
-            "--backend",
-            choices=EXECUTOR_BACKENDS,
-            default="local",
-            help="executor backend for parallel sweeps: 'local' shares a "
-            "process pool, 'subprocess' isolates each task in its own "
-            "worker child (docs/SWEEPS.md); results are bit-identical "
-            "across backends",
-        )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(handler=handler)
         return p
 
@@ -772,14 +786,15 @@ def build_parser() -> argparse.ArgumentParser:
     list_p.add_argument("--suite", choices=SUITES, default=None)
     run_p = add("run", cmd_run,
                 "simulate one benchmark (or, with no argument, the full "
-                "46x2 sweep), both versions")
+                "46x2 sweep), both versions", _RUNNER_FLAGS)
     run_p.add_argument("benchmark", nargs="?", default=None,
                        help="benchmark name, e.g. rodinia/kmeans; omit to "
                        "run the whole sweep")
     add("table2", cmd_table2, "regenerate Table II")
-    lint_p = sub.add_parser(
+    lint_p = add(
         "lint",
-        help="statically verify pipelines (hazards, memory spaces, Table II)",
+        cmd_lint,
+        "statically verify pipelines (hazards, memory spaces, Table II)",
     )
     lint_p.add_argument(
         "benchmark", nargs="*", default=None,
@@ -804,11 +819,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the RPL303-305 opportunity rules (overlap-blocking "
         "serialization, migration candidates, cache-coordination "
         "conflicts) — info-level headroom reports, not defects")
-    lint_p.set_defaults(handler=cmd_lint)
     trace_p = add(
         "trace",
         cmd_trace,
         "simulate one benchmark with event tracing + invariant monitoring",
+        _SIM_FLAGS,
     )
     trace_p.add_argument("benchmark", help="benchmark name, e.g. lonestar/bfs")
     trace_p.add_argument(
@@ -825,53 +840,34 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--no-check", action="store_true",
         help="skip the conservation-invariant monitor")
-    cache_p = add("cache", cmd_cache, "inspect the persistent result cache")
+    cache_p = add("cache", cmd_cache, "inspect the persistent result cache",
+                  ("--cache-dir",))
     cache_p.add_argument("--clear", action="store_true",
                          help="delete every cached result, legacy v1 "
                          "entries and partial writes included")
-    serve_p = sub.add_parser(
+    serve_p = add(
         "serve",
-        help="run the async HTTP/JSON sweep service (docs/SERVING.md)",
+        cmd_serve,
+        "run the async HTTP/JSON sweep service (docs/SERVING.md)",
+        _SERVE_FLAGS,
     )
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument(
         "--port", type=int, default=8372,
         help="listen port (0 = pick a free port; default: 8372)")
     serve_p.add_argument(
-        "--jobs", type=int, default=0,
-        help="process-pool width each job's sweep fans out over "
-        "(0 = every CPU this process may run on, 1 = serial in-parent)")
-    serve_p.add_argument(
         "--concurrency", type=int, default=2,
         help="jobs executing at once, each with its own sweep pool "
         "(default: 2)")
     serve_p.add_argument(
-        "--cache-dir", default=None,
-        help="persistent result-cache directory "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro-sweeps)")
-    serve_p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent result cache (dedup of in-flight "
-        "duplicates still applies; warm repeats re-simulate)")
-    serve_p.add_argument(
         "--default-scale", type=float, default=DEFAULT_BENCH_SCALE,
         help="scale used by jobs that do not specify one")
     serve_p.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="fault-supervisor retries per failing simulation (default: 2)")
-    serve_p.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill and retry any single simulation exceeding this budget")
-    serve_p.add_argument(
         "--no-lint", action="store_true",
         help="skip the lint preflight on submitted jobs")
-    serve_p.add_argument(
-        "--backend", choices=EXECUTOR_BACKENDS, default="local",
-        help="executor backend job sweeps fan out through "
-        "(docs/SWEEPS.md)")
-    serve_p.set_defaults(handler=cmd_serve)
     advise_p = add("advise", cmd_advise,
-                   "rank optimization opportunities for one benchmark")
+                   "rank optimization opportunities for one benchmark",
+                   _RUNNER_FLAGS)
     advise_p.add_argument("benchmark", nargs="?", default=None,
                           help="benchmark name; optional with --static "
                           "(omit to advise the whole registry)")
@@ -880,25 +876,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation-free advisor: derive the verdicts from the "
         "dataflow engine's static roofline model instead of simulating")
     timeline_p = add("timeline", cmd_timeline,
-                     "render a run's component activity as ASCII Gantt")
+                     "render a run's component activity as ASCII Gantt",
+                     _RUNNER_FLAGS)
     timeline_p.add_argument("benchmark", help="benchmark name")
     timeline_p.add_argument("--limited", action="store_true",
                             help="show the limited-copy version")
-    export_p = add("export", cmd_export, "dump one run as JSON")
+    export_p = add("export", cmd_export, "dump one run as JSON",
+                   _RUNNER_FLAGS)
     export_p.add_argument("benchmark", help="benchmark name")
     export_p.add_argument("--limited", action="store_true")
     export_p.add_argument("--include-log", action="store_true",
                           help="include the raw off-chip access log")
     export_p.add_argument("--output", default=None, help="output file path")
     spec_p = add("run-spec", cmd_run_spec,
-                 "simulate a declarative JSON workload, both systems")
+                 "simulate a declarative JSON workload, both systems",
+                 _SIM_FLAGS)
     spec_p.add_argument("spec", help="path to a workload JSON file")
-    add("fig3", cmd_fig3, "regenerate Fig. 3 (kmeans case study)")
+    add("fig3", cmd_fig3, "regenerate Fig. 3 (kmeans case study)",
+        _SIM_FLAGS)
     for name, module in FIGURES.items():
-        add(name, cmd_figure(module), f"regenerate {name}")
-    add("validate", cmd_validate, "Section V-A/V-B model validations")
-    add("ablations", cmd_ablations, "ablation studies")
-    add("all", cmd_all, "regenerate every table and figure")
+        add(name, cmd_figure(module), f"regenerate {name}", _RUNNER_FLAGS)
+    add("validate", cmd_validate, "Section V-A/V-B model validations",
+        _RUNNER_FLAGS)
+    add("ablations", cmd_ablations, "ablation studies", _SIM_FLAGS)
+    add("all", cmd_all, "regenerate every table and figure", _RUNNER_FLAGS)
     return parser
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence, TypeVar
+from typing import Dict, Iterable, Mapping, TypeVar
 
 K = TypeVar("K")
 

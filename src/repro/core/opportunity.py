@@ -9,7 +9,6 @@ chip could have delivered over the ROI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.config.system import SystemConfig
 from repro.sim.hierarchy import Component

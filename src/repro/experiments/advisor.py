@@ -20,7 +20,6 @@ from repro.core.overlap import ComponentTimes, component_overlap_runtime
 from repro.experiments.report import format_table
 from repro.experiments.runner import BenchmarkRun, SweepRunner, default_runner
 from repro.sim.hierarchy import Component
-from repro.workloads.registry import get
 from repro.workloads.spec import BenchmarkSpec
 
 
@@ -97,13 +96,6 @@ def advise_pair(pair: BenchmarkRun, heterogeneous: SystemConfig) -> AdvisorRepor
     recommendations = [r for r in recommendations if abs(r.estimated_gain) >= MIN_GAIN]
     recommendations.sort(key=lambda r: r.estimated_gain, reverse=True)
     return AdvisorReport(benchmark=pair.spec.full_name, recommendations=recommendations)
-
-
-def advise_benchmark(
-    name: str, runner: Optional[SweepRunner] = None
-) -> AdvisorReport:
-    """Convenience lookup-then-advise."""
-    return advise(get(name), runner)
 
 
 # --- individual analyses -----------------------------------------------------

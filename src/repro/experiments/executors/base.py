@@ -1,13 +1,14 @@
 """Executor backend protocol for the sweep supervisor.
 
-The fault supervisor in :mod:`repro.experiments.parallel` used to own a
-``ProcessPoolExecutor`` outright.  This package splits "how a task gets
-executed" from "how failures are retried": the supervisor speaks only to
-an :class:`ExecutorBackend`, and a backend turns one :class:`WorkerTask`
-into a :class:`concurrent.futures.Future` resolving to a
-:class:`WorkerOutcome` — or raising one of the structured executor
-exceptions below, which the supervisor maps onto its existing retry /
-recycle / degrade ladder:
+The fault supervisor in :mod:`repro.experiments.parallel` speaks only to
+an :class:`ExecutorBackend`, which splits "how a task gets executed" from
+"how failures are retried".  Every backend receives the same
+:class:`WorkerTask` record, unchanged: the local pool pickles it onto its
+pipe, the subprocess backend pickles it onto its child's stdin, and the
+in-parent backend runs it where it is.  A backend turns the task into a
+:class:`concurrent.futures.Future` resolving to a :class:`WorkerOutcome`
+— or raising one of the structured executor exceptions below, which the
+supervisor maps onto its retry / recycle / degrade ladder:
 
 * :class:`TaskCrash` — the worker process died.  The task is requeued and
   charged an attempt (``worker_fate`` *crashed*), but because the crash
@@ -33,21 +34,23 @@ from typing import Optional
 from repro.config.system import SystemConfig
 from repro.sim.engine import SimOptions
 from repro.sim.results import SimResult
+from repro.workloads.spec import BenchmarkSpec
 
 
 @dataclass(frozen=True)
 class WorkerTask:
     """Everything a worker needs to run one simulation.
 
-    ``spec_blob`` is ``None`` for registry benchmarks (the worker
-    re-resolves ``benchmark`` by name) or a pickled spec otherwise.
-    ``cache_key`` names the run: a worker child keys the result it sends
-    back with it, and the coordinator refuses a reply keyed otherwise.
+    ``spec`` is ``None`` for registry benchmarks (the worker resolves
+    ``benchmark`` by name, since most registry builders are closures that
+    cannot be pickled) or the spec itself otherwise.  ``cache_key`` names
+    the run: a worker child keys the result it sends back with it, and
+    the coordinator refuses a reply keyed otherwise.
     """
 
     benchmark: str
     version: str
-    spec_blob: Optional[bytes]
+    spec: Optional[BenchmarkSpec]
     system: SystemConfig
     options: SimOptions
     cache_key: str
@@ -59,8 +62,6 @@ class WorkerOutcome:
     its simulation wall time, and the stage-memo traffic of the process
     that ran it."""
 
-    benchmark: str
-    version: str
     wall_s: float
     result: SimResult
     memo_hits: int = 0
@@ -76,7 +77,8 @@ class TaskCrash(ExecutorError):
 
 
 class WireProtocolError(ExecutorError):
-    """A worker's reply (or a task payload) could not be decoded."""
+    """A worker's reply could not be decoded, or its result entry is
+    damaged or keyed to another task."""
 
 
 class RemoteTaskError(ExecutorError):

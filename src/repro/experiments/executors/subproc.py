@@ -1,18 +1,20 @@
-"""Per-task child-process backend speaking the wire format of
-:mod:`~repro.experiments.executors.wire`.
+"""Per-task child-process backend.
 
 Each submitted task launches one ``python -m repro.experiments.remote_worker``
-child, writes the encoded :class:`WorkerTask` to its stdin, and decodes
-the single reply from its stdout — the result's cache entry, checked
-against the task's cache key — in the launcher thread.  Children are
-fully isolated: a crash (or a supervisor task-timeout kill) takes down
-exactly one task, so — unlike the shared process pool — no backend
-recycle is needed and other in-flight tasks keep running.
+child, writes the pickled :class:`WorkerTask` to its stdin — the record
+and encoding the local pool's pipe carries — and decodes the single reply
+from its stdout in the launcher thread: the result's cache entry, checked
+against the task's cache key (the reply format of
+:mod:`~repro.experiments.executors.wire`).  Children are fully isolated:
+a crash (or a supervisor task-timeout kill) takes down exactly one task,
+so — unlike the shared process pool — no backend recycle is needed and
+other in-flight tasks keep running.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -26,7 +28,7 @@ from repro.experiments.executors.base import (
     WorkerOutcome,
     WorkerTask,
 )
-from repro.experiments.executors.wire import decode_result, encode_task
+from repro.experiments.executors.wire import decode_result
 
 #: The worker module each child runs (`python -m ...`).
 WORKER_MODULE = "repro.experiments.remote_worker"
@@ -139,7 +141,7 @@ class SubprocessBackend(ExecutorBackend):
     def _run_child(self, task: WorkerTask, handle: _ChildHandle) -> WorkerOutcome:
         if handle.killed:
             raise TaskCrash("killed before launch")
-        payload = encode_task(task)
+        payload = pickle.dumps(task)
         try:
             proc = subprocess.Popen(
                 self._worker_cmd,

@@ -11,11 +11,13 @@ cache hits before dispatch; every backend hands back a
 :class:`~repro.sim.results.SimResult`, and the coordinator stores each
 fresh one as it completes — workers never touch the cache.
 
-Most benchmark specs hold closure-based pipeline builders that cannot be
-pickled, so tasks cross the process boundary as ``suite/name`` strings and
-are re-resolved from the registry inside the worker.  Unregistered specs
-(e.g. user-defined benchmarks) are pickled directly when possible and run
-in the parent process otherwise — the sweep always completes.
+Every backend receives the same :class:`WorkerTask`, built once per task
+that missed the cache.  Most benchmark specs hold closure-based pipeline
+builders that cannot be pickled, so a registry benchmark's task carries
+no spec and its worker resolves ``suite/name`` from the registry.
+Unregistered specs (e.g. user-defined benchmarks) travel inside the task
+when they pickle and run in the parent process otherwise — the sweep
+always completes.
 
 Tasks also *fail* independently.  One supervisor loop (see
 :func:`run_tasks`) catches per-future exceptions instead of letting one
@@ -273,27 +275,18 @@ def _simulate_version(
     return result, time.perf_counter() - start
 
 
-def run_worker_task(
-    task: WorkerTask, spec: Optional[BenchmarkSpec] = None
-) -> WorkerOutcome:
+def run_worker_task(task: WorkerTask) -> WorkerOutcome:
     """Simulate one task: the body every executor backend runs.
 
-    The spec is ``spec`` when given (in-parent runs pass the task's own,
-    possibly unpicklable, spec), else the pickled ``task.spec_blob``, else
-    the registry entry named ``task.benchmark``.  The outcome carries the
+    The spec is ``task.spec``, or the registry entry named
+    ``task.benchmark`` when that is ``None``.  The outcome carries the
     run's stage-memo (hits, misses) delta of *this* process's memo.
     """
-    if spec is None:
-        if task.spec_blob is None:
-            spec = registry.get(task.benchmark)
-        else:
-            spec = pickle.loads(task.spec_blob)
+    spec = task.spec if task.spec is not None else registry.get(task.benchmark)
     before = stage_memo_snapshot()
     result, wall_s = _simulate_version(spec, task.version, task.system, task.options)
     after = stage_memo_snapshot()
     return WorkerOutcome(
-        benchmark=task.benchmark,
-        version=task.version,
         wall_s=wall_s,
         result=result,
         memo_hits=after[0] - before[0],
@@ -306,15 +299,12 @@ class _InParentBackend(ExecutorBackend):
 
     ``submit`` simulates before it returns, so every future it hands out
     is already resolved: task timeouts cannot interrupt it, and a failure
-    surfaces as the future's exception (``worker_fate="in-parent"``).  It
-    runs each task's own spec (looked up by cache key), so specs that
-    cannot be pickled work too.
+    surfaces as the future's exception (``worker_fate="in-parent"``).
+    Tasks never leave this process, so specs that cannot be pickled run
+    here too.
     """
 
     name = "in-parent"
-
-    def __init__(self, specs: Dict[str, BenchmarkSpec]) -> None:
-        self._specs = specs
 
     def start(self, workers: int) -> None:
         pass
@@ -322,9 +312,7 @@ class _InParentBackend(ExecutorBackend):
     def submit(self, task: WorkerTask) -> "Future[WorkerOutcome]":
         future: "Future[WorkerOutcome]" = Future()
         try:
-            future.set_result(
-                run_worker_task(task, spec=self._specs[task.cache_key])
-            )
+            future.set_result(run_worker_task(task))
         except Exception as exc:
             future.set_exception(exc)
         return future
@@ -336,17 +324,28 @@ class _InParentBackend(ExecutorBackend):
         pass
 
 
-def _dispatchable(task: SweepTask) -> Optional[bytes]:
-    """How to ship a task's spec to a worker: None means "resolve by name
-    from the registry"; bytes is a pickled unregistered spec.  Raises when
-    the spec cannot be pickled at all (caller runs it in-parent)."""
+def _task_spec(spec: BenchmarkSpec) -> Optional[BenchmarkSpec]:
+    """``WorkerTask.spec`` for ``spec``: None for a registry benchmark,
+    which its worker resolves by name, else the spec itself."""
     try:
-        registered = registry.get(task.full_name) is task.spec
+        registered = registry.get(spec.full_name) is spec
     except KeyError:
         registered = False
-    if registered:
-        return None
-    return pickle.dumps(task.spec)
+    return None if registered else spec
+
+
+def _poolable(task: WorkerTask) -> bool:
+    """Whether a worker process can receive ``task``: a spec it carries
+    must pickle.  Only genuine can't-pickle errors keep a task in the
+    parent; anything else (a broken ``__reduce__``) must surface instead
+    of silently degrading."""
+    if task.spec is None:
+        return True
+    try:
+        pickle.dumps(task.spec)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True
 
 
 def _attempt_failure(exc: Exception, in_parent: bool) -> Tuple[str, str, str]:
@@ -370,9 +369,7 @@ def _attempt_failure(exc: Exception, in_parent: bool) -> Tuple[str, str, str]:
 class _TaskState:
     """Supervisor bookkeeping for one task that missed the cache."""
 
-    task: SweepTask
-    key: str
-    spec_blob: Optional[bytes] = None
+    task: WorkerTask
     attempts: int = 0
     ready_at: float = 0.0  # monotonic time when eligible to (re)submit
     started_at: float = 0.0  # monotonic submit time of the current attempt
@@ -439,7 +436,18 @@ def run_tasks(
             metrics.cache_hits += 1
             metrics.serial_estimate_s += entry.sim_wall_s
         else:
-            pending.append(_TaskState(task, key))
+            pending.append(
+                _TaskState(
+                    WorkerTask(
+                        benchmark=task.full_name,
+                        version=task.version,
+                        spec=_task_spec(task.spec),
+                        system=system,
+                        options=options,
+                        cache_key=key,
+                    )
+                )
+            )
     if metrics.cache_hits:
         report()
 
@@ -449,14 +457,14 @@ def run_tasks(
         read-only or missing directory) costs persistence, not the
         result: it is still returned, and counted as not cached."""
         task = state.task
-        results[(task.full_name, task.version)] = outcome.result
+        results[(task.benchmark, task.version)] = outcome.result
         metrics.launched += 1
         metrics.serial_estimate_s += outcome.wall_s
         metrics.stage_memo_hits += outcome.memo_hits
         metrics.stage_memo_misses += outcome.memo_misses
         if cache is not None:
             try:
-                cache.store(state.key, outcome.result, sim_wall_s=outcome.wall_s)
+                cache.store(task.cache_key, outcome.result, sim_wall_s=outcome.wall_s)
             except OSError:
                 metrics.not_cached += 1
         report()
@@ -466,7 +474,7 @@ def run_tasks(
     ) -> None:
         nonlocal stop
         failure = TaskFailure(
-            benchmark=state.task.full_name,
+            benchmark=state.task.benchmark,
             version=state.task.version,
             error_type=error_type,
             message=message,
@@ -583,22 +591,10 @@ def run_tasks(
                 broken = False
                 while ready and len(inflight) < workers and not stop:
                     state = ready.pop(0)
-                    system = _system_for(
-                        state.task.version, discrete, heterogeneous
-                    )
                     state.attempts += 1
                     state.started_at = time.monotonic()
                     try:
-                        future = backend.submit(
-                            WorkerTask(
-                                benchmark=state.task.full_name,
-                                version=state.task.version,
-                                spec_blob=state.spec_blob,
-                                system=system,
-                                options=options,
-                                cache_key=state.key,
-                            )
-                        )
+                        future = backend.submit(state.task)
                     except (BrokenExecutor, RuntimeError):
                         state.attempts -= 1  # this attempt never ran
                         ready.insert(0, state)
@@ -698,18 +694,11 @@ def run_tasks(
         pooled: List[_TaskState] = []
         serial = []
         for state in pending:
-            try:
-                state.spec_blob = _dispatchable(state.task)
-                pooled.append(state)
-            except (pickle.PicklingError, AttributeError, TypeError):
-                # Only genuine can't-pickle errors force in-parent
-                # execution; anything else (a registry bug, a broken
-                # __reduce__) must surface instead of silently degrading.
-                serial.append(state)
+            (pooled if _poolable(state.task) else serial).append(state)
         if pooled:
             serial = supervise(pooled, pool) + serial
     # Leftovers keep their attempts and ready_at: a pending backoff holds.
-    supervise(serial, _InParentBackend({s.key: s.task.spec for s in serial}))
+    supervise(serial, _InParentBackend())
 
     metrics.wall_s = time.perf_counter() - start
     return results, metrics

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.pipeline.builder import PipelineBuilder
 from repro.pipeline.graph import Pipeline, PipelineError

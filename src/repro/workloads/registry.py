@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.workloads.spec import BenchmarkSpec
 from repro.workloads.suites import lonestar, pannotia, parboil, rodinia

@@ -21,7 +21,6 @@ from typing import Optional
 from repro.config.system import SystemConfig, discrete_gpu_system
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.patterns import AccessPattern
-from repro.pipeline.stage import StageKind
 from repro.sim.engine import SimOptions, simulate
 
 #: Extra accesses per element for stencil's neighbour touches.

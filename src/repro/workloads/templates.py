@@ -19,7 +19,7 @@ their suite modules.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.pipeline.builder import PipelineBuilder
 from repro.pipeline.graph import Pipeline

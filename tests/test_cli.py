@@ -1,10 +1,65 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
 
 TINY = "0.0078125"  # 1/128
+
+#: The flags of a command that simulates without a sweep runner.
+SIM = {"--scale", "--seed"}
+#: The flags of a command that builds a sweep runner.
+RUNNER = SIM | {
+    "--jobs",
+    "--cache-dir",
+    "--no-cache",
+    "--preflight",
+    "--max-retries",
+    "--task-timeout",
+    "--fail-fast",
+    "--backend",
+}
+#: The runner flags ``repro serve`` applies to each job's sweep.
+SERVE = {
+    "--jobs",
+    "--cache-dir",
+    "--no-cache",
+    "--max-retries",
+    "--task-timeout",
+    "--backend",
+}
+#: Every subcommand's options: each one is a flag the command reads.
+OPTIONS = {
+    "show-config": set(),
+    "list": {"--suite"},
+    "run": RUNNER,
+    "table2": set(),
+    "lint": {"--spec", "--format", "--fail-on", "--fix", "--opportunities"},
+    "trace": SIM | {"--system", "-o", "--output", "--format", "--no-check"},
+    "cache": {"--cache-dir", "--clear"},
+    "serve": SERVE
+    | {"--host", "--port", "--concurrency", "--default-scale", "--no-lint"},
+    "advise": RUNNER | {"--static"},
+    "timeline": RUNNER | {"--limited"},
+    "export": RUNNER | {"--limited", "--include-log", "--output"},
+    "run-spec": SIM,
+    "fig3": SIM,
+    **{f"fig{n}": RUNNER for n in range(4, 10)},
+    "validate": RUNNER,
+    "ablations": SIM,
+    "all": RUNNER,
+}
+
+
+def _subcommands():
+    [sub] = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sub.choices
 
 
 class TestParser:
@@ -28,6 +83,28 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        options = {
+            name: {
+                flag for action in parser._actions for flag in action.option_strings
+            }
+            - {"-h", "--help"}
+            for name, parser in _subcommands().items()
+        }
+        assert options == OPTIONS
+
+    def test_serve_shares_the_runner_flag_definitions(self):
+        parsers = _subcommands()
+
+        def definition(command, flag):
+            [action] = [
+                a for a in parsers[command]._actions if flag in a.option_strings
+            ]
+            return (action.default, action.type, action.choices, action.help)
+
+        for flag in SERVE:
+            assert definition("serve", flag) == definition("run", flag), flag
 
 
 class TestFaultToleranceFlags:

@@ -1,18 +1,23 @@
-"""Pluggable executor backends: wire format, factory, and end-to-end runs.
+"""Pluggable executor backends: reply format, factory, and end-to-end runs.
 
-The contract under test (docs/SWEEPS.md): every backend produces results
-*identical* to the in-process pool, worker failures surface as the same
-structured :class:`TaskFailure` records local ones do, a worker's reply
-carries its result as the cache entry under the task's key (damaged or
-mis-keyed entries are wire-protocol failures), and the coordinator alone
-stores each fresh result in the result cache.
+The contract under test (docs/SWEEPS.md): every backend receives the same
+pickled :class:`WorkerTask` and produces results *identical* to the
+in-process pool, worker failures surface as the same structured
+:class:`TaskFailure` records local ones do, a worker's reply carries its
+result as the cache entry under the task's key (damaged or mis-keyed
+entries are wire-protocol failures), and the coordinator alone stores
+each fresh result in the result cache.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,16 +30,14 @@ from repro.experiments.executors import (
     SubprocessBackend,
     WireProtocolError,
     WorkerOutcome,
-    WorkerTask,
     create_backend,
 )
+from repro.experiments.executors.subproc import WORKER_MODULE
 from repro.experiments.executors.wire import (
     RESULT_SCHEMA,
     decode_result,
-    decode_task,
     encode_error,
     encode_outcome,
-    encode_task,
 )
 from repro.experiments.parallel import (
     COPY,
@@ -45,11 +48,13 @@ from repro.experiments.parallel import (
     SweepTask,
     run_tasks,
 )
+from repro.experiments.remote_worker import EXIT_BAD_TASK
 from repro.sim.engine import SimOptions, simulate
 from repro.sim.resultcache import ResultCache, encode_entry
 from repro.sim.serialize import results_identical
 from repro.testing.faults import FaultRule, injected_faults
 from repro.workloads.registry import get
+from repro.workloads.spec import BenchmarkSpec
 
 from tests.conftest import TINY_SCALE, build_offload_pipeline
 from tests.test_resultcache_format import _damaged
@@ -66,7 +71,7 @@ def result():
 
 
 def _outcome(result, **overrides) -> WorkerOutcome:
-    fields = dict(benchmark="lonestar/bfs", version=COPY, wall_s=0.25, result=result)
+    fields = dict(wall_s=0.25, result=result)
     fields.update(overrides)
     return WorkerOutcome(**fields)
 
@@ -108,37 +113,11 @@ def _fast(**kwargs) -> FaultPolicy:
     return FaultPolicy(**kwargs)
 
 
-def _worker_task(**overrides) -> WorkerTask:
-    fields = dict(
-        benchmark="lonestar/bfs",
-        version=COPY,
-        spec_blob=None,
-        system=discrete_gpu_system(),
-        options=_options(),
-        cache_key="k" * 16,
-    )
-    fields.update(overrides)
-    return WorkerTask(**fields)
-
-
 class TestWireFormat:
-    def test_task_document_golden(self, golden_json):
-        """The task wire document is pinned, so a format change is
-        deliberate and comes with a schema bump."""
-        payload = json.loads(encode_task(_worker_task()))
-        golden_json("executors/task_doc", payload)
-
     def test_error_document_golden(self, golden_json):
-        payload, body = _split(
-            encode_error("rodinia/kmeans", LIMITED, "ValueError", "boom")
-        )
+        payload, body = _split(encode_error("ValueError", "boom"))
         assert body == b""
         golden_json("executors/error_result", payload)
-
-    def test_task_round_trip(self):
-        task = _worker_task(spec_blob=b"\x80\x04pickled")
-        decoded = decode_task(encode_task(task))
-        assert decoded == task
 
     def test_outcome_entry_bytes_round_trip(self, result):
         """The reply body is the result's cache entry under the task's key,
@@ -148,18 +127,12 @@ class TestWireFormat:
         assert header == {
             "schema": RESULT_SCHEMA,
             "ok": True,
-            "benchmark": "lonestar/bfs",
-            "version": COPY,
             "memo_hits": 3,
             "memo_misses": 1,
         }
         assert body == encode_entry(KEY, result, sim_wall_s=0.25)
         decoded = decode_result(data, KEY)
-        assert (decoded.benchmark, decoded.version, decoded.wall_s) == (
-            "lonestar/bfs",
-            COPY,
-            0.25,
-        )
+        assert decoded.wall_s == 0.25
         assert (decoded.memo_hits, decoded.memo_misses) == (3, 1)
         assert results_identical(decoded.result, result)
 
@@ -172,7 +145,7 @@ class TestWireFormat:
         assert results_identical(decoded.result, result)
 
     def test_error_reply_decodes_to_remote_task_error(self):
-        data = encode_error("a/b", COPY, "KeyError", "missing")
+        data = encode_error("KeyError", "missing")
         with pytest.raises(RemoteTaskError) as excinfo:
             decode_result(data, KEY)
         assert excinfo.value.error_type == "KeyError"
@@ -185,9 +158,9 @@ class TestWireFormat:
             b"{not json",
             b'"a string"',
             b'{"schema": "somebody.else/v9"}',
-            b'{"schema": "repro.executor.result/v2", "ok": true}',
-            b'{"schema": "repro.executor.result/v2", "ok": true, '
-            b'"benchmark": "x", "version": "copy"}',
+            b'{"schema": "repro.executor.result/v3", "ok": true}',
+            b'{"schema": "repro.executor.result/v3", "ok": true, '
+            b'"memo_hits": 0, "memo_misses": 0}',
         ],
     )
     def test_malformed_replies_raise_wire_protocol_error(self, data):
@@ -219,12 +192,6 @@ class TestWireFormat:
         data = encode_outcome(_outcome(result), KEY)
         with pytest.raises(WireProtocolError):
             decode_result(data, "cd" + "0" * 62)
-
-    def test_task_with_wrong_shape_system_rejected(self):
-        payload = json.loads(encode_task(_worker_task()))
-        payload["system"] = ["not", "an", "object"]
-        with pytest.raises(WireProtocolError):
-            decode_task(json.dumps(payload).encode())
 
 
 class TestBackendFactory:
@@ -342,10 +309,9 @@ class TestSubprocessBackend:
             worker_cmd=[
                 sys.executable,
                 "-c",
-                "import dataclasses, sys\n"
-                "from repro.experiments.executors.wire import decode_task\n"
+                "import dataclasses, pickle, sys\n"
                 "from repro.experiments.remote_worker import run_task\n"
-                "task = decode_task(sys.stdin.buffer.read())\n"
+                "task = pickle.loads(sys.stdin.buffer.read())\n"
                 "task = dataclasses.replace(task, cache_key='0' * 64)\n"
                 "sys.stdout.buffer.write(run_task(task))\n",
             ]
@@ -360,6 +326,74 @@ class TestSubprocessBackend:
         for failure in metrics.failures:
             assert failure.error_type == "WireProtocolError"
             assert failure.worker_fate == FATE_ALIVE
+
+
+#: The checkout's root: a worker child imports ``tests.conftest`` from
+#: it to unpickle a spec whose builder lives there.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _offload_spec() -> BenchmarkSpec:
+    """An unregistered spec that pickles (its builder is a module-level
+    function), as in ``test_unregistered_spec_still_sweeps_in_parallel``."""
+    return BenchmarkSpec(
+        name="offload",
+        suite="testsuite",
+        description="synthetic",
+        pc_comm=True,
+        pipe_parallel=True,
+        regular_pc=True,
+        irregular=False,
+        sw_queue=False,
+        build=build_offload_pipeline,
+    )
+
+
+class TestOneWorkerTask:
+    """Every backend receives the same pickled :class:`WorkerTask`."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_unregistered_spec_runs_in_workers(self, name, monkeypatch):
+        """The spec travels inside the task, and both runs happen in
+        workers with the in-parent results."""
+        path = [str(REPO_ROOT), os.environ.get("PYTHONPATH", "")]
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, path)))
+        spec = _offload_spec()
+        tasks = [SweepTask(spec, version) for version in (COPY, LIMITED)]
+        serial, _ = _run(tasks, jobs=1)
+        backend = create_backend(name)
+        submitted = []
+        submit = backend.submit
+
+        def spy(task):
+            submitted.append(task)
+            return submit(task)
+
+        monkeypatch.setattr(backend, "submit", spy)
+        results, metrics = _run(tasks, jobs=2, backend=backend)
+        assert len(submitted) == 2
+        assert all(task.spec is spec for task in submitted)
+        assert metrics.launched == 2 and metrics.retries == 0
+        assert not metrics.failures
+        assert set(results) == set(serial)
+        for key, result in serial.items():
+            assert results_identical(result, results[key]), key
+
+    @pytest.mark.parametrize(
+        "stdin",
+        [b"", b"{not a pickle", pickle.dumps({"benchmark": "lonestar/bfs"})],
+        ids=["empty", "not-pickle", "not-a-task"],
+    )
+    def test_worker_without_a_task_exits_65(self, stdin):
+        proc = subprocess.run(
+            [sys.executable, "-m", WORKER_MODULE],
+            input=stdin,
+            capture_output=True,
+            env=SubprocessBackend()._child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_BAD_TASK == 65, proc.stderr
+        assert proc.stdout == b""
 
 
 class TestRecycleBudget:

@@ -6,7 +6,6 @@ from repro.experiments.advisor import (
     Optimization,
     Recommendation,
     advise,
-    advise_benchmark,
 )
 from repro.experiments.runner import SweepRunner
 from repro.sim.engine import SimOptions
@@ -76,10 +75,6 @@ class TestAdvise:
         assert "rodinia/kmeans" in text
         for rec in report.recommendations:
             assert rec.optimization.value in text
-
-    def test_advise_by_name(self, runner):
-        report = advise_benchmark("rodinia/kmeans", runner)
-        assert report.benchmark == "rodinia/kmeans"
 
 
 class TestRecommendation:

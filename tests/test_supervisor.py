@@ -82,8 +82,6 @@ class ScriptedBackend(ExecutorBackend):
         if outcome == "ok":
             future.set_result(
                 WorkerOutcome(
-                    benchmark=task.benchmark,
-                    version=task.version,
                     wall_s=0.0,
                     result=self._results[(task.benchmark, task.version)],
                 )

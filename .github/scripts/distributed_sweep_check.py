@@ -3,9 +3,10 @@
 
 Scenario (see docs/SWEEPS.md): the full 46x2 sweep fanned out through
 ``--backend subprocess`` — one worker child per task — with one task
-killed permanently must still complete every other result, report exactly
-one structured ``WorkerCrash`` failure, and exit 3 (partial) from the
-CLI.  The coordinator must have cached every fresh result the workers
+killed permanently must still complete every other result and report
+exactly one structured ``WorkerCrash`` failure.  The CLI, running the
+killed task's benchmark into a fresh cache, must exit 3 (partial) with
+the same crash from a worker child.  The coordinator must have cached every fresh result the workers
 returned, so a second, fault-free pass is answered almost entirely from
 its cache.  Spot-checked results must be byte-identical to the local pool
 backend's, both from that cached sweep and from a cache-less subprocess
@@ -14,6 +15,8 @@ run.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -86,25 +89,37 @@ def main_check() -> None:
         "coordinator cached every fresh result",
     )
 
-    # CLI: partial (3) under the fault, then a clean warm pass (0) that
-    # barely simulates — the coordinator cached the workers' results.
+    # CLI: partial (3) under the fault.  A fresh cache and the killed
+    # task's own pair leave two misses, so the sweep fans out to worker
+    # children and the kill lands in one (one miss would run in-parent).
     argv = [
         "run",
+        KILLED.split(":")[0],
         "--scale",
         str(SCALE),
         "--jobs",
-        "4",
+        "2",
         "--backend",
         "subprocess",
         "--cache-dir",
-        str(cache_dir),
+        tempfile.mkdtemp(prefix="distributed-cli-"),
         "--max-retries",
         "0",
     ]
-    with injected_faults({KILLED: FaultRule("kill")}, counter_dir=counter_dir):
+    stderr = io.StringIO()
+    with injected_faults(
+        {KILLED: FaultRule("kill")}, counter_dir=counter_dir
+    ), contextlib.redirect_stderr(stderr):
         code = main(argv)
+    print(stderr.getvalue(), end="")
     check(code == 3, f"CLI exits 3 on partial distributed sweep (got {code})")
+    check(
+        "[crashed] WorkerCrash" in stderr.getvalue(),
+        "the CLI failure is a crashed subprocess worker",
+    )
 
+    # A clean warm pass barely simulates: the coordinator cached the
+    # workers' results.
     warm = SweepRunner(
         options=SimOptions(scale=SCALE, seed=0),
         parallel=4,

@@ -19,6 +19,7 @@ from repro.analysis.happens import HappensBefore
 from repro.analysis.linter import (
     LintError,
     assert_lint_clean,
+    limited_copy_form,
     lint_benchmark,
     lint_pipeline,
     lint_pipeline_memoized,
@@ -52,6 +53,7 @@ __all__ = [
     "assert_lint_clean",
     "default_memo",
     "derive_flags",
+    "limited_copy_form",
     "lint_benchmark",
     "lint_pipeline",
     "lint_pipeline_memoized",

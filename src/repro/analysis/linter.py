@@ -4,8 +4,9 @@ The linter is pure analysis — it never mutates a pipeline and never
 simulates.  Three entry points cover the common shapes:
 
 * :func:`lint_pipeline` — one pipeline, optionally against its spec.
-* :func:`lint_benchmark` — one spec: copy form, limited-copy form, and the
-  Table II spec-consistency family.
+* :func:`lint_benchmark` — one spec: copy form, limited-copy form (as
+  :func:`limited_copy_form` builds it), and the Table II
+  spec-consistency family.
 * :func:`lint_registry` — every simulatable registered benchmark (the CI
   gate).
 
@@ -95,21 +96,27 @@ def lint_pipeline_memoized(
     )
 
 
+def limited_copy_form(pipeline: Pipeline) -> Pipeline:
+    """The limited-copy port of ``pipeline`` as every lint caller checks
+    it: :func:`remove_copies`, renamed ``"<name> [limited-copy]"`` so its
+    findings name the form and its lint-memo entry is shared."""
+    limited = remove_copies(pipeline)
+    return limited.with_stages(
+        limited.stages, name=f"{pipeline.name} [limited-copy]"
+    )
+
+
 def lint_benchmark(
     spec: BenchmarkSpec, *, opportunities: bool = False
 ) -> LintReport:
     """Lint a benchmark's copy and limited-copy forms plus its spec flags."""
     pipeline = spec.pipeline()
     report = lint_pipeline(pipeline, spec, opportunities=opportunities)
-    limited = remove_copies(pipeline)
-    limited_report = lint_pipeline(
-        limited.with_stages(
-            limited.stages, name=f"{pipeline.name} [limited-copy]"
-        ),
-        spec,
-        opportunities=opportunities,
+    report.merge(
+        lint_pipeline(
+            limited_copy_form(pipeline), spec, opportunities=opportunities
+        )
     )
-    report.merge(limited_report)
     return report
 
 

@@ -10,7 +10,7 @@ Commands::
     repro validate                    # Section V-A/V-B validations
     repro ablations                   # ablation studies
     repro cache [--clear]             # inspect the persistent result cache
-    repro serve [--port P --jobs N]   # async HTTP/JSON sweep service
+    repro serve [--port P --jobs N]   # HTTP/JSON sweep service
     repro lint [BENCHMARK...] [--fix] # static pipeline verification
     repro advise [BENCHMARK] [--static]  # rank optimization opportunities
     repro trace BENCHMARK             # run with the tracing layer attached
@@ -41,7 +41,7 @@ only the flags it reads: ``trace``, ``run-spec``, ``fig3`` and
 alone, and ``cache`` takes ``--cache-dir`` alone.
 
 ``repro serve`` turns the sweep runner into a long-running service
-(docs/SERVING.md): an asyncio HTTP/JSON API accepting simulation, sweep,
+(docs/SERVING.md): a threaded HTTP/JSON API accepting simulation, sweep,
 and advisor jobs — validated with the lint preflight, deduplicated by
 content hash against in-flight work, dispatched through the fault
 supervisor, and answered from the shared result cache when warm.
@@ -294,8 +294,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.serve import ServeApp, ServeConfig
 
     config = ServeConfig(
@@ -323,7 +321,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
 
     try:
-        asyncio.run(app.run_until_shutdown(on_ready=announce))
+        app.run_until_shutdown(on_ready=announce)
     except KeyboardInterrupt:
         print("repro serve: interrupted, shutting down", file=sys.stderr)
     return 0
@@ -333,38 +331,24 @@ def _lint_targets(args: argparse.Namespace):
     """The (pipeline, spec) pairs a lint invocation covers, in report
     order: copy form then renamed limited-copy form for each benchmark —
     the same shapes :func:`repro.analysis.lint_benchmark` lints."""
-    from repro.pipeline.transforms import remove_copies
+    from repro.analysis import limited_copy_form
     from repro.workloads.loader import pipeline_from_file
 
-    pairs = []
     if args.spec:
         pipeline = pipeline_from_file(args.spec)
-        limited = remove_copies(pipeline)
-        pairs.append((pipeline, None))
-        pairs.append((
-            limited.with_stages(
-                limited.stages, name=f"{pipeline.name} [limited-copy]"
-            ),
-            None,
-        ))
-        return pairs
+        return [(pipeline, None), (limited_copy_form(pipeline), None)]
     specs = (
         [get(name) for name in args.benchmark]
         if args.benchmark
         else [s for s in simulatable_specs()]
     )
+    pairs = []
     for spec in specs:
         if not spec.simulatable:
             continue
         pipeline = spec.pipeline()
-        limited = remove_copies(pipeline)
         pairs.append((pipeline, spec))
-        pairs.append((
-            limited.with_stages(
-                limited.stages, name=f"{pipeline.name} [limited-copy]"
-            ),
-            spec,
-        ))
+        pairs.append((limited_copy_form(pipeline), spec))
     return pairs
 
 
@@ -462,8 +446,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.sim.engine import simulate
     from repro.sim.observe import (
         InvariantMonitor,
+        JsonlSink,
         TraceRecorder,
-        event_to_dict,
         write_chrome_trace,
     )
     from repro.sim.timeline import render_trace_timeline
@@ -503,6 +487,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     recorder = TraceRecorder()
     sinks = [recorder]
+    if args.output and args.format == "jsonl":
+        sinks.append(JsonlSink(args.output))
     monitor = None
     if not args.no_check:
         monitor = InvariantMonitor(mode="record")
@@ -513,14 +499,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     label = f"{spec.full_name} [{args.system}]"
     if args.output:
-        if args.format == "jsonl":
-            import json as _json
-
-            with open(args.output, "w", encoding="utf-8") as handle:
-                for event in recorder.events:
-                    _json.dump(event_to_dict(event), handle, separators=(",", ":"))
-                    handle.write("\n")
-        else:
+        if args.format == "chrome":
             write_chrome_trace(
                 args.output,
                 recorder.events,
@@ -563,6 +542,19 @@ def cmd_advise(args: argparse.Namespace) -> int:
     if args.static:
         from repro.analysis.dataflow import render_static_table, static_advice
 
+        ignored = [
+            flag
+            for flag in _RUNNER_FLAGS
+            if getattr(args, flag[2:].replace("-", "_"))
+            != _FLAGS[flag].get("default", False)
+        ]
+        if ignored:
+            print(
+                f"repro advise: --static runs no sweep, so it takes none of "
+                f"{', '.join(ignored)}",
+                file=sys.stderr,
+            )
+            return 2
         if spec is not None:
             print(static_advice(spec).render())
         else:
@@ -848,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p = add(
         "serve",
         cmd_serve,
-        "run the async HTTP/JSON sweep service (docs/SERVING.md)",
+        "run the HTTP/JSON sweep service (docs/SERVING.md)",
         _SERVE_FLAGS,
     )
     serve_p.add_argument("--host", default="127.0.0.1")

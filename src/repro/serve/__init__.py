@@ -1,4 +1,4 @@
-"""Sweep-as-a-service: the async HTTP/JSON job API behind ``repro serve``.
+"""Sweep-as-a-service: the HTTP/JSON job API behind ``repro serve``.
 
 The package turns the sweep runner into a long-running service
 (docs/SERVING.md):
@@ -8,9 +8,10 @@ The package turns the sweep runner into a long-running service
 * :mod:`repro.serve.jobs` — the in-memory job store with content-hash
   single-flight dedup: identical in-flight submissions coalesce into one
   computation.
-* :mod:`repro.serve.app` — the asyncio HTTP server (stdlib only): submit,
-  poll, stream progress (SSE), cache stats, health, graceful shutdown.
-* :mod:`repro.serve.client` — an asyncio client plus the in-process
+* :mod:`repro.serve.app` — the threaded HTTP server (stdlib
+  :mod:`http.server`): submit, poll, stream progress (SSE), cache stats,
+  health, graceful shutdown.
+* :mod:`repro.serve.client` — a synchronous client plus the in-process
   :class:`~repro.serve.client.ServerThread` harness the tests use.
 """
 

@@ -1,8 +1,9 @@
-"""The asyncio HTTP/JSON server behind ``repro serve`` (docs/SERVING.md).
+"""The HTTP/JSON server behind ``repro serve`` (docs/SERVING.md).
 
-Stdlib only: requests are parsed straight off asyncio streams, responses
-are JSON with ``Connection: close`` (one request per connection), and
-progress streams are server-sent events over the same socket.
+Stdlib only: a :class:`http.server.ThreadingHTTPServer` answers each
+connection on its own daemon thread, responses are JSON with
+``Connection: close`` (one request per connection), and progress streams
+are server-sent events over the same socket.
 
 Endpoints::
 
@@ -17,7 +18,7 @@ Endpoints::
 
 Jobs are validated on submit (``repro lint`` preflight included),
 deduplicated by content hash against in-flight work, and executed on a
-bounded worker pool that runs each job as one
+bounded thread pool that runs each job as one
 :func:`repro.experiments.parallel.run_tasks` call — the fault
 supervisor, so a crashed pool worker surfaces as a structured per-run
 failure and a ``partial`` job status, never a hung request.  Warm
@@ -27,14 +28,15 @@ requests are answered from the shared content-addressed
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import json
+import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
 from repro.experiments.advisor import advise_pair
@@ -50,7 +52,7 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import BenchmarkRun
 from repro.sim.engine import ENGINE_VERSION, SimOptions
 from repro.sim.resultcache import ResultCache, default_cache_dir
-from repro.serve.jobs import DONE, FAILED, PARTIAL, Job, JobStore
+from repro.serve.jobs import DONE, FAILED, PARTIAL, QUEUED, Job, JobStore
 from repro.serve.schemas import (
     CACHE_SCHEMA,
     HEALTH_SCHEMA,
@@ -63,23 +65,19 @@ from repro.serve.schemas import (
 )
 from repro.workloads import registry
 
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    500: "Internal Server Error",
-}
-
 #: Default footprint scale for jobs that do not specify one: the same
 #: 1/32 the CLI harness uses (see repro.experiments.runner).
 DEFAULT_SERVE_SCALE = 1 / 32
 
 #: SSE keep-alive interval while a job produces no events.
 SSE_KEEPALIVE_S = 15.0
+
+#: Listen backlog: socketserver's default of 5 refuses a burst of clients.
+LISTEN_BACKLOG = 128
+
+#: How often the accept loop checks for shutdown; every stop waits out
+#: one poll, so it is short.
+POLL_INTERVAL_S = 0.05
 
 
 class _HttpError(Exception):
@@ -117,7 +115,7 @@ class ServeConfig:
 
 
 class ServeApp:
-    """One server instance: job store, runners, and the HTTP front-end."""
+    """One server instance: job store, job executor, and the HTTP front-end."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
@@ -138,12 +136,11 @@ class ServeApp:
             "warm_runs": 0,
             "failed_runs": 0,
         }
+        self._stats_lock = threading.Lock()
         self._started_monotonic = 0.0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._queue: Optional[asyncio.Queue] = None
-        self._workers: List[asyncio.Task] = []
+        self._server: Optional[_HttpServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._shutdown = asyncio.Event()
+        self._shutdown = threading.Event()
         self._stopped = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -151,26 +148,26 @@ class ServeApp:
     @property
     def port(self) -> int:
         """The bound port (differs from config when it asked for 0)."""
-        if self._server is None or not self._server.sockets:
+        if self._server is None:
             return self.config.port
-        return self._server.sockets[0].getsockname()[1]
+        return self._server.server_address[1]
 
-    async def start(self) -> None:
-        self._queue = asyncio.Queue()
+    def start(self) -> None:
+        """Bind the socket and answer requests on a daemon thread."""
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, self.config.concurrency),
             thread_name_prefix="repro-serve",
         )
-        self._workers = [
-            asyncio.create_task(self._worker_loop(), name=f"serve-worker-{i}")
-            for i in range(max(1, self.config.concurrency))
-        ]
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        self._server = _HttpServer(self)
         self._started_monotonic = time.monotonic()
+        threading.Thread(
+            target=self._server.serve_forever,
+            args=(POLL_INTERVAL_S,),
+            name="repro-serve-http",
+            daemon=True,
+        ).start()
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain running jobs, release
         every worker (no orphaned pool processes — run_tasks terminates
         its own pools, and the executor is joined)."""
@@ -178,57 +175,51 @@ class ServeApp:
             return
         self._stopped = True
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._queue is not None:
-            for _ in self._workers:
-                await self._queue.put(None)
-        if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
+            self._server.shutdown()
+            self._server.server_close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
 
-    async def run_until_shutdown(self, on_ready: Optional[Any] = None) -> None:
+    def run_until_shutdown(self, on_ready: Optional[Any] = None) -> None:
         """``repro serve`` main: start, block on shutdown, stop cleanly.
 
-        ``on_ready`` (a plain callable taking the app) fires once the
-        socket is bound — the CLI uses it to announce the real port.
+        ``on_ready`` (a callable taking the app) fires once the socket is
+        bound — the CLI uses it to announce the real port.
         """
-        await self.start()
-        if on_ready is not None:
-            on_ready(self)
+        self.start()
         try:
-            await self._shutdown.wait()
+            if on_ready is not None:
+                on_ready(self)
+            self._shutdown.wait()
         finally:
-            await self.stop()
+            self.stop()
 
     def request_shutdown(self) -> None:
         self._shutdown.set()
 
+    def _count(self, **deltas: int) -> None:
+        with self._stats_lock:
+            for name, delta in deltas.items():
+                self.stats[name] += delta
+
+    def _dedup(self) -> Dict[str, int]:
+        with self._stats_lock:
+            return dict(self.stats)
+
     # -- job execution -------------------------------------------------------
 
-    async def _worker_loop(self) -> None:
-        assert self._queue is not None
-        while True:
-            job_id = await self._queue.get()
-            if job_id is None:
-                self._queue.task_done()
-                return
-            job = self.store.get(job_id)
-            try:
-                if job is not None:
-                    await self._execute(job)
-            except Exception as exc:  # a bug, not a task failure: the PR 5
-                # supervisor already converts those into TaskFailures
-                if job is not None and not job.terminal:
-                    await self.store.finish(
-                        job, FAILED, error=f"{type(exc).__name__}: {exc}"
-                    )
-            finally:
-                self._queue.task_done()
+    def _run_job(self, job: Job) -> None:
+        try:
+            self._execute(job)
+        except Exception as exc:  # a bug, not a task failure: the fault
+            # supervisor already converts those into TaskFailures
+            if not job.terminal:
+                self.store.finish(
+                    job, FAILED, error=f"{type(exc).__name__}: {exc}"
+                )
 
-    async def _execute(self, job: Job) -> None:
-        await self.store.mark_running(job)
+    def _execute(self, job: Job) -> None:
+        self.store.mark_running(job)
         specs = [registry.get(name) for name in job.spec.benchmarks]
         tasks = [
             SweepTask(spec, version)
@@ -236,45 +227,36 @@ class ServeApp:
             for version in job.spec.versions
         ]
 
-        loop = asyncio.get_running_loop()
-
         def progress(metrics: SweepMetrics) -> None:
-            # Called on the executor thread running the sweep; waiting for
-            # the publish keeps every progress event ahead of ``finished``.
-            asyncio.run_coroutine_threadsafe(
-                job.publish(
-                    "progress",
-                    completed=metrics.launched + metrics.cache_hits + metrics.failed,
-                    total=metrics.total,
-                    launched=metrics.launched,
-                    cache_hits=metrics.cache_hits,
-                    failures=metrics.failed,
-                    retries=metrics.retries,
-                ),
-                loop,
-            ).result()
+            job.publish(
+                "progress",
+                completed=metrics.launched + metrics.cache_hits + metrics.failed,
+                total=metrics.total,
+                launched=metrics.launched,
+                cache_hits=metrics.cache_hits,
+                failures=metrics.failed,
+                retries=metrics.retries,
+            )
 
-        results, metrics = await loop.run_in_executor(
-            self._executor,
-            functools.partial(
-                run_tasks,
-                tasks,
-                discrete=self.discrete,
-                heterogeneous=self.heterogeneous,
-                options=SimOptions(scale=job.spec.scale, seed=job.spec.seed),
-                jobs=self.config.jobs,
-                cache=self.cache,
-                policy=FaultPolicy(
-                    max_retries=self.config.max_retries,
-                    task_timeout_s=self.config.task_timeout_s,
-                ),
-                backend=self.config.backend,
-                progress=progress,
+        results, metrics = run_tasks(
+            tasks,
+            discrete=self.discrete,
+            heterogeneous=self.heterogeneous,
+            options=SimOptions(scale=job.spec.scale, seed=job.spec.seed),
+            jobs=self.config.jobs,
+            cache=self.cache,
+            policy=FaultPolicy(
+                max_retries=self.config.max_retries,
+                task_timeout_s=self.config.task_timeout_s,
             ),
+            backend=self.config.backend,
+            progress=progress,
         )
-        self.stats["computed_runs"] += metrics.launched
-        self.stats["warm_runs"] += metrics.cache_hits
-        self.stats["failed_runs"] += metrics.failed
+        self._count(
+            computed_runs=metrics.launched,
+            warm_runs=metrics.cache_hits,
+            failed_runs=metrics.failed,
+        )
 
         runs: Dict[str, Dict[str, Any]] = {}
         for (name, version), result in sorted(results.items()):
@@ -315,12 +297,7 @@ class ServeApp:
             pair = BenchmarkRun(
                 registry.get(name), results[(name, COPY)], results[(name, LIMITED)]
             )
-            # Ranking classifies the limited-copy run's whole off-chip log
-            # (75 ms for lonestar/mst at scale 1/32), so not on the loop.
-            payload["advice"] = await loop.run_in_executor(
-                self._executor,
-                lambda: advise_pair(pair, self.heterogeneous).render(),
-            )
+            payload["advice"] = advise_pair(pair, self.heterogeneous).render()
 
         if failures and not results:
             status = FAILED
@@ -328,110 +305,11 @@ class ServeApp:
             status = PARTIAL  # the PR 5 partial-sweep contract, HTTP-shaped
         else:
             status = DONE
-        await self.store.finish(job, status, result=payload)
+        self.store.finish(job, status, result=payload)
 
     # -- HTTP front-end ------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, body = parsed
-            if method == "GET" and path.startswith("/v1/jobs/") and path.endswith(
-                "/events"
-            ):
-                job_id = path[len("/v1/jobs/") : -len("/events")]
-                await self._stream_events(writer, job_id)
-            else:
-                status, payload = await self._dispatch(method, path, body)
-                self._write_json(writer, status, payload)
-        except _HttpError as exc:
-            try:
-                self._write_json(writer, exc.status, exc.payload)
-            except (ConnectionError, OSError):
-                pass
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request
-        except Exception as exc:  # never leak a traceback to the socket
-            try:
-                self._write_json(
-                    writer,
-                    500,
-                    error_payload(
-                        "internal-error", f"{type(exc).__name__}: {exc}"
-                    ),
-                )
-            except (ConnectionError, OSError):
-                pass
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes]]:
-        try:
-            request_line = await reader.readline()
-        except (ConnectionError, OSError):
-            return None
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise _HttpError(
-                400, error_payload("bad-request", "malformed request line")
-            )
-        method, target = parts[0].upper(), parts[1]
-        path = target.split("?", 1)[0]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(
-                400, error_payload("bad-request", "bad Content-Length")
-            ) from None
-        if length > self.config.max_body_bytes:
-            raise _HttpError(
-                413,
-                error_payload(
-                    "body-too-large",
-                    f"body of {length} bytes exceeds the "
-                    f"{self.config.max_body_bytes}-byte limit",
-                ),
-            )
-        body = await reader.readexactly(length) if length else b""
-        return method, path, body
-
-    def _write_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-
-    async def _dispatch(
+    def _dispatch(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
         if path == "/health":
@@ -442,7 +320,7 @@ class ServeApp:
             return self._require(method, "GET", path), self._metrics()
         if path == "/v1/jobs":
             if method == "POST":
-                return await self._submit(body)
+                return self._submit(body)
             self._require(method, "GET", path)
             return 200, {
                 "jobs": [
@@ -482,7 +360,7 @@ class ServeApp:
             )
         return 200
 
-    async def _submit(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    def _submit(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
         try:
             parsed = json.loads(body.decode("utf-8")) if body else None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -498,61 +376,50 @@ class ServeApp:
         except JobValidationError as exc:
             raise _HttpError(exc.status, exc.payload()) from None
         job, coalesced = self.store.submit(spec)
-        self.stats["submitted"] += 1
         if coalesced:
-            self.stats["coalesced"] += 1
+            self._count(submitted=1, coalesced=1)
         else:
-            self.stats["jobs_created"] += 1
-            assert self._queue is not None
-            await self._queue.put(job.id)
+            self._count(submitted=1, jobs_created=1)
+            assert self._executor is not None
+            self._executor.submit(self._run_job, job)
         response = job.describe(include_result=False)
         response["coalesced"] = coalesced
         return (200 if coalesced else 202), response
 
-    async def _stream_events(
-        self, writer: asyncio.StreamWriter, job_id: str
-    ) -> None:
+    def _stream_events(self, handler: "_Handler", job_id: str) -> None:
         job = self.store.get(job_id)
         if job is None:
-            self._write_json(
-                writer,
-                404,
-                error_payload("unknown-job", f"no job {job_id!r}"),
+            raise _HttpError(
+                404, error_payload("unknown-job", f"no job {job_id!r}")
             )
-            return
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n"
-            b"\r\n"
-        )
-        await writer.drain()
+        handler.send_response(200)
+        handler.send_header("Content-Type", "text/event-stream")
+        handler.send_header("Cache-Control", "no-cache")
+        handler.send_header("Connection", "close")
+        handler.end_headers()
         seq = 0
         while True:
-            events, terminal = await job.wait_events(
-                seq, timeout=SSE_KEEPALIVE_S
+            events, terminal = job.wait_events(seq, timeout=SSE_KEEPALIVE_S)
+            frames = "".join(
+                f"data: {json.dumps(event, sort_keys=True)}\n\n"
+                for event in events
             )
-            for event in events:
-                data = json.dumps(event, sort_keys=True)
-                writer.write(f"data: {data}\n\n".encode("utf-8"))
+            handler.wfile.write((frames or ": keepalive\n\n").encode("utf-8"))
             seq += len(events)
-            if not events and not terminal:
-                writer.write(b": keepalive\n\n")
-            await writer.drain()
-            if terminal and seq >= len(job.events):
+            if terminal:  # ``finished`` is the last event, already sent
                 return
 
     # -- introspection payloads ----------------------------------------------
 
     def _health(self) -> Dict[str, Any]:
+        counts = self.store.counts()
         return {
             "schema": HEALTH_SCHEMA,
             "status": "ok",
             "engine_version": ENGINE_VERSION,
             "uptime_s": time.monotonic() - self._started_monotonic,
-            "jobs": self.store.counts(),
-            "queue_depth": self._queue.qsize() if self._queue else 0,
+            "jobs": counts,
+            "queue_depth": counts.get(QUEUED, 0),
             "workers": max(1, self.config.concurrency),
             "pool_jobs": resolve_jobs(self.config.jobs),
         }
@@ -561,7 +428,7 @@ class ServeApp:
         payload: Dict[str, Any] = {
             "schema": CACHE_SCHEMA,
             "enabled": self.cache is not None,
-            "dedup": dict(self.stats),
+            "dedup": self._dedup(),
         }
         if self.cache is not None:
             payload["directory"] = str(self.cache.root)
@@ -570,4 +437,97 @@ class ServeApp:
         return payload
 
     def _metrics(self) -> Dict[str, Any]:
-        return {"schema": METRICS_SCHEMA, "dedup": dict(self.stats)}
+        return {"schema": METRICS_SCHEMA, "dedup": self._dedup()}
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """The listening socket of one :class:`ServeApp`."""
+
+    request_queue_size = LISTEN_BACKLOG
+    # stop() drains jobs, not connections: an idle or streaming client
+    # must not hold up shutdown.
+    block_on_close = False
+
+    def __init__(self, app: ServeApp) -> None:
+        self.app = app
+        if ":" in app.config.host:  # an IPv6 address such as ::1
+            self.address_family = socket.AF_INET6
+        super().__init__((app.config.host, app.config.port), _Handler)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Hands every request, whatever its method, to the app's routes."""
+
+    protocol_version = "HTTP/1.1"
+    # A request line too malformed to name its version still gets a
+    # status line in its reply.
+    default_request_version = "HTTP/1.1"
+    server: _HttpServer
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("do_"):
+            return self._handle
+        raise AttributeError(name)
+
+    def _handle(self) -> None:
+        app = self.server.app
+        method, path = self.command.upper(), self.path.split("?", 1)[0]
+        try:
+            body = self._read_body(app.config.max_body_bytes)
+            if method == "GET" and path.startswith("/v1/jobs/") and path.endswith(
+                "/events"
+            ):
+                app._stream_events(self, path[len("/v1/jobs/") : -len("/events")])
+                return
+            status, payload = app._dispatch(method, path, body)
+        except _HttpError as exc:
+            status, payload = exc.status, exc.payload
+        except (ConnectionError, OSError):
+            return  # client went away mid-request
+        except Exception as exc:  # never leak a traceback to the socket
+            status, payload = 500, error_payload(
+                "internal-error", f"{type(exc).__name__}: {exc}"
+            )
+        try:
+            self.send_json(status, payload)
+        except (ConnectionError, OSError):
+            pass
+
+    def _read_body(self, limit: int) -> bytes:
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            raise _HttpError(
+                400, error_payload("bad-request", "bad Content-Length")
+            ) from None
+        if length > limit:
+            raise _HttpError(
+                413,
+                error_payload(
+                    "body-too-large",
+                    f"body of {length} bytes exceeds the {limit}-byte limit",
+                ),
+            )
+        return self.rfile.read(length) if length else b""
+
+    def send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """Malformed requests get the error body every other 4xx carries."""
+        self.send_json(
+            code, error_payload("bad-request", message or self.responses[code][0])
+        )
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass  # the service does not log its requests

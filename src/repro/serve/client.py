@@ -1,18 +1,18 @@
-"""Asyncio client for the serve API plus the in-process test harness.
+"""Client for the serve API plus the in-process test harness.
 
-:class:`ServeClient` speaks the server's minimal HTTP/1.1 dialect (one
-request per connection) straight over asyncio streams — no third-party
-HTTP stack, so the tests run anywhere the server does.
+:class:`ServeClient` is a synchronous client over :mod:`http.client`
+(one request per connection) — no third-party HTTP stack, so the tests
+run anywhere the server does.
 
-:class:`ServerThread` boots a :class:`~repro.serve.app.ServeApp` on its
-own event loop in a daemon thread (port 0 = pick a free port), which is
-how the tests get a real server — real sockets, real concurrency —
-without a subprocess.
+:class:`ServerThread` runs a :class:`~repro.serve.app.ServeApp` until
+shutdown in a daemon thread (port 0 = pick a free port), which is how the
+tests get a real server — real sockets, real concurrency — without a
+subprocess.
 """
 
 from __future__ import annotations
 
-import asyncio
+import http.client
 import json
 import threading
 import time
@@ -32,7 +32,7 @@ class ServeHttpError(RuntimeError):
 
 
 class ServeClient:
-    """Minimal asyncio client: one connection per request, JSON bodies."""
+    """Minimal client: one connection per request, JSON bodies."""
 
     def __init__(self, host: str, port: int, timeout_s: float = 60.0) -> None:
         self.host = host
@@ -41,152 +41,105 @@ class ServeClient:
 
     # -- raw request ---------------------------------------------------------
 
-    async def request(
+    def request(
         self, method: str, path: str, body: Optional[Any] = None
     ) -> Tuple[int, Any]:
         """One round-trip; returns ``(status, decoded JSON payload)``."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        connection = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout_s
+        )
         try:
-            payload = (
-                json.dumps(body).encode("utf-8") if body is not None else b""
+            connection.request(
+                method,
+                path,
+                body=json.dumps(body).encode("utf-8") if body is not None else None,
+                headers={"Content-Type": "application/json", "Connection": "close"},
             )
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: close\r\n"
-                f"\r\n"
-            ).encode("latin-1")
-            writer.write(head + payload)
-            await writer.drain()
-            status, _, body_bytes = await asyncio.wait_for(
-                _read_response(reader), self.timeout_s
-            )
-            decoded = json.loads(body_bytes) if body_bytes else None
-            return status, decoded
+            response = connection.getresponse()
+            data = response.read()
+            return response.status, json.loads(data) if data else None
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            connection.close()
 
-    async def _checked(
+    def _checked(
         self, method: str, path: str, body: Optional[Any] = None
     ) -> Any:
-        status, payload = await self.request(method, path, body)
+        status, payload = self.request(method, path, body)
         if status >= 400:
             raise ServeHttpError(status, payload)
         return payload
 
     # -- conveniences --------------------------------------------------------
 
-    async def health(self) -> Dict[str, Any]:
-        return await self._checked("GET", "/health")
+    def health(self) -> Dict[str, Any]:
+        return self._checked("GET", "/health")
 
-    async def cache_stats(self) -> Dict[str, Any]:
-        return await self._checked("GET", "/v1/cache")
+    def cache_stats(self) -> Dict[str, Any]:
+        return self._checked("GET", "/v1/cache")
 
-    async def metrics(self) -> Dict[str, Any]:
-        return await self._checked("GET", "/v1/metrics")
+    def metrics(self) -> Dict[str, Any]:
+        return self._checked("GET", "/v1/metrics")
 
-    async def submit(self, job: Dict[str, Any]) -> Dict[str, Any]:
-        return await self._checked("POST", "/v1/jobs", job)
+    def submit(self, job: Dict[str, Any]) -> Dict[str, Any]:
+        return self._checked("POST", "/v1/jobs", job)
 
-    async def job(self, job_id: str) -> Dict[str, Any]:
-        return await self._checked("GET", f"/v1/jobs/{job_id}")
+    def job(self, job_id: str) -> Dict[str, Any]:
+        return self._checked("GET", f"/v1/jobs/{job_id}")
 
-    async def shutdown(self) -> Dict[str, Any]:
-        return await self._checked("POST", "/v1/shutdown")
+    def shutdown(self) -> Dict[str, Any]:
+        return self._checked("POST", "/v1/shutdown")
 
-    async def wait_job(
+    def wait_job(
         self, job_id: str, timeout_s: float = 60.0, poll_s: float = 0.02
     ) -> Dict[str, Any]:
         """Poll a job until it reaches a terminal state; returns its body."""
         deadline = time.monotonic() + timeout_s
         while True:
-            body = await self.job(job_id)
+            body = self.job(job_id)
             if body["status"] in ("done", "partial", "failed"):
                 return body
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {body['status']} after {timeout_s}s"
                 )
-            await asyncio.sleep(poll_s)
+            time.sleep(poll_s)
 
-    async def run(
+    def run(
         self, job: Dict[str, Any], timeout_s: float = 60.0
     ) -> Dict[str, Any]:
         """Submit and wait for the job to reach a terminal state."""
-        accepted = await self.submit(job)
-        return await self.wait_job(accepted["id"], timeout_s=timeout_s)
+        accepted = self.submit(job)
+        return self.wait_job(accepted["id"], timeout_s=timeout_s)
 
-    async def events(
+    def events(
         self, job_id: str, timeout_s: float = 60.0
     ) -> List[Dict[str, Any]]:
-        """Consume the SSE stream of a job until the server closes it."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        """Consume the SSE stream of a job until the server closes it.
+
+        ``timeout_s`` bounds each wait for the next line of the stream.
+        """
+        connection = http.client.HTTPConnection(
+            self.host, self.port, timeout=timeout_s
+        )
         try:
-            head = (
-                f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Accept: text/event-stream\r\n"
-                f"Connection: close\r\n"
-                f"\r\n"
-            ).encode("latin-1")
-            writer.write(head)
-            await writer.drain()
-
-            async def _consume() -> List[Dict[str, Any]]:
-                status_line = await reader.readline()
-                status = int(status_line.split()[1])
-                while True:  # headers
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                if status >= 400:
-                    body = await reader.read()
-                    raise ServeHttpError(
-                        status, json.loads(body) if body else None
-                    )
-                events: List[Dict[str, Any]] = []
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        return events
-                    text = line.decode("utf-8").rstrip("\r\n")
-                    if text.startswith("data: "):
-                        events.append(json.loads(text[len("data: ") :]))
-
-            return await asyncio.wait_for(_consume(), timeout_s)
+            connection.request(
+                "GET",
+                f"/v1/jobs/{job_id}/events",
+                headers={"Accept": "text/event-stream", "Connection": "close"},
+            )
+            response = connection.getresponse()
+            if response.status >= 400:
+                data = response.read()
+                raise ServeHttpError(
+                    response.status, json.loads(data) if data else None
+                )
+            return [
+                json.loads(line[len(b"data: ") :])
+                for line in response
+                if line.startswith(b"data: ")
+            ]
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-
-async def _read_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str], bytes]:
-    status_line = await reader.readline()
-    if not status_line:
-        raise ConnectionError("server closed the connection before replying")
-    status = int(status_line.split()[1])
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    if "content-length" in headers:
-        body = await reader.readexactly(int(headers["content-length"]))
-    else:
-        body = await reader.read()
-    return status, headers, body
+            connection.close()
 
 
 class ServerThread:
@@ -195,7 +148,7 @@ class ServerThread:
     ::
 
         with ServerThread(ServeConfig(port=0, jobs=1)) as server:
-            report = asyncio.run(server.client().health())
+            report = server.client().health()
 
     ``stop()`` (or leaving the ``with`` block) performs the same graceful
     shutdown as ``POST /v1/shutdown``: running jobs drain, the executor
@@ -208,7 +161,6 @@ class ServerThread:
         self.app = ServeApp(config or ServeConfig(port=0))
         self._startup_timeout_s = startup_timeout_s
         self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready = threading.Event()
         self._error: Optional[BaseException] = None
         self.host = self.app.config.host
@@ -232,28 +184,22 @@ class ServerThread:
             raise RuntimeError(f"server failed to start: {self._error!r}")
 
     def _run(self) -> None:
-        async def main() -> None:
-            try:
-                await self.app.start()
-            except BaseException as exc:
-                self._error = exc
-                self._ready.set()
-                return
-            self._loop = asyncio.get_running_loop()
-            self.port = self.app.port
+        try:
+            self.app.run_until_shutdown(on_ready=self._on_ready)
+        except Exception as exc:
+            if self._ready.is_set():
+                raise
+            self._error = exc  # reported by start(), e.g. a failed bind
             self._ready.set()
-            try:
-                await self.app._shutdown.wait()
-            finally:
-                await self.app.stop()
 
-        asyncio.run(main())
+    def _on_ready(self, app: ServeApp) -> None:
+        self.port = app.port
+        self._ready.set()
 
     def stop(self, join_timeout_s: float = 30.0) -> None:
         if self._thread is None:
             return
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.app.request_shutdown)
+        self.app.request_shutdown()
         self._thread.join(join_timeout_s)
         if self._thread.is_alive():
             raise RuntimeError("server thread did not shut down in time")

@@ -9,22 +9,18 @@ submission creates a fresh job, which the content-addressed
 :class:`~repro.sim.resultcache.ResultCache` then answers warm without
 re-simulating.
 
-All mutation happens on the server's event loop thread, so the store
-needs no locking; progress consumers (status polls, SSE streams) wait on
-a per-job *rotating* :class:`asyncio.Event`: ``publish`` swaps in a fresh
-event and sets the old one, waking every waiter of the previous epoch.
-An earlier design used :class:`asyncio.Condition`, but before Python 3.12
-``Condition.wait`` could be cancelled *while reacquiring its lock*
-(cpython gh-90467), losing the cancellation or corrupting the lock state
-— and every SSE disconnect cancels a waiter, so the hazard was routine
-here.  Plain events have no lock to reacquire, so cancellation is safe on
-every interpreter this project supports.
+Request threads submit and read while executor threads run jobs, so the
+store guards its index with one lock, and each job guards its status and
+events with its own :class:`threading.Condition`, on which progress
+consumers (SSE streams) wait.  ``finish`` holds both while it sets a
+job's terminal status, appends its ``finished`` event and releases its
+hash, so no reader sees one of the three without the others.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -58,91 +54,63 @@ class Job:
     #: Terminal payload: per-run results plus structured failures.
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
-    #: Live waiters (SSE streams, wait=1 polls) — a nonzero count shields
-    #: the job from store eviction so their terminal replay cannot 404.
+    #: Live waiters (SSE streams) — a nonzero count shields the job from
+    #: store eviction so their terminal replay cannot 404.
     waiters: int = 0
-    #: Current-epoch change signal; see the module docstring.
-    _changed: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
+    #: Held while the status, timestamps, events, result or waiters
+    #: change; notified on every published event.
+    changed: threading.Condition = field(
+        default_factory=threading.Condition, repr=False, compare=False
+    )
 
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
 
     def describe(self, *, include_result: bool = True) -> Dict[str, Any]:
-        body: Dict[str, Any] = {
-            "schema": JOB_SCHEMA,
-            "id": self.id,
-            "content_hash": self.content_hash,
-            "status": self.status,
-            "submissions": self.submissions,
-            "job": self.spec.describe(),
-            "runs": self.spec.runs,
-            "events": len(self.events),
-            "created_unix": self.created_s,
-        }
-        if self.started_s is not None:
-            body["started_unix"] = self.started_s
-        if self.finished_s is not None:
-            body["finished_unix"] = self.finished_s
-            body["wall_s"] = self.finished_s - (self.started_s or self.created_s)
-        if self.error is not None:
-            body["error"] = self.error
-        if include_result and self.result is not None:
-            body["result"] = self.result
-        return body
+        with self.changed:
+            body: Dict[str, Any] = {
+                "schema": JOB_SCHEMA,
+                "id": self.id,
+                "content_hash": self.content_hash,
+                "status": self.status,
+                "submissions": self.submissions,
+                "job": self.spec.describe(),
+                "runs": self.spec.runs,
+                "events": len(self.events),
+                "created_unix": self.created_s,
+            }
+            if self.started_s is not None:
+                body["started_unix"] = self.started_s
+            if self.finished_s is not None:
+                body["finished_unix"] = self.finished_s
+                body["wall_s"] = self.finished_s - (self.started_s or self.created_s)
+            if self.error is not None:
+                body["error"] = self.error
+            if include_result and self.result is not None:
+                body["result"] = self.result
+            return body
 
-    async def publish(self, event: str, **data: Any) -> None:
+    def publish(self, event: str, **data: Any) -> None:
         """Append one progress event and wake every waiter."""
-        payload = {"seq": len(self.events), "event": event, **data}
-        self.events.append(payload)
-        # Rotate: waiters of the old epoch wake and re-check their
-        # predicate; new waiters park on the fresh event.
-        stale, self._changed = self._changed, asyncio.Event()
-        stale.set()
+        with self.changed:
+            self.events.append({"seq": len(self.events), "event": event, **data})
+            self.changed.notify_all()
 
-    async def _wait_until(self, predicate, timeout: Optional[float]) -> None:
-        """Park until ``predicate()`` holds or ``timeout`` elapses.
-
-        Cancellation-safe on every supported Python: there is no lock to
-        reacquire, so a cancel during the wait just propagates.  The
-        epoch event is captured *before* re-checking the predicate and
-        nothing awaits in between, so a publish can never slip through
-        the gap (all mutation happens on this event loop thread).
-        """
-        deadline = (
-            None if timeout is None else asyncio.get_event_loop().time() + timeout
-        )
-        self.waiters += 1
-        try:
-            while not predicate():
-                changed = self._changed
-                if deadline is None:
-                    await changed.wait()
-                    continue
-                remaining = deadline - asyncio.get_event_loop().time()
-                if remaining <= 0:
-                    return
-                try:
-                    await asyncio.wait_for(changed.wait(), remaining)
-                except asyncio.TimeoutError:
-                    return
-        finally:
-            self.waiters -= 1
-
-    async def wait_events(
+    def wait_events(
         self, after_seq: int, timeout: Optional[float] = None
     ) -> Tuple[List[Dict[str, Any]], bool]:
-        """Events past ``after_seq``; blocks until there are any or the job
-        is terminal.  Returns ``(events, terminal)``."""
-        await self._wait_until(
-            lambda: len(self.events) > after_seq or self.terminal, timeout
-        )
-        return list(self.events[after_seq:]), self.terminal
-
-    async def wait_terminal(self, timeout: Optional[float] = None) -> bool:
-        """Block until the job reaches a terminal state; True on success."""
-        await self._wait_until(lambda: self.terminal, timeout)
-        return self.terminal
+        """Events past ``after_seq``; blocks until there are any, the job
+        is terminal, or ``timeout`` elapses.  Returns ``(events, terminal)``."""
+        with self.changed:
+            self.waiters += 1
+            try:
+                self.changed.wait_for(
+                    lambda: len(self.events) > after_seq or self.terminal, timeout
+                )
+            finally:
+                self.waiters -= 1
+            return list(self.events[after_seq:]), self.terminal
 
 
 class JobStore:
@@ -151,6 +119,7 @@ class JobStore:
     def __init__(
         self, max_jobs: int = 10_000, evict_grace_s: float = 60.0
     ) -> None:
+        self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, str] = {}  # content hash -> job id
         self._ids = itertools.count(1)
@@ -161,7 +130,8 @@ class JobStore:
         self._evict_grace_s = evict_grace_s
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        with self._lock:
+            return len(self._jobs)
 
     def submit(self, spec: JobSpec) -> Tuple[Job, bool]:
         """Register a submission; returns ``(job, coalesced)``.
@@ -170,42 +140,43 @@ class JobStore:
         hash absorbed this submission instead of creating a new job.
         """
         content_hash = spec.content_hash()
-        existing_id = self._inflight.get(content_hash)
-        if existing_id is not None:
-            job = self._jobs[existing_id]
-            if not job.terminal:
+        with self._lock:
+            existing_id = self._inflight.get(content_hash)
+            if existing_id is not None:
+                job = self._jobs[existing_id]
                 job.submissions += 1
                 return job, True
-            # Stale index entry (finish() should have dropped it).
-            self._inflight.pop(content_hash, None)
-        job = Job(
-            id=f"job-{next(self._ids):06d}",
-            spec=spec,
-            content_hash=content_hash,
-        )
-        self._jobs[job.id] = job
-        self._inflight[content_hash] = job.id
-        self._evict_finished()
-        return job, False
+            job = Job(
+                id=f"job-{next(self._ids):06d}",
+                spec=spec,
+                content_hash=content_hash,
+            )
+            self._jobs[job.id] = job
+            self._inflight[content_hash] = job.id
+            self._evict_finished()
+            return job, False
 
     def get(self, job_id: str) -> Optional[Job]:
-        return self._jobs.get(job_id)
+        with self._lock:
+            return self._jobs.get(job_id)
 
     def jobs(self) -> List[Job]:
-        return list(self._jobs.values())
+        with self._lock:
+            return list(self._jobs.values())
 
     def counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for job in self._jobs.values():
+        for job in self.jobs():
             counts[job.status] = counts.get(job.status, 0) + 1
         return counts
 
-    async def mark_running(self, job: Job) -> None:
-        job.status = RUNNING
-        job.started_s = time.time()
-        await job.publish("started")
+    def mark_running(self, job: Job) -> None:
+        with job.changed:
+            job.status = RUNNING
+            job.started_s = time.time()
+            job.publish("started")
 
-    async def finish(
+    def finish(
         self,
         job: Job,
         status: str,
@@ -215,13 +186,14 @@ class JobStore:
         """Move a job to a terminal state and release its dedup slot."""
         if status not in TERMINAL_STATES:
             raise ValueError(f"not a terminal state: {status!r}")
-        job.result = result
-        job.error = error
-        job.finished_s = time.time()
-        job.status = status
-        if self._inflight.get(job.content_hash) == job.id:
-            del self._inflight[job.content_hash]
-        await job.publish("finished", status=status)
+        with self._lock, job.changed:
+            job.result = result
+            job.error = error
+            job.finished_s = time.time()
+            job.status = status
+            job.publish("finished", status=status)
+            if self._inflight.get(job.content_hash) == job.id:
+                del self._inflight[job.content_hash]
 
     def _evict_finished(self) -> None:
         """Drop the oldest terminal jobs once the store exceeds its cap.
@@ -231,7 +203,7 @@ class JobStore:
         shields keep eviction from racing live readers into a 404:
 
         * jobs with registered ``waiters`` (an SSE stream about to replay
-          the terminal event, a ``wait=1`` poll) are skipped, and
+          the terminal event) are skipped, and
         * jobs inside the ``evict_grace_s`` window after finishing are
           skipped, covering the client that saw "finished" and is about
           to GET the result.

@@ -37,8 +37,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis import Severity, lint_pipeline_memoized
-from repro.pipeline.transforms import remove_copies
+from repro.analysis import Severity, limited_copy_form, lint_pipeline_memoized
 from repro.sim.engine import ENGINE_VERSION
 from repro.workloads import registry
 
@@ -215,12 +214,11 @@ def _lint_preflight(spec_names: Tuple[str, ...], versions: Tuple[str, ...]) -> N
         spec = registry.get(name)
         pipeline = spec.pipeline()
         for version in versions:
-            shaped = pipeline
-            if version == VERSION_LIMITED:
-                limited = remove_copies(pipeline)
-                shaped = limited.with_stages(
-                    limited.stages, name=f"{pipeline.name} [limited-copy]"
-                )
+            shaped = (
+                limited_copy_form(pipeline)
+                if version == VERSION_LIMITED
+                else pipeline
+            )
             report = lint_pipeline_memoized(shaped, spec)
             for diag in report.at_least(Severity.ERROR):
                 findings.append(

@@ -405,6 +405,43 @@ class TestAdviseStatic:
         assert main(["advise", "nosuch/bench", "--static"]) == 2
         assert "nosuch/bench" in capsys.readouterr().err
 
+    def test_exit_2_on_runner_flags_it_ignores(self, capsys):
+        argv = ["advise", "rodinia/kmeans", "--static", "--jobs", "7"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "--backend" not in err
+        assert main([*argv, "--no-cache", "--backend", "subprocess"]) == 2
+        assert "--jobs, --no-cache, --backend" in capsys.readouterr().err
+
+
+class TestTrace:
+    def test_jsonl_output_is_the_recorded_event_stream(self, tmp_path):
+        import json
+
+        from repro.config.system import discrete_gpu_system
+        from repro.sim.engine import SimOptions, simulate
+        from repro.sim.observe import TraceRecorder, event_to_dict
+        from repro.workloads.registry import get
+
+        target = tmp_path / "trace.jsonl"
+        assert main(
+            ["trace", "rodinia/kmeans", "--scale", TINY, "-o", str(target),
+             "--format", "jsonl"]
+        ) == 0
+        recorder = TraceRecorder()
+        simulate(
+            get("rodinia/kmeans").pipeline(),
+            discrete_gpu_system(),
+            SimOptions(scale=float(TINY)),
+            sinks=[recorder],
+        )
+        expected = "".join(
+            json.dumps(event_to_dict(event), separators=(",", ":")) + "\n"
+            for event in recorder.events
+        )
+        assert recorder.events
+        assert target.read_bytes() == expected.encode("utf-8")
+
 
 class TestExport:
     def test_export_to_file(self, capsys, tmp_path):

@@ -2,15 +2,16 @@
 
 Each test boots a :class:`~repro.serve.client.ServerThread` (ephemeral
 port, throwaway cache directory, serial in-parent sweeps unless the test
-needs a pool) and drives it with the asyncio :class:`ServeClient`.
+needs a pool) and drives it with the :class:`ServeClient`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import multiprocessing
 import random
+import socket
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -43,14 +44,10 @@ def _sweep(benchmarks=(KMEANS,), **overrides):
     return body
 
 
-def _run(coro):
-    return asyncio.run(coro)
-
-
 class TestLifecycleAndHealth:
     def test_health(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
-            health = _run(server.client().health())
+            health = server.client().health()
         assert health["schema"] == "repro.serve.health/v1"
         assert health["status"] == "ok"
         assert health["workers"] == 2
@@ -62,10 +59,19 @@ class TestLifecycleAndHealth:
         with ServerThread(_config(tmp_path)) as server:
             assert server.port not in (None, 0)
 
+    def test_ipv6_host_is_served(self, tmp_path):
+        try:
+            with socket.socket(socket.AF_INET6) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        with ServerThread(_config(tmp_path, host="::1")) as server:
+            assert server.client().health()["status"] == "ok"
+
     def test_http_shutdown_stops_the_server(self, tmp_path):
         server = ServerThread(_config(tmp_path))
         server.start()
-        reply = _run(server.client().shutdown())
+        reply = server.client().shutdown()
         assert reply == {"status": "shutting-down"}
         server._thread.join(10.0)
         assert not server._thread.is_alive()
@@ -76,7 +82,7 @@ class TestLifecycleAndHealth:
         leave orphaned pool processes behind."""
         with ServerThread(_config(tmp_path, jobs=2)) as server:
             client = server.client()
-            final = _run(client.run(_sweep((KMEANS, BFS)), timeout_s=120))
+            final = client.run(_sweep((KMEANS, BFS)), timeout_s=120)
             assert final["status"] == "done"
         for _ in range(50):  # reaping is asynchronous on some platforms
             children = multiprocessing.active_children()
@@ -91,19 +97,14 @@ class TestJobs:
     def test_submit_status_result(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
-
-            async def scenario():
-                accepted = await client.submit(_sweep())
-                assert accepted["schema"] == "repro.serve.job/v3"
-                assert accepted["status"] in ("queued", "running")
-                assert accepted["coalesced"] is False
-                assert accepted["runs"] == 2
-                assert "result" not in accepted
-                final = await client.wait_job(accepted["id"], timeout_s=60)
-                listing = await client._checked("GET", "/v1/jobs")
-                return accepted, final, listing
-
-            accepted, final, listing = _run(scenario())
+            accepted = client.submit(_sweep())
+            assert accepted["schema"] == "repro.serve.job/v3"
+            assert accepted["status"] in ("queued", "running")
+            assert accepted["coalesced"] is False
+            assert accepted["runs"] == 2
+            assert "result" not in accepted
+            final = client.wait_job(accepted["id"], timeout_s=60)
+            listing = client._checked("GET", "/v1/jobs")
         assert final["status"] == "done"
         assert final["content_hash"] == accepted["content_hash"]
         assert final["wall_s"] >= 0
@@ -124,7 +125,7 @@ class TestJobs:
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
             body = {"kind": "simulate", "benchmark": KMEANS, "version": "copy"}
-            final = _run(client.run(body, timeout_s=60))
+            final = client.run(body, timeout_s=60)
         assert final["status"] == "done"
         (run,) = final["result"]["runs"].values()
         assert "summary" in run and run["summary"]
@@ -133,7 +134,7 @@ class TestJobs:
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
             body = {"kind": "advise", "benchmark": KMEANS, "scale": SCALE}
-            final = _run(client.run(body, timeout_s=120))
+            final = client.run(body, timeout_s=120)
         assert final["status"] == "done"
         assert len(final["result"]["runs"]) == 2
         advice = final["result"]["advice"]
@@ -155,7 +156,7 @@ class TestJobs:
         monkeypatch.setattr(parallel, "simulate", counted)
         with ServerThread(_config(tmp_path, no_cache=True)) as server:
             body = {"kind": "advise", "benchmark": KMEANS, "scale": SCALE}
-            final = _run(server.client().run(body, timeout_s=120))
+            final = server.client().run(body, timeout_s=120)
         assert final["status"] == "done"
         assert len(calls) == 2
         monkeypatch.undo()
@@ -166,7 +167,7 @@ class TestJobs:
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
             body = {"kind": "sweep", "benchmarks": [KMEANS]}  # no scale
-            accepted = _run(client.submit(body))
+            accepted = client.submit(body)
         assert accepted["job"]["scale"] == SCALE
 
 
@@ -174,14 +175,9 @@ class TestDedupAndCache:
     def test_warm_repeat_answers_from_cache(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
-
-            async def scenario():
-                cold = await client.run(_sweep(), timeout_s=60)
-                warm = await client.run(_sweep(), timeout_s=60)
-                stats = await client.cache_stats()
-                return cold, warm, stats
-
-            cold, warm, stats = _run(scenario())
+            cold = client.run(_sweep(), timeout_s=60)
+            warm = client.run(_sweep(), timeout_s=60)
+            stats = client.cache_stats()
         assert cold["id"] != warm["id"]  # terminal hash released, new job
         assert cold["result"]["metrics"]["launched"] == 2
         assert warm["result"]["metrics"]["launched"] == 0
@@ -200,20 +196,16 @@ class TestDedupAndCache:
         config = _config(tmp_path, concurrency=1)
         with ServerThread(config) as server:
             client = server.client()
-
-            async def scenario():
-                blocker = await client.submit(_sweep((BFS,), seed=99))
-                replies = await asyncio.gather(
-                    *(client.submit(_sweep()) for _ in range(duplicates))
+            blocker = client.submit(_sweep((BFS,), seed=99))
+            with ThreadPoolExecutor(max_workers=duplicates) as pool:
+                replies = list(
+                    pool.map(lambda _: client.submit(_sweep()), range(duplicates))
                 )
-                ids = {reply["id"] for reply in replies}
-                final = await client.wait_job(ids.pop(), timeout_s=120)
-                assert not ids, "duplicates created more than one job"
-                await client.wait_job(blocker["id"], timeout_s=120)
-                stats = await client.cache_stats()
-                return replies, final, stats
-
-            replies, final, stats = _run(scenario())
+            ids = {reply["id"] for reply in replies}
+            final = client.wait_job(ids.pop(), timeout_s=120)
+            assert not ids, "duplicates created more than one job"
+            client.wait_job(blocker["id"], timeout_s=120)
+            stats = client.cache_stats()
         coalesced = [reply["coalesced"] for reply in replies]
         assert coalesced.count(False) == 1
         assert coalesced.count(True) == duplicates - 1
@@ -240,22 +232,14 @@ class TestDedupAndCache:
         with ServerThread(_config(tmp_path, concurrency=4)) as server:
             client = server.client()
 
-            async def scenario():
-                gate = asyncio.Semaphore(32)
+            def run(body):
+                return client.run(body, timeout_s=300)
 
-                async def run(body):
-                    async with gate:
-                        return await client.run(body, timeout_s=300)
-
-                cold = await asyncio.gather(*map(run, storm))
-                after_storm = (await client.cache_stats())["dedup"]
-                warm = await asyncio.gather(
-                    *(run(_sweep(seed=0)) for _ in range(warm_repeats))
-                )
-                after_warm = (await client.cache_stats())["dedup"]
-                return cold, warm, after_storm, after_warm
-
-            cold, warm, after_storm, after_warm = _run(scenario())
+            with ThreadPoolExecutor(max_workers=32) as pool:
+                cold = list(pool.map(run, storm))
+                after_storm = client.cache_stats()["dedup"]
+                warm = list(pool.map(run, [_sweep(seed=0)] * warm_repeats))
+                after_warm = client.cache_stats()["dedup"]
         assert {final["status"] for final in cold + warm} == {"done"}
         assert after_storm["submitted"] == distinct + duplicates
         # Two versions per job: one computation per content hash.
@@ -269,12 +253,8 @@ class TestEvents:
     def test_sse_stream_reaches_terminal(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
-
-            async def scenario():
-                accepted = await client.submit(_sweep((KMEANS, BFS)))
-                return await client.events(accepted["id"], timeout_s=60)
-
-            events = _run(scenario())
+            accepted = client.submit(_sweep((KMEANS, BFS)))
+            events = client.events(accepted["id"], timeout_s=60)
         kinds = [event["event"] for event in events]
         assert kinds[0] == "started"
         assert kinds[-1] == "finished"
@@ -291,18 +271,12 @@ class TestEvents:
         body = _sweep((KMEANS, BFS, SPMV))
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
-
-            async def scenario():
-                histories = []
-                for _ in range(2):
-                    final = await client.run(body, timeout_s=120)
-                    assert final["status"] == "done"
-                    histories.append(
-                        await client.events(final["id"], timeout_s=10)
-                    )
-                return histories
-
-            cold, warm = _run(scenario())
+            histories = []
+            for _ in range(2):
+                final = client.run(body, timeout_s=120)
+                assert final["status"] == "done"
+                histories.append(client.events(final["id"], timeout_s=10))
+            cold, warm = histories
         for events in (cold, warm):
             assert [event["seq"] for event in events] == list(range(len(events)))
         assert [event["event"] for event in cold] == (
@@ -322,12 +296,8 @@ class TestEvents:
     def test_sse_after_terminal_replays_history(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
-
-            async def scenario():
-                final = await client.run(_sweep(), timeout_s=60)
-                return final, await client.events(final["id"], timeout_s=10)
-
-            final, events = _run(scenario())
+            final = client.run(_sweep(), timeout_s=60)
+            events = client.events(final["id"], timeout_s=10)
         assert final["events"] == len(events)
         assert events[-1]["event"] == "finished"
 
@@ -335,7 +305,7 @@ class TestEvents:
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
             with pytest.raises(ServeHttpError) as excinfo:
-                _run(client.events("job-999999", timeout_s=10))
+                client.events("job-999999", timeout_s=10)
         assert excinfo.value.status == 404
         assert excinfo.value.payload["code"] == "unknown-job"
 
@@ -344,13 +314,9 @@ class TestMetricsEndpoint:
     def test_v3_payload_is_schema_and_dedup_only(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
-
-            async def scenario():
-                await client.run(_sweep(), timeout_s=60)
-                await client.health()
-                return await client.metrics()
-
-            metrics = _run(scenario())
+            client.run(_sweep(), timeout_s=60)
+            client.health()
+            metrics = client.metrics()
         assert sorted(metrics) == ["dedup", "schema"]
         assert metrics["schema"] == "repro.serve.metrics/v3"
         assert sorted(metrics["dedup"]) == [
@@ -369,32 +335,20 @@ class TestHttpErrors:
 
     @staticmethod
     def _status_and_payload(server, method, path, body=None):
-        async def scenario():
-            return await server.client().request(method, path, body)
-
-        return _run(scenario())
+        return server.client().request(method, path, body)
 
     def test_bad_json_golden(self, tmp_path, golden_json):
         with ServerThread(_config(tmp_path)) as server:
             client = server.client()
-
-            async def scenario():
-                reader, writer = await asyncio.open_connection(
-                    client.host, client.port
-                )
-                raw = b"{not json"
-                writer.write(
+            raw = b"{not json"
+            with socket.create_connection((client.host, client.port)) as sock:
+                sock.sendall(
                     b"POST /v1/jobs HTTP/1.1\r\n"
                     b"Content-Type: application/json\r\n"
                     + f"Content-Length: {len(raw)}\r\n\r\n".encode()
                     + raw
                 )
-                await writer.drain()
-                data = await reader.read()
-                writer.close()
-                return data
-
-            data = _run(scenario())
+                data = b"".join(iter(lambda: sock.recv(65536), b""))
         head, _, body = data.partition(b"\r\n\r\n")
         status = int(head.split()[1])
         golden_json("serve/bad_json", {"status": status, **json.loads(body)})
@@ -459,12 +413,8 @@ class TestHttpErrors:
         config = _config(tmp_path, no_cache=True)
         with ServerThread(config) as server:
             client = server.client()
-
-            async def scenario():
-                final = await client.run(_sweep(), timeout_s=60)
-                return final, await client.cache_stats()
-
-            final, stats = _run(scenario())
+            final = client.run(_sweep(), timeout_s=60)
+            stats = client.cache_stats()
         assert final["status"] == "done"
         assert stats["enabled"] is False
         assert "entries" not in stats

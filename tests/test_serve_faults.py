@@ -10,8 +10,6 @@ HTTP, and the server itself must keep serving.  Never a hang, never a
 
 from __future__ import annotations
 
-import asyncio
-
 from repro.experiments.parallel import FATE_CRASHED, FATE_IN_PARENT
 from repro.serve import ServeConfig, ServerThread
 from repro.testing.faults import FaultRule, injected_faults
@@ -36,7 +34,7 @@ def _sweep(*benchmarks):
 
 def _run_job(server, body, timeout_s=120.0):
     client = server.client(timeout_s=timeout_s)
-    return asyncio.run(client.run(body, timeout_s=timeout_s))
+    return client.run(body, timeout_s=timeout_s)
 
 
 def test_raised_fault_yields_partial_with_structured_failure(tmp_path):
@@ -128,7 +126,7 @@ def test_server_keeps_serving_after_faulted_job(tmp_path):
         with injected_faults({f"{KMEANS}:copy": FaultRule("raise")}):
             faulted = _run_job(server, _sweep(KMEANS))
         clean = _run_job(server, _sweep(KMEANS, BFS))
-        health = asyncio.run(server.client().health())
+        health = server.client().health()
     assert faulted["status"] == "partial"
     assert clean["status"] == "done"
     assert len(clean["result"]["runs"]) == 4
@@ -139,6 +137,6 @@ def test_failed_runs_counted_in_dedup_stats(tmp_path):
     with ServerThread(_config(tmp_path)) as server:
         with injected_faults({f"{KMEANS}:copy": FaultRule("raise")}):
             _run_job(server, _sweep(KMEANS))
-        stats = asyncio.run(server.client().cache_stats())
+        stats = server.client().cache_stats()
     assert stats["dedup"]["failed_runs"] == 1
     assert stats["dedup"]["computed_runs"] == 1  # the surviving run

@@ -1,22 +1,17 @@
 """Job store eviction safety and waiter wakeup semantics.
 
-Two serve-layer bugfixes pinned here:
-
-* Eviction could drop a terminal job an SSE client was about to replay
-  (its GET then 404ed).  Now jobs with live waiters — and jobs inside a
-  grace window after finishing — are never evicted.
-* ``Job`` waiters used ``asyncio.Condition``; before Python 3.12 a
-  cancellation during ``Condition.wait``'s lock reacquisition could be
-  lost or corrupt the lock (cpython gh-90467), and every SSE disconnect
-  cancels a waiter.  The rotating-:class:`asyncio.Event` replacement has
-  no lock, so cancellation always propagates cleanly.
+Eviction could drop a terminal job an SSE client was about to replay (its
+GET then 404ed).  Now jobs with live waiters — and jobs inside a grace
+window after finishing — are never evicted.  Waiters park on the job's
+:class:`threading.Condition`, so these cases run them on threads.
 """
 
 from __future__ import annotations
 
-import asyncio
-
-import pytest
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.serve.jobs import DONE, QUEUED, RUNNING, Job, JobStore
 from repro.serve.schemas import JobSpec
@@ -32,162 +27,137 @@ def _spec(seed: int = 0) -> JobSpec:
     )
 
 
-def _run(coro):
-    return asyncio.run(coro)
+def _await_waiters(job: Job, count: int, timeout_s: float = 5.0) -> None:
+    """Block until ``count`` threads are parked on ``job``."""
+    deadline = time.monotonic() + timeout_s
+    while job.waiters != count:
+        assert time.monotonic() < deadline, f"{job.waiters} waiters, not {count}"
+        time.sleep(0.001)
 
 
 class TestEvictionSafety:
     def test_grace_window_shields_fresh_terminal_jobs(self):
-        async def scenario():
-            store = JobStore(max_jobs=1, evict_grace_s=60.0)
-            first, _ = store.submit(_spec(seed=1))
-            await store.finish(first, DONE, result={})
-            store.submit(_spec(seed=2))
-            return store.get(first.id)
-
-        assert _run(scenario()) is not None
+        store = JobStore(max_jobs=1, evict_grace_s=60.0)
+        first, _ = store.submit(_spec(seed=1))
+        store.finish(first, DONE, result={})
+        store.submit(_spec(seed=2))
+        assert store.get(first.id) is not None
 
     def test_old_terminal_jobs_are_evicted_after_grace(self):
-        async def scenario():
-            store = JobStore(max_jobs=1, evict_grace_s=0.0)
-            first, _ = store.submit(_spec(seed=1))
-            await store.finish(first, DONE, result={})
-            store.submit(_spec(seed=2))
-            return store.get(first.id)
-
-        assert _run(scenario()) is None
+        store = JobStore(max_jobs=1, evict_grace_s=0.0)
+        first, _ = store.submit(_spec(seed=1))
+        store.finish(first, DONE, result={})
+        store.submit(_spec(seed=2))
+        assert store.get(first.id) is None
 
     def test_live_waiter_shields_a_finishing_job(self):
         """The 404 race: an SSE stream is parked on a running job; the job
         finishes and — before the waiter resumes — a submission triggers
         eviction.  The registered waiter must shield the job so its
-        terminal replay still finds it."""
-
-        async def scenario():
-            store = JobStore(max_jobs=1, evict_grace_s=0.0)
-            first, _ = store.submit(_spec(seed=1))
-            await store.mark_running(first)
-            waiter = asyncio.ensure_future(
-                first.wait_events(len(first.events), timeout=5.0)
-            )
-            await asyncio.sleep(0)  # let the waiter park and register
-            assert first.waiters == 1
-            # Wakes the waiter, but it has not resumed yet when the next
-            # submission runs eviction.
-            await store.finish(first, DONE, result={})
-            store.submit(_spec(seed=2))
-            survived = store.get(first.id) is not None
-            events, terminal = await waiter
-            return survived, events, terminal, first.waiters
-
-        survived, events, terminal, waiters = _run(scenario())
+        terminal replay still finds it.  Holding the job's condition
+        across ``finish`` and the next ``submit`` keeps the woken waiter
+        from resuming before eviction runs."""
+        store = JobStore(max_jobs=1, evict_grace_s=0.0)
+        first, _ = store.submit(_spec(seed=1))
+        store.mark_running(first)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            waiter = pool.submit(first.wait_events, len(first.events), 5.0)
+            _await_waiters(first, 1)
+            with first.changed:
+                store.finish(first, DONE, result={})
+                store.submit(_spec(seed=2))
+                survived = store.get(first.id) is not None
+            events, terminal = waiter.result(timeout=5.0)
         assert survived
         assert terminal is True
         assert [e["event"] for e in events] == ["finished"]
-        assert waiters == 0  # the finished waiter deregistered itself
+        assert first.waiters == 0  # the finished waiter deregistered itself
 
     def test_running_jobs_are_never_evicted(self):
-        async def scenario():
-            store = JobStore(max_jobs=1, evict_grace_s=0.0)
-            first, _ = store.submit(_spec(seed=1))
-            await store.mark_running(first)
-            store.submit(_spec(seed=2))
-            return store.get(first.id)
-
-        job = _run(scenario())
+        store = JobStore(max_jobs=1, evict_grace_s=0.0)
+        first, _ = store.submit(_spec(seed=1))
+        store.mark_running(first)
+        store.submit(_spec(seed=2))
+        job = store.get(first.id)
         assert job is not None and job.status == RUNNING
 
 
 class TestWaiterWakeups:
     def test_publish_wakes_every_parked_waiter(self):
-        async def scenario():
-            job = Job(id="j", spec=_spec(), content_hash="h")
-            waiters = [
-                asyncio.ensure_future(job.wait_events(0, timeout=5.0))
-                for _ in range(4)
-            ]
-            await asyncio.sleep(0)
-            await job.publish("progress", completed=1)
-            return await asyncio.gather(*waiters)
-
-        for events, terminal in _run(scenario()):
+        job = Job(id="j", spec=_spec(), content_hash="h")
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            waiters = [pool.submit(job.wait_events, 0, 5.0) for _ in range(4)]
+            _await_waiters(job, 4)
+            job.publish("progress", completed=1)
+            replies = [waiter.result(timeout=5.0) for waiter in waiters]
+        for events, terminal in replies:
             assert [e["event"] for e in events] == ["progress"]
             assert terminal is False
 
     def test_waiters_across_epochs_see_their_events(self):
-        async def scenario():
-            job = Job(id="j", spec=_spec(), content_hash="h")
-            early = asyncio.ensure_future(job.wait_events(0, timeout=5.0))
-            await asyncio.sleep(0)
-            await job.publish("one")
-            await early
-            # A waiter arriving after the first rotation parks on the
-            # fresh epoch event and still wakes on the next publish.
-            late = asyncio.ensure_future(job.wait_events(1, timeout=5.0))
-            await asyncio.sleep(0)
-            await job.publish("two")
-            return await late
-
-        events, _ = _run(scenario())
+        job = Job(id="j", spec=_spec(), content_hash="h")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            early = pool.submit(job.wait_events, 0, 5.0)
+            _await_waiters(job, 1)
+            job.publish("one")
+            early.result(timeout=5.0)
+            # A waiter arriving after the first publish parks again and
+            # still wakes on the next one.
+            late = pool.submit(job.wait_events, 1, 5.0)
+            _await_waiters(job, 1)
+            job.publish("two")
+            events, _ = late.result(timeout=5.0)
         assert [e["event"] for e in events] == ["two"]
 
     def test_wait_events_times_out_without_events(self):
-        async def scenario():
-            job = Job(id="j", spec=_spec(), content_hash="h")
-            return await job.wait_events(0, timeout=0.01)
-
-        events, terminal = _run(scenario())
+        job = Job(id="j", spec=_spec(), content_hash="h")
+        events, terminal = job.wait_events(0, timeout=0.01)
         assert events == [] and terminal is False
 
-    def test_wait_terminal_wakes_on_status_flip(self):
-        async def scenario():
-            job = Job(id="j", spec=_spec(), content_hash="h")
-
-            async def finisher():
-                await asyncio.sleep(0.01)
-                job.status = DONE
-                await job.publish("finished", status=DONE)
-
-            task = asyncio.ensure_future(finisher())
-            reached = await job.wait_terminal(timeout=5.0)
-            await task
-            return reached
-
-        assert _run(scenario()) is True
-
-    def test_cancellation_mid_wait_propagates_and_cleans_up(self):
-        """The gh-90467 regression: cancelling a parked waiter must raise
-        CancelledError in the waiter and leave the job fully usable."""
-
-        async def scenario():
-            job = Job(id="j", spec=_spec(), content_hash="h")
-            waiter = asyncio.ensure_future(job.wait_events(0, timeout=5.0))
-            await asyncio.sleep(0)
-            waiter.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await waiter
-            assert job.waiters == 0
-            # A publish after the cancelled wait must still wake new waiters.
-            fresh = asyncio.ensure_future(job.wait_events(0, timeout=5.0))
-            await asyncio.sleep(0)
-            await job.publish("alive")
-            return await fresh
-
-        events, _ = _run(scenario())
-        assert [e["event"] for e in events] == ["alive"]
-
     def test_no_timeout_wait_blocks_until_publish(self):
-        async def scenario():
-            job = Job(id="j", spec=_spec(), content_hash="h")
-            waiter = asyncio.ensure_future(job.wait_events(0, timeout=None))
-            await asyncio.sleep(0)
+        job = Job(id="j", spec=_spec(), content_hash="h")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            waiter = pool.submit(job.wait_events, 0, None)
+            _await_waiters(job, 1)
             assert not waiter.done()
-            await job.publish("event")
-            return await waiter
-
-        events, _ = _run(scenario())
+            job.publish("event")
+            events, _ = waiter.result(timeout=5.0)
         assert len(events) == 1
 
     def test_job_starts_queued(self):
         job = Job(id="j", spec=_spec(), content_hash="h")
         assert job.status == QUEUED and not job.terminal
+
+
+class TestConcurrentSubmissions:
+    def test_racing_duplicates_coalesce_onto_one_job(self):
+        """More submitting threads than cores, released together for each
+        content hash and switching every microsecond: a lost update would
+        create a second job for a hash or drop a submission from its
+        count."""
+        store = JobStore()
+        threads, rounds = 8, 50
+        barrier = threading.Barrier(threads)
+
+        def submit_every_round(_):
+            replies = []
+            for seed in range(rounds):
+                barrier.wait(timeout=10.0)
+                replies.append(store.submit(_spec(seed=seed)))
+            return replies
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                per_thread = list(
+                    pool.map(submit_every_round, range(threads), timeout=60.0)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in range(rounds):
+            replies = [thread_replies[seed] for thread_replies in per_thread]
+            assert len({job.id for job, _ in replies}) == 1, seed
+            assert [coalesced for _, coalesced in replies].count(False) == 1
+            assert replies[0][0].submissions == threads
+        assert len(store) == rounds

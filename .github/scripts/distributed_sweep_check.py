@@ -2,13 +2,15 @@
 """CI acceptance check for the distributed executor backends.
 
 Scenario (see docs/SWEEPS.md): the full 46x2 sweep fanned out through
-``--backend subprocess`` — one worker child per task — with one task
-killed permanently must still complete every other result and report
-exactly one structured ``WorkerCrash`` failure.  The CLI, running the
-killed task's benchmark into a fresh cache, must exit 3 (partial) with
-the same crash from a worker child.  The coordinator must have cached every fresh result the workers
-returned, so a second, fault-free pass is answered almost entirely from
-its cache.  Spot-checked results must be byte-identical to the local pool
+``--backend subprocess`` — one spawned ``multiprocessing`` child per
+task — with one task killed permanently must still complete every other
+result and report exactly one structured ``WorkerCrash`` failure naming
+exit status 86 (``KILL_EXIT_CODE``), which proves the kill landed in a
+worker child rather than being refused in the coordinator.  The CLI,
+running the killed task's benchmark into a fresh cache, must exit 3
+(partial) with the same crash and exit status from a worker child.  The
+coordinator must have cached every fresh result the workers returned, so
+a second, fault-free pass is answered almost entirely from its cache.  Spot-checked results must be byte-identical to the local pool
 backend's, both from that cached sweep and from a cache-less subprocess
 run.
 """
@@ -26,7 +28,7 @@ from repro.experiments.parallel import COPY, LIMITED, FaultPolicy
 from repro.experiments.runner import SweepRunner
 from repro.sim.engine import SimOptions
 from repro.sim.serialize import results_identical
-from repro.testing.faults import FaultRule, injected_faults
+from repro.testing.faults import KILL_EXIT_CODE, FaultRule, injected_faults
 from repro.workloads.registry import get, simulatable_specs
 
 SCALE = 1 / 64  # keeps the 46x2 sweep to a couple of minutes in CI
@@ -79,6 +81,10 @@ def main_check() -> None:
         "the failure is the killed task",
     )
     check(failure.error_type == "WorkerCrash", "failure typed WorkerCrash")
+    check(
+        failure.message == f"worker exited {KILL_EXIT_CODE}",
+        f"the kill landed in a worker child (exit status {KILL_EXIT_CODE})",
+    )
     check(produced == total - 1, f"{produced}/{total} results produced")
     check(
         metrics.pool_rebuilds == 0,
@@ -114,8 +120,9 @@ def main_check() -> None:
     print(stderr.getvalue(), end="")
     check(code == 3, f"CLI exits 3 on partial distributed sweep (got {code})")
     check(
-        "[crashed] WorkerCrash" in stderr.getvalue(),
-        "the CLI failure is a crashed subprocess worker",
+        f"[crashed] WorkerCrash: worker exited {KILL_EXIT_CODE}"
+        in stderr.getvalue(),
+        f"the CLI failure is a subprocess worker that exited {KILL_EXIT_CODE}",
     )
 
     # A clean warm pass barely simulates: the coordinator cached the

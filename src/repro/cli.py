@@ -58,6 +58,7 @@ command exits with status 3 (partial) instead of 0 (clean).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -687,11 +688,25 @@ def cmd_all(args: argparse.Namespace) -> int:
     return _report_failures(runner)
 
 
+def _scale(text: str) -> float:
+    """``--scale`` / ``--default-scale``: a finite, positive number (any
+    other scale fails every simulation it reaches)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, positive number, got {text!r}"
+        )
+    return value
+
+
 #: Every flag that more than one command takes, defined once:
 #: ``add_argument`` keywords by flag.
 _FLAGS: Dict[str, Dict[str, Any]] = {
     "--scale": dict(
-        type=float,
+        type=_scale,
         default=DEFAULT_BENCH_SCALE,
         help="footprint/cache scale factor (1.0 = paper scale)",
     ),
@@ -852,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="jobs executing at once, each with its own sweep pool "
         "(default: 2)")
     serve_p.add_argument(
-        "--default-scale", type=float, default=DEFAULT_BENCH_SCALE,
+        "--default-scale", type=_scale, default=DEFAULT_BENCH_SCALE,
         help="scale used by jobs that do not specify one")
     serve_p.add_argument(
         "--no-lint", action="store_true",

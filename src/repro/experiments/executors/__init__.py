@@ -1,7 +1,11 @@
 """Pluggable executor backends for the sweep supervisor.
 
-See :mod:`repro.experiments.executors.base` for the protocol and
-docs/SWEEPS.md for the user-facing story (``--backend``).
+``local`` is a shared ``ProcessPoolExecutor``; ``subprocess`` spawns one
+``multiprocessing`` child per task for crash isolation.  Both carry the
+same pickled :class:`WorkerTask` and :class:`WorkerOutcome` over
+multiprocessing pipes.  See :mod:`repro.experiments.executors.base` for
+the protocol and docs/SWEEPS.md for the user-facing story
+(``--backend``).
 """
 
 from __future__ import annotations
@@ -10,10 +14,8 @@ from typing import Union
 
 from repro.experiments.executors.base import (
     ExecutorBackend,
-    ExecutorError,
     RemoteTaskError,
     TaskCrash,
-    WireProtocolError,
     WorkerOutcome,
     WorkerTask,
 )
@@ -38,12 +40,10 @@ def create_backend(backend: Union[None, str, ExecutorBackend]) -> ExecutorBacken
 __all__ = [
     "BACKENDS",
     "ExecutorBackend",
-    "ExecutorError",
     "LocalPoolBackend",
     "RemoteTaskError",
     "SubprocessBackend",
     "TaskCrash",
-    "WireProtocolError",
     "WorkerOutcome",
     "WorkerTask",
     "create_backend",

@@ -3,9 +3,10 @@
 The fault supervisor in :mod:`repro.experiments.parallel` speaks only to
 an :class:`ExecutorBackend`, which splits "how a task gets executed" from
 "how failures are retried".  Every backend receives the same
-:class:`WorkerTask` record, unchanged: the local pool pickles it onto its
-pipe, the subprocess backend pickles it onto its child's stdin, and the
-in-parent backend runs it where it is.  A backend turns the task into a
+:class:`WorkerTask` record, unchanged: the local pool and the subprocess
+backend pickle it onto a multiprocessing pipe (the pool's long-lived
+workers, or one spawned child per task), and the in-parent backend runs
+it where it is.  A backend turns the task into a
 :class:`concurrent.futures.Future` resolving to a :class:`WorkerOutcome`
 — or raising one of the structured executor exceptions below, which the
 supervisor maps onto its retry / recycle / degrade ladder:
@@ -16,9 +17,6 @@ supervisor maps onto its retry / recycle / degrade ladder:
 * :class:`RemoteTaskError` — the task ran in a worker child and raised;
   carries the child's exception type/message so the failure report looks
   the same as a pool worker's (``worker_fate`` *alive*).
-* :class:`WireProtocolError` — the worker's reply could not be decoded,
-  or its result entry is damaged or keyed to another task; surfaces as a
-  structured retryable failure, never a coordinator crash.
 
 ``BrokenExecutor`` keeps its existing meaning — the backend as a whole is
 unusable — and still drives the bounded recycle → degrade-to-serial path.
@@ -44,8 +42,7 @@ class WorkerTask:
     ``spec`` is ``None`` for registry benchmarks (the worker resolves
     ``benchmark`` by name, since most registry builders are closures that
     cannot be pickled) or the spec itself otherwise.  ``cache_key`` names
-    the run: a worker child keys the result it sends back with it, and
-    the coordinator refuses a reply keyed otherwise.
+    the run: the coordinator stores the task's fresh result under it.
     """
 
     benchmark: str
@@ -68,20 +65,11 @@ class WorkerOutcome:
     memo_misses: int = 0
 
 
-class ExecutorError(RuntimeError):
-    """Base of the structured executor failures."""
-
-
-class TaskCrash(ExecutorError):
+class TaskCrash(RuntimeError):
     """The worker process running one task died (isolated to that task)."""
 
 
-class WireProtocolError(ExecutorError):
-    """A worker's reply could not be decoded, or its result entry is
-    damaged or keyed to another task."""
-
-
-class RemoteTaskError(ExecutorError):
+class RemoteTaskError(RuntimeError):
     """The task ran in a worker child and raised; the child's post-mortem."""
 
     def __init__(self, error_type: str, message: str):

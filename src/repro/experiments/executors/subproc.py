@@ -1,85 +1,82 @@
 """Per-task child-process backend.
 
-Each submitted task launches one ``python -m repro.experiments.remote_worker``
-child, writes the pickled :class:`WorkerTask` to its stdin — the record
-and encoding the local pool's pipe carries — and decodes the single reply
-from its stdout in the launcher thread: the result's cache entry, checked
-against the task's cache key (the reply format of
-:mod:`~repro.experiments.executors.wire`).  Children are fully isolated:
-a crash (or a supervisor task-timeout kill) takes down exactly one task,
-so — unlike the shared process pool — no backend recycle is needed and
-other in-flight tasks keep running.
+Each submitted task starts one child from
+``multiprocessing.get_context("spawn")``: a fresh interpreter, holding
+none of the coordinator's threads or memo state, that receives the
+:class:`WorkerTask` pickled — the record and encoding the local pool's
+pipe carries — runs :func:`~repro.experiments.parallel.run_worker_task`
+on it and sends one reply back over a one-way pipe.  A task that raises
+comes back as :class:`RemoteTaskError`; a child that dies before it
+replies (a crash, an injected kill, a supervisor task-timeout kill)
+surfaces as :class:`TaskCrash` naming its exit status.  Children are
+fully isolated: a crash takes down exactly one task, so — unlike the
+shared process pool — no backend recycle is needed and other in-flight
+tasks keep running.
+
+Spawn re-imports the coordinator's ``__main__`` module in every child,
+so a script that drives this backend needs an
+``if __name__ == "__main__":`` guard.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import subprocess
-import sys
+import multiprocessing
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from pathlib import Path
-from typing import Dict, Optional, Sequence
+from multiprocessing.connection import Connection
+from typing import Dict, Optional
 
 from repro.experiments.executors.base import (
     ExecutorBackend,
+    RemoteTaskError,
     TaskCrash,
     WorkerOutcome,
     WorkerTask,
 )
-from repro.experiments.executors.wire import decode_result
 
-#: The worker module each child runs (`python -m ...`).
-WORKER_MODULE = "repro.experiments.remote_worker"
+_SPAWN = multiprocessing.get_context("spawn")
 
 
-def _stderr_tail(err: bytes, limit: int = 400) -> str:
-    text = err.decode("utf-8", errors="replace").strip()
-    return text[-limit:] if text else "(no stderr)"
+def _child_main(task: WorkerTask, reply: Connection) -> None:
+    """A worker child's body: run ``task`` and send ``(True, outcome)``,
+    or ``(False, (error type, message))`` when the task raises."""
+    # Imported here: the supervisor module imports this package.
+    from repro.experiments.parallel import run_worker_task
+
+    try:
+        message = (True, run_worker_task(task))
+    except Exception as exc:  # a typed failure reply, never a dead worker
+        message = (False, (type(exc).__name__, str(exc) or repr(exc)))
+    reply.send(message)
 
 
 class _ChildHandle:
     """Mutable rendezvous between submit/kill (supervisor thread) and the
-    launcher thread: which Popen backs a future, and whether the
+    launcher thread: which process backs a future, and whether the
     supervisor asked for its death before/after launch."""
 
     __slots__ = ("proc", "killed")
 
     def __init__(self) -> None:
-        self.proc: Optional[subprocess.Popen] = None
+        self.proc: Optional[multiprocessing.process.BaseProcess] = None
         self.killed = False
+
+    def kill(self) -> None:
+        self.killed = True
+        if self.proc is not None:
+            self.proc.kill()
 
 
 class SubprocessBackend(ExecutorBackend):
-    """``--backend subprocess``: one local worker child per task.
-
-    ``worker_cmd`` replaces the child's command line (default: this
-    interpreter running :data:`WORKER_MODULE`).
-    """
+    """``--backend subprocess``: one spawned worker child per task."""
 
     name = "subprocess"
 
-    def __init__(self, worker_cmd: Optional[Sequence[str]] = None) -> None:
-        self._worker_cmd = list(worker_cmd) if worker_cmd else [
-            sys.executable, "-m", WORKER_MODULE
-        ]
+    def __init__(self) -> None:
         self._threads: Optional[ThreadPoolExecutor] = None
         self._workers = 1
         self._guard = threading.Lock()
         self._handles: Dict["Future[WorkerOutcome]", _ChildHandle] = {}
-
-    def _child_env(self) -> Dict[str, str]:
-        # A source checkout run with PYTHONPATH=src must spawn workers that
-        # can import repro too, wherever the coordinator found it.
-        env = dict(os.environ)
-        package_root = str(Path(__file__).resolve().parents[3])
-        existing = env.get("PYTHONPATH")
-        if package_root not in (existing or "").split(os.pathsep):
-            env["PYTHONPATH"] = (
-                package_root + (os.pathsep + existing if existing else "")
-            )
-        return env
 
     # -- ExecutorBackend ----------------------------------------------------
 
@@ -107,63 +104,50 @@ class SubprocessBackend(ExecutorBackend):
             handle = self._handles.get(future)
         if handle is None:
             return False
-        handle.killed = True
-        if handle.proc is not None:
-            try:
-                handle.proc.kill()
-            except OSError:
-                pass
+        handle.kill()
         return True  # surgical: only this task's child dies
 
     def recycle(self) -> None:
         self.shutdown()
-        self._threads = ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix=f"repro-{self.name}"
-        )
+        self.start(self._workers)
 
     def shutdown(self) -> None:
         with self._guard:
             handles = list(self._handles.values())
             self._handles.clear()
         for handle in handles:
-            handle.killed = True
-            if handle.proc is not None:
-                try:
-                    handle.proc.kill()
-                except OSError:
-                    pass
+            handle.kill()
         if self._threads is not None:
             self._threads.shutdown(wait=True, cancel_futures=True)
             self._threads = None
 
     # -- the launcher thread body -------------------------------------------
 
-    def _run_child(self, task: WorkerTask, handle: _ChildHandle) -> WorkerOutcome:
-        if handle.killed:
-            raise TaskCrash("killed before launch")
-        payload = pickle.dumps(task)
+    @staticmethod
+    def _run_child(task: WorkerTask, handle: _ChildHandle) -> WorkerOutcome:
+        receiver, sender = _SPAWN.Pipe(duplex=False)
+        proc = _SPAWN.Process(target=_child_main, args=(task, sender), daemon=True)
         try:
-            proc = subprocess.Popen(
-                self._worker_cmd,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                env=self._child_env(),
-            )
+            proc.start()
         except OSError as exc:
+            receiver.close()
             raise TaskCrash(f"cannot launch worker: {exc}") from exc
+        finally:
+            # The child holds its own copy: once it exits, recv() sees EOF.
+            sender.close()
         handle.proc = proc
-        if handle.killed:  # kill raced the launch
+        if handle.killed:  # a kill arrived before the child existed
             proc.kill()
         try:
-            out, err = proc.communicate(payload)
-        except (OSError, ValueError) as exc:
-            proc.kill()
-            proc.wait()
-            raise TaskCrash(f"worker pipe failed: {exc}") from exc
-        if handle.killed:
-            raise TaskCrash("worker killed by supervisor")
-        rc = proc.returncode
-        if rc != 0:
-            raise TaskCrash(f"worker exited {rc}: {_stderr_tail(err)}")
-        return decode_result(out, task.cache_key)
+            reply = receiver.recv()
+        except (EOFError, OSError):
+            reply = None  # the child died before it replied
+        finally:
+            receiver.close()
+            proc.join()
+        if reply is None:
+            raise TaskCrash(f"worker exited {proc.exitcode}")
+        ok, payload = reply
+        if ok:
+            return payload
+        raise RemoteTaskError(*payload)

@@ -4,8 +4,8 @@ The sweep is embarrassingly parallel: each (benchmark, version) simulation
 is independent, so this module fans tasks out through a pluggable
 :class:`~repro.experiments.executors.ExecutorBackend` — the default
 ``local`` backend is a ``concurrent.futures.ProcessPoolExecutor``;
-``subprocess`` runs each task in its own worker child (``--backend``) —
-and funnels finished results through the persistent
+``subprocess`` spawns one ``multiprocessing`` child per task
+(``--backend``) — and funnels finished results through the persistent
 :class:`~repro.sim.resultcache.ResultCache`.  The coordinator resolves
 cache hits before dispatch; every backend hands back a
 :class:`~repro.sim.results.SimResult`, and the coordinator stores each
@@ -54,7 +54,6 @@ from repro.experiments.executors import (
     ExecutorBackend,
     RemoteTaskError,
     TaskCrash,
-    WireProtocolError,
     WorkerOutcome,
     WorkerTask,
     create_backend,
@@ -351,8 +350,8 @@ def _poolable(task: WorkerTask) -> bool:
 def _attempt_failure(exc: Exception, in_parent: bool) -> Tuple[str, str, str]:
     """``(error_type, message, worker_fate)`` of one failed attempt.
 
-    In-parent, every exception is the task's own: no worker can crash,
-    garble a reply or break a pool there, whatever the exception type.
+    In-parent, every exception is the task's own: no worker can crash or
+    break a pool there, whatever the exception type.
     """
     if in_parent:
         return type(exc).__name__, str(exc) or repr(exc), FATE_IN_PARENT
@@ -360,8 +359,6 @@ def _attempt_failure(exc: Exception, in_parent: bool) -> Tuple[str, str, str]:
         return "WorkerCrash", str(exc) or "worker process died", FATE_CRASHED
     if isinstance(exc, RemoteTaskError):
         return exc.error_type, exc.message, FATE_ALIVE
-    if isinstance(exc, WireProtocolError):
-        return "WireProtocolError", str(exc), FATE_ALIVE
     return type(exc).__name__, str(exc) or repr(exc), FATE_ALIVE
 
 
@@ -402,8 +399,8 @@ def run_tasks(
     delays the sweep for as long as it takes.
 
     ``backend`` selects the execution substrate when the batch pools
-    (``local`` process pool by default; ``subprocess`` for per-task
-    worker children — or pass a live
+    (``local`` process pool by default; ``subprocess`` for one spawned
+    worker child per task — or pass a live
     :class:`~repro.experiments.executors.ExecutorBackend`).  Fault
     semantics are backend-independent; ``jobs`` always bounds total
     in-flight tasks.

@@ -89,20 +89,12 @@ class ServeClient:
     def shutdown(self) -> Dict[str, Any]:
         return self._checked("POST", "/v1/shutdown")
 
-    def wait_job(
-        self, job_id: str, timeout_s: float = 60.0, poll_s: float = 0.02
-    ) -> Dict[str, Any]:
-        """Poll a job until it reaches a terminal state; returns its body."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            body = self.job(job_id)
-            if body["status"] in ("done", "partial", "failed"):
-                return body
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {body['status']} after {timeout_s}s"
-                )
-            time.sleep(poll_s)
+    def wait_job(self, job_id: str, timeout_s: float = 60.0) -> Dict[str, Any]:
+        """Block on a job's event stream until the server ends it after
+        ``finished``, then return the job's terminal body.  ``timeout_s``
+        bounds the whole wait, as in :meth:`events`."""
+        self.events(job_id, timeout_s)
+        return self.job(job_id)
 
     def run(
         self, job: Dict[str, Any], timeout_s: float = 60.0
@@ -116,8 +108,10 @@ class ServeClient:
     ) -> List[Dict[str, Any]]:
         """Consume the SSE stream of a job until the server closes it.
 
-        ``timeout_s`` bounds each wait for the next line of the stream.
+        ``timeout_s`` bounds the whole stream, keepalives included, and
+        raises ``TimeoutError`` once it passes.
         """
+        deadline = time.monotonic() + timeout_s
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=timeout_s
         )
@@ -127,17 +121,26 @@ class ServeClient:
                 f"/v1/jobs/{job_id}/events",
                 headers={"Accept": "text/event-stream", "Connection": "close"},
             )
+            sock = connection.sock  # getresponse() hands it to the response
             response = connection.getresponse()
             if response.status >= 400:
                 data = response.read()
                 raise ServeHttpError(
                     response.status, json.loads(data) if data else None
                 )
-            return [
-                json.loads(line[len(b"data: ") :])
-                for line in response
-                if line.startswith(b"data: ")
-            ]
+            events = []
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"event stream of job {job_id} open after {timeout_s}s"
+                    )
+                sock.settimeout(remaining)
+                line = response.readline()
+                if not line:
+                    return events
+                if line.startswith(b"data: "):
+                    events.append(json.loads(line[len(b"data: ") :]))
         finally:
             connection.close()
 

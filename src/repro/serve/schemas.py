@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -288,8 +289,8 @@ def validate_job(
         versions = VERSIONS
 
     scale = _require_number(body, "scale", default_scale)
-    if scale <= 0:
-        raise _invalid(f"'scale' must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise _invalid(f"'scale' must be finite and positive, got {scale}")
     seed = body.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise _invalid(f"'seed' must be an integer, got {seed!r}")

@@ -223,8 +223,7 @@ def pack_entry(meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> bytes:
 
 
 def encode_entry(key: str, result: SimResult, sim_wall_s: float = 0.0) -> bytes:
-    """The entry bytes :meth:`ResultCache.store` writes for ``result``
-    (and a subprocess worker child sends back)."""
+    """The entry bytes :meth:`ResultCache.store` writes for ``result``."""
     meta = {
         "schema": CACHE_SCHEMA,
         "key": key,
@@ -235,11 +234,9 @@ def encode_entry(key: str, result: SimResult, sim_wall_s: float = 0.0) -> bytes:
 
 
 def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
-    """Parse raw entry bytes for ``key``: the one decoder of the cache.
-
-    :meth:`ResultCache.load` runs it on file contents, and the subprocess
-    executor backend on the entry a worker child sends back.  Anything
-    torn, bit-flipped, foreign or mis-keyed returns ``None``.
+    """Parse raw entry bytes for ``key``: the one decoder of the cache,
+    which :meth:`ResultCache.load` runs on file contents.  Anything torn,
+    bit-flipped, foreign or mis-keyed returns ``None``.
     """
     view = memoryview(data)
     body = view[: len(view) - _U32.size]

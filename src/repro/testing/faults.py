@@ -7,8 +7,9 @@ testable: a rule table says which (benchmark, version) tasks misbehave and
 how, and :func:`maybe_inject` — called from the simulation hook inside
 every sweep task — fires the matching fault.
 
-Rules travel through the environment (``$REPRO_FAULTS``) so they cross the
-``ProcessPoolExecutor`` boundary into workers regardless of start method;
+Rules travel through the environment (``$REPRO_FAULTS``) so they cross
+into worker processes — the local pool's and the ``subprocess`` backend's
+spawned children alike — regardless of start method;
 attempt counters live in files under ``$REPRO_FAULT_DIR`` so "fail the
 first N attempts, then succeed" stays deterministic across worker
 processes (a task's attempts are sequential, so append-then-size needs no
@@ -20,10 +21,12 @@ Fault modes:
 * ``raise`` — raise :class:`FaultInjected` inside the task.
 * ``hang`` — sleep ``hang_s`` seconds before proceeding (drives the
   per-task timeout path; with a small ``hang_s`` it models a slow task).
-* ``kill`` — terminate the worker process with ``os._exit`` (drives the
-  ``BrokenProcessPool`` recovery path).  In the parent process — serial or
-  degraded execution — dying would take the whole sweep down, so it
-  degrades to a ``raise``.
+* ``kill`` — terminate the worker process with ``os._exit``
+  (:data:`KILL_EXIT_CODE`; drives the ``BrokenProcessPool`` recovery path
+  and the ``subprocess`` backend's ``TaskCrash``).  Only a process with a
+  ``multiprocessing`` parent dies; in the coordinator — serial or degraded
+  execution — dying would take the whole sweep down, so it degrades to a
+  ``raise``.
 
 The module also plants damaged persistent-cache entries (a flipped byte,
 a torn write, a well-formed entry of a foreign schema) to exercise the
@@ -54,11 +57,6 @@ FAULT_DIR_ENV = "REPRO_FAULT_DIR"
 
 #: Exit status of a worker killed by the ``kill`` fault mode.
 KILL_EXIT_CODE = 86
-
-#: Set (to any non-empty value) in executor worker children
-#: (repro.experiments.remote_worker), which are not multiprocessing
-#: children but are still safe to hard-kill — the coordinator survives.
-EXECUTOR_WORKER_ENV = "REPRO_EXECUTOR_WORKER"
 
 RAISE = "raise"
 HANG = "hang"
@@ -220,13 +218,11 @@ def maybe_inject(benchmark: str, version: str) -> None:
     if rule.mode == HANG:
         time.sleep(rule.hang_s)
         return
-    # KILL: a hard worker death.  Pool workers and executor worker
-    # children may die for real; in the parent process (serial or
-    # degraded execution) dying would take down the whole sweep and the
-    # test runner with it, so degrade to a raise there.
-    if multiprocessing.parent_process() is not None or os.environ.get(
-        EXECUTOR_WORKER_ENV
-    ):
+    # KILL: a hard worker death.  Pool workers and the subprocess
+    # backend's spawned children may die for real; in the parent process
+    # (serial or degraded execution) dying would take down the whole
+    # sweep and the test runner with it, so degrade to a raise there.
+    if multiprocessing.parent_process() is not None:
         os._exit(KILL_EXIT_CODE)
     raise FaultInjected(f"injected kill refused in parent process: {target}")
 

@@ -106,6 +106,24 @@ class TestParser:
         for flag in SERVE:
             assert definition("serve", flag) == definition("run", flag), flag
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "rodinia/kmeans", "--scale"],
+            ["trace", "lonestar/bfs", "--scale"],
+            ["serve", "--default-scale"],
+        ],
+        ids=["run", "trace", "serve"],
+    )
+    def test_scale_not_finite_and_positive_is_a_usage_error(
+        self, argv, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + [value])
+        assert excinfo.value.code == 2
+        assert "must be a finite, positive number" in capsys.readouterr().err
+
 
 class TestFaultToleranceFlags:
     def test_flags_parse_with_defaults(self):

@@ -1,22 +1,17 @@
-"""Pluggable executor backends: reply format, factory, and end-to-end runs.
+"""Pluggable executor backends: factory and end-to-end runs.
 
 The contract under test (docs/SWEEPS.md): every backend receives the same
 pickled :class:`WorkerTask` and produces results *identical* to the
 in-process pool, worker failures surface as the same structured
-:class:`TaskFailure` records local ones do, a worker's reply carries its
-result as the cache entry under the task's key (damaged or mis-keyed
-entries are wire-protocol failures), and the coordinator alone stores
-each fresh result in the result cache.
+:class:`TaskFailure` records local ones do, a task timeout kills only the
+hung child of the ``subprocess`` backend, and the coordinator alone
+stores each fresh result in the result cache.
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
-import pickle
-import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,65 +21,30 @@ from repro.experiments import parallel as parallel_mod
 from repro.experiments.executors import (
     BACKENDS,
     LocalPoolBackend,
-    RemoteTaskError,
     SubprocessBackend,
-    WireProtocolError,
-    WorkerOutcome,
     create_backend,
-)
-from repro.experiments.executors.subproc import WORKER_MODULE
-from repro.experiments.executors.wire import (
-    RESULT_SCHEMA,
-    decode_result,
-    encode_error,
-    encode_outcome,
 )
 from repro.experiments.parallel import (
     COPY,
     FATE_ALIVE,
     FATE_CRASHED,
+    FATE_TIMED_OUT,
     LIMITED,
     FaultPolicy,
     SweepTask,
     run_tasks,
 )
-from repro.experiments.remote_worker import EXIT_BAD_TASK
-from repro.sim.engine import SimOptions, simulate
-from repro.sim.resultcache import ResultCache, encode_entry
+from repro.sim.engine import SimOptions
+from repro.sim.resultcache import ResultCache
 from repro.sim.serialize import results_identical
 from repro.testing.faults import FaultRule, injected_faults
 from repro.workloads.registry import get
 from repro.workloads.spec import BenchmarkSpec
 
-from tests.conftest import TINY_SCALE, build_offload_pipeline
-from tests.test_resultcache_format import _damaged
+from tests.conftest import build_offload_pipeline
 
 NAMES = ("lonestar/bfs", "rodinia/kmeans")
 SCALE = 1 / 512
-KEY = "ab" + "0" * 62
-
-
-@pytest.fixture(scope="module")
-def result():
-    options = SimOptions(scale=TINY_SCALE, seed=3)
-    return simulate(build_offload_pipeline(), discrete_gpu_system(), options)
-
-
-def _outcome(result, **overrides) -> WorkerOutcome:
-    fields = dict(wall_s=0.25, result=result)
-    fields.update(overrides)
-    return WorkerOutcome(**fields)
-
-
-def _frame(header: bytes, body: bytes = b"") -> bytes:
-    """A reply as documented: uint32 header length, header, body."""
-    return struct.pack("<I", len(header)) + header + body
-
-
-def _split(reply: bytes):
-    """``(header dict, body bytes)`` of a reply, read as documented."""
-    (size,) = struct.unpack_from("<I", reply)
-    return json.loads(reply[4 : 4 + size]), reply[4 + size :]
 
 
 def _options() -> SimOptions:
@@ -111,87 +71,6 @@ def _run(tasks, *, jobs=2, policy=None, cache=None, backend=None):
 def _fast(**kwargs) -> FaultPolicy:
     kwargs.setdefault("backoff_base_s", 0.0)
     return FaultPolicy(**kwargs)
-
-
-class TestWireFormat:
-    def test_error_document_golden(self, golden_json):
-        payload, body = _split(encode_error("ValueError", "boom"))
-        assert body == b""
-        golden_json("executors/error_result", payload)
-
-    def test_outcome_entry_bytes_round_trip(self, result):
-        """The reply body is the result's cache entry under the task's key,
-        byte for byte, and decodes back to the outcome."""
-        data = encode_outcome(_outcome(result, memo_hits=3, memo_misses=1), KEY)
-        header, body = _split(data)
-        assert header == {
-            "schema": RESULT_SCHEMA,
-            "ok": True,
-            "memo_hits": 3,
-            "memo_misses": 1,
-        }
-        assert body == encode_entry(KEY, result, sim_wall_s=0.25)
-        decoded = decode_result(data, KEY)
-        assert decoded.wall_s == 0.25
-        assert (decoded.memo_hits, decoded.memo_misses) == (3, 1)
-        assert results_identical(decoded.result, result)
-
-    def test_outcome_result_round_trip(self):
-        results, _ = _run(_tasks(("lonestar/bfs",)), jobs=1)
-        result = results[("lonestar/bfs", COPY)]
-        decoded = decode_result(
-            encode_outcome(_outcome(result, wall_s=0.5), KEY), KEY
-        )
-        assert results_identical(decoded.result, result)
-
-    def test_error_reply_decodes_to_remote_task_error(self):
-        data = encode_error("KeyError", "missing")
-        with pytest.raises(RemoteTaskError) as excinfo:
-            decode_result(data, KEY)
-        assert excinfo.value.error_type == "KeyError"
-        assert excinfo.value.message == "missing"
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            b"",
-            b"{not json",
-            b'"a string"',
-            b'{"schema": "somebody.else/v9"}',
-            b'{"schema": "repro.executor.result/v3", "ok": true}',
-            b'{"schema": "repro.executor.result/v3", "ok": true, '
-            b'"memo_hits": 0, "memo_misses": 0}',
-        ],
-    )
-    def test_malformed_replies_raise_wire_protocol_error(self, data):
-        """Each header, framed with no result entry behind it."""
-        with pytest.raises(WireProtocolError):
-            decode_result(_frame(data), KEY)
-
-    def test_truncated_reply_raises_wire_protocol_error(self, result):
-        data = encode_outcome(_outcome(result), KEY)
-        header_end = 4 + struct.unpack_from("<I", data)[0]
-        for cut in (2, header_end - 1, (header_end + len(data)) // 2, len(data) - 1):
-            with pytest.raises(WireProtocolError):
-                decode_result(data[:cut], KEY)
-
-    def test_damaged_entries_raise_wire_protocol_error(self, result):
-        """The cache format's damage catalogue, one reply body each."""
-        data = encode_outcome(_outcome(result), KEY)
-        header_end = 4 + struct.unpack_from("<I", data)[0]
-        cases = _damaged(data[header_end:])
-        assert len(cases) > 20
-        for label, bad in cases:
-            try:
-                decode_result(data[:header_end] + bad, KEY)
-            except WireProtocolError:
-                continue
-            pytest.fail(f"a reply with a damaged entry decoded: {label}")
-
-    def test_entry_of_another_task_raises_wire_protocol_error(self, result):
-        data = encode_outcome(_outcome(result), KEY)
-        with pytest.raises(WireProtocolError):
-            decode_result(data, "cd" + "0" * 62)
 
 
 class TestBackendFactory:
@@ -282,50 +161,26 @@ class TestSubprocessBackend:
         assert second.cache_hits == 4
         assert len(stored) == 4
 
-    def test_corrupt_worker_output_is_a_structured_failure(self):
-        backend = SubprocessBackend(
-            worker_cmd=[
-                sys.executable,
-                "-c",
-                "import sys; sys.stdin.buffer.read(); "
-                "sys.stdout.write('{not json')",
-            ]
-        )
-        results, metrics = _run(
-            _tasks(("lonestar/bfs",)),
-            backend=backend,
-            policy=_fast(max_retries=0),
-        )
-        assert results == {}
-        assert len(metrics.failures) == 2
-        for failure in metrics.failures:
-            assert failure.error_type == "WireProtocolError"
-            assert failure.worker_fate == FATE_ALIVE
+    def test_task_timeout_kills_only_the_hung_child(self, tmp_path):
+        """A task timeout kills the one hung child and no other: the other
+        three results arrive, no backend recycle is charged, and no worker
+        child outlives the sweep."""
+        with injected_faults(
+            {"lonestar/bfs:limited-copy": FaultRule("hang")}, counter_dir=tmp_path
+        ):
+            results, metrics = _run(
+                _tasks(),
+                backend="subprocess",
+                policy=_fast(task_timeout_s=1.5, max_retries=0),
+            )
+        assert len(results) == 3
+        [failure] = metrics.failures
+        assert (failure.benchmark, failure.version) == ("lonestar/bfs", LIMITED)
+        assert failure.error_type == "TaskTimeout"
+        assert failure.worker_fate == FATE_TIMED_OUT
+        assert metrics.pool_rebuilds == 0
+        assert multiprocessing.active_children() == []
 
-    def test_reply_keyed_to_another_task_is_a_structured_failure(self):
-        """The launcher thread checks each reply against its own task's
-        cache key: a real result entry keyed otherwise is refused."""
-        backend = SubprocessBackend(
-            worker_cmd=[
-                sys.executable,
-                "-c",
-                "import dataclasses, pickle, sys\n"
-                "from repro.experiments.remote_worker import run_task\n"
-                "task = pickle.loads(sys.stdin.buffer.read())\n"
-                "task = dataclasses.replace(task, cache_key='0' * 64)\n"
-                "sys.stdout.buffer.write(run_task(task))\n",
-            ]
-        )
-        results, metrics = _run(
-            _tasks(("lonestar/bfs",)),
-            backend=backend,
-            policy=_fast(max_retries=0),
-        )
-        assert results == {}
-        assert len(metrics.failures) == 2
-        for failure in metrics.failures:
-            assert failure.error_type == "WireProtocolError"
-            assert failure.worker_fate == FATE_ALIVE
 
 
 #: The checkout's root: a worker child imports ``tests.conftest`` from
@@ -379,21 +234,6 @@ class TestOneWorkerTask:
         for key, result in serial.items():
             assert results_identical(result, results[key]), key
 
-    @pytest.mark.parametrize(
-        "stdin",
-        [b"", b"{not a pickle", pickle.dumps({"benchmark": "lonestar/bfs"})],
-        ids=["empty", "not-pickle", "not-a-task"],
-    )
-    def test_worker_without_a_task_exits_65(self, stdin):
-        proc = subprocess.run(
-            [sys.executable, "-m", WORKER_MODULE],
-            input=stdin,
-            capture_output=True,
-            env=SubprocessBackend()._child_env(),
-            timeout=120,
-        )
-        assert proc.returncode == EXIT_BAD_TASK == 65, proc.stderr
-        assert proc.stdout == b""
 
 
 class TestRecycleBudget:

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import random
 import socket
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,7 +20,9 @@ from repro.experiments import parallel
 from repro.experiments.advisor import advise
 from repro.experiments.runner import SweepRunner
 from repro.serve import ServeConfig, ServeHttpError, ServerThread
+from repro.serve import app as app_module
 from repro.sim.engine import SimOptions
+from repro.testing.faults import FaultRule, injected_faults
 from repro.workloads.registry import get
 
 KMEANS = "rodinia/kmeans"
@@ -300,6 +303,19 @@ class TestEvents:
             events = client.events(final["id"], timeout_s=10)
         assert final["events"] == len(events)
         assert events[-1]["event"] == "finished"
+
+    def test_wait_job_timeout_bounds_the_whole_wait(self, tmp_path, monkeypatch):
+        """Keepalives every 50 ms do not stretch ``wait_job``'s bound."""
+        monkeypatch.setattr(app_module, "SSE_KEEPALIVE_S", 0.05)
+        with injected_faults({f"{KMEANS}:copy": FaultRule("hang", hang_s=1.5)}):
+            with ServerThread(_config(tmp_path)) as server:
+                client = server.client()
+                accepted = client.submit(_sweep())
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    client.wait_job(accepted["id"], timeout_s=0.3)
+                waited = time.monotonic() - start
+        assert waited < 1.0
 
     def test_sse_unknown_job_is_404(self, tmp_path):
         with ServerThread(_config(tmp_path)) as server:

@@ -146,6 +146,8 @@ class TestRejections:
             {"kind": "simulate", "benchmark": KMEANS, "version": "v2"},
             {"kind": "sweep", "benchmarks": [KMEANS], "version": "copy"},
             {"kind": "advise", "benchmark": KMEANS, "version": "copy"},
+            {"kind": "sweep", "benchmarks": [KMEANS], "scale": float("nan")},
+            {"kind": "sweep", "benchmarks": [KMEANS], "scale": float("inf")},
         ],
         ids=lambda body: repr(body)[:48],
     )

@@ -2,7 +2,7 @@
 
 A scripted backend resolves every submit at once with an outcome drawn
 per (task, attempt): success, an exception raised in the worker, a worker
-crash, an undecodable reply, or a broken pool.  Whatever the script, the
+crash, an exception reported by a worker child, or a broken pool.  Whatever the script, the
 loop must account for every task exactly once, stay inside the policy's
 retry and rebuild budgets, and — once a rebuild budget is spent — finish
 the leftovers in-parent with real simulations, and futures that finish
@@ -24,8 +24,8 @@ from repro.config.system import discrete_gpu_system, heterogeneous_processor
 from repro.experiments import parallel
 from repro.experiments.executors import (
     ExecutorBackend,
+    RemoteTaskError,
     TaskCrash,
-    WireProtocolError,
     WorkerOutcome,
 )
 from repro.experiments.parallel import (
@@ -42,7 +42,7 @@ from repro.sim.serialize import results_identical
 from repro.workloads.registry import get
 
 NAMES = ("lonestar/bfs", "rodinia/kmeans", "parboil/spmv")
-OUTCOMES = ("ok", "raise", "crash", "wire", "broken")
+OUTCOMES = ("ok", "raise", "crash", "remote", "broken")
 TASKS = [SweepTask(get(name), v) for name in NAMES for v in (COPY, LIMITED)]
 KEYS = {(task.full_name, task.version) for task in TASKS}
 
@@ -90,8 +90,8 @@ class ScriptedBackend(ExecutorBackend):
             future.set_exception(ValueError("scripted failure"))
         elif outcome == "crash":
             future.set_exception(TaskCrash("scripted crash"))
-        elif outcome == "wire":
-            future.set_exception(WireProtocolError("scripted garbage"))
+        elif outcome == "remote":
+            future.set_exception(RemoteTaskError("KeyError", "scripted remote failure"))
         else:
             future.set_exception(BrokenExecutor("scripted pool break"))
         return future

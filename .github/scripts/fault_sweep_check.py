@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main
+from repro.experiments import parallel
 from repro.experiments.parallel import COPY, LIMITED, FaultPolicy
 from repro.experiments.runner import SweepRunner
 from repro.sim.engine import SimOptions
@@ -37,6 +38,7 @@ def check(condition: bool, label: str) -> None:
 
 
 def main_check() -> None:
+    parallel.BACKOFF_BASE_S = 0.0  # retry at once: this checks outcomes
     specs = sorted(simulatable_specs(), key=lambda s: s.full_name)
     total = 2 * len(specs)
     cache_dir = Path(tempfile.mkdtemp(prefix="fault-sweep-"))
@@ -46,7 +48,7 @@ def main_check() -> None:
         options=SimOptions(scale=SCALE, seed=0),
         parallel=4,
         cache_dir=cache_dir,
-        fault_policy=FaultPolicy(max_retries=1, backoff_base_s=0.0),
+        fault_policy=FaultPolicy(max_retries=1),
     )
     with injected_faults(FAULTED):
         runs = runner.sweep(specs)

@@ -86,7 +86,7 @@ class ExecutorBackend(ABC):
     always called).  ``submit`` may raise ``BrokenExecutor`` when the
     backend as a whole is unusable — the supervisor then salvages
     finished futures and calls :meth:`recycle`, bounded by
-    ``FaultPolicy.max_pool_rebuilds``.
+    ``repro.experiments.parallel.MAX_POOL_REBUILDS``.
     """
 
     #: Short identifier (``local`` / ``subprocess``).

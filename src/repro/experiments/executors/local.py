@@ -40,14 +40,16 @@ class LocalPoolBackend(ExecutorBackend):
         return self._pool.submit(run_worker_task, task)
 
     def _terminate(self) -> None:
-        # Hung or crashed workers cannot be joined; kill what's left.
+        # Hung or crashed workers cannot be joined; kill what's left, then
+        # join the manager thread: one still running at interpreter exit
+        # can be sent a wakeup on a closed pipe ("Bad file descriptor").
         if self._pool is None:
             return
         processes = getattr(self._pool, "_processes", None) or {}
         for process in list(processes.values()):
             if process.is_alive():
                 process.terminate()
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool.shutdown(wait=True, cancel_futures=True)
         self._pool = None
 
     def recycle(self) -> None:

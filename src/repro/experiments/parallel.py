@@ -36,6 +36,7 @@ docs/SWEEPS.md).
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import time
@@ -71,6 +72,15 @@ from repro.workloads.spec import BenchmarkSpec
 #: without actually waiting).
 _sleep = time.sleep
 
+#: Retry backoff: after its k-th failed attempt a task waits
+#: ``min(BACKOFF_BASE_S * 2**(k-1), BACKOFF_CAP_S)`` seconds before the
+#: next.  Fixed for the program; tests patch them as they patch ``_sleep``.
+BACKOFF_BASE_S = 0.25
+BACKOFF_CAP_S = 8.0
+#: Backend recycles (pool breaks and task-timeout teardowns share the one
+#: budget) a sweep tolerates before it degrades to in-parent execution.
+MAX_POOL_REBUILDS = 2
+
 COPY = "copy"
 LIMITED = "limited-copy"
 VERSIONS = (COPY, LIMITED)
@@ -98,7 +108,8 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """How a sweep reacts to failing, hanging, or crashing tasks.
+    """How a sweep reacts to failing, hanging, or crashing tasks: the
+    ``--max-retries`` / ``--task-timeout`` / ``--fail-fast`` flags.
 
     Args:
         max_retries: additional attempts a failing task gets before it is
@@ -112,27 +123,14 @@ class FaultPolicy:
             its retries.  Results already finished (and those of tasks
             still in flight) are kept; undispatched tasks are reported as
             ``cancelled`` failures.
-        backoff_base_s: first retry delay; doubles per failed attempt.
-        backoff_cap_s: ceiling on the exponential backoff delay.
-        max_pool_rebuilds: ``BrokenProcessPool`` recoveries tolerated
-            before the sweep degrades to in-parent serial execution.
+
+    The retry backoff and the recycle budget are the module constants
+    ``BACKOFF_BASE_S``, ``BACKOFF_CAP_S`` and ``MAX_POOL_REBUILDS``.
     """
 
     max_retries: int = 2
     task_timeout_s: Optional[float] = None
     fail_fast: bool = False
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 8.0
-    max_pool_rebuilds: int = 2
-
-    def backoff_s(self, failed_attempts: int) -> float:
-        """Capped exponential delay before retry number ``failed_attempts``."""
-        if self.backoff_base_s <= 0:
-            return 0.0
-        return min(
-            self.backoff_base_s * (2 ** max(0, failed_attempts - 1)),
-            self.backoff_cap_s,
-        )
 
 
 @dataclass(frozen=True)
@@ -362,14 +360,225 @@ def _attempt_failure(exc: Exception, in_parent: bool) -> Tuple[str, str, str]:
     return type(exc).__name__, str(exc) or repr(exc), FATE_ALIVE
 
 
-@dataclass
+#: ``(error_type, message, worker_fate)`` of the two failures the
+#: supervisor itself declares.
+_POOL_BROKEN = ("WorkerCrash", "worker process died (pool broken)", FATE_CRASHED)
+_CANCELLED = ("Cancelled", "sweep stopped early (fail-fast)", FATE_CANCELLED)
+
+
+@dataclass(eq=False)
 class _TaskState:
-    """Supervisor bookkeeping for one task that missed the cache."""
+    """One task that missed the cache, as the supervisor tracks it."""
 
     task: WorkerTask
-    attempts: int = 0
-    ready_at: float = 0.0  # monotonic time when eligible to (re)submit
-    started_at: float = 0.0  # monotonic submit time of the current attempt
+    attempts: int = 0  # failed attempts charged so far
+    #: Monotonic time the supervisor next acts on the task: while queued,
+    #: the earliest it may start; while running, its timeout deadline.
+    due: float = 0.0
+
+
+@dataclass
+class _Supervisor:
+    """The fault supervisor of one :func:`run_tasks` call, as plain data.
+
+    ``queue`` holds the tasks not running, in the order they joined it;
+    ``running`` maps each in-flight future to its task.  ``recycles``
+    counts backend teardowns against ``MAX_POOL_REBUILDS`` and ``stopped``
+    is set once fail-fast trips.  Three transitions act on that state —
+    :meth:`complete`, :meth:`charge` and :meth:`fail` — and :meth:`drive`
+    is the loop that applies them.
+    """
+
+    policy: FaultPolicy
+    metrics: SweepMetrics
+    cache: Optional[ResultCache]
+    progress: Optional[Callable[[SweepMetrics], None]]
+    results: Dict[Tuple[str, str], SimResult] = field(default_factory=dict)
+    queue: List[_TaskState] = field(default_factory=list)
+    running: Dict[Future, _TaskState] = field(default_factory=dict)
+    recycles: int = 0
+    stopped: bool = False
+
+    def report(self) -> None:
+        if self.progress is not None:
+            self.progress(self.metrics)
+
+    def complete(self, state: _TaskState, outcome: WorkerOutcome) -> None:
+        """Record one successful :class:`WorkerOutcome`: the one place a
+        fresh result enters the result cache.  A failed store (disk full,
+        read-only or missing directory) costs persistence, not the
+        result: it is still returned, and counted as not cached."""
+        task, metrics = state.task, self.metrics
+        self.results[(task.benchmark, task.version)] = outcome.result
+        metrics.launched += 1
+        metrics.serial_estimate_s += outcome.wall_s
+        metrics.stage_memo_hits += outcome.memo_hits
+        metrics.stage_memo_misses += outcome.memo_misses
+        if self.cache is not None:
+            try:
+                self.cache.store(
+                    task.cache_key, outcome.result, sim_wall_s=outcome.wall_s
+                )
+            except OSError:
+                metrics.not_cached += 1
+        self.report()
+
+    def charge(
+        self, state: _TaskState, now: float, error_type: str, message: str, fate: str
+    ) -> None:
+        """Charge one failed attempt: requeue after backoff, or fail."""
+        state.attempts += 1
+        if state.attempts > self.policy.max_retries:
+            self.fail(state, error_type, message, fate)
+            return
+        self.metrics.retries += 1
+        state.due = now + min(BACKOFF_BASE_S * 2 ** (state.attempts - 1), BACKOFF_CAP_S)
+        self.queue.append(state)
+
+    def fail(self, state: _TaskState, error_type: str, message: str, fate: str) -> None:
+        """Report ``state`` as a :class:`TaskFailure`; a failure that is
+        not itself a cancellation trips fail-fast."""
+        self.metrics.failures.append(
+            TaskFailure(
+                benchmark=state.task.benchmark,
+                version=state.task.version,
+                error_type=error_type,
+                message=message,
+                attempts=state.attempts,
+                worker_fate=fate,
+            )
+        )
+        if self.policy.fail_fast and fate != FATE_CANCELLED:
+            self.stopped = True
+        self.report()
+
+    def _settle(
+        self, future: Future, state: _TaskState, now: float, in_parent: bool
+    ) -> bool:
+        """Apply a finished future's transition; True when it reports
+        that the backend broke."""
+        try:
+            outcome = future.result()
+        except CancelledError:  # a teardown dropped it: requeue uncharged
+            state.due = now
+            self.queue.append(state)
+            return False
+        except Exception as exc:
+            self.charge(state, now, *_attempt_failure(exc, in_parent))
+            return isinstance(exc, BrokenExecutor) and not in_parent
+        self.complete(state, outcome)
+        return False
+
+    def _recycle(
+        self, backend: ExecutorBackend, now: float, charge_running: bool
+    ) -> bool:
+        """Empty ``running`` and recycle the backend.  Finished futures
+        are salvaged; unfinished ones are charged (a pool break: the
+        culprit is unknowable, and charging all bounds a repeat-killer) or
+        rejoin the queue uncharged (innocent victims of a timeout
+        teardown).  Returns False, without recycling, once the budget is
+        spent: the caller degrades to in-parent execution."""
+        self.recycles += 1
+        for future, state in self.running.items():
+            if future.done():
+                self._settle(future, state, now, in_parent=False)
+            elif charge_running:
+                self.charge(state, now, *_POOL_BROKEN)
+            else:
+                state.due = now
+                self.queue.append(state)
+        self.running.clear()
+        if self.recycles > MAX_POOL_REBUILDS:
+            return False
+        self.metrics.pool_rebuilds += 1
+        backend.recycle()
+        return True
+
+    def drive(
+        self, states: List[_TaskState], backend: ExecutorBackend
+    ) -> List[_TaskState]:
+        """Run ``states`` through ``backend`` until each one completes or
+        fails; returns the queue left when the backend had to be abandoned
+        (degrade-to-serial), due times included."""
+        in_parent = isinstance(backend, _InParentBackend)
+        workers = min(1 if in_parent else self.metrics.jobs, len(states))
+        timeout_s = self.policy.task_timeout_s
+        if timeout_s is None:
+            timeout_s = math.inf  # a running task is then never due
+        try:
+            backend.start(workers)
+        except Exception:
+            return states  # nothing provisioned; run everything in-parent
+        self.queue = list(states)
+        try:
+            now = time.monotonic()
+            while self.queue or self.running:
+                if self.stopped:
+                    for state in self.queue:
+                        self.fail(state, *_CANCELLED)
+                    self.queue = []
+                # At most ``workers`` in flight: a task's deadline counts
+                # from its real start (its submit), and queued work stays
+                # here, where fail-fast can cancel it.
+                broken = False
+                while len(self.running) < workers and not self.stopped:
+                    state = next((s for s in self.queue if s.due <= now), None)
+                    if state is None:
+                        break
+                    try:
+                        future = backend.submit(state.task)
+                    except (BrokenExecutor, RuntimeError):
+                        broken = True
+                        break
+                    self.queue.remove(state)
+                    state.due = time.monotonic() + timeout_s
+                    self.running[future] = state
+                if self.running and not broken:
+                    # One wake time: the next deadline or backoff expiry.
+                    wake = min(
+                        [s.due for s in self.queue if s.due > now]
+                        + [s.due for s in self.running.values()]
+                    )
+                    timeout = None if wake == math.inf else max(0.0, wake - now) + 0.01
+                    done, _ = wait(
+                        set(self.running), timeout=timeout, return_when=FIRST_COMPLETED
+                    )
+                    now = time.monotonic()
+                    # Drain every finished future before reacting to any
+                    # failure: computed results are kept whatever their
+                    # batch-mates did.  Submission order, not set order,
+                    # keeps retries and results in one order run to run.
+                    for future in [f for f in self.running if f in done]:
+                        state = self.running.pop(future)
+                        broken = self._settle(future, state, now, in_parent) or broken
+                elif self.queue and not broken:
+                    # Nothing runs until the earliest backoff expires; the
+                    # task slept for is then due without another clock read.
+                    wake = min(s.due for s in self.queue)
+                    _sleep(max(0.0, wake - time.monotonic()))
+                    now = wake
+                if broken:
+                    if not self._recycle(backend, now, charge_running=True):
+                        return self.queue
+                    continue
+                # Only pool workers can still be running here (in-parent
+                # futures resolve on submit), so only they time out.
+                expired = [f for f, s in self.running.items() if s.due <= now]
+                surgical = True
+                for future in expired:
+                    state = self.running.pop(future)
+                    surgical = backend.kill_task(future) and surgical
+                    message = f"exceeded task timeout ({timeout_s:g}s)"
+                    self.charge(state, now, "TaskTimeout", message, FATE_TIMED_OUT)
+                # Per-task backends kill just the hung worker; a shared
+                # pool cannot, so the whole backend recycles.
+                if not surgical and not self._recycle(
+                    backend, now, charge_running=False
+                ):
+                    return self.queue
+            return []
+        finally:
+            backend.shutdown()
 
 
 def run_tasks(
@@ -413,15 +622,11 @@ def run_tasks(
     (a failed store only counts on ``metrics.not_cached``).
     """
     jobs = resolve_jobs(jobs)
-    policy = policy if policy is not None else FaultPolicy()
     metrics = SweepMetrics(total=len(tasks), jobs=jobs)
-    results: Dict[Tuple[str, str], SimResult] = {}
+    supervisor = _Supervisor(
+        policy if policy is not None else FaultPolicy(), metrics, cache, progress
+    )
     start = time.perf_counter()
-    stop = False  # set once fail-fast trips; no further dispatch
-
-    def report() -> None:
-        if progress is not None:
-            progress(metrics)
 
     pending: List[_TaskState] = []
     for task in tasks:
@@ -429,7 +634,7 @@ def run_tasks(
         key = cache_key(task.spec, task.version, system, options)
         entry = cache.load(key) if cache is not None else None
         if entry is not None:
-            results[(task.full_name, task.version)] = entry.result
+            supervisor.results[(task.full_name, task.version)] = entry.result
             metrics.cache_hits += 1
             metrics.serial_estimate_s += entry.sim_wall_s
         else:
@@ -446,244 +651,7 @@ def run_tasks(
                 )
             )
     if metrics.cache_hits:
-        report()
-
-    def complete(state: _TaskState, outcome: WorkerOutcome) -> None:
-        """Record one successful :class:`WorkerOutcome`: the one place a
-        fresh result enters the result cache.  A failed store (disk full,
-        read-only or missing directory) costs persistence, not the
-        result: it is still returned, and counted as not cached."""
-        task = state.task
-        results[(task.benchmark, task.version)] = outcome.result
-        metrics.launched += 1
-        metrics.serial_estimate_s += outcome.wall_s
-        metrics.stage_memo_hits += outcome.memo_hits
-        metrics.stage_memo_misses += outcome.memo_misses
-        if cache is not None:
-            try:
-                cache.store(task.cache_key, outcome.result, sim_wall_s=outcome.wall_s)
-            except OSError:
-                metrics.not_cached += 1
-        report()
-
-    def final_failure(
-        state: _TaskState, error_type: str, message: str, fate: str
-    ) -> None:
-        nonlocal stop
-        failure = TaskFailure(
-            benchmark=state.task.benchmark,
-            version=state.task.version,
-            error_type=error_type,
-            message=message,
-            attempts=state.attempts,
-            worker_fate=fate,
-        )
-        metrics.failures.append(failure)
-        if policy.fail_fast and fate != FATE_CANCELLED:
-            stop = True
-        report()
-
-    def supervise(
-        states: List[_TaskState], backend: ExecutorBackend
-    ) -> List[_TaskState]:
-        """Drive ``states`` through ``backend`` until each one finishes or
-        fails; returns the tasks still unfinished when the backend had to
-        be abandoned (degrade-to-serial)."""
-        in_parent = isinstance(backend, _InParentBackend)
-        workers = min(1 if in_parent else jobs, len(states))
-        # Every task starts out waiting for its ready_at: fresh ones are
-        # due at once, leftovers of a degraded pool keep their backoff.
-        ready: List[_TaskState] = []
-        waiting: List[_TaskState] = list(states)
-        inflight: Dict[Future, _TaskState] = {}
-        try:
-            backend.start(workers)
-        except Exception:
-            return states  # nothing provisioned; run everything in-parent
-        # Pool breaks *and* timeout teardowns share one bounded recycle
-        # budget: a workload that crashes or hangs every attempt must
-        # degrade to serial, not recycle executors forever.
-        recycles = 0
-        # The latest backoff deadline slept through: once the sleep returns
-        # that task is due, even if the clock disagrees (no re-sleeping).
-        slept_until = 0.0
-
-        def requeue(
-            state: _TaskState, error_type: str, message: str, fate: str
-        ) -> None:
-            """Charge a failed attempt: retry after backoff, or give up."""
-            if state.attempts > policy.max_retries:
-                final_failure(state, error_type, message, fate)
-                return
-            metrics.retries += 1
-            state.ready_at = time.monotonic() + policy.backoff_s(state.attempts)
-            waiting.append(state)
-
-        def requeue_free(state: _TaskState) -> None:
-            """Requeue an innocent victim of a backend recycle, uncharged."""
-            state.attempts -= 1
-            state.ready_at = 0.0
-            waiting.append(state)
-
-        def drain_finished(future: Future, state: _TaskState) -> bool:
-            """Resolve one completed future; True when the backend broke."""
-            try:
-                outcome = future.result()
-            except CancelledError:
-                requeue_free(state)
-                return False
-            except Exception as exc:
-                requeue(state, *_attempt_failure(exc, in_parent))
-                return isinstance(exc, BrokenExecutor) and not in_parent
-            complete(state, outcome)
-            return False
-
-        def salvage_and_recycle(charge_unfinished: bool) -> bool:
-            """Drain finished in-flight futures, refund (or charge) the
-            rest, and recycle the backend.  Returns False once the
-            recycle budget is spent (the caller degrades to serial)."""
-            nonlocal recycles
-            recycles += 1
-            for future, state in list(inflight.items()):
-                if future.done():
-                    drain_finished(future, state)
-                elif charge_unfinished:
-                    requeue(
-                        state,
-                        "WorkerCrash",
-                        "worker process died (pool broken)",
-                        FATE_CRASHED,
-                    )
-                else:
-                    requeue_free(state)
-            inflight.clear()
-            if recycles > policy.max_pool_rebuilds:
-                return False
-            metrics.pool_rebuilds += 1
-            backend.recycle()
-            return True
-
-        try:
-            while ready or waiting or inflight:
-                if stop:
-                    for state in ready + waiting:
-                        final_failure(
-                            state,
-                            "Cancelled",
-                            "sweep stopped early (fail-fast)",
-                            FATE_CANCELLED,
-                        )
-                    ready, waiting = [], []
-                    if not inflight:
-                        break
-                else:
-                    now = max(time.monotonic(), slept_until)
-                    ready += [s for s in waiting if s.ready_at <= now]
-                    waiting = [s for s in waiting if s.ready_at > now]
-
-                # Keep in-flight == running: submitting at most ``workers``
-                # tasks makes started_at the true start time (exact timeout
-                # accounting) and leaves queued work supervisor-side where
-                # fail-fast can actually cancel it.
-                broken = False
-                while ready and len(inflight) < workers and not stop:
-                    state = ready.pop(0)
-                    state.attempts += 1
-                    state.started_at = time.monotonic()
-                    try:
-                        future = backend.submit(state.task)
-                    except (BrokenExecutor, RuntimeError):
-                        state.attempts -= 1  # this attempt never ran
-                        ready.insert(0, state)
-                        broken = True
-                        break
-                    inflight[future] = state
-
-                if inflight and not broken:
-                    now = time.monotonic()
-                    timeout: Optional[float] = None
-                    if policy.task_timeout_s is not None:
-                        earliest = min(s.started_at for s in inflight.values())
-                        timeout = (
-                            max(0.0, earliest + policy.task_timeout_s - now)
-                            + 0.05
-                        )
-                    if waiting:
-                        wake = max(
-                            0.0, min(s.ready_at for s in waiting) - now
-                        ) + 0.01
-                        timeout = wake if timeout is None else min(timeout, wake)
-                    done, _ = wait(
-                        set(inflight),
-                        timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    # Drain every finished future before reacting to any
-                    # failure: results that are already computed must be
-                    # recorded and cached no matter what their batch-mates
-                    # did (the pre-supervisor code lost them).  Submission
-                    # order, not set order, keeps the retry order and the
-                    # results' order the same from run to run.
-                    for future in [f for f in inflight if f in done]:
-                        state = inflight.pop(future)
-                        if drain_finished(future, state):
-                            broken = True
-                elif not inflight and waiting and not stop and not broken:
-                    # Nothing runs until the earliest backoff expires — a
-                    # task that degraded out of the pool mid-retry included.
-                    slept_until = min(s.ready_at for s in waiting)
-                    delay = slept_until - time.monotonic()
-                    if delay > 0:
-                        _sleep(delay)
-                    continue
-
-                if broken:
-                    # The backend is gone: salvage any future that
-                    # completed with a real result, charge the rest one
-                    # attempt each (the crashing task cannot be identified,
-                    # and charging everyone bounds a repeat-killer), then
-                    # recycle — or degrade to in-parent serial after
-                    # repeated breaks.
-                    if not salvage_and_recycle(charge_unfinished=True):
-                        return ready + waiting
-                    continue
-
-                # In-parent futures are resolved on submit, so only pool
-                # workers can still be in flight here: the timeout applies
-                # to them alone.
-                if policy.task_timeout_s is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        (future, state)
-                        for future, state in inflight.items()
-                        if now - state.started_at >= policy.task_timeout_s
-                    ]
-                    if expired:
-                        surgical = True
-                        for future, state in expired:
-                            del inflight[future]
-                            if not backend.kill_task(future):
-                                surgical = False
-                            requeue(
-                                state,
-                                "TaskTimeout",
-                                f"exceeded task timeout "
-                                f"({policy.task_timeout_s:g}s)",
-                                FATE_TIMED_OUT,
-                            )
-                        # Backends with per-task children kill just the
-                        # hung worker; a shared pool cannot, so the whole
-                        # backend recycles — in-flight tasks that had not
-                        # expired are innocent and requeue uncharged.  The
-                        # teardown draws on the same bounded budget as a
-                        # break: a hang-every-attempt workload degrades to
-                        # serial instead of recycling pools forever.
-                        if not surgical:
-                            if not salvage_and_recycle(charge_unfinished=False):
-                                return ready + waiting
-            return []
-        finally:
-            backend.shutdown()
+        supervisor.report()
 
     serial = pending
     if jobs > 1 and len(pending) > 1:
@@ -693,10 +661,9 @@ def run_tasks(
         for state in pending:
             (pooled if _poolable(state.task) else serial).append(state)
         if pooled:
-            serial = supervise(pooled, pool) + serial
-    # Leftovers keep their attempts and ready_at: a pending backoff holds.
-    supervise(serial, _InParentBackend())
+            serial = supervisor.drive(pooled, pool) + serial
+    # Leftovers keep their attempts and due times: a pending backoff holds.
+    supervisor.drive(serial, _InParentBackend())
 
     metrics.wall_s = time.perf_counter() - start
-    return results, metrics
-
+    return supervisor.results, metrics

@@ -47,7 +47,7 @@ from repro.sim.pagefault import PageFaultModel, premapped_pages
 from repro.sim.pcie import CopyEngine
 from repro.sim.results import Interval, SimResult, StageRecord
 from repro.sim.timing import StageTiming, compute_stage_timing
-from repro.trace.generator import StageTrace, TraceGenerator
+from repro.trace.generator import StageTrace, TraceGenerator, TraceMemo
 from repro.trace.stream import AccessStream, sorted_unique
 
 _COMPONENT_OF_KIND = {
@@ -70,7 +70,7 @@ ENGINE_VERSION = "repro-sim/2"
 #: engine instance (see :class:`repro.trace.generator.TraceGenerator`).
 #: Keys fully determine the part's contents, so sharing across pipelines,
 #: systems, and the copy/limited-copy pair is exact.
-_TRACE_MEMO: dict = {}
+_TRACE_MEMO = TraceMemo()
 
 #: Default ``stage_memo`` of :class:`Engine`: the process-wide shared memo.
 _SHARED_MEMO: Any = object()

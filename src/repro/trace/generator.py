@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, MutableMapping, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,9 +40,12 @@ _RNG_FREE_PATTERNS = frozenset(
     }
 )
 
-#: Entry bound of a trace-part memo; cleared wholesale when exceeded so a
-#: long-lived process sweeping many scales cannot grow without limit.
+#: Bounds of a :class:`TraceMemo`; exceeding either clears it wholesale, so
+#: a long-lived process sweeping many scales cannot grow without limit.
+#: Streams grow with scale, so the byte bound (the stage memo's own, see
+#: repro.sim.memo) is the one a large-scale sweep reaches.
 _MEMO_MAX_ENTRIES = 1024
+_MEMO_MAX_BYTES = 256 << 20
 
 
 class BufferLayout:
@@ -179,6 +182,29 @@ class StageTrace:
     key: Optional[Tuple] = None
 
 
+class TraceMemo(dict):
+    """Trace parts and whole-stage traces by key, shared and never mutated.
+
+    :meth:`put` clears the memo wholesale before an entry would pass
+    either bound above, as :class:`repro.sim.memo.StageMemo` does;
+    ``retained_bytes`` sums the entries' stream arrays.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.retained_bytes = 0
+
+    def put(self, key: Tuple, value: Union[AccessStream, StageTrace]) -> None:
+        stream = value.stream if isinstance(value, StageTrace) else value
+        nbytes = stream.blocks.nbytes + stream.is_write.nbytes
+        full = len(self) >= _MEMO_MAX_ENTRIES
+        if full or self.retained_bytes + nbytes > _MEMO_MAX_BYTES:
+            self.clear()
+            self.retained_bytes = 0
+        self[key] = value
+        self.retained_bytes += nbytes
+
+
 class TraceGenerator:
     """Generates deterministic access streams for every stage of a pipeline."""
 
@@ -189,17 +215,17 @@ class TraceGenerator:
         seed: int = 0,
         page_bytes: int = 4096,
         max_accesses_per_access: int = 8_000_000,
-        memo: Optional[MutableMapping] = None,
+        memo: Optional[TraceMemo] = None,
     ):
         self.pipeline = pipeline
         self.layout = BufferLayout(pipeline, line_bytes=line_bytes, page_bytes=page_bytes)
         self.seed = seed
         self.max_accesses = max_accesses_per_access
-        #: Optional part-level memo (key -> AccessStream).  Keys capture
-        #: everything a part depends on — including the stable per-access
-        #: seed whenever the RNG is consumed — so entries may be shared
-        #: across generators (the engine passes one process-wide dict).
-        #: Memoized streams are shared objects and must not be mutated.
+        #: Optional part- and stage-level memo.  Keys capture everything a
+        #: part depends on — including the stable per-access seed whenever
+        #: the RNG is consumed — so entries may be shared across generators
+        #: (the engine passes one process-wide memo).  Memoized streams are
+        #: shared objects and must not be mutated.
         self.memo = memo
 
     def _seed_for(self, stage: Stage, access_index: int) -> int:
@@ -241,11 +267,6 @@ class TraceGenerator:
             is_write,
         )
 
-    def _memo_put(self, key: Tuple, value: object) -> None:
-        if len(self.memo) >= _MEMO_MAX_ENTRIES:
-            self.memo.clear()
-        self.memo[key] = value
-
     def _part(
         self,
         stage: Stage,
@@ -271,7 +292,7 @@ class TraceGenerator:
         if misaligned:
             part = apply_misalignment(part, rng)
         if key is not None:
-            self._memo_put(key, part)
+            self.memo.put(key, part)
         return part
 
     def stage_key(self, stage: Stage) -> Tuple:
@@ -312,5 +333,5 @@ class TraceGenerator:
             key=stage_key,
         )
         if stage_key is not None:
-            self._memo_put(stage_key, trace)
+            self.memo.put(stage_key, trace)
         return trace

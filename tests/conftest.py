@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
 from repro.experiments.parallel import LIMITED
@@ -29,6 +30,13 @@ def run_engine(spec, version, system, options, **engine):
     if version == LIMITED:
         pipeline = remove_copies(pipeline)
     return Engine(pipeline, system, options, **engine).run()
+
+
+# Every property test sets its own example count except those of
+# tests/test_supervisor.py, which run the loaded profile's: 40 by default,
+# ten times that under ``--hypothesis-profile deep`` (CI's differential job).
+settings.register_profile("default", max_examples=40)
+settings.register_profile("deep", max_examples=400)
 
 
 def pytest_addoption(parser):

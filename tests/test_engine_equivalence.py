@@ -30,12 +30,15 @@ import pytest
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
 from repro.experiments.parallel import COPY, LIMITED, _simulate_version, _system_for
+from repro.sim import engine
 from repro.sim.cache import SetAssocCache
 from repro.sim.engine import _TRACE_MEMO, Engine, SimOptions
 from repro.sim.fastcache import FastSetAssocCache
 from repro.sim.memo import shared_stage_memo
 from repro.sim.resultcache import ResultCache, cache_key
 from repro.sim.serialize import result_to_full_dict, results_identical
+from repro.trace import generator
+from repro.trace.generator import TraceMemo
 from repro.workloads.registry import simulatable_specs
 
 from tests.conftest import TINY_SCALE, run_engine
@@ -138,6 +141,37 @@ def test_fast_is_the_default_engine():
     oracle = Engine(pipeline, _DISCRETE, options, impl="reference", stage_memo=None)
     assert type(oracle.caches.gpu.l1) is SetAssocCache
     assert oracle.tracegen.memo is None and oracle.stage_memo is None
+
+
+def test_trace_memo_clears_past_its_byte_bound(monkeypatch):
+    """A trace memo bounded below one benchmark's streams clears wholesale
+    as it fills, and results stay byte-identical to runs without one."""
+    options = SimOptions(scale=TINY_SCALE, seed=7)
+
+    def serialized_pair():
+        return [
+            result_to_full_dict(
+                run_engine(
+                    _SPECS["rodinia/kmeans"],
+                    version,
+                    _system_for(version, _DISCRETE, _HETEROGENEOUS),
+                    options,
+                    stage_memo=None,
+                )
+            )
+            for version in (COPY, LIMITED)
+        ]
+
+    unbounded, bounded, max_bytes = TraceMemo(), TraceMemo(), 64 << 10
+    monkeypatch.setattr(engine, "_TRACE_MEMO", unbounded)
+    serialized_pair()
+    monkeypatch.setattr(engine, "_TRACE_MEMO", bounded)
+    monkeypatch.setattr(generator, "_MEMO_MAX_BYTES", max_bytes)
+    results = serialized_pair()
+    # Holding less than the pair's streams means it cleared on the way.
+    assert 0 < bounded.retained_bytes <= max_bytes < unbounded.retained_bytes
+    monkeypatch.setattr(engine, "_TRACE_MEMO", None)
+    assert serialized_pair() == results
 
 
 def test_violations_match_on_fault_free_runs():

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import weakref
+from concurrent.futures import process as futures_process
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from repro.experiments.executors import (
     BACKENDS,
     LocalPoolBackend,
     SubprocessBackend,
+    WorkerTask,
     create_backend,
 )
 from repro.experiments.parallel import (
@@ -68,9 +71,10 @@ def _run(tasks, *, jobs=2, policy=None, cache=None, backend=None):
     )
 
 
-def _fast(**kwargs) -> FaultPolicy:
-    kwargs.setdefault("backoff_base_s", 0.0)
-    return FaultPolicy(**kwargs)
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    """Retry at once: these tests count attempts, not delays."""
+    monkeypatch.setattr(parallel_mod, "BACKOFF_BASE_S", 0.0)
 
 
 class TestBackendFactory:
@@ -115,7 +119,7 @@ class TestSubprocessBackend:
             results, metrics = _run(
                 _tasks(),
                 backend="subprocess",
-                policy=_fast(max_retries=1),
+                policy=FaultPolicy(max_retries=1),
             )
         assert len(results) == 3
         [failure] = metrics.failures
@@ -134,7 +138,7 @@ class TestSubprocessBackend:
             results, metrics = _run(
                 _tasks(),
                 backend="subprocess",
-                policy=_fast(max_retries=0),
+                policy=FaultPolicy(max_retries=0),
             )
         assert len(results) == 3
         [failure] = metrics.failures
@@ -171,7 +175,7 @@ class TestSubprocessBackend:
             results, metrics = _run(
                 _tasks(),
                 backend="subprocess",
-                policy=_fast(task_timeout_s=1.5, max_retries=0),
+                policy=FaultPolicy(task_timeout_s=1.5, max_retries=0),
             )
         assert len(results) == 3
         [failure] = metrics.failures
@@ -236,15 +240,45 @@ class TestOneWorkerTask:
 
 
 
+class TestLocalPoolTeardown:
+    """Ending a pool joins its manager thread.  At interpreter exit
+    ``concurrent.futures`` wakes every manager thread it still registers;
+    one left running could be closing its wakeup pipe at that moment,
+    and the exit printed ``OSError: [Errno 9] Bad file descriptor``."""
+
+    @pytest.mark.parametrize("recycle", [False, True])
+    def test_no_manager_thread_outlives_its_pool(self, recycle):
+        task = WorkerTask(
+            benchmark="lonestar/bfs",
+            version=COPY,
+            spec=None,
+            system=discrete_gpu_system(),
+            options=_options(),
+            cache_key="teardown",
+        )
+        backend = LocalPoolBackend()
+        backend.start(1)
+        managers = []
+        for _ in range(2 if recycle else 1):
+            if managers:
+                backend.recycle()
+            backend.submit(task).result()
+            managers.append(weakref.ref(backend._pool._executor_manager_thread))
+        backend.shutdown()
+        for manager in managers:
+            thread = manager()
+            assert thread is None or not thread.is_alive()
+            assert thread not in futures_process._threads_wakeups
+
+
 class TestRecycleBudget:
     """Satellite bugfix: task-timeout pool teardowns draw on the same
     bounded recycle budget as pool breaks (they previously recycled the
-    pool without ever counting against ``max_pool_rebuilds``)."""
+    pool without ever counting against ``MAX_POOL_REBUILDS``)."""
 
-    def test_timeout_recycles_are_bounded(self, tmp_path):
-        policy = _fast(
-            max_retries=4, task_timeout_s=0.75, max_pool_rebuilds=1
-        )
+    def test_timeout_recycles_are_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "MAX_POOL_REBUILDS", 1)
+        policy = FaultPolicy(max_retries=4, task_timeout_s=0.75)
         with injected_faults(
             {"*": FaultRule("hang", times=2, hang_s=30.0)},
             counter_dir=tmp_path,
@@ -256,7 +290,7 @@ class TestRecycleBudget:
         assert not metrics.failures
         # Two hang rounds would have torn the pool down twice; the budget
         # (1) forced degrade-to-serial instead of a second rebuild.
-        assert metrics.pool_rebuilds <= policy.max_pool_rebuilds
+        assert metrics.pool_rebuilds <= parallel_mod.MAX_POOL_REBUILDS
 
 
 class TestSerialBackoffHonored:
@@ -268,6 +302,8 @@ class TestSerialBackoffHonored:
     ):
         recorded = []
         monkeypatch.setattr(parallel_mod, "_sleep", recorded.append)
+        monkeypatch.setattr(parallel_mod, "BACKOFF_BASE_S", 2.0)
+        monkeypatch.setattr(parallel_mod, "MAX_POOL_REBUILDS", 0)
         with injected_faults(
             {"rodinia/kmeans:copy": FaultRule("kill", times=1)},
             counter_dir=tmp_path,
@@ -275,9 +311,7 @@ class TestSerialBackoffHonored:
             results, metrics = _run(
                 _tasks(),
                 jobs=2,
-                policy=_fast(
-                    max_retries=2, backoff_base_s=2.0, max_pool_rebuilds=0
-                ),
+                policy=FaultPolicy(max_retries=2),
             )
         assert len(results) == 4
         assert not metrics.failures

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     COPY,
     FATE_ALIVE,
@@ -62,16 +63,17 @@ def _run(tasks, *, jobs=2, policy=None, cache=None, progress=None):
     )
 
 
-def _fast(**kwargs) -> FaultPolicy:
-    kwargs.setdefault("backoff_base_s", 0.0)
-    return FaultPolicy(**kwargs)
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    """Retry at once: these tests count attempts, not delays."""
+    monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.0)
 
 
 class TestWorkerException:
     def test_partial_results_and_structured_failure(self):
         with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
             results, metrics = _run(
-                _tasks(), policy=_fast(max_retries=1)
+                _tasks(), policy=FaultPolicy(max_retries=1)
             )
         assert sorted(results) == [
             ("lonestar/bfs", LIMITED),
@@ -90,7 +92,7 @@ class TestWorkerException:
     def test_retry_then_succeed(self, tmp_path):
         rules = {"rodinia/kmeans:limited-copy": FaultRule("raise", times=1)}
         with injected_faults(rules, counter_dir=tmp_path):
-            results, metrics = _run(_tasks(), policy=_fast(max_retries=2))
+            results, metrics = _run(_tasks(), policy=FaultPolicy(max_retries=2))
         assert len(results) == 4
         assert not metrics.failures
         assert metrics.retries >= 1
@@ -102,7 +104,7 @@ class TestWorkerException:
         cache = ResultCache(tmp_path / "cache")
         with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
             results, metrics = _run(
-                _tasks(), policy=_fast(max_retries=0), cache=cache
+                _tasks(), policy=FaultPolicy(max_retries=0), cache=cache
             )
         assert len(results) == 3
         assert len(metrics.failures) == 1
@@ -112,7 +114,7 @@ class TestWorkerException:
     def test_partial_results_equal_clean_run_subset(self):
         clean, _ = _run(_tasks(), jobs=1)
         with injected_faults({"rodinia/kmeans:copy": FaultRule("raise")}):
-            faulted, metrics = _run(_tasks(), policy=_fast(max_retries=0))
+            faulted, metrics = _run(_tasks(), policy=FaultPolicy(max_retries=0))
         assert ("rodinia/kmeans", COPY) not in faulted
         assert len(faulted) == len(clean) - 1
         for key, result in faulted.items():
@@ -123,14 +125,14 @@ class TestWorkerCrash:
     def test_kill_once_rebuilds_pool_and_recovers(self, tmp_path):
         rules = {"rodinia/kmeans:copy": FaultRule("kill", times=1)}
         with injected_faults(rules, counter_dir=tmp_path):
-            results, metrics = _run(_tasks(), policy=_fast(max_retries=2))
+            results, metrics = _run(_tasks(), policy=FaultPolicy(max_retries=2))
         assert len(results) == 4
         assert not metrics.failures
         assert metrics.pool_rebuilds >= 1
 
     def test_permanent_kill_reports_crashed_failure(self):
         with injected_faults({"rodinia/kmeans:copy": FaultRule("kill")}):
-            results, metrics = _run(_tasks(), policy=_fast(max_retries=1))
+            results, metrics = _run(_tasks(), policy=FaultPolicy(max_retries=1))
         # A pool break charges every in-flight task (the culprit is
         # unknowable), so an innocent bystander may exhaust its retries
         # alongside the killer — but everything is accounted for.
@@ -142,15 +144,13 @@ class TestWorkerCrash:
         assert culprit.error_type == "WorkerCrash"
         assert all(f.worker_fate == FATE_CRASHED for f in metrics.failures)
 
-    def test_repeated_breaks_degrade_to_in_parent_serial(self):
+    def test_repeated_breaks_degrade_to_in_parent_serial(self, monkeypatch):
         """With no rebuild budget the sweep falls back to the parent
         process, where the injected kill degrades to a raise — the sweep
         still completes and the process survives."""
+        monkeypatch.setattr(parallel, "MAX_POOL_REBUILDS", 0)
         with injected_faults({"rodinia/kmeans:copy": FaultRule("kill")}):
-            results, metrics = _run(
-                _tasks(),
-                policy=_fast(max_retries=3, max_pool_rebuilds=0),
-            )
+            results, metrics = _run(_tasks(), policy=FaultPolicy(max_retries=3))
         assert len(results) == 3
         (failure,) = metrics.failures
         assert failure.worker_fate == FATE_IN_PARENT
@@ -164,7 +164,7 @@ class TestTaskTimeout:
         with injected_faults(rules, counter_dir=tmp_path):
             results, metrics = _run(
                 _tasks(),
-                policy=_fast(max_retries=1, task_timeout_s=2.0),
+                policy=FaultPolicy(max_retries=1, task_timeout_s=2.0),
             )
         assert len(results) == 4
         assert not metrics.failures
@@ -175,7 +175,7 @@ class TestTaskTimeout:
         with injected_faults({"lonestar/bfs:limited-copy": FaultRule("hang", hang_s=60)}):
             results, metrics = _run(
                 _tasks(),
-                policy=_fast(max_retries=0, task_timeout_s=1.5),
+                policy=FaultPolicy(max_retries=0, task_timeout_s=1.5),
             )
         assert len(results) == 3
         (failure,) = metrics.failures
@@ -189,7 +189,7 @@ class TestFailFast:
         with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
             results, metrics = _run(
                 _tasks(),
-                policy=_fast(max_retries=0, fail_fast=True),
+                policy=FaultPolicy(max_retries=0, fail_fast=True),
             )
         # Everything is accounted for: finished, failed, or cancelled.
         assert len(results) + len(metrics.failures) == 4
@@ -203,7 +203,7 @@ class TestFailFast:
             results, metrics = _run(
                 _tasks(),
                 jobs=1,
-                policy=_fast(max_retries=0, fail_fast=True),
+                policy=FaultPolicy(max_retries=0, fail_fast=True),
             )
         # Serial order is deterministic: bfs:copy fails first, everything
         # after it is cancelled.
@@ -223,7 +223,7 @@ class TestSerialInParent:
             "rodinia/kmeans:limited-copy": FaultRule("kill"),
         }
         with injected_faults(rules):
-            results, metrics = _run(_tasks(), jobs=1, policy=_fast(max_retries=1))
+            results, metrics = _run(_tasks(), jobs=1, policy=FaultPolicy(max_retries=1))
         assert len(results) == 2
         assert len(metrics.failures) == 2
         assert all(f.worker_fate == FATE_IN_PARENT for f in metrics.failures)
@@ -240,7 +240,7 @@ class TestProgress:
             _run(
                 _tasks(),
                 jobs=1,
-                policy=_fast(max_retries=0),
+                policy=FaultPolicy(max_retries=0),
                 cache=cache,
                 progress=lambda m: seen.append((m.launched, m.cache_hits, m.failed)),
             )
@@ -260,7 +260,7 @@ class TestSweepRunnerIntegration:
                 options=_options(),
                 parallel=2,
                 cache_dir=tmp_path,
-                fault_policy=_fast(max_retries=0),
+                fault_policy=FaultPolicy(max_retries=0),
             )
             runs = runner.sweep(specs)
         assert sorted(runs) == ["rodinia/kmeans"]  # incomplete pair omitted
@@ -276,7 +276,9 @@ class TestSweepRunnerIntegration:
         """A later sweep's success elsewhere clears nothing, and the
         outstanding failures list by (benchmark, version), not by when
         they happened."""
-        runner = SweepRunner(options=_options(), fault_policy=_fast(max_retries=0))
+        runner = SweepRunner(
+            options=_options(), fault_policy=FaultPolicy(max_retries=0)
+        )
         rules = {
             "rodinia/kmeans:copy": FaultRule("raise"),
             "lonestar/bfs:limited-copy": FaultRule("raise"),
@@ -294,7 +296,9 @@ class TestSweepRunnerIntegration:
 
     def test_run_raises_sweep_error_with_failures(self):
         spec = get("lonestar/bfs")
-        runner = SweepRunner(options=_options(), fault_policy=_fast(max_retries=0))
+        runner = SweepRunner(
+            options=_options(), fault_policy=FaultPolicy(max_retries=0)
+        )
         with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
             with pytest.raises(SweepError) as excinfo:
                 runner.run(spec, COPY)
@@ -308,7 +312,7 @@ class TestSweepRunnerIntegration:
         runner = SweepRunner(
             options=_options(),
             cache_dir=tmp_path,
-            fault_policy=_fast(max_retries=0),
+            fault_policy=FaultPolicy(max_retries=0),
         )
         with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
             with pytest.raises(SweepError):

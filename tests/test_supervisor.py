@@ -2,12 +2,16 @@
 
 A scripted backend resolves every submit at once with an outcome drawn
 per (task, attempt): success, an exception raised in the worker, a worker
-crash, an exception reported by a worker child, or a broken pool.  Whatever the script, the
-loop must account for every task exactly once, stay inside the policy's
-retry and rebuild budgets, and — once a rebuild budget is spent — finish
-the leftovers in-parent with real simulations, and futures that finish
-together must complete in submission order.  The pool width helper is
-pinned here too.
+crash, an exception reported by a worker child, a broken pool, or a hang
+— a future that resolves only when killed, which a zero task timeout
+kills at the first look.  One scripted backend kills a hung task alone
+(surgical, like the ``subprocess`` backend), the other cannot and
+recycles (like the local pool).  Whatever the script, the loop must
+account for every task exactly once, stay inside the policy's retry and
+rebuild budgets, report an exhausted hang as a timeout, and — once a
+rebuild budget is spent — finish the leftovers in-parent with real
+simulations, and futures that finish together must complete in
+submission order.  The pool width helper is pinned here too.
 """
 
 from __future__ import annotations
@@ -30,8 +34,12 @@ from repro.experiments.executors import (
 )
 from repro.experiments.parallel import (
     COPY,
+    FATE_CANCELLED,
+    FATE_CRASHED,
+    FATE_TIMED_OUT,
     LIMITED,
     FaultPolicy,
+    SweepMetrics,
     SweepTask,
     resolve_jobs,
     run_tasks,
@@ -42,9 +50,15 @@ from repro.sim.serialize import results_identical
 from repro.workloads.registry import get
 
 NAMES = ("lonestar/bfs", "rodinia/kmeans", "parboil/spmv")
-OUTCOMES = ("ok", "raise", "crash", "remote", "broken")
+OUTCOMES = ("ok", "raise", "crash", "remote", "broken", "hang")
 TASKS = [SweepTask(get(name), v) for name in NAMES for v in (COPY, LIMITED)]
 KEYS = {(task.full_name, task.version) for task in TASKS}
+#: (error_type, worker_fate) of a task whose last attempt hung.
+HANG_FAILURES = (
+    ("TaskTimeout", FATE_TIMED_OUT),
+    ("WorkerCrash", FATE_CRASHED),
+    ("Cancelled", FATE_CANCELLED),
+)
 
 
 def _run(**kwargs):
@@ -65,13 +79,16 @@ def reference():
 
 
 class ScriptedBackend(ExecutorBackend):
-    """Resolves each submit immediately with ``draw(task)``'s outcome."""
+    """Resolves each submit immediately with ``draw(task)``'s outcome, but
+    a hung task's future only when the task is killed: surgically, or by
+    a recycle."""
 
     name = "scripted"
 
     def __init__(self, draw, results):
         self._draw = draw
         self._results = results
+        self._hung = []
 
     def start(self, workers):
         pass
@@ -92,42 +109,68 @@ class ScriptedBackend(ExecutorBackend):
             future.set_exception(TaskCrash("scripted crash"))
         elif outcome == "remote":
             future.set_exception(RemoteTaskError("KeyError", "scripted remote failure"))
+        elif outcome == "hang":
+            self._hung.append(future)
         else:
             future.set_exception(BrokenExecutor("scripted pool break"))
         return future
 
+    def kill_task(self, future):
+        future.set_exception(TaskCrash("scripted kill"))
+        self._hung.remove(future)
+        return True
+
     def recycle(self):
-        pass
+        for future in self._hung:
+            future.set_exception(BrokenExecutor("scripted recycle"))
+        self._hung = []
 
     def shutdown(self):
-        pass
+        self.recycle()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+class RecyclingBackend(ScriptedBackend):
+    """A shared pool: it cannot kill one task, so a timeout recycles it."""
+
+    def kill_task(self, future):
+        return False
+
+
+# No example count: the loaded Hypothesis profile's (see conftest.py).
+scripted_sweeps = given(
     data=st.data(),
-    jobs=st.integers(2, 4),
-    max_retries=st.integers(0, 3),
-    max_pool_rebuilds=st.integers(0, 2),
-    fail_fast=st.booleans(),
+    budgets=st.fixed_dictionaries(
+        {
+            "jobs": st.integers(2, 4),
+            "max_retries": st.integers(0, 3),
+            "max_pool_rebuilds": st.integers(0, 2),
+            "fail_fast": st.booleans(),
+        }
+    ),
 )
-def test_every_task_accounted_once_within_budgets(
-    reference, data, jobs, max_retries, max_pool_rebuilds, fail_fast
+
+
+def _check_scripted_sweep(
+    backend_type, reference, data, jobs, max_retries, max_pool_rebuilds, fail_fast
 ):
+    last = {}
+
     def draw(task):
-        return data.draw(
-            st.sampled_from(OUTCOMES), label=f"{task.benchmark}:{task.version}"
-        )
+        key = (task.benchmark, task.version)
+        last[key] = data.draw(st.sampled_from(OUTCOMES), label=":".join(key))
+        return last[key]
 
     policy = FaultPolicy(
-        max_retries=max_retries,
-        fail_fast=fail_fast,
-        backoff_base_s=0.0,
-        max_pool_rebuilds=max_pool_rebuilds,
+        max_retries=max_retries, task_timeout_s=0.0, fail_fast=fail_fast
     )
-    with mock.patch.object(parallel, "_sleep", lambda s: None):
+    with mock.patch.multiple(
+        parallel,
+        _sleep=lambda s: None,
+        BACKOFF_BASE_S=0.0,
+        MAX_POOL_REBUILDS=max_pool_rebuilds,
+    ):
         results, metrics = _run(
-            jobs=jobs, policy=policy, backend=ScriptedBackend(draw, reference)
+            jobs=jobs, policy=policy, backend=backend_type(draw, reference)
         )
 
     failed = [(f.benchmark, f.version) for f in metrics.failures]
@@ -142,6 +185,45 @@ def test_every_task_accounted_once_within_budgets(
     # Scripted and in-parent successes alike are the reference results.
     for key, result in results.items():
         assert results_identical(result, reference[key]), key
+    # An exhausted hang fails as a timeout — or as a crash when a pool
+    # break charged it mid-hang, or as cancelled by fail-fast — and only a
+    # hang times out.
+    for f in metrics.failures:
+        outcome = (f.error_type, f.worker_fate)
+        if last.get((f.benchmark, f.version)) == "hang":
+            assert outcome in HANG_FAILURES, outcome
+        else:
+            assert "TaskTimeout" not in outcome and FATE_TIMED_OUT not in outcome
+
+
+@settings(deadline=None)
+@scripted_sweeps
+def test_every_task_accounted_once_within_budgets(reference, data, budgets):
+    """Hung tasks are killed surgically, as the subprocess backend does."""
+    _check_scripted_sweep(ScriptedBackend, reference, data, **budgets)
+
+
+@settings(deadline=None)
+@scripted_sweeps
+def test_every_task_accounted_once_when_timeouts_recycle(reference, data, budgets):
+    """A hung task's kill recycles the backend, as the local pool's does."""
+    _check_scripted_sweep(RecyclingBackend, reference, data, **budgets)
+
+
+@pytest.mark.parametrize("charge_running", [False, True])
+def test_recycle_charges_running_tasks_only_for_a_break(charge_running):
+    """A pool break charges every task it caught running (the culprit is
+    unknowable); a timeout teardown requeues its innocent victims
+    uncharged, due at once."""
+    supervisor = parallel._Supervisor(FaultPolicy(), SweepMetrics(), None, None)
+    state = parallel._TaskState(task=None, attempts=1, due=99.0)
+    supervisor.running[Future()] = state
+    with mock.patch.object(parallel, "BACKOFF_BASE_S", 0.0):
+        assert supervisor._recycle(RecyclingBackend(None, {}), 5.0, charge_running)
+    assert supervisor.queue == [state] and not supervisor.running
+    assert state.attempts == 1 + charge_running and state.due == 5.0
+    assert supervisor.metrics.retries == charge_running
+    assert supervisor.metrics.pool_rebuilds == 1
 
 
 class _ReverseHashFuture(Future):

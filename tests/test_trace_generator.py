@@ -8,7 +8,7 @@ from repro.pipeline.patterns import AccessPattern
 from repro.pipeline.stage import BufferAccess, Region, Stage, StageKind
 from repro.pipeline.transforms import remove_copies
 from repro.trace.alignment import apply_misalignment
-from repro.trace.generator import BufferLayout, TraceGenerator
+from repro.trace.generator import BufferLayout, TraceGenerator, TraceMemo
 from repro.trace.stream import AccessStream
 from repro.units import KB
 
@@ -170,7 +170,7 @@ class TestDeterminism:
     def test_trace_carries_its_stage_key_under_a_memo(self):
         stage = gpu_stage(BufferAccess("a", AccessPattern.RANDOM, passes=2.0))
         pipeline = pipeline_with(stage, {"a": 64 * KB})
-        memoized = TraceGenerator(pipeline, seed=3, memo={})
+        memoized = TraceGenerator(pipeline, seed=3, memo=TraceMemo())
         trace = memoized.stage_trace(stage)
         assert trace.key == memoized.stage_key(stage)
         assert memoized.stage_trace(stage) is trace

@@ -10,6 +10,7 @@ an on-chip coherence domain.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -76,6 +77,12 @@ class SystemConfig:
             raise ValueError("discrete system requires a PCIe link")
         if self.kind is SystemKind.HETEROGENEOUS and self.pcie is not None:
             raise ValueError("heterogeneous processor has no PCIe link")
+        # The engine's scheduler relies on launches never ending before
+        # they begin (repro.sim.engine.Engine.run).
+        for name in ("kernel_launch_latency_s", "device_launch_latency_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     @property
     def is_heterogeneous(self) -> bool:

@@ -48,7 +48,7 @@ from repro.sim.pcie import CopyEngine
 from repro.sim.results import Interval, SimResult, StageRecord
 from repro.sim.timing import StageTiming, compute_stage_timing
 from repro.trace.generator import StageTrace, TraceGenerator, TraceMemo
-from repro.trace.stream import AccessStream, sorted_unique
+from repro.trace.stream import AccessStream
 
 _COMPONENT_OF_KIND = {
     StageKind.CPU: Component.CPU,
@@ -100,6 +100,24 @@ class SimOptions:
     # Opt-in row-buffer-aware DRAM efficiency (see repro.sim.dram_row); the
     # calibrated default is the paper's flat ~82%-of-pin model.
     dram_row_model: bool = False
+
+
+class _Busy:
+    """Each component's busy intervals and busy horizon, the latest end
+    among them."""
+
+    def __init__(self) -> None:
+        self.intervals: Dict[Component, List[Interval]] = {c: [] for c in Component}
+        self.until: Dict[Component, float] = {c: 0.0 for c in Component}
+
+    def add(self, component: Component, interval: Interval) -> None:
+        self.intervals[component].append(interval)
+        self.until[component] = max(self.until[component], interval.end)
+
+    def active_at(self, t: float) -> frozenset:
+        """The components busy at ``t``, given that no interval starts
+        after ``t``."""
+        return frozenset(c for c, end in self.until.items() if end > t)
 
 
 class Engine:
@@ -341,64 +359,72 @@ class Engine:
 
     def run(self) -> SimResult:
         order = self.pipeline.topological_order()
-        pending: List[Stage] = list(order)
+        # Each stage's dependents and count of unfinished dependencies,
+        # built once.  A stage joins ``ready`` when its count reaches zero,
+        # as (topological position, ready time, stage): its ready time is
+        # the latest end among its dependencies and never changes after.
+        dependents: Dict[str, List[Tuple[int, Stage]]] = {s.name: [] for s in order}
+        unmet: Dict[str, int] = {}
+        ready: List[Tuple[int, float, Stage]] = []
+        for position, stage in enumerate(order):
+            unmet[stage.name] = len(stage.depends_on)
+            for dep in stage.depends_on:
+                dependents[dep].append((position, stage))
+            if not stage.depends_on:
+                ready.append((position, 0.0, stage))
         completed: Dict[str, float] = {}
         comp_free: Dict[Component, float] = {c: 0.0 for c in Component}
-        busy: Dict[Component, List[Interval]] = {c: [] for c in Component}
+        busy = _Busy()
         launch_intervals: List[Interval] = []
         records: List[StageRecord] = []
-        # Per component, each distinct per-stage footprint array once:
-        # repeated stages share one memoized trace, hence one array.
-        touched: Dict[Component, Dict[int, np.ndarray]] = {
-            c: {} for c in Component
+        # Per component, which layout blocks the executed stages touched.
+        touched: Dict[Component, np.ndarray] = {
+            c: np.zeros(self.tracegen.layout.total_blocks, dtype=bool)
+            for c in Component
         }
         flops_by_component: Dict[Component, float] = {c: 0.0 for c in Component}
         logical_index: Dict[str, int] = {}
         logical_of_ordinal: List[int] = []
 
         launch_latency = self.system.kernel_launch_latency_s
+        device_latency = self.system.device_launch_latency_s
         ordinal = 0
 
-        while pending:
-            # Earliest-start list scheduling: among dependency-ready stages,
-            # run the one whose execution can begin first.
-            best: Optional[Tuple[float, float, int, Stage]] = None
-            for idx, stage in enumerate(pending):
-                if any(dep not in completed for dep in stage.depends_on):
-                    continue
-                ready = max(
-                    (completed[dep] for dep in stage.depends_on), default=0.0
-                )
-                component = _COMPONENT_OF_KIND[stage.kind]
+        # Earliest-start list scheduling: among dependency-ready stages, run
+        # the one with the smallest (start, launch start, topological
+        # position).  Picked starts never decrease: a stage that stays ready
+        # can only start later (``comp_free`` only grows), and a newly ready
+        # one is ready no earlier than the end of the stage just run, which
+        # is no earlier than that stage's start (durations and both launch
+        # latencies are non-negative).  So no busy interval recorded so far
+        # begins after ``start``, and a component is busy at ``start``
+        # exactly when its busy horizon lies beyond it.
+        while ready:
+            candidates: List[Tuple[float, float, int, int]] = []
+            for index, (position, ready_s, stage) in enumerate(ready):
                 if stage.kind is StageKind.CPU:
-                    start = max(ready, comp_free[Component.CPU])
+                    start = max(ready_s, comp_free[Component.CPU])
                     launch_start = start
                 elif stage.device_launched:
                     # Dynamic parallelism: no CPU involvement; the (higher)
                     # device launch latency precedes execution.
-                    launch_start = ready
-                    start = max(
-                        ready + self.system.device_launch_latency_s,
-                        comp_free[component],
-                    )
+                    launch_start = ready_s
+                    start = max(ready_s + device_latency, comp_free[Component.GPU])
                 else:
-                    launch_start = ready
-                    start = max(ready + launch_latency, comp_free[component])
-                key = (start, launch_start, idx)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (start, launch_start, idx, stage)
-            if best is None:
-                raise RuntimeError(
-                    f"deadlock scheduling pipeline {self.pipeline.name!r}"
-                )
-            start, launch_start, idx, stage = best
-            pending.pop(idx)
+                    launch_start = ready_s
+                    start = max(
+                        ready_s + launch_latency,
+                        comp_free[_COMPONENT_OF_KIND[stage.kind]],
+                    )
+                candidates.append((start, launch_start, position, index))
+            start, launch_start, _, index = min(candidates)
+            stage = ready.pop(index)[2]
             component = _COMPONENT_OF_KIND[stage.kind]
 
             if stage.kind is not StageKind.CPU and not stage.device_launched:
                 sliver = Interval(launch_start, launch_start + launch_latency)
                 launch_intervals.append(sliver)
-                busy[Component.CPU].append(sliver)
+                busy.add(Component.CPU, sliver)
                 if self._tracing:
                     self._emit(
                         SpanEvent(
@@ -411,23 +437,23 @@ class Engine:
                         )
                     )
 
-            active = frozenset(
-                comp
-                for comp, intervals in busy.items()
-                if any(iv.start <= start < iv.end for iv in intervals)
-            )
             record = self._execute(
-                stage, component, start, active, ordinal, busy, touched
+                stage, component, start, busy.active_at(start), ordinal, busy, touched
             )
             records.append(record)
             completed[stage.name] = record.end_s
             comp_free[component] = max(comp_free[component], record.end_s)
-            busy[component].append(Interval(record.start_s, record.end_s))
+            busy.add(component, Interval(record.start_s, record.end_s))
             flops_by_component[component] += stage.flops
             if stage.logical_name not in logical_index:
                 logical_index[stage.logical_name] = len(logical_index)
             logical_of_ordinal.append(logical_index[stage.logical_name])
             ordinal += 1
+            for position, dependent in dependents[stage.name]:
+                unmet[dependent.name] -= 1
+                if not unmet[dependent.name]:
+                    ready_s = max(completed[dep] for dep in dependent.depends_on)
+                    ready.append((position, ready_s, dependent))
 
         roi = max((r.end_s for r in records), default=0.0)
         self._drain_caches(ordinal, roi)
@@ -438,12 +464,6 @@ class Engine:
         blocks, is_write, stage_arr, comp_arr = (
             log.arrays() if self.options.collect_log else log.empty_arrays()
         )
-        touched_final = {
-            comp: sorted_unique(np.concatenate(list(parts.values())))
-            if parts
-            else np.empty(0, np.int64)
-            for comp, parts in touched.items()
-        }
         # Drain writebacks belong to the final logical stage for distance math.
         logical_of_ordinal.append(
             logical_of_ordinal[-1] if logical_of_ordinal else 0
@@ -454,7 +474,7 @@ class Engine:
             system_kind=self.system.kind.value,
             roi_s=roi,
             stages=tuple(records),
-            busy=busy,
+            busy=busy.intervals,
             launch_intervals=launch_intervals,
             line_bytes=self.options.line_bytes,
             log_blocks=blocks,
@@ -462,7 +482,7 @@ class Engine:
             log_stage=stage_arr,
             log_component=comp_arr,
             logical_of_ordinal=np.asarray(logical_of_ordinal, dtype=np.int32),
-            touched_blocks=touched_final,
+            touched_blocks={c: np.flatnonzero(bits) for c, bits in touched.items()},
             total_flops=self.pipeline.total_flops,
             flops_by_component=flops_by_component,
         )
@@ -488,13 +508,12 @@ class Engine:
         start: float,
         active: frozenset,
         ordinal: int,
-        busy: Dict[Component, List[Interval]],
-        touched: Dict[Component, Dict[int, np.ndarray]],
+        busy: _Busy,
+        touched: Dict[Component, np.ndarray],
     ) -> StageRecord:
         trace = self.tracegen.stage_trace(stage)
         stream = trace.stream
-        if len(stream):
-            touched[component][id(trace.unique_ids)] = trace.unique_ids
+        touched[component][trace.unique_ids] = True
 
         if stage.kind is StageKind.COPY:
             src_blocks = stream.blocks[~stream.is_write]
@@ -630,7 +649,7 @@ class Engine:
         end = start + timing.duration_s
         if fault_service > 0.0:
             # The CPU is busy servicing faults while the kernel runs.
-            busy[Component.CPU].append(Interval(start, start + fault_service))
+            busy.add(Component.CPU, Interval(start, start + fault_service))
             if self._tracing:
                 self._emit(
                     SpanEvent(

@@ -58,10 +58,13 @@ class OffChipLog:
     def __init__(self) -> None:
         self._blocks: List[np.ndarray] = []
         self._is_write: List[np.ndarray] = []
-        self._stage: List[np.ndarray] = []
-        self._component: List[np.ndarray] = []
         # Per part, the positions left out when the log is read, or None.
         self._dropped: List[Optional[np.ndarray]] = []
+        # Per part, its stage ordinal, component code and kept count.
+        self._ordinal: List[int] = []
+        self._code: List[int] = []
+        self._count: List[int] = []
+        self._total = 0
 
     def append(
         self,
@@ -86,13 +89,13 @@ class OffChipLog:
         self._blocks.append(np.asarray(blocks, dtype=np.int64))
         self._is_write.append(np.asarray(is_write, dtype=bool))
         self._dropped.append(dropped)
-        self._stage.append(np.full(count, stage_ordinal, dtype=np.int32))
-        self._component.append(
-            np.full(count, COMPONENT_CODE[component], dtype=np.int8)
-        )
+        self._ordinal.append(stage_ordinal)
+        self._code.append(COMPONENT_CODE[component])
+        self._count.append(count)
+        self._total += count
 
     def __len__(self) -> int:
-        return sum(len(part) for part in self._stage)
+        return self._total
 
     def _kept(self, parts: List[np.ndarray], index: int) -> np.ndarray:
         """Part ``index`` of ``parts`` without its dropped positions."""
@@ -121,7 +124,7 @@ class OffChipLog:
             (
                 self._kept(self._blocks, i),
                 self._kept(self._is_write, i),
-                int(self._component[i][0]),
+                self._code[i],
             )
             for i in range(mark, len(self._blocks))
         )
@@ -166,16 +169,14 @@ class OffChipLog:
         return (
             self._read(self._blocks, np.int64),
             self._read(self._is_write, bool),
-            np.concatenate(self._stage),
-            np.concatenate(self._component),
+            np.repeat(np.asarray(self._ordinal, dtype=np.int32), self._count),
+            np.repeat(np.asarray(self._code, dtype=np.int8), self._count),
         )
 
     def counts_by_component(self) -> Dict[Component, int]:
         totals = {comp: 0 for comp in Component}
-        for part in zip(self._component, self._blocks):
-            codes, blocks = part
-            for comp, code in COMPONENT_CODE.items():
-                totals[comp] += int((codes == code).sum())
+        for code, count in zip(self._code, self._count):
+            totals[COMPONENT_BY_CODE[code]] += count
         return totals
 
 

@@ -8,6 +8,7 @@ identical stream, which the test suite relies on.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
@@ -80,8 +81,8 @@ class BufferLayout:
         """The [start, end) global block range an access's region covers."""
         base = self._base[access.buffer]
         nblocks = self._blocks[access.buffer]
-        lo = base + int(np.floor(access.region.start * nblocks))
-        hi = base + max(lo - base + 1, int(np.ceil(access.region.end * nblocks)))
+        lo = base + math.floor(access.region.start * nblocks)
+        hi = base + max(lo - base + 1, math.ceil(access.region.end * nblocks))
         hi = min(hi, base + nblocks)
         if hi <= lo:
             hi = lo + 1

@@ -1,5 +1,7 @@
 """Tests for repro.config.system."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config.components import PcieConfig
@@ -72,6 +74,21 @@ class TestValidation:
                 interconnect=base.interconnect,
                 page_faults=base.page_faults,
             )
+
+    @pytest.mark.parametrize("factory", [discrete_gpu_system, heterogeneous_processor])
+    @pytest.mark.parametrize(
+        "field", ["kernel_launch_latency_s", "device_launch_latency_s"]
+    )
+    @pytest.mark.parametrize("value", [-50e-6, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_launch_latency(self, factory, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(factory(), **{field: value})
+
+    def test_dynamic_parallelism_sweep_rejects_negative_latency(self):
+        from repro.experiments.ablations import dynamic_parallelism_sweep
+
+        with pytest.raises(ValueError, match="device_launch_latency_s"):
+            dynamic_parallelism_sweep(latencies_us=(-50.0,))
 
 
 class TestScaling:

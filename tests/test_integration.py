@@ -123,4 +123,5 @@ class TestCrossModuleConsistency:
     def test_touched_blocks_sorted_unique(self, pair):
         _, copy_result, _ = pair
         for blocks in copy_result.touched_blocks.values():
+            assert blocks.dtype == np.int64
             assert np.array_equal(blocks, np.unique(blocks))

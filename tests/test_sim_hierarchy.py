@@ -41,6 +41,8 @@ class TestOffChipLog:
         assert list(blocks) == [1, 2, 3]
         assert list(is_write) == [False, True, False]
         assert list(stage) == [0, 0, 1]
+        assert list(comp) == [0, 0, 1]
+        assert (stage.dtype, comp.dtype) == (np.int32, np.int8)
         assert len(log) == 3
 
     def test_counts_by_component(self):
@@ -65,6 +67,7 @@ class TestOffChipLog:
         assert list(stage) == [0, 0] and list(comp) == [1, 1]
         ((part_blocks, part_write, code),) = log.parts_since(0)
         assert list(part_blocks) == [6, 7] and list(part_write) == [False, True]
+        assert code == 1
         assert list(blocks) == [5, 6, 7, 8], "the appended arrays stay whole"
 
     def test_empty_append_ignored(self):
@@ -75,6 +78,7 @@ class TestOffChipLog:
     def test_empty_arrays(self):
         blocks, is_write, stage, comp = OffChipLog().arrays()
         assert len(blocks) == 0
+        assert (stage.dtype, comp.dtype) == (np.int32, np.int8)
 
 
 class TestDomain:

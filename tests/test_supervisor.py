@@ -71,11 +71,19 @@ def _run(**kwargs):
     )
 
 
+class References(dict):
+    """The reference results by (benchmark, version).  Its repr stays short
+    because Hypothesis prints every argument of a falsifying example."""
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} reference results>"
+
+
 @pytest.fixture(scope="module")
 def reference():
     results, metrics = _run(jobs=1)
     assert set(results) == KEYS and not metrics.failures
-    return results
+    return References(results)
 
 
 class ScriptedBackend(ExecutorBackend):

@@ -13,17 +13,23 @@ same cache block, measured in pipeline-stage distance:
   contention evicted it.
 * **WR_CONTENTION** — a block written back and re-read within the same
   stage (the writeback happened before all uses completed).
+
+A read is labelled by its previous access to the block and a writeback by
+its next one, so each label comes from a *close pair*: two consecutive
+accesses to one block whose later access is a read at stage distance 0 or
+1.  One in-place sort of one packed int64 key per access lines every
+block's accesses up in program order (:func:`_close_pairs`), so every
+close pair is a pair of neighbouring keys.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.sim.fastcache import stable_argsort_ids
 from repro.sim.results import SimResult
 
 
@@ -74,53 +80,78 @@ class Classification:
         return self.total - self.counts[AccessClass.REQUIRED]
 
 
-#: Class code of a close pair, indexed by its kind
-#: ``2 * (earlier access is a write) + stage distance``.
-_PAIR_CODE = np.array(
-    [
-        _CODE[AccessClass.RR_CONTENTION],
-        _CODE[AccessClass.RR_SPILL],
-        _CODE[AccessClass.WR_CONTENTION],
-        _CODE[AccessClass.WR_SPILL],
-    ],
-    dtype=np.int8,
-)
-#: Accesses a close pair of each kind labels: a W-R pair labels the
+#: Bits a packed key may use: block, program position and payload stay
+#: below the int64 sign bit.
+_KEY_BITS = 63
+
+#: The classes a close pair labels, by stage distance: (its earlier access
+#: is a read, its earlier access is a writeback).  A W-R pair labels the
 #: writeback as well as the read.
-_PAIR_LABELS = np.array([1, 1, 2, 2], dtype=np.int64)
+_PAIR_CLASSES = (
+    (AccessClass.RR_CONTENTION, AccessClass.WR_CONTENTION),
+    (AccessClass.RR_SPILL, AccessClass.WR_SPILL),
+)
+
+
+def _dense_rank(blocks: np.ndarray) -> np.ndarray:
+    """Each block id's rank among the log's distinct ids: same order, fewer bits."""
+    return np.unique(blocks, return_inverse=True)[1].reshape(-1)
 
 
 def _close_pairs(
-    blocks: np.ndarray,
-    is_write: np.ndarray,
-    logical_stage: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every read at stage distance 0 or 1 after the previous access to its block.
+    blocks: np.ndarray, payload: np.ndarray, span: int
+) -> Tuple[np.ndarray, int, List[np.ndarray], np.ndarray]:
+    """Sort a log of two or more accesses by block and find its close pairs.
 
-    One stable radix argsort groups the log by block and keeps program
-    order inside each group, so an access's previous access to the same
-    block is its neighbour in that order.  Returns ``(order, pairs, kind)``:
-    pair ``i`` joins accesses ``order[pairs[i]]`` and ``order[pairs[i] + 1]``
-    and has kind ``kind[i]`` (see :data:`_PAIR_CODE`).
+    ``payload[i]`` is ``(logical stage - lowest stage) << 1 | is_write`` of
+    access ``i``, and ``span`` is the highest logical stage minus the
+    lowest.  Access ``i`` gets one int64 key::
+
+        block << (pos_bits + pay_bits) | i << pay_bits | payload[i]
+
+    The keys are unique, so numpy's unstable in-place sort orders each
+    block's accesses by program position, as a stable argsort of the block
+    ids would, and an access's previous access to its block is its
+    neighbour.  Block ids too wide for the 63-bit budget are first replaced
+    by their dense rank, which sorts the same.
+
+    Returns ``(keys, pay_bits, near, earlier_write)`` over the neighbour
+    pairs of the sorted keys (pair ``i`` joins keys ``i`` and ``i + 1``):
+    ``near[d]`` marks the pairs of one block whose later access is a read
+    at stage distance ``d`` (0 or 1), and ``earlier_write`` the pairs whose
+    earlier access is a writeback.
     """
-    # np.take gathers faster than fancy indexing.  Each log-length
-    # temporary is dropped once used: the largest logs set a warm render's
-    # peak memory.
-    order = stable_argsort_ids(blocks)
-    grouped = np.take(blocks, order)
-    close = grouped[1:] == grouped[:-1]
-    del grouped
-    writes = np.take(is_write, order)
-    close &= ~writes[1:]
-    # int64 keeps narrow or unsigned stage dtypes from wrapping.
-    stage = np.take(logical_stage, order).astype(np.int64)
-    dist = stage[1:] - stage[:-1]
-    del stage
-    close &= dist.view(np.uint64) <= 1  # distance 0 or 1
-    pairs = np.flatnonzero(close)
-    kind = np.take(dist, pairs)
-    kind[np.take(writes, pairs)] += 2
-    return order, pairs, kind
+    n = len(blocks)
+    pay_bits = (span << 1 | 1).bit_length()
+    low_bits = (n - 1).bit_length() + pay_bits
+    if int(blocks.max()).bit_length() + low_bits > _KEY_BITS:
+        blocks = _dense_rank(blocks)
+        if int(blocks.max()).bit_length() + low_bits > _KEY_BITS:
+            raise OverflowError(
+                f"{n} accesses over {span + 1} logical stages overflow a packed key"
+            )
+    keys = np.arange(0, n << pay_bits, 1 << pay_bits, dtype=np.int64)
+    keys |= blocks << low_bits
+    keys |= payload
+    keys.sort()
+    # Neighbours share a block when their keys differ only in the low bits.
+    same = np.bitwise_xor(keys[1:], keys[:-1]) <= (1 << low_bits) - 1
+    # The payload in the narrowest unsigned int with a bit to spare: the
+    # wrapped difference below then reads 0 or 2 only for a true 0 or 2.
+    ptype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if np.iinfo(t).bits > pay_bits)
+    pay = keys.astype(ptype)
+    pay &= ptype((1 << pay_bits) - 1)
+    earlier = pay[:-1]
+    # 2 * stage distance + (later access is a writeback).
+    step = earlier & ~ptype(1)
+    np.subtract(pay[1:], step, out=step)
+    near = []
+    for twice_distance in (0, 2):
+        mask = step == twice_distance
+        mask &= same
+        near.append(mask)
+    return keys, pay_bits, near, (earlier & 1).astype(bool)
 
 
 def classify_log(
@@ -135,12 +166,24 @@ def classify_log(
     non-negative.
     """
     labels = np.full(len(blocks), _CODE[AccessClass.REQUIRED], dtype=np.int8)
-    order, pairs, kind = _close_pairs(blocks, is_write, logical_stage)
-    codes = _PAIR_CODE[kind]
-    labels[order[pairs + 1]] = codes
-    # A W-R pair labels its writeback too.
-    writebacks = kind >= 2
-    labels[order[pairs[writebacks]]] = codes[writebacks]
+    if len(blocks) < 2:
+        return labels
+    stage = np.asarray(logical_stage, dtype=np.int64)
+    lowest = int(stage.min())
+    payload = (stage - lowest) << 1
+    payload |= is_write
+    keys, pay_bits, near, earlier_write = _close_pairs(
+        np.asarray(blocks, dtype=np.int64), payload, int(stage.max()) - lowest
+    )
+    position = keys >> pay_bits
+    position &= (1 << (len(blocks) - 1).bit_length()) - 1
+    for close, (read_class, write_class) in zip(near, _PAIR_CLASSES):
+        pairs = np.flatnonzero(close)
+        writeback = earlier_write[pairs]
+        labels[position[pairs + 1]] = np.where(
+            writeback, _CODE[write_class], _CODE[read_class]
+        )
+        labels[position[pairs[writeback]]] = _CODE[write_class]
     return labels
 
 
@@ -150,11 +193,19 @@ def classify_result(result: SimResult) -> Classification:
     Counts close pairs instead of labelling accesses: every access is
     labelled by at most one pair, so REQUIRED is the remainder.
     """
-    logical = np.take(result.logical_of_ordinal, result.log_stage)
-    *_, kind = _close_pairs(result.log_blocks, result.log_is_write, logical)
-    labelled = (np.bincount(kind, minlength=len(_PAIR_CODE)) * _PAIR_LABELS).tolist()
     counts = {cls: 0 for cls in AccessClass}
-    for code, tally in zip(_PAIR_CODE.tolist(), labelled):
-        counts[_CLASS_OF_CODE[code]] = tally
-    counts[AccessClass.REQUIRED] = len(result.log_blocks) - sum(labelled)
+    n = len(result.log_blocks)
+    if n >= 2:
+        logical = result.logical_of_ordinal.astype(np.int64)
+        lowest = int(logical.min())
+        payload = ((logical - lowest) << 1).take(result.log_stage)
+        payload |= result.log_is_write
+        *_, near, earlier_write = _close_pairs(
+            result.log_blocks, payload, int(logical.max()) - lowest
+        )
+        for close, (read_class, write_class) in zip(near, _PAIR_CLASSES):
+            writebacks = int(np.count_nonzero(close & earlier_write))
+            counts[read_class] = int(np.count_nonzero(close)) - writebacks
+            counts[write_class] = 2 * writebacks
+    counts[AccessClass.REQUIRED] = n - sum(counts.values())
     return Classification(counts=counts)

@@ -42,7 +42,8 @@ call is processed in four vectorized passes:
    LRU -> MRU stack.
 4. **Downstream assembly.** Each miss emits its fill read, immediately
    followed by its dirty victim's writeback, rebuilt in original stream
-   order with one cumulative-sum scatter (:func:`downstream`).  The miss
+   order by placing the writebacks and filling the other slots with the
+   fills (:func:`downstream`).  The miss
    mask and the (position, victim) pairs it is built from are what
    :meth:`FastSetAssocCache.access_misses` hands the stage memo's L1
    step, which keeps them instead of the downstream stream itself.
@@ -125,8 +126,9 @@ def stable_argsort_ids(values: np.ndarray) -> np.ndarray:
     numpy's stable sort is a radix sort for <= 16-bit integers but falls
     back to mergesort (~10x slower) for wider types.  Ids below 2**32 sort
     stably as two 16-bit passes, low half first; wider values use the
-    generic path.  Besides this engine, it groups off-chip logs by block
-    (Fig. 9 classification) and touched blocks by component (Fig. 4).
+    generic path.  Besides this engine, it groups touched blocks by
+    component (Fig. 4).  Fig. 9 classification needs no argsort: it sorts
+    packed keys that carry the program position (:mod:`repro.core.classify`).
     """
     n = len(values)
     if n < 2:
@@ -566,23 +568,25 @@ def downstream(
 
     In stream order, each miss (``miss`` over ``blocks``) emits its fill
     read, immediately followed by the writeback of ``wb_block[i]`` when it
-    evicted that dirty line at position ``wb_pos[i]``.
+    evicted that dirty line at position ``wb_pos[i]`` (sorted, every one a
+    miss).  Writeback ``i`` lands right after its miss's fill: after the
+    fills up to its position and the ``i`` writebacks before it.  The fills
+    take the other slots in order, so the ``j``-th lands at ``j`` plus the
+    writebacks before it.
     """
     if not len(wb_pos):
         # No dirty victims: the downstream is just the miss fills.
         out_b = blocks[miss]
         return AccessStream(out_b, np.zeros(len(out_b), dtype=bool))
-    counts = miss.astype(np.int8)
-    counts[wb_pos] += 1
-    offsets = np.cumsum(counts, dtype=np.int32)
-    total = int(offsets[-1])
-    offsets -= counts
-    out_b = np.empty(total, dtype=np.int64)
+    fills = np.flatnonzero(miss)
+    total = len(fills) + len(wb_pos)
+    wb_at = np.searchsorted(fills, wb_pos)
+    wb_at += np.arange(1, len(wb_pos) + 1)
     out_w = np.zeros(total, dtype=bool)
-    out_b[offsets[miss]] = blocks[miss]
-    wb_at = offsets[wb_pos] + 1
-    out_b[wb_at] = wb_block
     out_w[wb_at] = True
+    out_b = np.empty(total, dtype=np.int64)
+    out_b[wb_at] = wb_block
+    out_b[~out_w] = blocks[fills]
     return AccessStream(out_b, out_w)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
@@ -101,6 +102,11 @@ def activity_breakdown(
 
     Returns seconds per active-set; ``frozenset()`` is idle time.  This is
     the data behind the paper's Fig. 3/6 stacked run-time bars.
+
+    One walk over the sorted segment boundaries tests each segment's
+    midpoint against one cursor per component.  A component's merged
+    intervals are disjoint and sorted, and midpoints never decrease, so an
+    interval ending at or before one midpoint holds no later one.
     """
     merged = {comp: merge_intervals(list(ivs)) for comp, ivs in busy.items()}
     boundaries = {0.0, roi_s}
@@ -111,17 +117,22 @@ def activity_breakdown(
             if 0.0 <= iv.end <= roi_s:
                 boundaries.add(iv.end)
     points = sorted(boundaries)
+    cursor = dict.fromkeys(merged, 0)
     out: Dict[ActivityMask, float] = {}
     for lo, hi in zip(points, points[1:]):
         if hi <= lo:
             continue
         mid = (lo + hi) / 2.0
-        active = frozenset(
-            comp
-            for comp, intervals in merged.items()
-            if any(iv.start <= mid < iv.end for iv in intervals)
-        )
-        out[active] = out.get(active, 0.0) + (hi - lo)
+        active = []
+        for comp, intervals in merged.items():
+            i = cursor[comp]
+            while i < len(intervals) and intervals[i].end <= mid:
+                i += 1
+            cursor[comp] = i
+            if i < len(intervals) and intervals[i].start <= mid:
+                active.append(comp)
+        mask = frozenset(active)
+        out[mask] = out.get(mask, 0.0) + (hi - lo)
     return out
 
 
@@ -177,16 +188,22 @@ class SimResult:
         """Cserial of Eq. 1: launch time not masked by GPU or copy activity.
 
         Iterates launch slivers and subtracts the portions overlapped by any
-        concurrently executing kernel or copy.
+        concurrently executing kernel or copy.  The merged masking intervals
+        are disjoint and sorted, so those a sliver overlaps are one run:
+        from the first ending after the sliver starts to the last starting
+        before it ends.
         """
         masking = merge_intervals(
             list(self.busy.get(Component.GPU, []))
             + list(self.busy.get(Component.COPY, []))
         )
+        starts = [iv.start for iv in masking]
+        ends = [iv.end for iv in masking]
         serial = 0.0
         for launch in self.launch_intervals:
             covered = 0.0
-            for iv in masking:
+            first = bisect_right(ends, launch.start)
+            for iv in masking[first : bisect_left(starts, launch.end, first)]:
                 lo = max(launch.start, iv.start)
                 hi = min(launch.end, iv.end)
                 if hi > lo:

@@ -33,9 +33,11 @@ def run_engine(spec, version, system, options, **engine):
 
 
 # Every property test sets its own example count except those of
-# tests/test_supervisor.py and tests/test_engine_schedule.py, which run the
-# loaded profile's: 40 by default, ten times that under
-# ``--hypothesis-profile deep`` (CI's differential job).
+# tests/test_supervisor.py, tests/test_engine_schedule.py and
+# tests/test_sim_results.py, which run the loaded profile's: 40 by default,
+# ten times that under ``--hypothesis-profile deep`` (CI's differential
+# job).  tests/test_classify_oracle.py runs the larger of 100 and the
+# profile's count.
 settings.register_profile("default", max_examples=40)
 settings.register_profile("deep", max_examples=400)
 

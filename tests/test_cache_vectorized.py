@@ -13,6 +13,10 @@ The offline path is forced by patching ``SERIAL_CUTOFF`` to zero (and the
 scan-budget/serial paths by patching their knobs), so short generated
 streams still exercise the vectorized passes.  One seeded test (not
 Hypothesis) runs long streams at the shapes perfbench times instead.
+
+:func:`repro.sim.fastcache.downstream`, which rebuilds a call's downstream
+from its misses and dirty victims, is also held to the whole-stream
+prefix-sum formulation it replaced, kept here as its oracle.
 """
 
 from __future__ import annotations
@@ -353,3 +357,51 @@ def test_snapshots_are_read_only(cutoff):
     fast.restore_state(ref.state_arrays())
     assert_same_state(ref, fast)
     assert not any(arr.flags.writeable for arr in fast.state_arrays())
+
+
+# --- downstream assembly against the prefix-sum formulation ------------------
+
+
+def prefix_sum_downstream(blocks, miss, wb_pos, wb_block) -> AccessStream:
+    """Each stream position's output offset from one cumulative sum of its
+    fill and writeback counts, scattered into place."""
+    if not len(wb_pos):
+        out_b = blocks[miss]
+        return AccessStream(out_b, np.zeros(len(out_b), dtype=bool))
+    counts = miss.astype(np.int8)
+    counts[wb_pos] += 1
+    offsets = np.cumsum(counts, dtype=np.int32)
+    total = int(offsets[-1])
+    offsets -= counts
+    out_b = np.empty(total, dtype=np.int64)
+    out_w = np.zeros(total, dtype=bool)
+    out_b[offsets[miss]] = blocks[miss]
+    wb_at = offsets[wb_pos] + 1
+    out_b[wb_at] = wb_block
+    out_w[wb_at] = True
+    return AccessStream(out_b, out_w)
+
+
+@st.composite
+def miss_records(draw):
+    """What one ``access_misses`` call returns: a stream, its miss mask, and
+    the sorted miss positions that evicted a dirty line, with the lines."""
+    n = draw(st.integers(0, 60))
+    ids = st.lists(st.integers(0, 1 << 40), min_size=n, max_size=n)
+    blocks = np.asarray(draw(ids), dtype=np.int64)
+    miss = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    misses = np.flatnonzero(miss)
+    evicts = draw(st.lists(st.booleans(), min_size=len(misses), max_size=len(misses)))
+    wb_pos = misses[np.asarray(evicts, dtype=bool)].astype(np.int64)
+    victims = st.lists(st.integers(0, 1 << 40), min_size=len(wb_pos), max_size=len(wb_pos))
+    return blocks, miss, wb_pos, np.asarray(draw(victims), dtype=np.int64)
+
+
+@given(record=miss_records())
+@settings(max_examples=120, deadline=None)
+def test_downstream_matches_prefix_sum_formulation(record):
+    got = fastcache.downstream(*record)
+    want = prefix_sum_downstream(*record)
+    for ours, oracle in ((got.blocks, want.blocks), (got.is_write, want.is_write)):
+        assert ours.dtype == oracle.dtype
+        assert np.array_equal(ours, oracle)

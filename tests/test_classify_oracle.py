@@ -5,26 +5,39 @@ block's previous access, a direct transcription of the rules in
 :mod:`repro.core.classify`.  ``classify_log`` labels and ``classify_result``
 counts must equal it exactly for any log.
 
-The property tests draw block ids from one range per path of
-:func:`repro.sim.fastcache.stable_argsort_ids` (one 16-bit pass, two
-passes, the generic sort).  At the test suite's scale every registry log
-takes the single pass, so the registry check also classifies mst at scale
-1/4, whose 174k-block address space takes the two-pass sort.  Like
-``tests/test_engine_equivalence.py``, the registry check runs its 8-benchmark
-sample locally and the whole 46x2 matrix with ``REPRO_EQUIVALENCE_FULL=1``.
+Classification sorts one packed int64 key per access: block id, program
+position and payload (logical stage, write flag) side by side in 63 bits.
+Block ids that fit the bits the position and payload leave are packed as
+they are; wider ones are first replaced by their dense rank.  The
+property tests draw peak block ids from one range per path, plus ids at
+the exact boundary between them.  They run at least 100 examples each,
+more under a larger Hypothesis profile (``--hypothesis-profile deep`` in
+CI's differential job).
+
+Registry logs pack their ids as they are: mst's copy run, the largest,
+takes 45 of the 63 bits at the bench scale of 1/32 and 51 at 1/4 (18
+block, 24 position and 9 payload bits), the scale at which the registry
+check also classifies it.  There ``classify_log`` must agree with
+``classify_result`` as well.  Like
+``tests/test_engine_equivalence.py``, the registry check runs its
+8-benchmark sample locally and the whole 46x2 matrix with
+``REPRO_EQUIVALENCE_FULL=1``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from typing import Iterator, List, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config.system import discrete_gpu_system, heterogeneous_processor
+from repro.core import classify
 from repro.core.classify import (
     _CLASS_OF_CODE,
     AccessClass,
@@ -105,6 +118,15 @@ def result_of(
     )
 
 
+@contextmanager
+def spy_on_rank() -> Iterator[mock.MagicMock]:
+    """Record whether classification replaced the block ids by their rank."""
+    with mock.patch.object(
+        classify, "_dense_rank", wraps=classify._dense_rank
+    ) as rank:
+        yield rank
+
+
 def assert_matches_reference(blocks, is_write, stages) -> None:
     expected = reference_labels(blocks, is_write, stages)
     labels = classify_log(blocks, is_write, stages)
@@ -114,13 +136,20 @@ def assert_matches_reference(blocks, is_write, stages) -> None:
     assert counts == reference_counts(expected)
 
 
-# --- property tests: one id range per stable_argsort_ids path ---------------
+# --- property tests: one id range per packed-key path ----------------------
 
-ID_RANGES = {
-    "one-16-bit-pass": (0, 1 << 16),
-    "two-16-bit-passes": (1 << 16, 1 << 32),
-    "generic-sort": (1 << 32, 1 << 63),
+#: Test logs hold at most 120 accesses (7 position bits) over at most 241
+#: logical stages (9 payload bits), so peak ids below 2**47 always fit the
+#: 63-bit key, and ids of 2**62 or more never fit beside the one position
+#: bit and one payload bit of even the shortest log that is sorted.
+BLOCK_ID_PATHS = {
+    "packed": (0, 1 << 47),
+    "rank-compressed": (1 << 62, 1 << 63),
 }
+
+#: Examples per property test: 100, or the loaded profile's count when
+#: that is larger.
+EXAMPLES = max(100, settings().max_examples)
 
 
 @st.composite
@@ -150,21 +179,44 @@ def logs(draw, lo: int, hi: int, monotone: bool):
 
 
 @pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "arbitrary"])
-@pytest.mark.parametrize("id_range", list(ID_RANGES), ids=list(ID_RANGES))
+@pytest.mark.parametrize("path", list(BLOCK_ID_PATHS), ids=list(BLOCK_ID_PATHS))
 @given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_matches_reference(id_range, monotone, data):
-    lo, hi = ID_RANGES[id_range]
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_matches_reference(path, monotone, data):
+    lo, hi = BLOCK_ID_PATHS[path]
     blocks, is_write, stages = data.draw(logs(lo, hi, monotone))
     if len(blocks):
         assert lo <= int(blocks.max()) < hi
-    assert_matches_reference(blocks, is_write, stages)
+    with spy_on_rank() as rank:
+        assert_matches_reference(blocks, is_write, stages)
+    assert rank.called == (path == "rank-compressed" and len(blocks) >= 2)
 
 
-@pytest.mark.parametrize("id_range", list(ID_RANGES), ids=list(ID_RANGES))
+def key_budget(n: int, stages: np.ndarray) -> int:
+    """Bits a peak block id may use: 63 less the position and payload bits."""
+    span = int(stages.max()) - int(stages.min())
+    return 63 - (n - 1).bit_length() - (span << 1 | 1).bit_length()
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "arbitrary"])
+@pytest.mark.parametrize("over", [False, True], ids=["exactly-63-bits", "64-bits"])
+@given(data=st.data())
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_ids_at_the_key_budget(over, monotone, data):
+    small, is_write, stages = data.draw(logs(0, 8, monotone))
+    assume(len(small) >= 2)
+    # The peak id takes exactly the budget's bits, or one bit more.
+    peak = (1 << key_budget(len(small), stages)) - 1 + over
+    blocks = small + (peak - int(small.max()))
+    with spy_on_rank() as rank:
+        assert_matches_reference(blocks, is_write, stages)
+    assert rank.called == over
+
+
+@pytest.mark.parametrize("path", list(BLOCK_ID_PATHS), ids=list(BLOCK_ID_PATHS))
 @pytest.mark.parametrize("n", [0, 1])
-def test_empty_and_single_access_logs(id_range, n):
-    peak = ID_RANGES[id_range][0]
+def test_empty_and_single_access_logs(path, n):
+    peak = BLOCK_ID_PATHS[path][0]
     for write in (False, True):
         assert_matches_reference(
             np.full(n, peak, dtype=np.int64),
@@ -179,8 +231,9 @@ _SPECS = {spec.full_name: spec for spec in simulatable_specs()}
 _DISCRETE = discrete_gpu_system()
 _HETEROGENEOUS = heterogeneous_processor()
 
-#: mst's block address space at this scale (174k blocks) is past 2**16.
-TWO_PASS_SCALE = 1 / 4
+#: mst's logs at this scale are the largest checked: over 11 M accesses to
+#: 174k blocks.
+MST_SCALE = 1 / 4
 
 FULL_ONLY = [
     pytest.mark.equivalence_full,
@@ -201,7 +254,7 @@ REGISTRY = [
     pytest.param(
         "lonestar/mst",
         version,
-        TWO_PASS_SCALE,
+        MST_SCALE,
         id=f"lonestar/mst-{version}-scale-1/4",
         marks=[] if RUN_FULL_MATRIX else FULL_ONLY,
     )
@@ -214,8 +267,12 @@ def test_registry_counts_match_reference(name, version, scale):
     system = _system_for(version, _DISCRETE, _HETEROGENEOUS)
     options = SimOptions(scale=scale, seed=7)
     result, _wall = _simulate_version(_SPECS[name], version, system, options)
-    if scale == TWO_PASS_SCALE:
-        assert int(result.log_blocks.max()) >= 1 << 16
     logical = result.logical_of_ordinal[result.log_stage]
     expected = reference_labels(result.log_blocks, result.log_is_write, logical)
-    assert classify_result(result).counts == reference_counts(expected)
+    with spy_on_rank() as rank:
+        counts = classify_result(result).counts
+    assert not rank.called
+    assert counts == reference_counts(expected)
+    labels = classify_log(result.log_blocks, result.log_is_write, logical)
+    tallies = np.bincount(labels, minlength=len(_CLASS_OF_CODE)).tolist()
+    assert {_CLASS_OF_CODE[code]: n for code, n in enumerate(tallies)} == counts

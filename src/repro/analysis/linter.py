@@ -84,8 +84,8 @@ def lint_pipeline_memoized(
     """Memoized :func:`lint_pipeline` keyed by pipeline content hash.
 
     Identical (pipeline, spec, opportunities) triples are analysed once
-    per process; see :mod:`repro.analysis.memo`.  The default memo is
-    shared with SweepRunner preflight and the static advisor.
+    per process; see :mod:`repro.analysis.memo`.  Its one program caller
+    is the sweep preflight, through :func:`assert_lint_clean`.
     """
     active = memo if memo is not None else default_memo()
     return active.get_or_compute(
@@ -99,7 +99,7 @@ def lint_pipeline_memoized(
 def limited_copy_form(pipeline: Pipeline) -> Pipeline:
     """The limited-copy port of ``pipeline`` as every lint caller checks
     it: :func:`remove_copies`, renamed ``"<name> [limited-copy]"`` so its
-    findings name the form and its lint-memo entry is shared."""
+    findings name the form."""
     limited = remove_copies(pipeline)
     return limited.with_stages(
         limited.stages, name=f"{pipeline.name} [limited-copy]"

@@ -1,16 +1,16 @@
 """Content-hash memoization of lint reports.
 
-A sweep preflights 46 benchmarks x 2 forms, several of which share
-pipeline structure (scale sweeps, repeated ``pair()`` calls, the static
-advisor walking the same registry), and linting is pure: the report is a
-function of (pipeline, spec, opportunities) alone.  :class:`LintMemo`
-keys reports by a SHA-256 over the canonical JSON of exactly those
-inputs — the same canonicalization the persistent result cache uses —
-so identical pipelines are linted once per process.
+The sweep preflight, the memo's one program caller, lints 46 benchmarks
+x 2 forms, and later sweeps in the process (scale sweeps, ``pair()``
+loops over several runners) lint them again.  Linting is pure: the
+report is a function of (pipeline, spec, opportunities) alone.
+:class:`LintMemo` keys reports by a SHA-256 over the canonical JSON of
+exactly those inputs — the same canonicalization the persistent result
+cache uses — so identical pipelines are linted once per process.
 
 The memo is in-memory only: lint runs in milliseconds, so the win is
-skipping *re-analysis inside one process* (a 46x2 preflight plus advisor
-pass would otherwise lint many pipelines twice), not surviving restarts.
+skipping *re-analysis inside one process* (a scale sweep would otherwise
+lint every pipeline once per scale), not surviving restarts.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class LintMemo:
         )
 
 
-#: The process-wide memo shared by SweepRunner preflight and the static
-#: advisor.  Tests that need isolation call :func:`reset_default_memo`.
+#: The process-wide memo of the sweep preflight; perfbench reads its
+#: counters.  Tests that need isolation call :func:`reset_default_memo`.
 _DEFAULT_MEMO = LintMemo()
 
 

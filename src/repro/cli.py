@@ -10,7 +10,6 @@ Commands::
     repro validate                    # Section V-A/V-B validations
     repro ablations                   # ablation studies
     repro cache [--clear]             # inspect the persistent result cache
-    repro serve [--port P --jobs N]   # HTTP/JSON sweep service
     repro lint [BENCHMARK...] [--fix] # static pipeline verification
     repro advise [BENCHMARK] [--static]  # rank optimization opportunities
     repro trace BENCHMARK             # run with the tracing layer attached
@@ -39,12 +38,6 @@ simulates nothing and reproduces identical output.  A command accepts
 only the flags it reads: ``trace``, ``run-spec``, ``fig3`` and
 ``ablations`` simulate without a sweep and take ``--scale``/``--seed``
 alone, and ``cache`` takes ``--cache-dir`` alone.
-
-``repro serve`` turns the sweep runner into a long-running service
-(docs/SERVING.md): a threaded HTTP/JSON API accepting simulation, sweep,
-and advisor jobs — validated with the lint preflight, deduplicated by
-content hash against in-flight work, dispatched through the fault
-supervisor, and answered from the shared result cache when warm.
 
 Sweeps are fault-tolerant (docs/SWEEPS.md): a failing simulation is
 retried (``--max-retries``, capped exponential backoff), a hung worker is
@@ -291,40 +284,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
             ),
         },
     ))
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServeApp, ServeConfig
-
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        concurrency=args.concurrency,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        default_scale=args.default_scale,
-        max_retries=args.max_retries,
-        task_timeout_s=args.task_timeout,
-        lint=not args.no_lint,
-        backend=args.backend,
-    )
-    app = ServeApp(config)
-
-    def announce(ready: ServeApp) -> None:
-        print(
-            f"repro serve: listening on http://{config.host}:{ready.port} "
-            f"(workers={max(1, config.concurrency)}, "
-            f"pool jobs={ready._health()['pool_jobs']}, "
-            f"cache={'off' if app.cache is None else app.cache.root})",
-            file=sys.stderr,
-        )
-
-    try:
-        app.run_until_shutdown(on_ready=announce)
-    except KeyboardInterrupt:
-        print("repro serve: interrupted, shutting down", file=sys.stderr)
     return 0
 
 
@@ -761,15 +720,6 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
 _SIM_FLAGS = ("--scale", "--seed")
 #: Commands that build a sweep runner read every flag.
 _RUNNER_FLAGS = tuple(_FLAGS)
-#: The runner flags ``repro serve`` applies to each job's sweep.
-_SERVE_FLAGS = (
-    "--jobs",
-    "--cache-dir",
-    "--no-cache",
-    "--max-retries",
-    "--task-timeout",
-    "--backend",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -852,26 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.add_argument("--clear", action="store_true",
                          help="delete every cached result, legacy v1 "
                          "entries and partial writes included")
-    serve_p = add(
-        "serve",
-        cmd_serve,
-        "run the HTTP/JSON sweep service (docs/SERVING.md)",
-        _SERVE_FLAGS,
-    )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument(
-        "--port", type=int, default=8372,
-        help="listen port (0 = pick a free port; default: 8372)")
-    serve_p.add_argument(
-        "--concurrency", type=int, default=2,
-        help="jobs executing at once, each with its own sweep pool "
-        "(default: 2)")
-    serve_p.add_argument(
-        "--default-scale", type=_scale, default=DEFAULT_BENCH_SCALE,
-        help="scale used by jobs that do not specify one")
-    serve_p.add_argument(
-        "--no-lint", action="store_true",
-        help="skip the lint preflight on submitted jobs")
     advise_p = add("advise", cmd_advise,
                    "rank optimization opportunities for one benchmark",
                    _RUNNER_FLAGS)

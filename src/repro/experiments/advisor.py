@@ -78,24 +78,19 @@ def advise(
 ) -> AdvisorReport:
     """Produce ranked recommendations for one benchmark."""
     runner = runner or default_runner()
-    return advise_pair(runner.pair(spec), runner.heterogeneous)
-
-
-def advise_pair(pair: BenchmarkRun, heterogeneous: SystemConfig) -> AdvisorReport:
-    """Ranked recommendations for a simulated copy / limited-copy pair whose
-    limited-copy run simulated ``heterogeneous``."""
+    pair = runner.pair(spec)
     recommendations: List[Recommendation] = []
 
     recommendations += _advise_copy_removal(pair)
     recommendations += _advise_overlap(pair)
-    recommendations += _advise_migration(pair, heterogeneous)
+    recommendations += _advise_migration(pair, runner.heterogeneous)
     recommendations += _advise_caching(pair)
     recommendations += _advise_alignment(pair)
     recommendations += _advise_faults(pair)
 
     recommendations = [r for r in recommendations if abs(r.estimated_gain) >= MIN_GAIN]
     recommendations.sort(key=lambda r: r.estimated_gain, reverse=True)
-    return AdvisorReport(benchmark=pair.spec.full_name, recommendations=recommendations)
+    return AdvisorReport(benchmark=spec.full_name, recommendations=recommendations)
 
 
 # --- individual analyses -----------------------------------------------------

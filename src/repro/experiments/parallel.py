@@ -48,7 +48,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.system import SystemConfig
 from repro.experiments.executors import (
@@ -392,16 +392,11 @@ class _Supervisor:
     policy: FaultPolicy
     metrics: SweepMetrics
     cache: Optional[ResultCache]
-    progress: Optional[Callable[[SweepMetrics], None]]
     results: Dict[Tuple[str, str], SimResult] = field(default_factory=dict)
     queue: List[_TaskState] = field(default_factory=list)
     running: Dict[Future, _TaskState] = field(default_factory=dict)
     recycles: int = 0
     stopped: bool = False
-
-    def report(self) -> None:
-        if self.progress is not None:
-            self.progress(self.metrics)
 
     def complete(self, state: _TaskState, outcome: WorkerOutcome) -> None:
         """Record one successful :class:`WorkerOutcome`: the one place a
@@ -421,7 +416,6 @@ class _Supervisor:
                 )
             except OSError:
                 metrics.not_cached += 1
-        self.report()
 
     def charge(
         self, state: _TaskState, now: float, error_type: str, message: str, fate: str
@@ -450,7 +444,6 @@ class _Supervisor:
         )
         if self.policy.fail_fast and fate != FATE_CANCELLED:
             self.stopped = True
-        self.report()
 
     def _settle(
         self, future: Future, state: _TaskState, now: float, in_parent: bool
@@ -591,7 +584,6 @@ def run_tasks(
     cache: Optional[ResultCache] = None,
     policy: Optional[FaultPolicy] = None,
     backend: Union[None, str, ExecutorBackend] = None,
-    progress: Optional[Callable[[SweepMetrics], None]] = None,
 ) -> Tuple[Dict[Tuple[str, str], SimResult], SweepMetrics]:
     """Execute a batch of sweep tasks, parallel, cache-aware, fault-tolerant.
 
@@ -600,12 +592,6 @@ def run_tasks(
     run) the batch runs in the parent process, through the same supervisor
     loop and bit-identical to the pooled path — simulations are
     deterministic and every backend runs :func:`run_worker_task`.
-
-    ``progress``, when given, is called with the batch's metrics so far
-    after the cache pass (if it resolved any task) and after every task
-    that completes or fails for good; ``launched + cache_hits + failed``
-    of ``total`` tasks are then done.  It runs on the calling thread and
-    delays the sweep for as long as it takes.
 
     ``backend`` selects the execution substrate when the batch pools
     (``local`` process pool by default; ``subprocess`` for one spawned
@@ -624,7 +610,7 @@ def run_tasks(
     jobs = resolve_jobs(jobs)
     metrics = SweepMetrics(total=len(tasks), jobs=jobs)
     supervisor = _Supervisor(
-        policy if policy is not None else FaultPolicy(), metrics, cache, progress
+        policy if policy is not None else FaultPolicy(), metrics, cache
     )
     start = time.perf_counter()
 
@@ -650,8 +636,6 @@ def run_tasks(
                     )
                 )
             )
-    if metrics.cache_hits:
-        supervisor.report()
 
     serial = pending
     if jobs > 1 and len(pending) > 1:

@@ -210,8 +210,8 @@ class SweepRunner:
         """Refuse to simulate pipelines with error-level lint findings.
 
         Lints are memoized by pipeline content hash, so repeated sweeps
-        over the same specs (scale sweeps, ``pair()`` loops, the static
-        advisor) analyse each distinct pipeline once per process.
+        over the same specs (scale sweeps, ``pair()`` loops over several
+        runners) analyse each distinct pipeline once per process.
         """
         from repro.analysis import assert_lint_clean, limited_copy_form
 

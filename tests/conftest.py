@@ -76,35 +76,6 @@ def tiny_options() -> SimOptions:
 
 
 @pytest.fixture
-def golden_json(request):
-    """Compare a payload against a golden JSON fixture (or regenerate it).
-
-    ``golden_json("serve/bad_json", payload)`` pins ``payload`` against
-    ``tests/fixtures/serve/bad_json.json``; running pytest with
-    ``--update-goldens`` rewrites the fixture instead of comparing.
-    """
-    import json
-    from pathlib import Path
-
-    def check(name: str, payload) -> None:
-        path = Path(__file__).parent / "fixtures" / f"{name}.json"
-        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if request.config.getoption("--update-goldens"):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(rendered)
-            return
-        assert path.exists(), (
-            f"missing golden fixture {path}; run pytest --update-goldens"
-        )
-        assert json.loads(path.read_text()) == payload, (
-            f"payload drifted from golden {path.name}; if intentional, run "
-            f"pytest --update-goldens and review the diff"
-        )
-
-    return check
-
-
-@pytest.fixture
 def discrete():
     return discrete_gpu_system()
 

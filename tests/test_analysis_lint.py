@@ -361,27 +361,6 @@ class TestRunnerPreflight:
         assert offending
         assert {d.pipeline for d in offending} == {"test/racy [limited-copy]"}
 
-    def test_limited_preflight_shares_the_serve_lint_memo(self):
-        """Serve's job validation and a sweep preflight lint one
-        limited-copy form, so the second finds the first's memo entry."""
-        from repro.analysis import default_memo, reset_default_memo
-        from repro.experiments.runner import LIMITED, SweepRunner
-        from repro.serve.schemas import validate_job
-        from repro.sim.engine import SimOptions
-        from repro.workloads.registry import get
-
-        reset_default_memo()
-        try:
-            validate_job({"kind": "sweep", "benchmarks": ["rodinia/kmeans"]})
-            misses = default_memo().misses
-            runner = SweepRunner(
-                options=SimOptions(scale=1 / 128), preflight=True
-            )
-            runner.run(get("rodinia/kmeans"), LIMITED)
-            assert default_memo().misses == misses
-        finally:
-            reset_default_memo()
-
     def test_preflight_off_simulates(self):
         from repro.experiments.runner import COPY, SweepRunner
         from repro.sim.engine import SimOptions

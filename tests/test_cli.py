@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,15 +25,6 @@ RUNNER = SIM | {
     "--fail-fast",
     "--backend",
 }
-#: The runner flags ``repro serve`` applies to each job's sweep.
-SERVE = {
-    "--jobs",
-    "--cache-dir",
-    "--no-cache",
-    "--max-retries",
-    "--task-timeout",
-    "--backend",
-}
 #: Every subcommand's options: each one is a flag the command reads.
 OPTIONS = {
     "show-config": set(),
@@ -39,8 +34,6 @@ OPTIONS = {
     "lint": {"--spec", "--format", "--fail-on", "--fix", "--opportunities"},
     "trace": SIM | {"--system", "-o", "--output", "--format", "--no-check"},
     "cache": {"--cache-dir", "--clear"},
-    "serve": SERVE
-    | {"--host", "--port", "--concurrency", "--default-scale", "--no-lint"},
     "advise": RUNNER | {"--static"},
     "timeline": RUNNER | {"--limited"},
     "export": RUNNER | {"--limited", "--include-log", "--output"},
@@ -94,27 +87,14 @@ class TestParser:
         }
         assert options == OPTIONS
 
-    def test_serve_shares_the_runner_flag_definitions(self):
-        parsers = _subcommands()
-
-        def definition(command, flag):
-            [action] = [
-                a for a in parsers[command]._actions if flag in a.option_strings
-            ]
-            return (action.default, action.type, action.choices, action.help)
-
-        for flag in SERVE:
-            assert definition("serve", flag) == definition("run", flag), flag
-
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize(
         "argv",
         [
             ["run", "rodinia/kmeans", "--scale"],
             ["trace", "lonestar/bfs", "--scale"],
-            ["serve", "--default-scale"],
         ],
-        ids=["run", "trace", "serve"],
+        ids=["run", "trace"],
     )
     def test_scale_not_finite_and_positive_is_a_usage_error(
         self, argv, value, capsys
@@ -472,3 +452,45 @@ class TestExport:
 
         payload = json.loads(target.read_text())
         assert payload["pipeline"] == "rodinia/kmeans"
+
+
+class TestConcurrentRuns:
+    def test_identical_runs_at_once_share_one_cache(self, tmp_path):
+        """Two processes that miss the same keys at once both simulate
+        and both store, each by an atomic rename: both print the same
+        summary, and the cache ends with the two entries, each loadable,
+        and no partial write."""
+        from repro.config.system import discrete_gpu_system, heterogeneous_processor
+        from repro.experiments.runner import COPY, LIMITED
+        from repro.sim.engine import SimOptions
+        from repro.sim.resultcache import ResultCache, cache_key
+        from repro.workloads.registry import get
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "repro.cli", "run", "rodinia/kmeans",
+                "--scale", TINY, "--jobs", "1", "--cache-dir", str(tmp_path)]
+        procs = [
+            subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, env=env)
+            for _ in range(2)
+        ]
+        try:
+            outputs = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        assert [proc.returncode for proc in procs] == [0, 0], outputs
+        assert outputs[0][0] == outputs[1][0] != ""
+
+        spec, options = get("rodinia/kmeans"), SimOptions(scale=float(TINY))
+        keys = {
+            cache_key(spec, COPY, discrete_gpu_system(), options),
+            cache_key(spec, LIMITED, heterogeneous_processor(), options),
+        }
+        cache = ResultCache(tmp_path)
+        assert set(cache.entries()) == {cache.path_for(key) for key in keys}
+        assert all(cache.load(key) is not None for key in keys)
+        assert cache.partial() == (0, 0)

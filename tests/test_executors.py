@@ -241,10 +241,11 @@ class TestOneWorkerTask:
 
 
 class TestLocalPoolTeardown:
-    """Ending a pool joins its manager thread.  At interpreter exit
-    ``concurrent.futures`` wakes every manager thread it still registers;
-    one left running could be closing its wakeup pipe at that moment,
-    and the exit printed ``OSError: [Errno 9] Bad file descriptor``."""
+    """Ending a pool leaves no worker alive and joins its manager thread.
+    At interpreter exit ``concurrent.futures`` wakes every manager thread
+    it still registers; one left running could be closing its wakeup
+    pipe at that moment, and the exit printed ``OSError: [Errno 9] Bad
+    file descriptor``."""
 
     @pytest.mark.parametrize("recycle", [False, True])
     def test_no_manager_thread_outlives_its_pool(self, recycle):
@@ -258,13 +259,15 @@ class TestLocalPoolTeardown:
         )
         backend = LocalPoolBackend()
         backend.start(1)
-        managers = []
+        managers, workers = [], []
         for _ in range(2 if recycle else 1):
             if managers:
                 backend.recycle()
             backend.submit(task).result()
             managers.append(weakref.ref(backend._pool._executor_manager_thread))
+            workers += backend._pool._processes.values()
         backend.shutdown()
+        assert workers and not any(worker.is_alive() for worker in workers)
         for manager in managers:
             thread = manager()
             assert thread is None or not thread.is_alive()

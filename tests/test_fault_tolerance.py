@@ -50,7 +50,7 @@ def _tasks(names=NAMES):
     return [SweepTask(get(name), v) for name in names for v in (COPY, LIMITED)]
 
 
-def _run(tasks, *, jobs=2, policy=None, cache=None, progress=None):
+def _run(tasks, *, jobs=2, policy=None, cache=None):
     return run_tasks(
         tasks,
         discrete=discrete_gpu_system(),
@@ -59,7 +59,6 @@ def _run(tasks, *, jobs=2, policy=None, cache=None, progress=None):
         jobs=jobs,
         cache=cache,
         policy=policy,
-        progress=progress,
     )
 
 
@@ -227,29 +226,6 @@ class TestSerialInParent:
         assert len(results) == 2
         assert len(metrics.failures) == 2
         assert all(f.worker_fate == FATE_IN_PARENT for f in metrics.failures)
-
-
-class TestProgress:
-    def test_after_cache_pass_and_each_settled_task(self, tmp_path):
-        """``progress`` sees the cache pass once (when it answered any
-        task), then every task that completes or fails for good."""
-        cache = ResultCache(tmp_path / "cache")
-
-        def sweep():
-            seen = []
-            _run(
-                _tasks(),
-                jobs=1,
-                policy=FaultPolicy(max_retries=0),
-                cache=cache,
-                progress=lambda m: seen.append((m.launched, m.cache_hits, m.failed)),
-            )
-            return seen
-
-        with injected_faults({"lonestar/bfs:copy": FaultRule("raise")}):
-            cold, warm = sweep(), sweep()
-        assert cold == [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1)]
-        assert warm == [(0, 3, 0), (0, 3, 1)]
 
 
 class TestSweepRunnerIntegration:

@@ -223,7 +223,7 @@ def test_recycle_charges_running_tasks_only_for_a_break(charge_running):
     """A pool break charges every task it caught running (the culprit is
     unknowable); a timeout teardown requeues its innocent victims
     uncharged, due at once."""
-    supervisor = parallel._Supervisor(FaultPolicy(), SweepMetrics(), None, None)
+    supervisor = parallel._Supervisor(FaultPolicy(), SweepMetrics(), None)
     state = parallel._TaskState(task=None, attempts=1, due=99.0)
     supervisor.running[Future()] = state
     with mock.patch.object(parallel, "BACKOFF_BASE_S", 0.0):

@@ -15,9 +15,12 @@ Commands::
     repro trace BENCHMARK             # run with the tracing layer attached
     repro all [--scale S]             # everything above
 
+Every command exits 2 on a usage error: a malformed flag value, an
+unknown, ambiguous or unmodelled benchmark name, or an unreadable
+workload file.
+
 ``repro lint`` exits 0 when no finding reaches the ``--fail-on``
-threshold, 1 when one does, and 2 on usage errors (unknown benchmark or
-unreadable spec file) — see docs/LINTING.md.
+threshold and 1 when one does — see docs/LINTING.md.
 
 ``repro trace`` simulates one benchmark with the event-tracing layer and
 invariant monitor attached (docs/TRACING.md): ``--system discrete`` runs
@@ -137,13 +140,18 @@ def _runner(args: argparse.Namespace) -> SweepRunner:
 
 
 def _lookup(command: str, name: str) -> Optional[BenchmarkSpec]:
-    """The benchmark registered as ``name``, or None after printing
-    ``repro <command>: no benchmark named ...`` (callers then exit 2)."""
+    """The simulatable benchmark registered as ``name``, or None after
+    printing ``repro <command>:`` and why not (callers then exit 2)."""
     try:
-        return get(name)
+        spec = get(name)
     except KeyError as exc:
         print(f"repro {command}: {exc.args[0]}", file=sys.stderr)
         return None
+    if not spec.simulatable:
+        print(f"repro {command}: {spec.full_name} has no pipeline model",
+              file=sys.stderr)
+        return None
+    return spec
 
 
 def _report_failures(runner: SweepRunner) -> int:
@@ -304,8 +312,6 @@ def _lint_targets(args: argparse.Namespace):
     )
     pairs = []
     for spec in specs:
-        if not spec.simulatable:
-            continue
         pipeline = spec.pipeline()
         pairs.append((pipeline, spec))
         pairs.append((limited_copy_form(pipeline), spec))
@@ -562,7 +568,11 @@ def cmd_run_spec(args: argparse.Namespace) -> int:
     from repro.sim.timeline import render_timeline
     from repro.workloads.loader import pipeline_from_file
 
-    pipeline = pipeline_from_file(args.spec)
+    try:
+        pipeline = pipeline_from_file(args.spec)
+    except (OSError, ValueError) as exc:
+        print(f"repro run-spec: {exc}", file=sys.stderr)
+        return 2
     options = _options(args)
     baseline = simulate(pipeline, discrete_gpu_system(), options)
     ported = simulate(
@@ -647,9 +657,10 @@ def cmd_all(args: argparse.Namespace) -> int:
     return _report_failures(runner)
 
 
-def _scale(text: str) -> float:
-    """``--scale`` / ``--default-scale``: a finite, positive number (any
-    other scale fails every simulation it reaches)."""
+def _positive(text: str) -> float:
+    """``--scale`` / ``--task-timeout``: a finite, positive number (any
+    other scale fails every simulation it reaches; any other timeout
+    kills every task, or none)."""
     try:
         value = float(text)
     except ValueError:
@@ -661,17 +672,30 @@ def _scale(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """``--jobs`` / ``--max-retries``: a whole number, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 #: Every flag that more than one command takes, defined once:
 #: ``add_argument`` keywords by flag.
 _FLAGS: Dict[str, Dict[str, Any]] = {
     "--scale": dict(
-        type=_scale,
+        type=_positive,
         default=DEFAULT_BENCH_SCALE,
         help="footprint/cache scale factor (1.0 = paper scale)",
     ),
     "--seed": dict(type=int, default=0, help="trace seed"),
     "--jobs": dict(
-        type=int,
+        type=_count,
         default=0,
         help="parallel sweep workers (0 = every CPU this process may run "
         "on, 1 = serial)",
@@ -690,14 +714,14 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
         "to run on error-level findings",
     ),
     "--max-retries": dict(
-        type=int,
+        type=_count,
         default=2,
         metavar="N",
         help="retry each failing simulation up to N times with capped "
         "exponential backoff (default: 2; 0 disables retries)",
     ),
     "--task-timeout": dict(
-        type=float,
+        type=_positive,
         default=None,
         metavar="SECONDS",
         help="kill and retry any single simulation exceeding this "

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.testing.faults import FaultRule, attempts_recorded, injected_faults
 
 TINY = "0.0078125"  # 1/128
 
@@ -44,6 +45,45 @@ OPTIONS = {
     "ablations": SIM,
     "all": RUNNER,
 }
+
+#: Registered in Table II but carrying no pipeline model.
+NOT_SIMULATABLE = "lonestar/bfs_atomic"
+
+#: Malformed sweep inputs, each with what its usage error says.
+MALFORMED = [
+    (["--task-timeout", "0"], "must be a finite, positive number"),
+    (["--task-timeout", "-5"], "must be a finite, positive number"),
+    (["--task-timeout", "nan"], "must be a finite, positive number"),
+    (["--task-timeout", "inf"], "must be a finite, positive number"),
+    (["--task-timeout", "soon"], "must be a finite, positive number"),
+    (["--max-retries", "-1"], "must be a non-negative integer"),
+    (["--max-retries", "1.5"], "must be a non-negative integer"),
+    (["--max-retries", "two"], "must be a non-negative integer"),
+    (["--jobs", "-3"], "must be a non-negative integer"),
+    (["--jobs", "2.5"], "must be a non-negative integer"),
+    (["--jobs", "all"], "must be a non-negative integer"),
+    (["--seed", "1.5"], "invalid int value"),
+    (["--seed", "zero"], "invalid int value"),
+    (["--backend", "turbo"], "invalid choice: 'turbo'"),
+    (["--scael", "0.5"], "unrecognized arguments: --scael"),
+    (["lonestar/bfs"], "unrecognized arguments: lonestar/bfs"),
+]
+
+
+def _count_simulations(monkeypatch):
+    """The pipeline names of every simulation a sweep task runs from now
+    on, in order (in-parent tasks only: run with ``--jobs 1``)."""
+    from repro.experiments import parallel
+
+    calls = []
+    real = parallel.simulate
+
+    def counting(pipeline, system, options):
+        calls.append(pipeline.name)
+        return real(pipeline, system, options)
+
+    monkeypatch.setattr(parallel, "simulate", counting)
+    return calls
 
 
 def _subcommands():
@@ -87,7 +127,7 @@ class TestParser:
         }
         assert options == OPTIONS
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "big"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -103,6 +143,42 @@ class TestParser:
             build_parser().parse_args(argv + [value])
         assert excinfo.value.code == 2
         assert "must be a finite, positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message", MALFORMED, ids=[" ".join(f) for f, _ in MALFORMED]
+    )
+    def test_malformed_runner_flag_is_a_usage_error(self, flags, message, capsys):
+        """Each input a sweep reads is checked before anything runs: a
+        negative retry budget, a timeout that kills every task (or none),
+        a typo'd flag or a second benchmark is exit 2, never a sweep."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "rodinia/kmeans", *flags])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_counts_and_a_positive_timeout_parse(self):
+        args = build_parser().parse_args(
+            ["run", "--jobs", "0", "--max-retries", "0", "--task-timeout", "0.5"]
+        )
+        assert (args.jobs, args.max_retries, args.task_timeout) == (0, 0, 0.5)
+
+    def test_serve_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_every_flag(self, command, capsys):
+        """``repro <command> --help`` renders (a bare ``%`` in a help
+        string would raise instead) and names each flag the command takes."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {command}")
+        for flag in OPTIONS[command]:
+            assert flag in out
 
 
 class TestFaultToleranceFlags:
@@ -129,8 +205,6 @@ class TestFaultToleranceFlags:
         assert args.fail_fast is True
 
     def test_partial_sweep_exits_3_and_reports_failure(self, capsys):
-        from repro.testing.faults import FaultRule, injected_faults
-
         argv = [
             "run",
             "rodinia/kmeans",
@@ -150,6 +224,129 @@ class TestFaultToleranceFlags:
         # Fault gone: the same invocation is clean again.
         assert main(argv) == 0
         assert "FAILED" not in capsys.readouterr().out
+
+
+class TestSweepFaults:
+    """The fault-tolerance contract as ``repro run`` shows it: a failing,
+    crashing or flaky simulation is exit 3 with a structured report on
+    stderr and every surviving result printed, never a hang or a
+    traceback."""
+
+    ARGV = ["run", "rodinia/kmeans", "--scale", TINY, "--max-retries", "0"]
+
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        from repro.experiments import parallel
+
+        monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.0)
+
+    def test_every_version_failing_prints_no_summary(self, capsys):
+        with injected_faults({"rodinia/kmeans": FaultRule("raise")}):
+            assert main([*self.ARGV, "--jobs", "1", "--no-cache"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweep: 2 task(s) failed:" in captured.err
+
+    def test_retry_exhaustion_reports_every_attempt(self, capsys):
+        argv = [*self.ARGV, "--jobs", "1", "--no-cache", "--max-retries", "1"]
+        with injected_faults({"rodinia/kmeans:copy": FaultRule("raise")}):
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert (
+            "  rodinia/kmeans:copy failed after 2 attempt(s) [in-parent] "
+            "FaultInjected: injected fault: rodinia/kmeans:copy\n"
+        ) in err
+
+    def test_transient_fault_is_retried_to_a_clean_exit(self, capsys, tmp_path):
+        argv = [*self.ARGV, "--jobs", "1", "--no-cache", "--max-retries", "2"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        rules = {"rodinia/kmeans:copy": FaultRule("raise", times=1)}
+        with injected_faults(rules, counter_dir=tmp_path):
+            assert main(argv) == 0
+            assert attempts_recorded("rodinia/kmeans:copy") == 2
+        assert capsys.readouterr() == (clean, "")
+
+    def test_fail_fast_cancels_what_it_has_not_dispatched(self, capsys):
+        argv = [*self.ARGV, "--jobs", "1", "--no-cache", "--fail-fast"]
+        with injected_faults({"rodinia/kmeans:copy": FaultRule("raise")}):
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert (
+            "rodinia/kmeans:limited-copy failed after 0 attempt(s) [cancelled]"
+        ) in err
+
+    def test_killed_pool_worker_exits_3_not_a_hang(self, capsys):
+        with injected_faults({"rodinia/kmeans:copy": FaultRule("kill")}):
+            assert main([*self.ARGV, "--jobs", "2", "--no-cache"]) == 3
+        err = capsys.readouterr().err
+        # A pool break charges every task in flight: the culprit is
+        # unknowable, so its bystander may fail with it.
+        assert (
+            "rodinia/kmeans:copy failed after 1 attempt(s) [crashed] WorkerCrash"
+        ) in err
+
+    def test_killed_subprocess_worker_costs_only_its_own_task(self, capsys):
+        argv = [*self.ARGV, "--jobs", "2", "--no-cache", "--backend", "subprocess"]
+        with injected_faults({"rodinia/kmeans:copy": FaultRule("kill")}):
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "sweep: 1 task(s) failed:" in captured.err
+        assert (
+            "rodinia/kmeans:copy failed after 1 attempt(s) [crashed]"
+        ) in captured.err
+        assert "[limited-copy]" in captured.out and "[copy]" not in captured.out
+
+    def test_failed_run_is_not_cached(self, capsys, tmp_path, monkeypatch):
+        from repro.sim.resultcache import ResultCache
+        argv = [*self.ARGV, "--jobs", "1", "--cache-dir", str(tmp_path)]
+        with injected_faults({"rodinia/kmeans:copy": FaultRule("raise")}):
+            assert main(argv) == 3
+        assert len(ResultCache(tmp_path)) == 1  # the surviving run
+        calls = _count_simulations(monkeypatch)
+        assert main(argv) == 0  # fault gone: only the failed run reruns
+        assert calls == ["rodinia/kmeans"]
+        assert len(ResultCache(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command", ["timeline", "export", "advise"])
+    def test_one_run_command_exits_3_when_its_run_fails(self, command, capsys):
+        argv = [command, "rodinia/kmeans", "--scale", TINY, "--jobs", "1",
+                "--no-cache", "--max-retries", "0"]
+        with injected_faults({"rodinia/kmeans:copy": FaultRule("raise")}):
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repro: rodinia/kmeans:copy did not complete" in captured.err
+
+
+class TestSimulationCounts:
+    """Each command simulates what it shows once, and a warm cache
+    replays it: nothing simulated, byte-identical stdout."""
+
+    COMMANDS = {"run": 2, "advise": 2, "timeline": 1, "export": 1}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_cold_run_simulates_each_version_once(
+        self, command, capsys, monkeypatch
+    ):
+        calls = _count_simulations(monkeypatch)
+        argv = [command, "rodinia/kmeans", "--scale", TINY, "--jobs", "1",
+                "--no-cache"]
+        assert main(argv) == 0
+        assert len(calls) == self.COMMANDS[command]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_warm_run_replays_identical_output(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        argv = [command, "rodinia/kmeans", "--scale", TINY, "--jobs", "1",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        calls = _count_simulations(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert calls == []
 
 
 class TestCommands:
@@ -181,7 +378,9 @@ class TestCommands:
         assert "[copy]" in out and "[limited-copy]" in out
         assert "roi_s" in out
 
-    @pytest.mark.parametrize("command", ["run", "timeline", "advise", "export"])
+    @pytest.mark.parametrize(
+        "command", ["run", "timeline", "advise", "export", "trace"]
+    )
     def test_unknown_benchmark_exits_2(self, command, capsys):
         assert main([command, "rodinia/quake", "--scale", TINY]) == 2
         assert capsys.readouterr().err == (
@@ -237,6 +436,102 @@ class TestCommands:
         assert main(["run-spec", str(path), "--scale", TINY]) == 0
         out = capsys.readouterr().out
         assert "demo/saxpy" in out and "porting changes run time" in out
+
+
+class TestBenchmarkNames:
+    """A name the registry cannot turn into one modelled benchmark is a
+    usage error (exit 2), caught before any sweep, retry or backoff;
+    only ``trace`` takes the first match of an ambiguous short name."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--no-cache"],
+            ["timeline", "--no-cache"],
+            ["advise", "--no-cache"],
+            ["export", "--no-cache"],
+            ["advise", "--static"],
+            ["trace"],
+            ["lint"],
+        ],
+        ids=" ".join,
+    )
+    def test_not_simulatable_exits_2(self, argv, capsys, monkeypatch):
+        calls = _count_simulations(monkeypatch)
+        command, *flags = argv
+        assert main([command, NOT_SIMULATABLE, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro {command}: {NOT_SIMULATABLE} has no pipeline model\n"
+        )
+        assert captured.out == ""
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "command", ["run", "timeline", "advise", "export", "lint"]
+    )
+    def test_ambiguous_short_name_exits_2(self, command, capsys):
+        assert main([command, "bfs"]) == 2
+        assert capsys.readouterr().err == (
+            f"repro {command}: ambiguous benchmark 'bfs'; did you mean: "
+            "lonestar/bfs, parboil/bfs, rodinia/bfs\n"
+        )
+
+    def test_trace_takes_the_first_match_of_an_ambiguous_name(self, capsys):
+        assert main(["trace", "bfs", "--scale", TINY, "--no-check"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro trace: 'bfs' is ambiguous (lonestar/bfs, parboil/bfs, "
+            "rodinia/bfs); tracing lonestar/bfs\n"
+        )
+        assert "lonestar/bfs [discrete]" in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["timeline"],
+            ["export"],
+            ["trace", "--no-check"],
+        ],
+        ids=" ".join,
+    )
+    def test_short_name_runs_the_full_name(self, argv, capsys):
+        command, *flags = argv
+        outputs = []
+        for name in ("kmeans", "rodinia/kmeans"):
+            assert main([command, name, "--scale", TINY, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "rodinia/kmeans" in outputs[0]
+
+
+class TestRunSpec:
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        assert main(["run-spec", str(path), "--scale", TINY]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run-spec: ") and "missing.json" in err
+
+    def test_invalid_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "wl.json"
+        path.write_text('{"name": "demo/cut"')
+        assert main(["run-spec", str(path), "--scale", TINY]) == 2
+        assert capsys.readouterr().err.startswith("repro run-spec: invalid JSON")
+
+    def test_malformed_workload_exits_2(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "wl.json"
+        path.write_text(json.dumps({
+            "name": "demo/typo",
+            "buffers": [{"name": "x", "size": "4MB"}],
+            "stages": [{"op": "gpu_kernel", "name": "k"}],
+        }))
+        assert main(["run-spec", str(path), "--scale", TINY]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run-spec: ") and "gpu_kernel" in err
+
 
 class TestLintCommand:
     """Exit-code contract: 0 clean, 1 findings at/above --fail-on, 2 usage."""
@@ -440,6 +735,39 @@ class TestTrace:
         assert recorder.events
         assert target.read_bytes() == expected.encode("utf-8")
 
+    @pytest.mark.parametrize(
+        "system, kind", [("discrete", "discrete"), ("hsa", "heterogeneous")]
+    )
+    def test_chrome_output_is_a_valid_trace(self, system, kind, capsys, tmp_path):
+        import json
+
+        from repro.sim.observe import validate_chrome_trace
+
+        target = tmp_path / "trace.json"
+        assert main(
+            ["trace", "rodinia/kmeans", "--scale", TINY, "--system", system,
+             "-o", str(target)]
+        ) == 0
+        payload = json.loads(target.read_text())
+        assert validate_chrome_trace(payload) == []
+        other = payload["otherData"]
+        assert other["name"] == f"rodinia/kmeans [{system}]"
+        assert other["system"] == kind and other["roi_s"] > 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("wrote ") and str(target) in captured.out
+        assert captured.err == "invariants: all clean\n"
+
+    def test_no_output_prints_the_timeline(self, capsys):
+        assert main(["trace", "rodinia/kmeans", "--scale", TINY]) == 0
+        captured = capsys.readouterr()
+        assert "rodinia/kmeans [discrete]" in captured.out
+        assert captured.out.rstrip().endswith("events traced")
+        assert captured.err == "invariants: all clean\n"
+
+    def test_no_check_skips_the_invariant_monitor(self, capsys):
+        assert main(["trace", "rodinia/kmeans", "--scale", TINY, "--no-check"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestExport:
     def test_export_to_file(self, capsys, tmp_path):
@@ -452,6 +780,48 @@ class TestExport:
 
         payload = json.loads(target.read_text())
         assert payload["pipeline"] == "rodinia/kmeans"
+
+    @pytest.mark.parametrize(
+        "flags, system", [([], "discrete"), (["--limited"], "heterogeneous")]
+    )
+    def test_exports_the_version_asked_for(self, flags, system, capsys):
+        import json
+
+        assert main(["export", "rodinia/kmeans", "--scale", TINY, *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["system"] == system
+        assert "log" not in payload
+
+    def test_include_log_adds_the_access_log(self, capsys):
+        import json
+
+        from repro.sim.serialize import LOG_COLUMNS
+
+        argv = ["export", "rodinia/kmeans", "--scale", TINY, "--include-log"]
+        assert main(argv) == 0
+        log = json.loads(capsys.readouterr().out)["log"]
+        assert sorted(log) == sorted(LOG_COLUMNS.values())
+        assert len(log["component"]) == len(log["is_write"]) > 0
+
+
+class TestCacheCommand:
+    def test_reports_what_a_run_stored(self, capsys, tmp_path):
+        argv = ["run", "rodinia/kmeans", "--scale", TINY, "--jobs", "1",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "entries            2" in out
+        assert "partial writes     0 (0.0 MB, interrupted stores)" in out
+
+    def test_missing_directory_reads_as_empty_and_stays_missing(
+        self, capsys, tmp_path
+    ):
+        root = tmp_path / "never-written"
+        assert main(["cache", "--cache-dir", str(root)]) == 0
+        assert "entries            0" in capsys.readouterr().out
+        assert not root.exists()
 
 
 class TestConcurrentRuns:

@@ -85,7 +85,7 @@ def lint_pipeline_memoized(
 
     Identical (pipeline, spec, opportunities) triples are analysed once
     per process; see :mod:`repro.analysis.memo`.  Its one program caller
-    is the sweep preflight, through :func:`assert_lint_clean`.
+    is :func:`assert_lint_clean`, the sweep preflight.
     """
     active = memo if memo is not None else default_memo()
     return active.get_or_compute(
@@ -142,20 +142,15 @@ def assert_lint_clean(
     spec: Optional[BenchmarkSpec] = None,
     *,
     threshold: Severity = Severity.ERROR,
-    memoize: bool = False,
 ) -> LintReport:
     """Lint a pipeline and raise :class:`LintError` on findings at or above
     ``threshold``.  Returns the (clean-enough) report otherwise.
 
-    ``memoize`` routes the lint through the process-wide content-hash
-    memo — the sweep preflight sets it so the 46x2 sweep (and repeated
-    ``pair()`` calls) lint each distinct pipeline once.
+    The lint goes through the process-wide content-hash memo, so the 46x2
+    sweep preflight (and repeated ``pair()`` calls) lint each distinct
+    pipeline once.
     """
-    report = (
-        lint_pipeline_memoized(pipeline, spec)
-        if memoize
-        else lint_pipeline(pipeline, spec)
-    )
+    report = lint_pipeline_memoized(pipeline, spec)
     if not report.clean(threshold):
         raise LintError(report, threshold)
     return report

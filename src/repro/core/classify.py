@@ -113,7 +113,8 @@ def _close_pairs(
     block's accesses by program position, as a stable argsort of the block
     ids would, and an access's previous access to its block is its
     neighbour.  Block ids too wide for the 63-bit budget are first replaced
-    by their dense rank, which sorts the same.
+    by their dense rank, which sorts the same.  Ids of any integer dtype
+    (the engine's are 32-bit) widen to int64 inside the shift itself.
 
     Returns ``(keys, pay_bits, near, earlier_write)`` over the neighbour
     pairs of the sorted keys (pair ``i`` joins keys ``i`` and ``i + 1``):
@@ -131,7 +132,7 @@ def _close_pairs(
                 f"{n} accesses over {span + 1} logical stages overflow a packed key"
             )
     keys = np.arange(0, n << pay_bits, 1 << pay_bits, dtype=np.int64)
-    keys |= blocks << low_bits
+    keys |= np.left_shift(blocks, low_bits, dtype=np.int64)
     keys |= payload
     keys.sort()
     # Neighbours share a block when their keys differ only in the low bits.
@@ -173,7 +174,7 @@ def classify_log(
     payload = (stage - lowest) << 1
     payload |= is_write
     keys, pay_bits, near, earlier_write = _close_pairs(
-        np.asarray(blocks, dtype=np.int64), payload, int(stage.max()) - lowest
+        np.asarray(blocks), payload, int(stage.max()) - lowest
     )
     position = keys >> pay_bits
     position &= (1 << (len(blocks) - 1).bit_length()) - 1

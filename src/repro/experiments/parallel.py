@@ -603,9 +603,11 @@ def run_tasks(
     A failing task never aborts the batch: it is retried per ``policy``
     (default :class:`FaultPolicy`) and, once its retries are exhausted,
     reported as a :class:`TaskFailure` on ``metrics.failures`` while the
-    rest of the sweep completes.  The returned dict then holds exactly the
-    successful subset, every fresh success already persisted to ``cache``
-    (a failed store only counts on ``metrics.not_cached``).
+    rest of the sweep completes.  A spec with no pipeline model cannot
+    succeed on any attempt, so it fails after one, before dispatch.  The
+    returned dict then holds exactly the successful subset, every fresh
+    success already persisted to ``cache`` (a failed store only counts on
+    ``metrics.not_cached``).
     """
     jobs = resolve_jobs(jobs)
     metrics = SweepMetrics(total=len(tasks), jobs=jobs)
@@ -623,19 +625,23 @@ def run_tasks(
             supervisor.results[(task.full_name, task.version)] = entry.result
             metrics.cache_hits += 1
             metrics.serial_estimate_s += entry.sim_wall_s
-        else:
-            pending.append(
-                _TaskState(
-                    WorkerTask(
-                        benchmark=task.full_name,
-                        version=task.version,
-                        spec=_task_spec(task.spec),
-                        system=system,
-                        options=options,
-                        cache_key=key,
-                    )
-                )
+            continue
+        state = _TaskState(
+            WorkerTask(
+                benchmark=task.full_name,
+                version=task.version,
+                spec=_task_spec(task.spec),
+                system=system,
+                options=options,
+                cache_key=key,
             )
+        )
+        if task.spec.simulatable:
+            pending.append(state)
+        else:
+            state.attempts = 1
+            message = f"{task.full_name} has no pipeline model"
+            supervisor.fail(state, "ValueError", message, FATE_IN_PARENT)
 
     serial = pending
     if jobs > 1 and len(pending) > 1:

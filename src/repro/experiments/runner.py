@@ -219,7 +219,7 @@ class SweepRunner:
             pipeline = task.spec.pipeline()
             if task.version == LIMITED:
                 pipeline = limited_copy_form(pipeline)
-            assert_lint_clean(pipeline, task.spec, memoize=True)
+            assert_lint_clean(pipeline, task.spec)
 
     @property
     def failures(self) -> List[TaskFailure]:

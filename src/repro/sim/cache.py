@@ -84,14 +84,18 @@ class SetAssocCache:
     ) -> Tuple[AccessStream, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`access_stream` plus (miss mask over ``stream``, stream
         positions whose miss evicted a dirty line, the evicted lines); the
-        evicted lines are the downstream's writes, in the same order."""
+        evicted lines are the downstream's writes, in the same order.
+
+        Block ids come back at the stream's dtype; one that does not fit
+        it raises ``OverflowError`` instead of wrapping."""
         n = len(stream)
+        ids = stream.blocks.dtype
         if not n:
             return (
-                AccessStream.empty(),
+                stream,
                 np.zeros(0, dtype=bool),
                 np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=ids),
             )
         blocks = stream.blocks.tolist()
         writes = stream.is_write.tolist()
@@ -140,14 +144,14 @@ class SetAssocCache:
         self.stats.misses += n - hits
         self.stats.writebacks += sum(out_writes)
         downstream = AccessStream(
-            np.asarray(out_blocks, dtype=np.int64),
+            np.asarray(out_blocks, dtype=ids),
             np.asarray(out_writes, dtype=bool),
         )
         return (
             downstream,
             miss,
             np.asarray(wb_pos, dtype=np.int64),
-            np.asarray(wb_blocks, dtype=np.int64),
+            np.asarray(wb_blocks, dtype=ids),
         )
 
     # -- maintenance ----------------------------------------------------------

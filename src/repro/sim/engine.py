@@ -48,7 +48,7 @@ from repro.sim.pcie import CopyEngine
 from repro.sim.results import Interval, SimResult, StageRecord
 from repro.sim.timing import StageTiming, compute_stage_timing
 from repro.trace.generator import StageTrace, TraceGenerator, TraceMemo
-from repro.trace.stream import AccessStream
+from repro.trace.stream import BLOCK_DTYPE, AccessStream
 
 _COMPONENT_OF_KIND = {
     StageKind.CPU: Component.CPU,
@@ -163,9 +163,10 @@ class Engine:
             pipeline,
             line_bytes=options.line_bytes,
             seed=options.seed,
-            # The fast path memoizes per-access trace parts process-wide,
-            # so the copy / limited-copy pair (and repeated stages within
-            # one pipeline) synthesize each identical sub-stream once.
+            # The fast path memoizes RNG-free trace parts and whole-stage
+            # traces process-wide, so the copy / limited-copy pair (and
+            # repeated stages within one pipeline) synthesize each
+            # identical sub-stream once.
             memo=_TRACE_MEMO if impl == "fast" else None,
         )
         # Step-level memoization (repro.sim.memo): process-wide and shared
@@ -482,7 +483,10 @@ class Engine:
             log_stage=stage_arr,
             log_component=comp_arr,
             logical_of_ordinal=np.asarray(logical_of_ordinal, dtype=np.int32),
-            touched_blocks={c: np.flatnonzero(bits) for c, bits in touched.items()},
+            touched_blocks={
+                c: np.flatnonzero(bits).astype(BLOCK_DTYPE)
+                for c, bits in touched.items()
+            },
             total_flops=self.pipeline.total_flops,
             flops_by_component=flops_by_component,
         )
@@ -784,7 +788,7 @@ class Engine:
         def live() -> tuple:
             written_per_cache = []
             for cache, comp in zip(caches, components):
-                arr = np.asarray(cache.drain(), dtype=np.int64)
+                arr = np.asarray(cache.drain(), dtype=BLOCK_DTYPE)
                 if len(arr):
                     self.caches.log.append(
                         arr, np.ones(len(arr), dtype=bool), ordinal, comp

@@ -84,7 +84,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.config.components import CacheConfig
 from repro.sim.cache import CacheStats
-from repro.trace.stream import AccessStream
+from repro.trace.stream import AccessStream, fit_ids
 
 #: Streams shorter than this use the serial loop; the offline passes cost
 #: a handful of argsorts/scans whose fixed overhead only amortizes on
@@ -114,8 +114,8 @@ _RESIDUE_BUDGET_FACTOR = 32
 #: Element bound of one window-scan chunk (keeps gather matrices small).
 _CHUNK_ELEMS = 1 << 21
 
-#: The shared (read-only) empty position and victim array of a call
-#: without dirty evictions.
+#: The shared (read-only) empty position array of a call without dirty
+#: evictions (its empty victim array has the stream's dtype).
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
 _NO_POSITIONS.flags.writeable = False
 
@@ -246,14 +246,16 @@ class FastSetAssocCache:
         whose miss evicted a dirty line, the evicted lines); the evicted
         lines are the downstream's writes, in the same order.
         :func:`downstream` rebuilds the downstream from the last three.
+        Block ids come back at the stream's dtype; one that does not fit
+        it raises ``OverflowError`` instead of wrapping.
         """
         n = len(stream)
         if not n:
             return (
-                AccessStream.empty(),
+                stream,
                 np.zeros(0, dtype=bool),
                 _NO_POSITIONS,
-                _NO_POSITIONS,
+                stream.blocks,
             )
         blocks = stream.blocks
         is_write = stream.is_write
@@ -341,7 +343,7 @@ class FastSetAssocCache:
         return (
             miss,
             np.asarray(wb_at, dtype=np.int64),
-            np.asarray(wb_blocks, dtype=np.int64),
+            np.asarray(wb_blocks, dtype=blocks.dtype),
         )
 
     def _process_offline(
@@ -462,9 +464,13 @@ class FastSetAssocCache:
             wb_pos = np.take(perm, evict_rows[victim_dirty]) - k
             order = stable_argsort_ids(wb_pos)
             wb_pos = np.take(wb_pos, order)
-            wb_block = np.take(sm_block, np.take(victim_rows[victim_dirty], order))
+            # Victims come from the int64 state; they leave at the stream's width.
+            wb_block = fit_ids(
+                np.take(sm_block, np.take(victim_rows[victim_dirty], order)),
+                blocks.dtype,
+            )
         else:
-            wb_pos = wb_block = _NO_POSITIONS
+            wb_pos, wb_block = _NO_POSITIONS, blocks[:0]
 
         # ---- misses in original stream order ----
         miss_all = np.empty(m, dtype=bool)
@@ -572,7 +578,8 @@ def downstream(
     miss).  Writeback ``i`` lands right after its miss's fill: after the
     fills up to its position and the ``i`` writebacks before it.  The fills
     take the other slots in order, so the ``j``-th lands at ``j`` plus the
-    writebacks before it.
+    writebacks before it.  The downstream's ids keep the dtype of
+    ``blocks``; a victim that does not fit it raises ``OverflowError``.
     """
     if not len(wb_pos):
         # No dirty victims: the downstream is just the miss fills.
@@ -584,8 +591,8 @@ def downstream(
     wb_at += np.arange(1, len(wb_pos) + 1)
     out_w = np.zeros(total, dtype=bool)
     out_w[wb_at] = True
-    out_b = np.empty(total, dtype=np.int64)
-    out_b[wb_at] = wb_block
+    out_b = np.empty(total, dtype=blocks.dtype)
+    out_b[wb_at] = fit_ids(wb_block, blocks.dtype)
     out_b[~out_w] = blocks[fills]
     return AccessStream(out_b, out_w)
 

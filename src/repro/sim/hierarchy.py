@@ -27,7 +27,7 @@ from repro.config.components import CacheConfig
 from repro.sim.cache import SetAssocCache
 from repro.sim.fastcache import FastSetAssocCache, downstream
 from repro.sim.memo import StageMemo, run_step, states_digest
-from repro.trace.stream import AccessStream, sorted_unique
+from repro.trace.stream import BLOCK_DTYPE, AccessStream, sorted_unique
 
 #: Selectable cache-simulation implementations.  ``reference`` is the
 #: plain-Python model of :mod:`repro.sim.cache`; ``fast`` is the
@@ -77,16 +77,17 @@ class OffChipLog:
         """Append one part of ``blocks``/``is_write``, less the positions in
         ``dropped`` (lines a coherent peer supplied on chip).
 
-        The part keeps the arrays as given and leaves the dropped positions
-        out only when the log is read, so it can share the unfiltered
-        arrays a stage-memo entry holds instead of a filtered copy.
+        The part keeps the arrays as given, block ids at their own dtype,
+        and leaves the dropped positions out only when the log is read, so
+        it can share the unfiltered arrays a stage-memo entry holds instead
+        of a filtered copy.
         """
         if dropped is not None and not len(dropped):
             dropped = None
         count = len(blocks) - (0 if dropped is None else len(dropped))
         if not count:
             return
-        self._blocks.append(np.asarray(blocks, dtype=np.int64))
+        self._blocks.append(np.asarray(blocks))
         self._is_write.append(np.asarray(is_write, dtype=bool))
         self._dropped.append(dropped)
         self._ordinal.append(stage_ordinal)
@@ -138,13 +139,14 @@ class OffChipLog:
         for blocks, is_write, code in parts:
             self.append(blocks, is_write, stage_ordinal, COMPONENT_BY_CODE[code])
 
-    def _read(self, parts: List[np.ndarray], dtype) -> np.ndarray:
-        """``parts`` in log order without their dropped positions.
+    def _read(self, parts: List[np.ndarray]) -> np.ndarray:
+        """``parts`` in log order without their dropped positions, at the
+        widest dtype among them (so nothing narrows).
 
         Fills one output array part by part, so at most one filtered copy
         of a part exists at a time.
         """
-        out = np.empty(len(self), dtype=dtype)
+        out = np.empty(len(self), dtype=np.result_type(*parts))
         pos = 0
         for index in range(len(parts)):
             part = self._kept(parts, index)
@@ -156,7 +158,7 @@ class OffChipLog:
     def empty_arrays() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fresh empty arrays of the :meth:`arrays` dtypes."""
         return (
-            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=BLOCK_DTYPE),
             np.empty(0, dtype=bool),
             np.empty(0, dtype=np.int32),
             np.empty(0, dtype=np.int8),
@@ -167,8 +169,8 @@ class OffChipLog:
         if not self._blocks:
             return self.empty_arrays()
         return (
-            self._read(self._blocks, np.int64),
-            self._read(self._is_write, bool),
+            self._read(self._blocks),
+            self._read(self._is_write),
             np.repeat(np.asarray(self._ordinal, dtype=np.int32), self._count),
             np.repeat(np.asarray(self._code, dtype=np.int8), self._count),
         )
@@ -457,7 +459,7 @@ class CacheSystem:
         for domain, comp in ((self.cpu, Component.CPU), (self.gpu, Component.GPU)):
             written = domain.flush(src_blocks)
             if written:
-                arr = np.asarray(written, dtype=np.int64)
+                arr = np.asarray(written, dtype=BLOCK_DTYPE)
                 self.log.append(arr, np.ones(len(arr), dtype=bool), stage_ordinal, comp)
                 flushed += len(written)
         self.cpu.invalidate(dst_blocks)

@@ -18,6 +18,7 @@ from repro.config.system import PageFaultConfig
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.stage import StageKind
 from repro.trace.generator import BufferLayout
+from repro.trace.stream import BLOCK_DTYPE
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class FaultResult:
 
     faults: int
     service_time_s: float
-    zeroed_blocks: np.ndarray  # blocks the CPU wrote while zeroing new pages
+    zeroed_blocks: np.ndarray  # BLOCK_DTYPE blocks the CPU zeroed in new pages
     new_pages: np.ndarray  # int64 ids of the pages the touch mapped
 
 
@@ -135,23 +136,23 @@ class PageFaultModel:
         CPU first-touches are ordinary minor faults handled locally at
         negligible cost; they still map (and zero) the pages.
         """
-        none = np.empty(0, dtype=np.int64)
+        none = FaultResult(0, 0.0, np.empty(0, BLOCK_DTYPE), np.empty(0, np.int64))
         if not self.config.enabled or not len(blocks):
-            return FaultResult(0, 0.0, none, none)
+            return none
         pages = self.layout.pages_of(blocks)
         new_mask = np.fromiter(
             (int(p) not in self.mapped for p in pages), dtype=bool, count=len(pages)
         )
         new_pages = pages[new_mask].astype(np.int64, copy=False)
         if not len(new_pages):
-            return FaultResult(0, 0.0, none, none)
+            return none
         self.map_pages(new_pages)
 
         blocks_per_page = self.layout.blocks_per_page
         zeroed = (
             (new_pages[:, None] * blocks_per_page + np.arange(blocks_per_page)[None, :])
             .reshape(-1)
-            .astype(np.int64)
+            .astype(BLOCK_DTYPE)
         )
         if kind is not StageKind.GPU_KERNEL:
             return FaultResult(0, 0.0, zeroed, new_pages)

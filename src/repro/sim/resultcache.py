@@ -32,14 +32,19 @@ Each entry is one ``{key}.entry`` file in the columnar
   one per component's ``touched_blocks``).  A non-negative integer column
   is stored at the narrowest unsigned width (``uint8``/``16``/``32``)
   that holds its maximum, when that is narrower than its in-memory dtype;
-  any other column keeps its dtype.  Columns are zlib level 1, except
+  any other column keeps its dtype.  Block-id columns are encoded as
+  int64 columns, their in-memory width before ids became 32-bit, so ids
+  above 16 bits are stored as ``uint32``, and empty ones as int64: entry
+  bytes did not change with the width.  Columns are zlib level 1, except
   ``log_blocks`` stored in 16 bits or fewer, which is zlib-framed stored
   blocks (level 0): such block ids barely compress;
 * a ``uint32`` CRC-32 of every byte before it.
 
 Loading checks the CRC, schema and key, inflates each column and reads it
 back with ``np.frombuffer``; :func:`~repro.sim.serialize.result_from_dict`
-widens narrowed columns to their in-memory dtypes.  Every array of a
+converts narrowed columns to their in-memory dtypes, and an entry whose
+block ids do not fit :data:`~repro.trace.stream.BLOCK_DTYPE` is
+unreadable, never wrapped.  Every array of a
 loaded result is read-only, columns stored at their in-memory width are
 zero-copy views of the inflated bytes, and no column ever passes through
 Python objects.  Entries written before columns were narrowed (every
@@ -80,6 +85,7 @@ from repro.config.system import SystemConfig
 from repro.sim.engine import ENGINE_VERSION, SimOptions
 from repro.sim.results import SimResult
 from repro.sim.serialize import (
+    TOUCHED_PREFIX,
     join_columns,
     result_columns,
     result_from_dict,
@@ -180,21 +186,25 @@ class CacheEntry:
 _UNSIGNED = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
 
 
-def _narrowest(column: np.ndarray) -> np.ndarray:
-    """``column`` at the narrowest unsigned width that holds its maximum.
+#: The dtype block-id columns are encoded as (see the module docstring).
+_ID_ENCODING = np.dtype(np.int64)
 
-    Only non-negative integer columns narrow, and only to a width below
-    their own; bools, columns holding a negative value and empty columns
-    come back as they are.
+
+def _narrowest(column: np.ndarray, encoding: np.dtype) -> np.ndarray:
+    """``column`` encoded as a column of ``encoding``: at the narrowest
+    unsigned width that holds its maximum, when that is narrower.
+
+    Only non-negative integer columns narrow; bools, columns holding a
+    negative value and empty columns come back at ``encoding``.
     """
     if column.dtype.kind in "iu" and column.size and column.min() >= 0:
         high = column.max()
         for dtype in _UNSIGNED:
-            if dtype.itemsize >= column.dtype.itemsize:
+            if dtype.itemsize >= encoding.itemsize:
                 break
             if high <= np.iinfo(dtype).max:
                 return column.astype(dtype)
-    return column
+    return column.astype(encoding, copy=False)
 
 
 def pack_entry(meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> bytes:
@@ -205,7 +215,8 @@ def pack_entry(meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> bytes:
     """
     table, blobs = [], []
     for name, column in columns.items():
-        stored = _narrowest(column)
+        ids = name == "log_blocks" or name.startswith(TOUCHED_PREFIX)
+        stored = _narrowest(column, _ID_ENCODING if ids else column.dtype)
         data = np.ascontiguousarray(stored, dtype=stored.dtype.newbyteorder("<"))
         # Level 1 shrinks most columns ~5x; level 6 saves another ~8% at ~5x
         # the time (lonestar/mst at 1/32), and stores must stay cheap.  Block
@@ -267,7 +278,15 @@ def decode_entry_bytes(key: str, data: bytes) -> Optional[CacheEntry]:
         for column in result_columns(result).values():
             column.flags.writeable = False
         return CacheEntry(result=result, sim_wall_s=float(meta["sim_wall_s"]))
-    except (ValueError, KeyError, TypeError, AttributeError, zlib.error, struct.error):
+    except (
+        ValueError,
+        KeyError,
+        TypeError,
+        AttributeError,
+        OverflowError,
+        zlib.error,
+        struct.error,
+    ):
         return None
 
 

@@ -12,6 +12,7 @@ from repro.pipeline.stage import StageKind
 from repro.sim.fastcache import stable_argsort_ids
 from repro.sim.hierarchy import COMPONENT_CODE, Component
 from repro.sim.timing import StageTiming
+from repro.trace.stream import BLOCK_DTYPE
 
 
 @dataclass(frozen=True)
@@ -148,8 +149,11 @@ class SimResult:
     launch_intervals: List[Interval]
     line_bytes: int
     # Off-chip log (program order): block, is_write, stage ordinal, component
-    # code, plus the map from ordinal to logical-stage index.
-    log_blocks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    # code, plus the map from ordinal to logical-stage index.  Block ids here
+    # and in ``touched_blocks`` are BLOCK_DTYPE.
+    log_blocks: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=BLOCK_DTYPE)
+    )
     log_is_write: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     log_stage: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
     log_component: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))

@@ -34,6 +34,7 @@ from repro.sim.results import (
 )
 from repro.sim.timing import StageTiming
 from repro.pipeline.stage import StageKind
+from repro.trace.stream import fit_ids
 
 SCHEMA_V1 = "repro.sim_result/v1"
 SCHEMA_FULL = "repro.sim_result/v2-full"
@@ -221,7 +222,10 @@ def result_from_dict(payload: Dict[str, Any]) -> SimResult:
 
     Array fields may be JSON lists or numpy arrays (:func:`join_columns`);
     arrays already of the result's dtypes are kept as they are, and others,
-    such as the result cache's narrowed columns, are widened to them.
+    such as the result cache's narrowed columns, are converted to them.
+    Block ids come back at :data:`~repro.trace.stream.BLOCK_DTYPE`, and a
+    block column whose ids do not fit it raises ``OverflowError`` instead
+    of wrapping.
     """
     schema = payload.get("schema")
     if schema != SCHEMA_FULL:
@@ -267,7 +271,7 @@ def result_from_dict(payload: Dict[str, Any]) -> SimResult:
             Interval(start, end) for start, end in payload["launch_intervals"]
         ],
         line_bytes=int(payload["line_bytes"]),
-        log_blocks=np.asarray(log.get("blocks", []), dtype=np.int64),
+        log_blocks=fit_ids(log.get("blocks", [])),
         log_is_write=np.asarray(log.get("is_write", []), dtype=bool),
         log_stage=np.asarray(log.get("stage", []), dtype=np.int32),
         log_component=np.asarray(log.get("component", []), dtype=np.int8),
@@ -275,7 +279,7 @@ def result_from_dict(payload: Dict[str, Any]) -> SimResult:
             log.get("logical_of_ordinal", []), dtype=np.int32
         ),
         touched_blocks={
-            Component(name): np.asarray(blocks, dtype=np.int64)
+            Component(name): fit_ids(blocks)
             for name, blocks in payload["touched_blocks"].items()
         },
         total_flops=float(payload["total_flops"]),

@@ -45,8 +45,5 @@ def apply_misalignment(
     # time streaming traffic has evicted it.  Picking revisit positions
     # uniformly (unsorted) gives the refetches that long reuse distance.
     picks = rng.integers(0, len(stream), size=count)
-    refetch = AccessStream(
-        stream.blocks[picks].astype(np.int64),
-        np.zeros(count, dtype=bool),
-    )
+    refetch = AccessStream(stream.blocks[picks], np.zeros(count, dtype=bool))
     return interleave([stream, refetch])

@@ -20,7 +20,7 @@ from repro.pipeline.graph import Pipeline
 from repro.pipeline.patterns import AccessPattern
 from repro.pipeline.stage import BufferAccess, Stage, StageKind
 from repro.trace.alignment import apply_misalignment
-from repro.trace.stream import AccessStream, interleave, sorted_unique
+from repro.trace.stream import BLOCK_DTYPE, AccessStream, interleave, sorted_unique
 
 #: Fraction of graph-pattern accesses that hit the "hot" high-degree blocks.
 GRAPH_HOT_ACCESS_FRACTION = 0.3
@@ -30,7 +30,8 @@ GRAPH_HOT_BLOCK_FRACTION = 0.05
 #: Patterns whose synthesis never draws from the RNG: their parts are a
 #: pure function of (block range, fraction, passes), so a memo can share
 #: them across stages and seeds.  RANDOM/POINTER_CHASE/GRAPH sample from
-#: the per-(seed, pipeline, stage, access) RNG and memoize per seed.
+#: the per-(seed, pipeline, stage, access) RNG, so their parts are never
+#: memoized on their own (see :meth:`TraceGenerator._part`).
 _RNG_FREE_PATTERNS = frozenset(
     {
         AccessPattern.STREAMING,
@@ -50,7 +51,11 @@ _MEMO_MAX_BYTES = 256 << 20
 
 
 class BufferLayout:
-    """Assigns every buffer a page-aligned base block in a flat address space."""
+    """Assigns every buffer a page-aligned base block in a flat address space.
+
+    Raises ``ValueError`` for a layout of 2**31 or more blocks, whose ids
+    would not fit :data:`~repro.trace.stream.BLOCK_DTYPE`.
+    """
 
     def __init__(self, pipeline: Pipeline, line_bytes: int = 128, page_bytes: int = 4096):
         if page_bytes % line_bytes:
@@ -69,6 +74,11 @@ class BufferLayout:
             # Advance to the next page boundary so buffers never share pages.
             pages = -(-nblocks // self.blocks_per_page)
             cursor += pages * self.blocks_per_page
+        if cursor > np.iinfo(BLOCK_DTYPE).max:
+            raise ValueError(
+                f"{pipeline.name} lays out {cursor} blocks; "
+                f"{np.dtype(BLOCK_DTYPE)} block ids address fewer than 2**31"
+            )
         self.total_blocks = cursor
 
     def base_block(self, buffer: str) -> int:
@@ -103,9 +113,9 @@ def _touched_blocks(lo: int, hi: int, fraction: float, rng: np.random.Generator)
     span = hi - lo
     count = max(1, int(round(span * fraction)))
     if count >= span:
-        return np.arange(lo, hi, dtype=np.int64)
+        return np.arange(lo, hi, dtype=BLOCK_DTYPE)
     # Evenly spaced subset keeps the touched set stable across passes.
-    idx = np.linspace(0, span - 1, count).astype(np.int64)
+    idx = np.linspace(0, span - 1, count).astype(BLOCK_DTYPE)
     return lo + idx
 
 
@@ -157,7 +167,7 @@ def _synthesize(
         hot = touched[rng.integers(0, hot_size, size=hot_count)]
         cold = touched[rng.integers(0, len(touched), size=cold_count)]
         # Hot accesses are spread through the traversal, not clustered.
-        blocks = np.empty(count, dtype=np.int64)
+        blocks = np.empty(count, dtype=BLOCK_DTYPE)
         positions = rng.permutation(count)
         blocks[positions[:hot_count]] = hot
         blocks[positions[hot_count:]] = cold
@@ -165,7 +175,7 @@ def _synthesize(
         raise NotImplementedError(f"pattern {pattern}")
     if len(blocks) > max_accesses:
         blocks = blocks[:max_accesses]
-    return blocks.astype(np.int64, copy=False)
+    return blocks.astype(BLOCK_DTYPE, copy=False)
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ class StageTrace:
     bytes_touched: int
     #: Sorted unique block ids of the stream (consumers needing the footprint
     #: reuse this instead of recomputing it).  Shared, do not mutate.
-    unique_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    unique_ids: np.ndarray = field(default_factory=lambda: np.empty(0, BLOCK_DTYPE))
     #: :meth:`TraceGenerator.stage_key` of the stage when the generator has
     #: a memo (which keys on it), else None.
     key: Optional[Tuple] = None
@@ -225,8 +235,9 @@ class TraceGenerator:
         #: Optional part- and stage-level memo.  Keys capture everything a
         #: part depends on — including the stable per-access seed whenever
         #: the RNG is consumed — so entries may be shared across generators
-        #: (the engine passes one process-wide memo).  Memoized streams are
-        #: shared objects and must not be mutated.
+        #: (the engine passes one process-wide memo).  Only RNG-free parts
+        #: are stored on their own (see :meth:`_part`).  Memoized streams
+        #: are shared objects and must not be mutated.
         self.memo = memo
 
     def _seed_for(self, stage: Stage, access_index: int) -> int:
@@ -275,14 +286,21 @@ class TraceGenerator:
         access_index: int,
         is_write: bool,
     ) -> AccessStream:
-        """One access's sub-stream, memoized when a memo is attached."""
+        """One access's sub-stream, memoized when a memo is attached and
+        the part draws nothing from the RNG.
+
+        A seeded part's key holds the seed of its own (seed, pipeline,
+        stage, access), so it recurs only with its stage, whose stage-level
+        entry already holds it interleaved: stored, it could never serve.
+        """
+        key = None
         if self.memo is not None:
-            key = self._part_key(stage, access, access_index, is_write)
-            cached = self.memo.get(key)
-            if cached is not None:
-                return cached
-        else:
-            key = None
+            part_key = self._part_key(stage, access, access_index, is_write)
+            if part_key[0] is None:  # no seed: the part is RNG-free
+                key = part_key
+                cached = self.memo.get(key)
+                if cached is not None:
+                    return cached
         lo, hi = self.layout.block_range(access)
         misaligned = self._misaligned(stage, access)
         rng = self._rng(stage, access_index)

@@ -3,6 +3,12 @@
 The cache simulator consumes flat streams of (block id, is_write) records.
 Block ids index a single global block-granule address space laid out by
 :class:`repro.trace.generator.BufferLayout`.
+
+Every block id the simulator holds per access is a :data:`BLOCK_DTYPE`:
+32 bits address 2**31 blocks, 256 GB of 128-byte lines, and
+``BufferLayout`` refuses a larger layout, so no id can wrap.  Code that
+derives ids from ids keeps its input's dtype, so a stream built by hand
+with int64 ids (as :meth:`AccessStream.of` builds them) stays int64.
 """
 
 from __future__ import annotations
@@ -12,12 +18,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+#: The width of every block id the simulator creates: trace streams,
+#: cache downstreams, the off-chip log, page zeroing, cache drains and a
+#: result's id columns.
+BLOCK_DTYPE = np.int32
+
 
 @dataclass(frozen=True)
 class AccessStream:
-    """A sequence of cache-block accesses in program order."""
+    """A sequence of cache-block accesses in program order.
 
-    blocks: np.ndarray  # int64 block ids
+    ``blocks`` holds :data:`BLOCK_DTYPE` ids in every stream the simulator
+    generates; the caches accept any integer ids and hand their
+    downstreams back at the stream's own dtype.
+    """
+
+    blocks: np.ndarray  # block ids, BLOCK_DTYPE when generated
     is_write: np.ndarray  # bool, parallel to blocks
 
     def __post_init__(self) -> None:
@@ -42,13 +58,29 @@ class AccessStream:
 
     @staticmethod
     def empty() -> "AccessStream":
-        return AccessStream(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+        return AccessStream(np.empty(0, dtype=BLOCK_DTYPE), np.empty(0, dtype=bool))
 
     @staticmethod
     def of(blocks: Sequence[int], is_write: bool = False) -> "AccessStream":
         """Build a stream of all-read or all-write accesses."""
         arr = np.asarray(blocks, dtype=np.int64)
         return AccessStream(arr, np.full(arr.shape, is_write, dtype=bool))
+
+
+def fit_ids(ids: np.ndarray, dtype=BLOCK_DTYPE) -> np.ndarray:
+    """``ids`` at ``dtype``, as is when it already has it.
+
+    Raises ``OverflowError`` when an id does not fit ``dtype``, so a
+    narrowing never wraps an id silently.
+    """
+    ids = np.asarray(ids)
+    if ids.dtype == dtype:
+        return ids
+    if ids.size and not np.can_cast(ids.dtype, dtype):
+        info = np.iinfo(dtype)
+        if ids.min() < info.min or ids.max() > info.max:
+            raise OverflowError(f"block ids do not fit {np.dtype(dtype)}")
+    return ids.astype(dtype)
 
 
 def sorted_unique(ids: np.ndarray) -> np.ndarray:

@@ -234,6 +234,25 @@ def test_wide_block_ids_use_int64_path():
         )
 
 
+@pytest.mark.parametrize("cutoff", [0, None], ids=["offline", "serial"])
+def test_downstreams_keep_the_stream_dtype_and_never_wrap(cutoff):
+    """An int32 stream's downstream, writebacks included, is int32 in both
+    impls; a dirty line above 2**31 that an int64 stream left behind raises
+    when an int32 stream evicts it, instead of wrapping."""
+    ref, fast = make_pair((1, 1))
+    first = AccessStream(np.array([3, 4], dtype=np.int32), np.array([True, False]))
+    wide = AccessStream(np.array([1 << 33], dtype=np.int64), np.array([True]))
+    narrow = AccessStream(np.array([5, 6], dtype=np.int32), np.array([True, False]))
+    with forced(cutoff=cutoff):
+        for cache in (ref, fast):
+            down = cache.access_stream(first)
+            assert down.blocks.dtype == np.int32
+            assert down.blocks.tolist() == [3, 4, 3]
+            assert cache.access_stream(wide).blocks.dtype == np.int64
+            with pytest.raises(OverflowError):
+                cache.access_stream(narrow)
+
+
 def benchmark_shaped_stream(rng, n: int, base: int) -> AccessStream:
     """``n`` accesses at ids ``base`` and up, shaped like a GPU stage stream.
 

@@ -10,7 +10,10 @@ position and payload (logical stage, write flag) side by side in 63 bits.
 Block ids that fit the bits the position and payload leave are packed as
 they are; wider ones are first replaced by their dense rank.  The
 property tests draw peak block ids from one range per path, plus ids at
-the exact boundary between them.  They run at least 100 examples each,
+the exact boundary between them; the engine's 32-bit ids are drawn as
+int32 arrays too, up to 2**31 - 1 beside a stage span that leaves them
+exactly the key budget, so the packing must widen them to int64 before
+it shifts.  They run at least 100 examples each,
 more under a larger Hypothesis profile (``--hypothesis-profile deep`` in
 CI's differential job).
 
@@ -47,6 +50,7 @@ from repro.core.classify import (
 from repro.experiments.parallel import COPY, LIMITED, _simulate_version, _system_for
 from repro.sim.engine import SimOptions
 from repro.sim.results import SimResult
+from repro.trace.stream import BLOCK_DTYPE
 from repro.workloads.registry import simulatable_specs
 
 from tests.conftest import TINY_SCALE
@@ -141,10 +145,13 @@ def assert_matches_reference(blocks, is_write, stages) -> None:
 #: Test logs hold at most 120 accesses (7 position bits) over at most 241
 #: logical stages (9 payload bits), so peak ids below 2**47 always fit the
 #: 63-bit key, and ids of 2**62 or more never fit beside the one position
-#: bit and one payload bit of even the shortest log that is sorted.
+#: bit and one payload bit of even the shortest log that is sorted.  Each
+#: path is (lowest peak, bound on the peak, dtype of the drawn ids); the
+#: int32 path draws ids as the engine holds them.
 BLOCK_ID_PATHS = {
-    "packed": (0, 1 << 47),
-    "rank-compressed": (1 << 62, 1 << 63),
+    "packed": (0, 1 << 47, np.int64),
+    "int32": (0, 1 << 31, BLOCK_DTYPE),
+    "rank-compressed": (1 << 62, 1 << 63, np.int64),
 }
 
 #: Examples per property test: 100, or the loaded profile's count when
@@ -183,8 +190,9 @@ def logs(draw, lo: int, hi: int, monotone: bool):
 @given(data=st.data())
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_matches_reference(path, monotone, data):
-    lo, hi = BLOCK_ID_PATHS[path]
+    lo, hi, dtype = BLOCK_ID_PATHS[path]
     blocks, is_write, stages = data.draw(logs(lo, hi, monotone))
+    blocks = blocks.astype(dtype)
     if len(blocks):
         assert lo <= int(blocks.max()) < hi
     with spy_on_rank() as rank:
@@ -213,13 +221,34 @@ def test_ids_at_the_key_budget(over, monotone, data):
     assert rank.called == over
 
 
+@pytest.mark.parametrize("over", [False, True], ids=["exactly-63-bits", "64-bits"])
+@given(data=st.data())
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_int32_ids_at_the_key_budget(over, data):
+    """Ids just below 2**31 in an int32 array, with a stage span whose
+    payload bits leave the peak's 31 bits exactly the budget, or one short:
+    packed as they are in 63 bits, or rank-compressed."""
+    small, is_write, stages = data.draw(logs(0, 8, True))
+    assume(len(small) >= 2)
+    pay_bits = 63 - 31 - (len(small) - 1).bit_length() + over
+    span = data.draw(st.integers(1 << (pay_bits - 2), (1 << (pay_bits - 1)) - 1))
+    stages = stages - stages.min()
+    stages[-1] = span
+    assert key_budget(len(small), stages) == 31 - over
+    peak = np.iinfo(BLOCK_DTYPE).max - data.draw(st.integers(0, 7))
+    blocks = (small + (peak - int(small.max()))).astype(BLOCK_DTYPE)
+    with spy_on_rank() as rank:
+        assert_matches_reference(blocks, is_write, stages)
+    assert rank.called == over
+
+
 @pytest.mark.parametrize("path", list(BLOCK_ID_PATHS), ids=list(BLOCK_ID_PATHS))
 @pytest.mark.parametrize("n", [0, 1])
 def test_empty_and_single_access_logs(path, n):
-    peak = BLOCK_ID_PATHS[path][0]
+    peak, _, dtype = BLOCK_ID_PATHS[path]
     for write in (False, True):
         assert_matches_reference(
-            np.full(n, peak, dtype=np.int64),
+            np.full(n, peak, dtype=dtype),
             np.full(n, write, dtype=bool),
             np.zeros(n, dtype=np.int32),
         )

@@ -357,6 +357,33 @@ class TestDispatchClassification:
             _run(tasks, jobs=2)
 
 
+class TestSpecWithoutPipelineModel:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fails_once_without_backoff(self, jobs, monkeypatch):
+        """``BenchmarkSpec.pipeline()`` raises for it on every attempt, so
+        it fails before dispatch after one attempt; the rest completes."""
+        slept = []
+        monkeypatch.setattr(parallel, "_sleep", slept.append)
+        monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.25)
+        tasks = _tasks(("lonestar/bfs_atomic", "rodinia/kmeans"))
+        results, metrics = _run(tasks, jobs=jobs)
+        assert sorted(results) == [
+            ("rodinia/kmeans", COPY),
+            ("rodinia/kmeans", LIMITED),
+        ]
+        assert [(f.benchmark, f.version) for f in metrics.failures] == [
+            ("lonestar/bfs_atomic", COPY),
+            ("lonestar/bfs_atomic", LIMITED),
+        ]
+        for failure in metrics.failures:
+            assert failure.attempts == 1
+            assert failure.worker_fate == FATE_IN_PARENT
+            assert failure.error_type == "ValueError"
+            assert "has no pipeline model" in failure.message
+        assert metrics.retries == 0 and metrics.launched == 2
+        assert slept == []
+
+
 class TestSweepMetricsMerge:
     def _metrics(self, **kwargs) -> SweepMetrics:
         return SweepMetrics(**kwargs)

@@ -16,6 +16,7 @@ from repro.core.migrate import migrated_compute_runtime
 from repro.pipeline.transforms import remove_copies
 from repro.sim.engine import SimOptions, simulate
 from repro.sim.hierarchy import Component
+from repro.trace.stream import BLOCK_DTYPE
 from repro.workloads.registry import get
 
 from tests.conftest import TINY_SCALE
@@ -123,5 +124,5 @@ class TestCrossModuleConsistency:
     def test_touched_blocks_sorted_unique(self, pair):
         _, copy_result, _ = pair
         for blocks in copy_result.touched_blocks.values():
-            assert blocks.dtype == np.int64
+            assert blocks.dtype == BLOCK_DTYPE
             assert np.array_equal(blocks, np.unique(blocks))

@@ -1,14 +1,16 @@
 """The columnar ``repro.sweep_cache/v2`` entry format.
 
 Pins the documented layout (each integer column at its narrowest width,
-16-bit block ids as stored zlib blocks), the lossless round trip
-(read-only columns of the in-memory dtypes, zero-copy where the stored
-width is the in-memory one), that entries written before columns were
-narrowed still load, the integrity guarantee (a flipped byte anywhere or
-a write torn at any column boundary is a miss that removes the file, and
-``decode_entry_bytes`` refuses the same bytes), and the handling of v1
-``.json.gz`` leftovers and of temp files left by interrupted stores:
-reported by ``repro cache``, removed by ``repro cache --clear``.
+block ids above 16 bits as ``uint32``, 16-bit block ids as stored zlib
+blocks), the lossless round trip (read-only columns of the in-memory
+dtypes, zero-copy where the stored width is the in-memory one), that
+entries written before columns were narrowed still load, that block ids
+too wide for ``BLOCK_DTYPE`` are refused rather than wrapped, the
+integrity guarantee (a flipped byte anywhere or a write torn at any column
+boundary is a miss that removes the file, and ``decode_entry_bytes``
+refuses the same bytes), and the handling of v1 ``.json.gz`` leftovers
+and of temp files left by interrupted stores: reported by ``repro
+cache``, removed by ``repro cache --clear``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.sim.resultcache import (
 )
 from repro.sim.serialize import TOUCHED_PREFIX, result_columns, results_identical
 from repro.testing.faults import plant_foreign_schema_entry
+from repro.trace.stream import BLOCK_DTYPE
 
 from tests.conftest import TINY_SCALE, build_offload_pipeline
 
@@ -151,15 +154,18 @@ def test_full_width_entries_still_load(tmp_path, result):
 
 #: In-memory dtype of every integer column a result carries.
 INTEGER_COLUMNS = {
-    "log_blocks": np.int64,
+    "log_blocks": BLOCK_DTYPE,
     "log_stage": np.int32,
     "log_component": np.int8,
     "logical_of_ordinal": np.int32,
-    TOUCHED_PREFIX + "gpu": np.int64,
+    TOUCHED_PREFIX + "gpu": BLOCK_DTYPE,
 }
 
-#: Column maxima on either side of every unsigned width.
-MAXIMA = (0, 255, 256, 65535, 65536, 2**32 - 1, 2**32)
+#: Block-id columns, which are encoded as if they were int64.
+ID_COLUMNS = ("log_blocks", TOUCHED_PREFIX + "gpu")
+
+#: Column maxima on either side of every unsigned width an id can reach.
+MAXIMA = (0, 255, 256, 65535, 65536, 2**31 - 1)
 
 
 def _with_column(result, name, column):
@@ -170,15 +176,17 @@ def _with_column(result, name, column):
     return dataclasses.replace(result, **{name: column})
 
 
-def _expected_width(column):
-    """The narrowest unsigned dtype below the column's own that holds it."""
+def _expected_width(name, column):
+    """The narrowest unsigned dtype below the column's encoding (its own
+    dtype, int64 for a block-id column) that holds it, else the encoding."""
+    encoding = np.dtype(np.int64) if name in ID_COLUMNS else column.dtype
     if column.size and column.min() >= 0:
         for dtype in map(np.dtype, (np.uint8, np.uint16, np.uint32)):
-            if dtype.itemsize >= column.dtype.itemsize:
+            if dtype.itemsize >= encoding.itemsize:
                 break
             if column.max() <= np.iinfo(dtype).max:
                 return dtype
-    return column.dtype
+    return encoding
 
 
 def _stored_round_trip(result, name, column):
@@ -205,19 +213,43 @@ def _stored_round_trip(result, name, column):
 @pytest.mark.parametrize(
     "high, stored",
     [(0, "|u1"), (255, "|u1"), (256, "<u2"), (65535, "<u2"),
-     (65536, "<u4"), (2**32 - 1, "<u4"), (2**32, "<i8")],
+     (65536, "<u4"), (2**31 - 1, "<u4")],
 )
 def test_block_ids_are_stored_at_the_narrowest_width(result, high, stored):
-    column = np.array([high, 0, high // 2, high], dtype=np.int64)
+    column = np.array([high, 0, high // 2, high], dtype=BLOCK_DTYPE)
     level = 0 if stored in ("|u1", "<u2") else 1
     assert _stored_round_trip(result, "log_blocks", column) == (stored, level)
 
 
+@pytest.mark.parametrize(
+    "high, stored", [(2**31, "<u4"), (2**32 - 1, "<u4"), (2**32, "<i8")]
+)
+@pytest.mark.parametrize("name", ID_COLUMNS)
+def test_block_ids_that_do_not_fit_are_a_miss(tmp_path, result, name, high, stored):
+    """A CRC-valid entry whose ids do not fit ``BLOCK_DTYPE`` (int64 ids, as
+    a result built by hand holds them) is unreadable, not a wrapped result."""
+    column = np.array([high, 0, high // 2, high], dtype=np.int64)
+    data = encode_entry(KEY, _with_column(result, name, column))
+    header, _ = _layout(data)
+    assert [row[1] for row in header["columns"] if row[0] == name] == [stored]
+    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
+    assert decode_entry_bytes(KEY, data) is None
+    cache = ResultCache(tmp_path)
+    path = cache.path_for(KEY)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(data)
+    assert cache.load(KEY) is None
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("name", sorted(INTEGER_COLUMNS))
 def test_empty_and_negative_columns_keep_their_dtype(result, name):
+    """Stored at their encoding (int64 for block ids, as before ids were
+    32-bit), loaded back at their own dtype."""
     dtype = np.dtype(INTEGER_COLUMNS[name])
+    encoding = "<i8" if name in ID_COLUMNS else dtype.str
     for column in (np.empty(0, dtype), np.array([3, -1, 100], dtype)):
-        assert _stored_round_trip(result, name, column) == (dtype.str, 1)
+        assert _stored_round_trip(result, name, column) == (encoding, 1)
 
 
 @st.composite
@@ -242,7 +274,7 @@ def _integer_columns(draw):
 def test_every_integer_column_is_stored_at_its_narrowest_width(result, case):
     name, column = case
     stored, level = _stored_round_trip(result, name, column)
-    assert stored == _expected_width(column).str
+    assert stored == _expected_width(name, column).str
     assert (level == 0) == (name == "log_blocks" and np.dtype(stored).itemsize <= 2)
 
 

@@ -9,9 +9,14 @@ from repro.pipeline.transforms import (
     parallel_producer_consumer,
     remove_copies,
 )
-from repro.sim.engine import SimOptions, simulate
+from repro.sim.engine import Engine, SimOptions, simulate
 from repro.sim.hierarchy import Component, OffChipLog
+from repro.sim.memo import StageMemo
+from repro.sim.resultcache import ResultCache
 from repro.sim.results import SimResult
+from repro.sim.serialize import results_identical
+from repro.trace.stream import BLOCK_DTYPE
+from repro.workloads.registry import get
 
 from tests.conftest import TINY_SCALE, build_offload_pipeline
 
@@ -200,3 +205,46 @@ class TestScaling:
             )
             ratios.append(rl.roi_s / rc.roi_s)
         assert ratios[0] == pytest.approx(ratios[1], rel=0.15)
+
+
+class _RecordingMemo(StageMemo):
+    """A stage memo that keeps every entry it is handed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stored = []
+
+    def store(self, key, entry) -> None:
+        self.stored.append(entry)
+        super().store(key, entry)
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["copy", "limited-copy"])
+def test_graph_run_holds_block_ids_at_block_dtype(
+    limited, discrete, heterogeneous, tmp_path
+):
+    """Streams, stage-memo log parts and the result's id columns of a fast
+    run, and the same result loaded back from the result cache."""
+    pipeline, system = get("lonestar/bfs").pipeline(), discrete
+    if limited:
+        pipeline, system = remove_copies(pipeline), heterogeneous
+    memo = _RecordingMemo()
+    options = SimOptions(scale=TINY_SCALE, seed=2)
+    engine = Engine(pipeline, system, options, stage_memo=memo)
+    result = engine.run()
+    block = np.dtype(BLOCK_DTYPE)
+
+    for stage in engine.pipeline.stages:
+        assert engine.tracegen.stage_trace(stage).stream.blocks.dtype == block
+    parts = [blocks for entry in memo.stored for blocks, _, _ in entry.log_parts]
+    assert parts and {blocks.dtype for blocks in parts} == {block}
+    assert len(result.log_blocks) and result.log_blocks.dtype == block
+    assert {ids.dtype for ids in result.touched_blocks.values()} == {block}
+
+    key = "ab" + "0" * 62
+    cache = ResultCache(tmp_path)
+    cache.store(key, result)
+    loaded = cache.load(key).result
+    assert results_identical(loaded, result)
+    assert loaded.log_blocks.dtype == block
+    assert {ids.dtype for ids in loaded.touched_blocks.values()} == {block}

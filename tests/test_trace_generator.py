@@ -9,8 +9,11 @@ from repro.pipeline.stage import BufferAccess, Region, Stage, StageKind
 from repro.pipeline.transforms import remove_copies
 from repro.trace.alignment import apply_misalignment
 from repro.trace.generator import BufferLayout, TraceGenerator, TraceMemo
-from repro.trace.stream import AccessStream
+from repro.trace.stream import BLOCK_DTYPE, AccessStream
 from repro.units import KB
+from repro.workloads.registry import get
+
+from tests.conftest import TINY_SCALE
 
 
 def pipeline_with(stage, buffers):
@@ -71,6 +74,34 @@ class TestBufferLayout:
         b.buffer("a", 4096)
         with pytest.raises(ValueError):
             BufferLayout(b.build(), line_bytes=128, page_bytes=200)
+
+    def test_layout_of_2_31_blocks_is_refused(self):
+        """2**31 blocks, 256 GB of 128-byte lines: buffer metadata only,
+        nothing is allocated."""
+        b = PipelineBuilder("t")
+        b.buffer("a", (1 << 31) * 128)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            BufferLayout(b.build())
+
+    def test_ids_at_the_top_of_the_largest_layout(self):
+        """The last page of the largest layout: ids within 64 of 2**31."""
+        b = PipelineBuilder("t")
+        b.buffer("a", ((1 << 31) - 64) * 128)
+        b.buffer("b", 4096)  # laid out after "a": the last 32 blocks
+        stage = Stage(
+            name="k",
+            kind=StageKind.GPU_KERNEL,
+            reads=(BufferAccess("b", AccessPattern.RANDOM, passes=4.0),),
+            writes=(BufferAccess("b", AccessPattern.STENCIL),),
+        )
+        pipeline = b.build().with_stages([stage])
+        layout = BufferLayout(pipeline)
+        assert layout.total_blocks == (1 << 31) - 32
+        trace = TraceGenerator(pipeline).stage_trace(stage)
+        blocks = trace.stream.blocks
+        assert blocks.dtype == trace.unique_ids.dtype == BLOCK_DTYPE
+        assert blocks.min() == layout.base_block("b") == (1 << 31) - 64
+        assert blocks.max() == (1 << 31) - 33
 
 
 class TestPatternSynthesis:
@@ -175,6 +206,50 @@ class TestDeterminism:
         assert trace.key == memoized.stage_key(stage)
         assert memoized.stage_trace(stage) is trace
         assert TraceGenerator(pipeline, seed=3).stage_trace(stage).key is None
+
+
+class TestBlockWidth:
+    @pytest.mark.parametrize("pattern", list(AccessPattern))
+    def test_every_pattern_synthesizes_block_dtype_ids(self, pattern):
+        """In the copy form, and misaligned in the limited-copy form."""
+        b = PipelineBuilder("t")
+        b.buffer("a", 64 * KB, cpu_line_aligned=False)
+        b.copy_h2d("a")
+        b.gpu_kernel(
+            "k", flops=1.0, reads=[BufferAccess("a_dev", pattern, passes=2.0)]
+        )
+        for pipeline in (b.build(), remove_copies(b.build())):
+            trace = TraceGenerator(pipeline).stage_trace(pipeline.stage("k"))
+            assert trace.stream.blocks.dtype == BLOCK_DTYPE
+            assert trace.unique_ids.dtype == BLOCK_DTYPE
+
+
+class TestTraceMemoStoresOnlyServableParts:
+    """Seeded parts recur only with their own stage, which the stage-level
+    entry serves, so the memo stores RNG-free parts alone."""
+
+    @pytest.mark.parametrize("limited", [False, True], ids=["copy", "limited-copy"])
+    def test_bfs_stages(self, limited):
+        pipeline = get("lonestar/bfs").pipeline().scaled(TINY_SCALE)
+        if limited:
+            pipeline = remove_copies(pipeline)
+        memo = TraceMemo()
+        generator = TraceGenerator(pipeline, seed=1, memo=memo)
+        first = [generator.stage_trace(stage) for stage in pipeline.stages]
+
+        stage_keys = [key for key in memo if key[0] == "stage"]
+        part_keys = [key for key in memo if key[0] != "stage"]
+        assert any(part[0] is not None for key in stage_keys for part in key[1:])
+        assert part_keys and all(key[0] is None for key in part_keys)
+
+        again = TraceGenerator(pipeline, seed=1, memo=memo)
+        for stage, trace in zip(pipeline.stages, first):
+            assert again.stage_trace(stage) is trace
+        plain = TraceGenerator(pipeline, seed=1)
+        for stage, trace in zip(pipeline.stages, first):
+            fresh = plain.stage_trace(stage).stream
+            assert np.array_equal(fresh.blocks, trace.stream.blocks)
+            assert np.array_equal(fresh.is_write, trace.stream.is_write)
 
 
 class TestMisalignment:
